@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Exit codes are stable and machine-consumable: 0 ok/accept, 1
-violation/reject, 2 usage or parse error, 3 internal invariant failure.
-Reports go to stdout as JSON; diagnostics go to stderr.  A trace argument
-of ``-`` reads JSON Lines from stdin.
+violation/reject, 2 usage or parse error, 3 internal invariant failure or
+crash.  Reports go to stdout as JSON; diagnostics go to stderr.  A trace
+argument of ``-`` reads JSON Lines from stdin.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import compiler, mesh_sim, monitor, oracle
-from .errors import TreePolicyError
+from .errors import CompilerInternalError, TreePolicyError
 from .nested_word import build_nested_word, enumerate_rooted, parse_trace, serialize_trace
 from .policy import PolicyDocument, format_policy, parse_policy
 from .vpa import export_vpa, initial_configuration, run as vpa_run
@@ -122,6 +123,7 @@ def cmd_equiv(args) -> int:
             raise TreePolicyError(f"--alphabet names outside the document alphabet: {unknown}")
         alphabet = chosen
     artifacts = compiler.compile(doc)
+    monitors = [monitor.extract_monitor(a.vpa) for a in artifacts]
     checked = 0
     for word in enumerate_rooted(alphabet, args.max_calls):
         checked += 1
@@ -130,7 +132,7 @@ def cmd_equiv(args) -> int:
             init = initial_configuration(artifact.vpa)
             central = vpa_run(artifact.vpa, word, init)[-1]
             got = central.state in artifact.vpa.finals
-            dist = monitor.dist_run(monitor.extract_monitor(artifact.vpa), init, word)
+            dist = monitor.dist_run(monitors[i], init, word)
             if central != dist:
                 print(f"internal error: run mismatch on {artifact.policy_id}", file=sys.stderr)
                 sys.stdout.write(serialize_trace(word))
@@ -183,6 +185,16 @@ def cmd_format(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treepolicy",
@@ -208,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equiv", help="exhaustive oracle-vs-automaton differential")
     p.add_argument("policy_file")
-    p.add_argument("--max-calls", type=int, default=6)
+    p.add_argument("--max-calls", type=_positive_int, default=6)
     p.add_argument("--alphabet", help="comma-separated subset of the document alphabet")
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("simulate", help="run a monitored workload over a topology")
     p.add_argument("topology_file")
     p.add_argument("policy_file")
-    p.add_argument("--requests", type=int, default=200)
+    p.add_argument("--requests", type=_positive_int, default=200)
     p.add_argument("--mode", choices=[mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK],
                    default=mesh_sim.MODE_LOG)
     p.set_defaults(fn=cmd_simulate)
@@ -240,12 +252,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except TreePolicyError as exc:
+    except CompilerInternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (TreePolicyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:  # a crash must not read as a violation
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ which keeps state spaces disjoint without global bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import regex as rx
 from .errors import CompilerInternalError, EpsilonMatchRegex
@@ -35,7 +35,6 @@ from .policy import (
     depth,
     fanout,
     header_bits,
-    max_dfa_states,
     start_anchor_regex,
 )
 from .vpa import BOTTOM, Vpa, check_well_formed
@@ -200,20 +199,20 @@ def _single_final(v: Vpa) -> str:
     return next(iter(v.finals))
 
 
-def _require_no_epsilon(reg: rx.Regex):
-    if rx.matches_epsilon(reg):
+def _require_no_epsilon(d: rx.Dfa):
+    if d.initial in d.finals:
         raise EpsilonMatchRegex("match regex must not accept the empty string")
 
 
 # -- linear sequence construction --------------------------------------------
 
 
-def compile_callseq(reg: rx.Regex, alphabet: Iterable[Endpoint]) -> Vpa:
+def compile_callseq(d: rx.Dfa) -> Vpa:
     """Run the regex DFA over call symbols only; returns keep the state.
     The root's return (recognized by its begin-marker stack symbol) accepts
     iff the DFA sits in a final state."""
-    alpha = tuple(alphabet)
-    a1 = _frag(rx.to_dfa(reg, alpha), "a")
+    alpha = d.alphabet
+    a1 = _frag(d, "a")
     states = {BEG, END, REJ, *a1.states}
     gamma = set(states)  # the whole state set doubles as the stack alphabet
     b = _Build(states, BEG, END, REJ, alpha, gamma)
@@ -236,15 +235,15 @@ def compile_callseq(reg: rx.Regex, alphabet: Iterable[Endpoint]) -> Vpa:
 # -- all-path construction ----------------------------------------------------
 
 
-def compile_allpath(reg1: rx.Regex, reg2: rx.Regex, alphabet: Iterable[Endpoint]) -> Vpa:
-    """Find the shortest path matching reg1 (DFA A1, pushing pre-call
-    states for backtracking), then check every leaf path of the matched
-    subtree against reg2 (DFA A2, with augmented copies of A2 states used
-    as resume points after each completed child)."""
-    _require_no_epsilon(reg1)
-    alpha = tuple(alphabet)
-    a1 = _frag(rx.to_dfa(reg1, alpha), "a")
-    a2 = _frag(rx.to_dfa(reg2, alpha), "b")
+def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
+    """Find the shortest path matching the first regex (its DFA d1 is A1,
+    pushing pre-call states for backtracking), then check every leaf path
+    of the matched subtree against the second (d2 is A2, with augmented
+    copies of A2 states used as resume points after each completed child)."""
+    _require_no_epsilon(d1)
+    alpha = d1.alphabet
+    a1 = _frag(d1, "a")
+    a2 = _frag(d2, "b")
     augs = {q: _aug(q) for q in a2.states}
 
     states = {BEG, END, SAT, REJ, *a1.states, *a2.states, *augs.values()}
@@ -342,13 +341,13 @@ def compile_allpath(reg1: rx.Regex, reg2: rx.Regex, alphabet: Iterable[Endpoint]
 # -- all-children construction ------------------------------------------------
 
 
-def compile_allchildren(reg: rx.Regex, child: Vpa, alphabet: Iterable[Endpoint]) -> Vpa:
-    """Find the shortest path matching reg, then run the child automaton on
+def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
+    """Find the shortest path matching d, then run the child automaton on
     every child subtree of the matched node, restarting it from its initial
     behaviour each time it accepts; one failing subtree rejects."""
-    _require_no_epsilon(reg)
-    alpha = tuple(alphabet)
-    a1 = _frag(rx.to_dfa(reg, alpha), "a")
+    _require_no_epsilon(d)
+    alpha = d.alphabet
+    a1 = _frag(d, "a")
     c = _rename_vpa(child, "c.")
     cbeg = c.initial
     cend = _single_final(c)
@@ -446,16 +445,15 @@ def compile_allchildren(reg: rx.Regex, child: Vpa, alphabet: Iterable[Endpoint])
 # -- exists-child construction ------------------------------------------------
 
 
-def compile_exists(reg: rx.Regex, subpolicies: Sequence[Vpa],
-                   alphabet: Iterable[Endpoint]) -> Vpa:
-    """Find the shortest path matching reg, then thread the sub-automata
+def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
+    """Find the shortest path matching d, then thread the sub-automata
     over the matched node's child subtrees: each accepted subtree advances
     to the next sub-automaton, each rejected subtree retries the current
     one on the following sibling."""
-    _require_no_epsilon(reg)
+    _require_no_epsilon(d)
     assert subpolicies, "exists-child needs at least one subpolicy"
-    alpha = tuple(alphabet)
-    a1 = _frag(rx.to_dfa(reg, alpha), "a")
+    alpha = d.alphabet
+    a1 = _frag(d, "a")
     subs = [_rename_vpa(v, f"c{i + 1}.") for i, v in enumerate(subpolicies)]
     k = len(subs)
     begs = [v.initial for v in subs]
@@ -570,22 +568,20 @@ def compile_exists(reg: rx.Regex, subpolicies: Sequence[Vpa],
 # -- start construction --------------------------------------------------------
 
 
-def compile_start(start_set: Iterable[Endpoint], inner: Vpa,
-                  alphabet: Iterable[Endpoint]) -> Vpa:
+def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     """Anchor the inner automaton at first-encounter start endpoints.
 
-    The anchor DFA recognizes paths ending at a start endpoint with no
-    earlier start endpoint; reaching its final state coincides with an
-    S-node's call, which jumps straight into the inner automaton's
-    post-initial behaviour while pushing the pre-call anchor state.  The
-    matching return resumes the anchor from that popped state if the inner
-    automaton would accept, and rejects otherwise.  The anchor DFA's final
-    states and the inner automaton's initial/final states are fused away.
+    The anchor DFA (that of ``start_anchor_regex``) recognizes paths ending
+    at a start endpoint with no earlier start endpoint; reaching its final
+    state coincides with an S-node's call, which jumps straight into the
+    inner automaton's post-initial behaviour while pushing the pre-call
+    anchor state.  The matching return resumes the anchor from that popped
+    state if the inner automaton would accept, and rejects otherwise.  The
+    anchor DFA's final states and the inner automaton's initial/final states
+    are fused away.
     """
-    alpha = tuple(alphabet)
-    sset = frozenset(start_set)
-    assert sset and sset <= set(alpha)
-    a1 = _frag_fresh_initial(rx.to_dfa(start_anchor_regex(sset), alpha), "a")
+    alpha = anchor.alphabet
+    a1 = _frag_fresh_initial(anchor, "a")
     inn = _rename_vpa(inner, "in.")
     ibeg = inn.initial
     iend = _single_final(inn)
@@ -679,15 +675,16 @@ def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]) -> tuple[Vpa
     component DFAs keyed by their position in the policy tree."""
     alpha = tuple(alphabet)
     if isinstance(inner, CallSeq):
-        return compile_callseq(inner.reg, alpha), {"seq": rx.to_dfa(inner.reg, alpha)}
+        d = rx.to_dfa(inner.reg, alpha)
+        return compile_callseq(d), {"seq": d}
     if isinstance(inner, AllPath):
-        dfas = {"match": rx.to_dfa(inner.reg1, alpha), "leaves": rx.to_dfa(inner.reg2, alpha)}
-        return compile_allpath(inner.reg1, inner.reg2, alpha), dfas
+        d1, d2 = rx.to_dfa(inner.reg1, alpha), rx.to_dfa(inner.reg2, alpha)
+        return compile_allpath(d1, d2), {"match": d1, "leaves": d2}
     if isinstance(inner, AllChildren):
         child_vpa, child_dfas = compile_inner(inner.child, alpha)
         dfas = {"match": rx.to_dfa(inner.reg, alpha)}
         dfas.update({f"child.{k}": d for k, d in child_dfas.items()})
-        return compile_allchildren(inner.reg, child_vpa, alpha), dfas
+        return compile_allchildren(dfas["match"], child_vpa), dfas
     if isinstance(inner, ExistsChild):
         sub_vpas = []
         dfas = {"match": rx.to_dfa(inner.reg, alpha)}
@@ -695,7 +692,7 @@ def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]) -> tuple[Vpa
             v, sub_dfas = compile_inner(sub, alpha)
             sub_vpas.append(v)
             dfas.update({f"sub{i}.{k}": d for k, d in sub_dfas.items()})
-        return compile_exists(inner.reg, sub_vpas, alpha), dfas
+        return compile_exists(dfas["match"], sub_vpas), dfas
     raise TypeError(f"not an inner policy: {inner!r}")
 
 
@@ -722,19 +719,20 @@ class CompilationArtifacts:
 def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
                    policy_id: str = "pol0") -> CompilationArtifacts:
     alpha = tuple(alphabet)
+    dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), alpha)}
     inner_vpa, inner_dfas = compile_inner(policy.inner, alpha)
-    vpa = compile_start(policy.start_set, inner_vpa, alpha)
+    dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
+    vpa = compile_start(dfas["start"], inner_vpa)
     report = check_well_formed(vpa)
     if not report.ok:
         raise CompilerInternalError(
             f"compiled automaton is not well-formed: {report.problems[:3]}"
         )
-    dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), alpha)}
-    dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
     metrics = Metrics(
         depth=depth(policy),
         fanout=fanout(policy),
-        max_dfa_states=max_dfa_states(policy, alpha),
+        # the component DFAs are exactly those of policy.iter_regexes
+        max_dfa_states=max(d.n_states for d in dfas.values()),
         state_count=len(vpa.states),
         header_bits=header_bits(len(vpa.states)),
     )

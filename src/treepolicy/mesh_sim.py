@@ -2,11 +2,12 @@
 
 Services are deterministic call scripts: a topology maps each service to the
 ordered list of services it calls, and a request unrolls that script into a
-service tree.  Every simulated hop applies the per-policy filter rules to a
-state header on the way in (storing the pushed symbol locally) and on the
-way out, exactly as the extracted filter specifications describe.  The
-emitted trace is the request's rooted well-matched word, so centralized and
-denotational verdicts can be replayed against the monitored outcome.
+service tree.  Every simulated hop applies the policy's distributed monitor
+-- the same per-endpoint ``FilterSpec`` tables that ``emit-filters`` writes
+-- to a state header: ``on_request`` on the way in (storing the pushed
+symbol locally) and ``on_response`` on the way out.  The emitted trace is
+the request's rooted well-matched word, so centralized and denotational
+verdicts can be replayed against the monitored outcome.
 
 Each request owns its header values and hop-local storage; policies are
 monitored independently, one header per policy.
@@ -21,9 +22,8 @@ from typing import Iterable, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .monitor import STATE_HEADER, emit_filters, extract_monitor
+from .monitor import STATE_HEADER, DistributedMonitor, extract_monitor
 from .nested_word import Endpoint, NestedWord, TaggedSymbol, build_nested_word, call, ret
-from .vpa import initial_configuration
 
 MODE_LOG = "log"
 MODE_EARLY_BLOCK = "early_block"
@@ -110,13 +110,22 @@ def topology_from_json(text: str) -> Topology:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ConfigError("topology must be an object with version 1")
     try:
+        behavior = doc["behavior"]
+        if not isinstance(behavior, dict):
+            raise ConfigError("topology behavior must be an object")
         return Topology(
-            tuple(doc["services"]),
-            {svc: tuple(children) for svc, children in doc["behavior"].items()},
-            tuple(doc["entrypoints"]),
+            _names(doc["services"], "services"),
+            {svc: _names(children, f"behavior of {svc!r}") for svc, children in behavior.items()},
+            _names(doc["entrypoints"], "entrypoints"),
         )
     except KeyError as exc:
         raise ConfigError(f"topology lacks field {exc}") from None
+
+
+def _names(value, what: str) -> tuple[Endpoint, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"topology {what} must be a list of service names")
+    return tuple(value)
 
 
 # -- per-policy filter sets -----------------------------------------------------
@@ -124,48 +133,38 @@ def topology_from_json(text: str) -> Topology:
 
 @dataclass(frozen=True)
 class PolicyFilterSet:
-    """Everything a sidecar fleet needs to monitor one policy: the filter
-    rule tables, the canonical state numbering for the header encoding, and
-    the verdict/blocking state sets."""
+    """Everything a sidecar fleet needs to monitor one policy: the
+    distributed monitor, the canonical state numbering for the header
+    encoding, and the verdict/blocking state sets."""
 
     policy_id: str
     header_name: str
     state_order: tuple[str, ...]
+    header_values: dict[str, str]  # state -> its index in state_order, as text
     initial: str
     finals: frozenset[str]
     reject_states: frozenset[str]
     blockable: bool
-    request_rules: dict[Endpoint, dict[str, tuple[str, str]]]
-    response_rules: dict[Endpoint, dict[tuple[str, str], str]]
+    monitor: DistributedMonitor
 
     def encode(self, state: str) -> str:
-        return str(self.state_order.index(state))
+        return self.header_values[state]
 
     def decode(self, header_value: str) -> str:
         return self.state_order[int(header_value)]
 
 
 def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
-    specs = emit_filters(extract_monitor(artifact.vpa))
-    request_rules = {}
-    response_rules = {}
-    for spec in specs:
-        request_rules[spec.endpoint] = {
-            r.if_state: (r.then_state, r.push_local) for r in spec.on_request
-        }
-        response_rules[spec.endpoint] = {
-            (r.if_state, r.if_local): r.then_state for r in spec.on_response
-        }
     return PolicyFilterSet(
         policy_id=artifact.policy_id,
         header_name=f"{STATE_HEADER}-{artifact.policy_id}",
         state_order=artifact.state_order,
+        header_values={q: str(i) for i, q in enumerate(artifact.state_order)},
         initial=artifact.vpa.initial,
         finals=artifact.vpa.finals,
         reject_states=artifact.reject_states,
         blockable=bool(artifact.reject_states),
-        request_rules=request_rules,
-        response_rules=response_rules,
+        monitor=extract_monitor(artifact.vpa),
     )
 
 
@@ -206,7 +205,7 @@ def execute_request(
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
     for pf in filters:
-        missing = [svc for svc in t.services if svc not in pf.request_rules]
+        missing = [svc for svc in t.services if svc not in pf.monitor]
         if missing:
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
 
@@ -223,7 +222,7 @@ def execute_request(
         local_store = {}
         for pf in filters:
             current = pf.decode(headers[pf.policy_id])
-            rule = pf.request_rules[svc].get(current)
+            rule = pf.monitor[svc].on_request.get(current)
             if rule is None:
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_request rule at {svc!r} for state {current!r}"
@@ -249,7 +248,7 @@ def execute_request(
         for pf in filters:
             current = pf.decode(headers[pf.policy_id])
             local = local_store[pf.policy_id]
-            then_state = pf.response_rules[svc].get((current, local))
+            then_state = pf.monitor[svc].on_response.get((current, local))
             if then_state is None:
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_response rule at {svc!r} "
@@ -304,12 +303,6 @@ def run_workload(
     """Execute a workload, every policy monitored independently with its
     own header, and aggregate the outcome and per-request work counts."""
     filters = [build_filter_set(a) for a in artifacts]
-    for pf in filters:
-        for svc in t.services:
-            if svc not in pf.request_rules:
-                raise ConfigError(
-                    f"policy {pf.policy_id} was not compiled against service {svc!r}"
-                )
     report = SimReport()
     if not t.entrypoints:
         raise ConfigError("topology has no entrypoints")
@@ -331,9 +324,3 @@ def run_workload(
                 )
     return report
 
-
-def centralized_verdict(artifact: CompilationArtifacts, word: NestedWord) -> bool:
-    """Replay the request word through the centralized automaton."""
-    from .vpa import run
-
-    return run(artifact.vpa, word, initial_configuration(artifact.vpa))[-1].state in artifact.vpa.finals

@@ -1,16 +1,17 @@
-"""Distributed monitor extraction and per-service filter specifications.
+"""Distributed monitor: one transition table per endpoint.
 
-A deterministic complete automaton splits by endpoint into one sub-monitor
-per service: the call rows for that endpoint become its request transition,
-the return rows its response transition.  Running the sub-monitors
-symbol-locally, with the state carried alongside the request and the pushed
-stack symbol stored at the hop that pushed it, reproduces the centralized
-run configuration-for-configuration.
+A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
+of an endpoint holds that endpoint's call rows as ``on_request`` (state ->
+state and pushed symbol) and its return rows as ``on_response`` (state and
+popped symbol -> state).  A distributed monitor is the endpoint -> spec
+mapping, in alphabet order, and it is the only form of these tables: the
+distributed run steps through it, the filter JSON and sidecar scripts
+serialize it, and the mesh simulator applies it on each hop.
 
-Filter specifications are the deployable view of a sub-monitor: an
-``on_request`` rule table (state -> state, plus the locally stored symbol)
-and an ``on_response`` rule table (state and stored symbol -> state).  The
-rendered script form mirrors mesh sidecar callbacks and is byte-stable.
+Running the specs symbol-locally, with the state carried alongside the
+request and the pushed stack symbol stored at the hop that pushed it,
+reproduces the centralized run configuration-for-configuration.  The
+serialized forms list rules in sorted key order, so they are byte-stable.
 """
 
 from __future__ import annotations
@@ -27,40 +28,37 @@ STATE_HEADER = "x-safetree-state"
 
 
 @dataclass(frozen=True)
-class SubMonitor:
-    """Call/return transition functions of one endpoint."""
+class FilterSpec:
+    """Call/return transitions of one endpoint."""
 
     endpoint: Endpoint
-    call_fn: dict[str, tuple[str, str]]  # state -> (state, pushed symbol)
-    return_fn: dict[tuple[str, str], str]  # (state, popped symbol) -> state
+    on_request: dict[str, tuple[str, str]]  # state -> (state, pushed symbol)
+    on_response: dict[tuple[str, str], str]  # (state, popped symbol) -> state
 
 
-@dataclass(frozen=True)
-class DistributedMonitor:
-    alphabet: tuple[Endpoint, ...]
-    table: dict[Endpoint, SubMonitor]
+DistributedMonitor = dict[Endpoint, FilterSpec]
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
-    table = {}
-    for e in v.alphabet:
-        call_fn = {q: target for (q, sym), target in v.delta_call.items() if sym == e}
-        return_fn = {(q, s): t for (q, s, sym), t in v.delta_return.items() if sym == e}
-        table[e] = SubMonitor(e, call_fn, return_fn)
-    return DistributedMonitor(v.alphabet, table)
+    m = {e: FilterSpec(e, {}, {}) for e in v.alphabet}
+    for (q, e), target in v.delta_call.items():
+        m[e].on_request[q] = target
+    for (q, g, e), target in v.delta_return.items():
+        m[e].on_response[(q, g)] = target
+    return m
 
 
 def dist_step(m: DistributedMonitor, c: Configuration, a: TaggedSymbol) -> Configuration:
-    """Apply the symbol's own sub-monitor: calls push, returns pop."""
-    sub = m.table[a.endpoint]
+    """Apply the symbol's own filter: calls push, returns pop."""
+    spec = m[a.endpoint]
     if a.is_call:
-        q, s = sub.call_fn[c.state]
+        q, s = spec.on_request[c.state]
         return Configuration(q, c.stack + (s,))
     if len(c.stack) == 1:
         raise StackUnderflow(
             f"return from {a.endpoint!r} with empty stack in state {c.state!r}"
         )
-    q = sub.return_fn[(c.state, c.stack[-1])]
+    q = spec.on_response[(c.state, c.stack[-1])]
     return Configuration(q, c.stack[:-1])
 
 
@@ -74,54 +72,13 @@ def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Confi
 # -- filter specifications ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RequestRule:
-    if_state: str
-    then_state: str
-    push_local: str
-
-
-@dataclass(frozen=True)
-class ResponseRule:
-    if_state: str
-    if_local: str
-    then_state: str
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    endpoint: Endpoint
-    on_request: tuple[RequestRule, ...]
-    on_response: tuple[ResponseRule, ...]
-
-
 def emit_filters(m: DistributedMonitor) -> list[FilterSpec]:
-    """One spec per endpoint; rule order is deterministic."""
-    specs = []
-    for e in m.alphabet:
-        sub = m.table[e]
-        on_request = tuple(
-            RequestRule(q, dst, push)
-            for q, (dst, push) in sorted(sub.call_fn.items())
-        )
-        on_response = tuple(
-            ResponseRule(q, local, dst)
-            for (q, local), dst in sorted(sub.return_fn.items())
-        )
-        specs.append(FilterSpec(e, on_request, on_response))
-    return specs
+    """One spec per endpoint, in alphabet order."""
+    return list(m.values())
 
 
 def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
-    """Rebuild the sub-monitor tables from filter specifications."""
-    table = {}
-    order = []
-    for spec in specs:
-        call_fn = {r.if_state: (r.then_state, r.push_local) for r in spec.on_request}
-        return_fn = {(r.if_state, r.if_local): r.then_state for r in spec.on_response}
-        table[spec.endpoint] = SubMonitor(spec.endpoint, call_fn, return_fn)
-        order.append(spec.endpoint)
-    return DistributedMonitor(tuple(order), table)
+    return {spec.endpoint: spec for spec in specs}
 
 
 def filter_spec_to_json(spec: FilterSpec) -> str:
@@ -129,12 +86,12 @@ def filter_spec_to_json(spec: FilterSpec) -> str:
         "version": 1,
         "endpoint": spec.endpoint,
         "on_request": [
-            {"if_state": r.if_state, "then_state": r.then_state, "push_local": r.push_local}
-            for r in spec.on_request
+            {"if_state": q, "then_state": dst, "push_local": push}
+            for q, (dst, push) in sorted(spec.on_request.items())
         ],
         "on_response": [
-            {"if_state": r.if_state, "if_local": r.if_local, "then_state": r.then_state}
-            for r in spec.on_response
+            {"if_state": q, "if_local": local, "then_state": dst}
+            for (q, local), dst in sorted(spec.on_response.items())
         ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -144,8 +101,8 @@ def filter_spec_from_json(text: str) -> FilterSpec:
     doc = json.loads(text)
     return FilterSpec(
         doc["endpoint"],
-        tuple(RequestRule(r["if_state"], r["then_state"], r["push_local"]) for r in doc["on_request"]),
-        tuple(ResponseRule(r["if_state"], r["if_local"], r["then_state"]) for r in doc["on_response"]),
+        {r["if_state"]: (r["then_state"], r["push_local"]) for r in doc["on_request"]},
+        {(r["if_state"], r["if_local"]): r["then_state"] for r in doc["on_response"]},
     )
 
 
@@ -159,10 +116,9 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
     lines.append("callback OnRequest() {")
     kw = "if"
-    for r in spec.on_request:
+    for q, (dst, push) in sorted(spec.on_request.items()):
         lines.append(
-            f'  {kw} (state == "{r.if_state}") then state = "{r.then_state}"; '
-            f'local_stack = "{r.push_local}"'
+            f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
         )
         kw = "elseif"
     if kw == "if":
@@ -172,10 +128,9 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     lines.append("}")
     lines.append("callback OnResponse() {")
     kw = "if"
-    for r in spec.on_response:
+    for (q, local), dst in sorted(spec.on_response.items()):
         lines.append(
-            f'  {kw} (state == "{r.if_state}" && local_stack == "{r.if_local}") '
-            f'then state = "{r.then_state}"'
+            f'  {kw} (state == "{q}" && local_stack == "{local}") then state = "{dst}"'
         )
         kw = "elseif"
     if kw == "if":

@@ -242,15 +242,15 @@ def test_c8_early_block_soundness():
             continue
         blocked_count += 1
         full = mesh_sim.execute_request(topo, "Root", [pf], mode=mesh_sim.MODE_LOG)
-        if mesh_sim.centralized_verdict(art, full.word):
+        if accepts(art.vpa, full.word):
             unsound.append(f"#{i}: blocked a word the automaton accepts")
     # complement: accepting workloads must never block
     for i in range(200):
         topo = _random_layered_topology(rng, services[:-1] + ("Bad",), force_bad=False)
         res = mesh_sim.execute_request(topo, "Root", [pf], mode=mesh_sim.MODE_EARLY_BLOCK)
         out = res.outcomes[art.policy_id]
-        central = mesh_sim.centralized_verdict(
-            art, mesh_sim.execute_request(topo, "Root", [pf], mode=mesh_sim.MODE_LOG).word
+        central = accepts(
+            art.vpa, mesh_sim.execute_request(topo, "Root", [pf], mode=mesh_sim.MODE_LOG).word
         )
         if central and out.kind == "blocked":
             unsound.append(f"accepting workload #{i} was blocked")

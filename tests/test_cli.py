@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from treepolicy import cli, compiler, mesh_sim
+from treepolicy import cli, compiler, mesh_sim, monitor
+from treepolicy.errors import CompilerInternalError
 from treepolicy import nested_word as nw
 from treepolicy.corpus import CORPUS
 
@@ -13,6 +14,9 @@ from conftest import events_from_str
 POLICY = "alphabet F, P, D, E;\nstart {P}: match (P {D}) all-path ({E} star);\n"
 GOOD_TRACE = "<F <P <D <E E> D> <D <E E> D> P> F>"
 BAD_TRACE = "<F <P <D <F F> D> P> F>"
+HOSPITAL = mesh_sim.Topology(
+    ("F", "P", "D", "E"), {"F": ("P",), "P": ("D", "D"), "D": ("E",), "E": ()}, ("F",)
+)
 
 
 @pytest.fixture
@@ -106,6 +110,24 @@ class TestEquiv:
         out = json.loads(capsys.readouterr().out)
         assert out["agreement"] and out["words_checked"] > 0
 
+    @pytest.mark.parametrize("n", ["0", "-1", "x"])
+    def test_non_positive_max_calls_is_usage_error(self, policy_file, capsys, n):
+        assert cli.main(["equiv", policy_file, "--max-calls", n]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_builds_each_monitor_once(self, policy_file, capsys, monkeypatch):
+        calls = []
+        real = monitor.extract_monitor
+
+        def counting(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(monitor, "extract_monitor", counting)
+        assert cli.main(["equiv", policy_file, "--max-calls", "3"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
     def test_injected_mutation_found(self, policy_file, capsys, monkeypatch):
         real = compiler.compile_policy
 
@@ -153,12 +175,49 @@ class TestSimulate:
         capsys.readouterr()
 
     def test_zero_requests(self, tmp_path, policy_file, capsys):
+        # a run of no requests would report clean without checking anything
         topo = mesh_sim.Topology(("F", "P", "D", "E"), {"F": ("P",)}, ("F",))
         tf = tmp_path / "topo.json"
         tf.write_text(mesh_sim.topology_to_json(topo))
-        assert cli.main(["simulate", str(tf), policy_file, "--requests", "0"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["requests_total"] == 0
+        for n in ("0", "-3"):
+            assert cli.main(["simulate", str(tf), policy_file, "--requests", n]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("behavior", {"F": 5}),
+            ("behavior", ["F"]),
+            ("behavior", {"F": ["P", 3]}),
+            ("services", "FPDE"),
+            ("services", [1, 2]),
+            ("entrypoints", "F"),
+        ],
+    )
+    def test_mistyped_topology_is_usage_error(self, tmp_path, policy_file, capsys, field, value):
+        doc = json.loads(mesh_sim.topology_to_json(HOSPITAL))
+        doc[field] = value
+        tf = tmp_path / "topo.json"
+        tf.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_deep_topology_is_internal_error(self, tmp_path, capsys):
+        # the call-graph traversals recurse; past the recursion limit the
+        # command reports an internal failure, never a violation
+        names = [f"S{i}" for i in range(3000)]
+        src = tmp_path / "chain.stp"
+        src.write_text(f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n")
+        doc = {
+            "version": 1,
+            "services": names,
+            "behavior": {a: [b] for a, b in zip(names, names[1:])},
+            "entrypoints": ["S0"],
+        }
+        tf = tmp_path / "topo.json"
+        tf.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 3
+        assert "RecursionError" in capsys.readouterr().err
 
 
 class TestEmitFilters:
@@ -179,6 +238,27 @@ class TestEmitFilters:
             assert (out / f"pol0.{svc}.filter.json").exists()
             assert (out / f"pol0.{svc}.filter.lua").exists()
         capsys.readouterr()
+
+
+class TestExitCodes:
+    def test_compiler_internal_error_exits_3(self, tmp_path, policy_file, capsys, monkeypatch):
+        def broken(policy, alphabet, policy_id="pol0"):
+            raise CompilerInternalError("call conflict")
+
+        monkeypatch.setattr(compiler, "compile_policy", broken)
+        assert cli.main(["compile", policy_file, str(tmp_path / "out")]) == 3
+        assert "internal error: call conflict" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_3_with_traceback(self, tmp_path, policy_file, capsys,
+                                                         monkeypatch):
+        def broken(policy, alphabet, policy_id="pol0"):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(compiler, "compile_policy", broken)
+        t = trace_file(tmp_path, GOOD_TRACE)
+        assert cli.main(["check", policy_file, t]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError: 'boom'" in err
 
 
 class TestUsage:

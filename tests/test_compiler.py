@@ -35,19 +35,19 @@ def inner_of(text):
 
 class TestCallSeq:
     def test_singleton_sequence(self):
-        v = compiler.compile_callseq(rx.Symbol("A"), ("A",))
+        v = compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), ("A",)))
         assert accepts(v, word_from_str("<A A>"))
         assert not accepts(v, word_from_str("<A <A A> A>"))
 
     def test_accepts_payment_sequence(self, payment_word):
         reg = rx.parse_regex("P star D star", ("P", "D", "E"))
-        v = compiler.compile_callseq(reg, ("P", "D", "E"))
+        v = compiler.compile_callseq(rx.to_dfa(reg, ("P", "D", "E")))
         assert accepts(v, payment_word)
 
     def test_state_count(self):
         reg = rx.parse_regex("A B*", ("A", "B"))
         d = rx.to_dfa(reg, ("A", "B"))
-        v = compiler.compile_callseq(reg, ("A", "B"))
+        v = compiler.compile_callseq(d)
         assert len(v.states) == d.n_states + 3
 
     def test_exhaustive_oracle_agreement(self):
@@ -55,7 +55,7 @@ class TestCallSeq:
         alpha = ("A", "B")
         for i in range(20):
             reg = random_regex(rng, alpha, depth=3)
-            v = compiler.compile_callseq(reg, alpha)
+            v = compiler.compile_callseq(rx.to_dfa(reg, alpha))
             assert check_well_formed(v).ok
             sat = lambda word: rx.matches(reg, word.call_sequence(), alpha)
             assert_matches_oracle(v, sat, alpha, max_calls=5, ctx=f"callseq #{i}")
@@ -64,17 +64,19 @@ class TestCallSeq:
 class TestAllPath:
     def test_epsilon_match_rejected(self):
         with pytest.raises(EpsilonMatchRegex):
-            compiler.compile_allpath(rx.Star(rx.Symbol("A")), rx.EPSILON, ("A",))
+            compiler.compile_allpath(
+                rx.to_dfa(rx.Star(rx.Symbol("A")), ("A",)), rx.to_dfa(rx.EPSILON, ("A",))
+            )
 
     def test_payment_subtree(self, payment_word):
         alpha = ("P", "D", "E")
         reg1 = rx.parse_regex("P {D}", alpha)
         reg2 = rx.parse_regex("{E} star", alpha)
-        v = compiler.compile_allpath(reg1, reg2, alpha)
+        v = compiler.compile_allpath(rx.to_dfa(reg1, alpha), rx.to_dfa(reg2, alpha))
         assert accepts(v, payment_word)
 
     def test_vacuous_single_pair(self):
-        v = compiler.compile_allpath(rx.Symbol("A"), rx.EMPTY, ("A",))
+        v = compiler.compile_allpath(rx.to_dfa(rx.Symbol("A"), ("A",)), rx.to_dfa(rx.EMPTY, ("A",)))
         assert accepts(v, word_from_str("<A A>"))
 
     @pytest.mark.parametrize(
@@ -91,7 +93,7 @@ class TestAllPath:
     def test_exhaustive_oracle_agreement(self, reg1, reg2):
         alpha = ("A", "B", "C")
         r1, r2 = rx.parse_regex(reg1, alpha), rx.parse_regex(reg2, alpha)
-        v = compiler.compile_allpath(r1, r2, alpha)
+        v = compiler.compile_allpath(rx.to_dfa(r1, alpha), rx.to_dfa(r2, alpha))
         assert check_well_formed(v).ok
         p = AllPath(r1, r2)
         sat = lambda w: oracle.sat_hierarchical(w, p, alpha)
@@ -255,11 +257,11 @@ class TestStateBound:
         alpha = ("A", "B")
         reg = rx.parse_regex("A B*", alpha)
         d = rx.to_dfa(reg, alpha)
-        seq = compiler.compile_callseq(reg, alpha)
+        seq = compiler.compile_callseq(d)
         assert len(seq.states) == d.n_states + 3 <= 2 * (d.n_states + 5)
         r2 = rx.parse_regex("star", alpha)
-        ap = compiler.compile_allpath(reg, r2, alpha)
         d2 = rx.to_dfa(r2, alpha)
+        ap = compiler.compile_allpath(d, d2)
         assert len(ap.states) == d.n_states + 2 * d2.n_states + 4
         assert len(ap.states) <= 3 * (max(d.n_states, d2.n_states) + 5)
 

@@ -7,6 +7,7 @@ import pytest
 from treepolicy import compiler, mesh_sim, oracle
 from treepolicy.errors import ConfigError
 from treepolicy.policy import parse_policy
+from treepolicy.vpa import accepts
 
 HOSPITAL = mesh_sim.Topology(
     ("F", "P", "D", "E"),
@@ -81,7 +82,7 @@ class TestExecuteRequest:
         assert res.word.is_rooted()
         # hypothetical completion is rejected by the centralized automaton
         full = mesh_sim.execute_request(topo, "Beta", [pf], mode=mesh_sim.MODE_LOG)
-        assert not mesh_sim.centralized_verdict(arts[0], full.word)
+        assert not accepts(arts[0].vpa, full.word)
 
     def test_non_entrypoint_rejected(self):
         arts = artifacts_for(LOGGING_POLICY)
@@ -141,7 +142,7 @@ class TestWorkload:
             topo = mesh_sim.Topology(services, behavior, ("F",))
             res = mesh_sim.execute_request(topo, "F", filters)
             monitored = res.outcomes["pol0"].kind == "accept"
-            central = mesh_sim.centralized_verdict(arts[0], res.word)
+            central = accepts(arts[0].vpa, res.word)
             denot = oracle.sat_policy(res.word, doc.policies[0], doc.alphabet)
             assert monitored == central == denot
 

@@ -20,16 +20,16 @@ from conftest import (
 class TestExtract:
     def test_chain_request_transition(self):
         mon = monitor.extract_monitor(payment_chain_vpa())
-        assert mon.table["P"].call_fn["start"] == ("q_P", "q_P")
+        assert mon["P"].on_request["start"] == ("q_P", "q_P")
 
     def test_two_state_response_transition(self):
         mon = monitor.extract_monitor(two_state_vpa())
-        assert mon.table["Appt"].return_fn[("q1", "q0")] == "q0"
+        assert mon["Appt"].on_response[("q1", "q0")] == "q0"
 
     def test_table_keys_are_alphabet(self):
         v = payment_chain_vpa()
         mon = monitor.extract_monitor(v)
-        assert tuple(mon.table) == v.alphabet
+        assert tuple(mon) == v.alphabet
 
 
 class TestDistributedRun:
@@ -79,30 +79,34 @@ class TestFilterSpecs:
     def test_chain_request_rule(self):
         mon = monitor.extract_monitor(payment_chain_vpa())
         specs = {s.endpoint: s for s in monitor.emit_filters(mon)}
-        p_rules = {r.if_state: r for r in specs["P"].on_request}
-        assert p_rules["start"].then_state == "q_P"
-        assert p_rules["start"].push_local == "q_P"
-        p_resp = {(r.if_state, r.if_local): r for r in specs["P"].on_response}
-        assert p_resp[("q_P", "q_P")].then_state == "start"
+        then_state, push_local = specs["P"].on_request["start"]
+        assert then_state == "q_P"
+        assert push_local == "q_P"
+        assert specs["P"].on_response[("q_P", "q_P")] == "start"
 
     def test_rule_counts_match_tables(self):
+        # the per-endpoint tables partition the automaton's tables
         v = payment_chain_vpa()
-        mon = monitor.extract_monitor(v)
-        for spec in monitor.emit_filters(mon):
-            sub = mon.table[spec.endpoint]
-            assert len(spec.on_request) == len(sub.call_fn)
-            assert len(spec.on_response) == len(sub.return_fn)
+        specs = monitor.emit_filters(monitor.extract_monitor(v))
+        assert sum(len(spec.on_request) for spec in specs) == len(v.delta_call)
+        assert sum(len(spec.on_response) for spec in specs) == len(v.delta_return)
+        for spec in specs:
+            for q, target in spec.on_request.items():
+                assert v.delta_call[(q, spec.endpoint)] == target
+            for (q, g), target in spec.on_response.items():
+                assert v.delta_return[(q, g, spec.endpoint)] == target
             # complete automaton: every state has a request rule
-            assert {r.if_state for r in spec.on_request} == set(v.states)
+            assert set(spec.on_request) == set(v.states)
 
     def test_reconstruction_is_extensionally_equal(self):
         for doc in corpus_documents("small").values():
             art = compiler.compile(doc)[0]
             mon = monitor.extract_monitor(art.vpa)
             rebuilt = monitor.monitor_from_filters(monitor.emit_filters(mon))
-            for e in mon.alphabet:
-                assert rebuilt.table[e].call_fn == mon.table[e].call_fn
-                assert rebuilt.table[e].return_fn == mon.table[e].return_fn
+            assert tuple(rebuilt) == art.vpa.alphabet
+            for e in art.vpa.alphabet:
+                assert rebuilt[e].on_request == mon[e].on_request
+                assert rebuilt[e].on_response == mon[e].on_response
 
     def test_replay_through_filters_matches_dist_run(self):
         rng = random.Random(15)
@@ -116,9 +120,12 @@ class TestFilterSpecs:
             assert monitor.dist_run(rebuilt, init, n) == monitor.dist_run(mon, init, n)
 
     def test_json_round_trip(self):
-        mon = monitor.extract_monitor(payment_chain_vpa())
-        for spec in monitor.emit_filters(mon):
-            assert monitor.filter_spec_from_json(monitor.filter_spec_to_json(spec)) == spec
+        vpas = [payment_chain_vpa()]
+        for doc in corpus_documents("full").values():
+            vpas.extend(art.vpa for art in compiler.compile(doc))
+        for v in vpas:
+            for spec in monitor.emit_filters(monitor.extract_monitor(v)):
+                assert monitor.filter_spec_from_json(monitor.filter_spec_to_json(spec)) == spec
 
 
 class TestRenderScript:
@@ -132,7 +139,7 @@ class TestRenderScript:
         assert '(state == "q_P" && local_stack == "q_P") then state = "start"' in script
 
     def test_empty_rules_fall_through(self):
-        spec = monitor.FilterSpec("X", (), ())
+        spec = monitor.FilterSpec("X", {}, {})
         script = monitor.render_filter_script(spec)
         assert script.count("log_violation") == 2
 
