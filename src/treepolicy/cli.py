@@ -121,6 +121,9 @@ def cmd_equiv(args) -> int:
         unknown = sorted(set(chosen) - set(doc.alphabet))
         if unknown:
             raise TreePolicyError(f"--alphabet names outside the document alphabet: {unknown}")
+        repeated = sorted({s for s in chosen if chosen.count(s) > 1})
+        if repeated:
+            raise TreePolicyError(f"--alphabet names repeated: {repeated}")
         alphabet = chosen
     artifacts = compiler.compile(doc)
     monitors = [monitor.extract_monitor(a.vpa) for a in artifacts]

@@ -36,7 +36,7 @@ class StackUnderflow(TreePolicyError):
 
 
 class VpaParseError(TreePolicyError):
-    """Malformed serialized automaton."""
+    """Malformed serialized automaton or filter spec."""
 
 
 class CompilerInternalError(TreePolicyError):

@@ -20,11 +20,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import StackUnderflow
-from .nested_word import Endpoint, NestedWord, TaggedSymbol
-from .vpa import Configuration, Vpa
+from .errors import StackUnderflow, VpaParseError
+from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
+from .vpa import Configuration, Vpa, link, load_document, string_rows
 
 STATE_HEADER = "x-safetree-state"
+FILTER_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,33 @@ def extract_monitor(v: Vpa) -> DistributedMonitor:
 
 def dist_step(m: DistributedMonitor, c: Configuration, a: TaggedSymbol) -> Configuration:
     """Apply the symbol's own filter: calls push, returns pop."""
-    spec = m[a.endpoint]
-    if a.is_call:
-        q, s = spec.on_request[c.state]
-        return Configuration(q, c.stack + (s,))
-    if len(c.stack) == 1:
-        raise StackUnderflow(
-            f"return from {a.endpoint!r} with empty stack in state {c.state!r}"
-        )
-    q = spec.on_response[(c.state, c.stack[-1])]
-    return Configuration(q, c.stack[:-1])
+    return _dist_walk(m, c, (a,))
 
 
 def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Configuration:
-    c = init
-    for a in n.symbols:
-        c = dist_step(m, c, a.symbol)
-    return c
+    """The configuration after the word, starting from ``init``.
+
+    Each step is O(1) at any depth.  The state, the top stack symbol and the
+    configuration below it stay in locals; a call links one configuration
+    (the current one) below the pushed symbol, a return follows that link,
+    and the final configuration is built once at the end.
+    """
+    return _dist_walk(m, init, [a.symbol for a in n.symbols])
+
+
+def _dist_walk(m: DistributedMonitor, c: Configuration, symbols: Iterable[TaggedSymbol]) -> Configuration:
+    q, top, below = c.state, c.top, c.below
+    for a in symbols:
+        spec = m[a.endpoint]
+        if a.tag == CALL:
+            below = link(q, top, below)
+            q, top = spec.on_request[q]
+        elif below is None:
+            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
+        else:
+            q = spec.on_response[(q, top)]
+            top, below = below.top, below.below
+    return link(q, top, below)
 
 
 # -- filter specifications ----------------------------------------------------
@@ -83,7 +94,7 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
 
 def filter_spec_to_json(spec: FilterSpec) -> str:
     doc = {
-        "version": 1,
+        "version": FILTER_SCHEMA_VERSION,
         "endpoint": spec.endpoint,
         "on_request": [
             {"if_state": q, "then_state": dst, "push_local": push}
@@ -98,12 +109,17 @@ def filter_spec_to_json(spec: FilterSpec) -> str:
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:
-    doc = json.loads(text)
-    return FilterSpec(
-        doc["endpoint"],
-        {r["if_state"]: (r["then_state"], r["push_local"]) for r in doc["on_request"]},
-        {(r["if_state"], r["if_local"]): r["then_state"] for r in doc["on_response"]},
-    )
+    """Read a filter spec back, or raise ``VpaParseError``."""
+    doc = load_document(text, FILTER_SCHEMA_VERSION)
+    if not isinstance(doc.get("endpoint"), str):
+        raise VpaParseError("endpoint must be a string")
+    request_rows = string_rows(doc, "on_request", ("if_state", "then_state", "push_local"))
+    response_rows = string_rows(doc, "on_response", ("if_state", "if_local", "then_state"))
+    on_request = {q: (dst, push) for q, dst, push in request_rows}
+    on_response = {(q, local): dst for q, local, dst in response_rows}
+    if len(on_request) < len(request_rows) or len(on_response) < len(response_rows):
+        raise VpaParseError("a rule key appears more than once")
+    return FilterSpec(doc["endpoint"], on_request, on_response)
 
 
 def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:

@@ -7,17 +7,23 @@ endpoints.  The bottom marker is never pushed; a return arriving with only
 the bottom marker on the stack raises ``StackUnderflow`` (impossible on
 rooted well-matched input).
 
-Values are immutable; concurrent runs over one automaton are safe.
+Configurations share their stacks.  A configuration holds its state, the
+top stack symbol and a link to the configuration whose stack lies below
+that top; the chain ends at a configuration holding only the bottom marker.
+A push links the new configuration to the current one and a pop follows the
+link, so a step costs O(1) whatever the depth, and a run is linear in the
+length of the word.  Automata and configurations are never changed after
+construction; concurrent runs over one automaton are safe.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import StackUnderflow, VpaParseError
-from .nested_word import Endpoint, NestedWord, TaggedSymbol
+from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
 
 BOTTOM = "⊥"
 
@@ -38,14 +44,63 @@ class Vpa:
     delta_return: Mapping[tuple[State, StackSymbol, Endpoint], State]
 
 
-@dataclass(frozen=True)
 class Configuration:
-    state: State
-    stack: tuple[StackSymbol, ...]
+    """A state and a stack, built from the stack tuple (bottom first).
 
-    def __post_init__(self):
-        if not self.stack or self.stack[0] != BOTTOM or BOTTOM in self.stack[1:]:
+    ``top`` is the top stack symbol and ``below`` the configuration whose
+    stack is this one without its top (``None`` when ``top`` is the bottom
+    marker); only its stack counts, not its state.  ``stack`` rebuilds the
+    tuple in O(depth) and is never needed by a run.  Equality and hashing
+    compare the state and the stack contents, with loops rather than
+    recursion, so stacks of any depth compare, hash and free safely.
+    """
+
+    __slots__ = ("state", "top", "below")
+
+    def __init__(self, state: State, stack: tuple[StackSymbol, ...]):
+        if not stack or stack[0] != BOTTOM or BOTTOM in stack[1:]:
             raise ValueError("stack must hold exactly one bottom marker, at position 0")
+        below = None
+        for s in stack[:-1]:
+            below = link(state, s, below)
+        self.state, self.top, self.below = state, stack[-1], below
+
+    @property
+    def stack(self) -> tuple[StackSymbol, ...]:
+        symbols = []
+        c = self
+        while c is not None:
+            symbols.append(c.top)
+            c = c.below
+        return tuple(reversed(symbols))
+
+    def __eq__(self, other):
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        if self.state != other.state:
+            return False
+        a, b = self, other
+        while a is not b:
+            if a is None or b is None or a.top != b.top:
+                return False
+            a, b = a.below, b.below
+        return True
+
+    def __hash__(self):
+        return hash((self.state, self.stack))
+
+    def __repr__(self):
+        return f"Configuration(state={self.state!r}, stack={self.stack!r})"
+
+
+_new = object.__new__
+
+
+def link(state: State, top: StackSymbol, below: Configuration | None) -> Configuration:
+    """A configuration from its fields, without the tuple check."""
+    c = _new(Configuration)
+    c.state, c.top, c.below = state, top, below
+    return c
 
 
 def initial_configuration(v: Vpa) -> Configuration:
@@ -54,26 +109,34 @@ def initial_configuration(v: Vpa) -> Configuration:
 
 def step(v: Vpa, c: Configuration, a: TaggedSymbol) -> Configuration:
     """One transition: a call pushes, a return pops."""
-    if a.is_call:
-        q, s = v.delta_call[(c.state, a.endpoint)]
-        return Configuration(q, c.stack + (s,))
-    if len(c.stack) == 1:
-        raise StackUnderflow(
-            f"return from {a.endpoint!r} with empty stack in state {c.state!r}"
-        )
-    top = c.stack[-1]
-    q = v.delta_return[(c.state, top, a.endpoint)]
-    return Configuration(q, c.stack[:-1])
+    return _configurations(v, c, (a,))[-1]
+
+
+def _configurations(v: Vpa, c: Configuration, symbols: Iterable[TaggedSymbol]) -> list[Configuration]:
+    """``c`` and the configuration after each symbol.  A call links the new
+    configuration to the current one; a return takes the stack below the
+    current top."""
+    out = [c]
+    delta_call, delta_return = v.delta_call, v.delta_return
+    q, top, below = c.state, c.top, c.below
+    for a in symbols:
+        if a.tag == CALL:
+            below = c
+            q, top = delta_call[(q, a.endpoint)]
+        elif below is None:
+            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
+        else:
+            q = delta_return[(q, top, a.endpoint)]
+            top, below = below.top, below.below
+        c = link(q, top, below)
+        out.append(c)
+    return out
 
 
 def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> list[Configuration]:
     """The configuration sequence, starting from ``init`` (length |n|+1)."""
     c = init if init is not None else initial_configuration(v)
-    out = [c]
-    for a in n.symbols:
-        c = step(v, c, a.symbol)
-        out.append(c)
-    return out
+    return _configurations(v, c, [a.symbol for a in n.symbols])
 
 
 def accepts(v: Vpa, n: NestedWord) -> bool:
@@ -118,34 +181,6 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
     return WellFormedReport(not problems, tuple(problems))
 
 
-def complete_with_sink(v: Vpa, sink: State = "sink") -> Vpa:
-    """Fill missing transitions through an explicit non-final sink state.
-
-    Hand-drawn automata usually omit reject transitions; this restores the
-    deterministic-and-complete form the rest of the toolkit assumes.
-    """
-    states = set(v.states) | {sink}
-    stack_alphabet = set(v.stack_alphabet) | {BOTTOM, sink}
-    delta_call = dict(v.delta_call)
-    delta_return = dict(v.delta_return)
-    for q in states:
-        for e in v.alphabet:
-            delta_call.setdefault((q, e), (sink, sink))
-    for q in states:
-        for s in stack_alphabet:
-            for e in v.alphabet:
-                delta_return.setdefault((q, s, e), sink)
-    return Vpa(
-        frozenset(states),
-        v.initial,
-        v.finals,
-        v.alphabet,
-        frozenset(stack_alphabet),
-        delta_call,
-        delta_return,
-    )
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -177,15 +212,40 @@ def _export_json(v: Vpa) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def import_vpa(text: str) -> Vpa:
+def load_document(text: str, version: int) -> dict:
+    """A JSON object of the given schema version, or ``VpaParseError``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise VpaParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise VpaParseError("top level must be an object")
-    if doc.get("version") != SCHEMA_VERSION:
+    if doc.get("version") != version:
         raise VpaParseError("missing or unsupported schema version")
+    return doc
+
+
+def string_rows(doc: dict, field: str, keys: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The field's rows, each an object holding a string under every key."""
+    rows = doc.get(field)
+    if isinstance(rows, list) and all(
+        isinstance(r, dict) and all(isinstance(r.get(k), str) for k in keys) for r in rows
+    ):
+        return [tuple(r[k] for k in keys) for r in rows]
+    raise VpaParseError(f"{field} must be a list of objects with string fields {list(keys)}")
+
+
+def _strings(doc: dict, field: str) -> list[str]:
+    value = doc[field]
+    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return value
+    raise VpaParseError(f"{field} must be a list of strings")
+
+
+def import_vpa(text: str) -> Vpa:
+    """Read an exported automaton back; it must be deterministic, complete
+    and well-formed, else ``VpaParseError`` names the first problems."""
+    doc = load_document(text, SCHEMA_VERSION)
     required = {
         "alphabet", "states", "initial", "finals", "stack_alphabet",
         "delta_call", "delta_return",
@@ -193,24 +253,28 @@ def import_vpa(text: str) -> Vpa:
     missing = required - set(doc)
     if missing:
         raise VpaParseError(f"missing fields: {sorted(missing)}")
-    try:
-        delta_call = {
-            (t["from"], t["sym"]): (t["to"], t["push"]) for t in doc["delta_call"]
-        }
-        delta_return = {
-            (t["from"], t["pop"], t["sym"]): t["to"] for t in doc["delta_return"]
-        }
-        return Vpa(
-            frozenset(doc["states"]),
-            doc["initial"],
-            frozenset(doc["finals"]),
-            tuple(doc["alphabet"]),
-            frozenset(doc["stack_alphabet"]),
-            delta_call,
-            delta_return,
-        )
-    except (KeyError, TypeError) as exc:
-        raise VpaParseError(f"malformed transition table: {exc}") from None
+    if not isinstance(doc["initial"], str):
+        raise VpaParseError("initial must be a string")
+    call_rows = string_rows(doc, "delta_call", ("from", "sym", "to", "push"))
+    return_rows = string_rows(doc, "delta_return", ("from", "pop", "sym", "to"))
+    delta_call = {(q, e): (q2, s) for q, e, q2, s in call_rows}
+    delta_return = {(q, s, e): q2 for q, s, e, q2 in return_rows}
+    if len(delta_call) < len(call_rows) or len(delta_return) < len(return_rows):
+        raise VpaParseError("a transition key appears more than once")
+    v = Vpa(
+        frozenset(_strings(doc, "states")),
+        doc["initial"],
+        frozenset(_strings(doc, "finals")),
+        tuple(_strings(doc, "alphabet")),
+        frozenset(_strings(doc, "stack_alphabet")),
+        delta_call,
+        delta_return,
+    )
+    problems = check_well_formed(v).problems
+    if problems:
+        more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
+        raise VpaParseError(f"ill-formed automaton: {'; '.join(problems[:3])}{more}")
+    return v
 
 
 def _dot_quote(s: str) -> str:

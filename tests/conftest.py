@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import time
 
 import pytest
 
 from treepolicy import nested_word as nw
-from treepolicy.vpa import BOTTOM, Vpa, complete_with_sink
+from treepolicy.vpa import BOTTOM, Vpa
 
 
 def events_from_str(text: str) -> list[nw.TaggedSymbol]:
@@ -31,6 +33,34 @@ def word_from_str(text: str) -> nw.NestedWord:
 def payment_word() -> nw.NestedWord:
     """P calls D twice; each D calls E once. Ten symbols, five matched pairs."""
     return word_from_str("<P <D <E E> D> <D <E E> D> P>")
+
+
+def complete_with_sink(v: Vpa, sink: str = "sink") -> Vpa:
+    """Fill missing transitions through an explicit non-final sink state.
+
+    Hand-drawn automata usually omit reject transitions; this restores the
+    deterministic-and-complete form the rest of the toolkit assumes.
+    """
+    states = set(v.states) | {sink}
+    stack_alphabet = set(v.stack_alphabet) | {BOTTOM, sink}
+    delta_call = dict(v.delta_call)
+    delta_return = dict(v.delta_return)
+    for q in states:
+        for e in v.alphabet:
+            delta_call.setdefault((q, e), (sink, sink))
+    for q in states:
+        for s in stack_alphabet:
+            for e in v.alphabet:
+                delta_return.setdefault((q, s, e), sink)
+    return Vpa(
+        frozenset(states),
+        v.initial,
+        v.finals,
+        v.alphabet,
+        frozenset(stack_alphabet),
+        delta_call,
+        delta_return,
+    )
 
 
 def two_state_vpa() -> Vpa:
@@ -89,3 +119,34 @@ def random_tree(rng: random.Random, n_calls: int, alphabet: tuple[str, ...]):
 
 def random_rooted_word(rng: random.Random, max_calls: int, alphabet: tuple[str, ...]) -> nw.NestedWord:
     return nw.word_from_tree(random_tree(rng, rng.randint(1, max_calls), alphabet))
+
+
+def chain_word(depth: int, alphabet, seed: int = 0, closed: bool = True) -> nw.NestedWord:
+    """``depth`` nested calls with seeded labels, closed by their returns."""
+    rng = random.Random(seed)
+    labels = [rng.choice(alphabet) for _ in range(depth)]
+    events = [nw.call(x) for x in labels]
+    if closed:
+        events += [nw.ret(x) for x in reversed(labels)]
+    return nw.build_nested_word(events)
+
+
+def cpu_per_symbol(fn, word: nw.NestedWord, repeats: int) -> float:
+    """The least thread CPU time per symbol of ``fn(word)`` over the repeats.
+
+    The garbage collector is paused while timing: a full collection walks
+    every object the test process holds, so one landing in a single run
+    would charge it for the heap that other tests left behind.
+    """
+    best = float("inf")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.thread_time()
+            fn(word)
+            best = min(best, time.thread_time() - t0)
+    finally:
+        if collecting:
+            gc.enable()
+    return best / len(word)

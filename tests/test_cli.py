@@ -78,6 +78,17 @@ class TestCheck:
             assert central == dist
         capsys.readouterr()
 
+    def test_deep_chain_modes_agree(self, tmp_path, policy_file, capsys):
+        # a step is O(1), so a 20,000-deep chain checks in well under a second
+        labels = ["F", "P"] * 5_000 + ["P", "D"] * 5_000
+        events = [nw.call(x) for x in labels] + [nw.ret(x) for x in reversed(labels)]
+        t = tmp_path / "deep.jsonl"
+        t.write_text(nw.serialize_trace(events), encoding="utf-8")
+        central = cli.main(["check", policy_file, str(t), "--mode", "central"])
+        dist = cli.main(["check", policy_file, str(t), "--mode", "dist"])
+        assert central == dist and central in (0, 1)
+        capsys.readouterr()
+
     def test_stdin_trace(self, tmp_path, policy_file, capsys, monkeypatch):
         import io
 
@@ -114,6 +125,11 @@ class TestEquiv:
     def test_non_positive_max_calls_is_usage_error(self, policy_file, capsys, n):
         assert cli.main(["equiv", policy_file, "--max-calls", n]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_repeated_alphabet_name_is_usage_error(self, policy_file, capsys):
+        assert cli.main(["equiv", policy_file, "--alphabet", "P,P", "--max-calls", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeated" in captured.err
 
     def test_builds_each_monitor_once(self, policy_file, capsys, monkeypatch):
         calls = []

@@ -1,15 +1,19 @@
 """Monitor extraction, single-step and run equivalence, filter emission."""
 
+import gc
+import json
 import random
 
 import pytest
 
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import StackUnderflow
+from treepolicy.errors import StackUnderflow, TreePolicyError
 from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, step
 
 from conftest import (
+    chain_word,
+    cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
     two_state_vpa,
@@ -75,6 +79,44 @@ class TestDistributedRun:
                 assert monitor.dist_run(mon, init, n) == run(art.vpa, n, init)[-1]
 
 
+    def test_final_configuration_is_a_value(self):
+        v = payment_chain_vpa()
+        mon = monitor.extract_monitor(v)
+        init = initial_configuration(v)
+        reached = monitor.dist_run(mon, init, word_from_str("<P <D"))
+        built = Configuration("q_D", (BOTTOM, "q_P", "q_D"))
+        assert reached == built and hash(reached) == hash(built)
+        assert reached == run(v, word_from_str("<P <D"))[-1]
+
+
+class TestDeepDistributedRuns:
+    def test_hundred_thousand_deep_chain(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        mon = monitor.extract_monitor(art.vpa)
+        init = initial_configuration(art.vpa)
+        depth = 100_000
+        word = chain_word(depth, art.vpa.alphabet, closed=False)
+        deepest = monitor.dist_run(mon, init, word)
+        assert len(deepest.stack) == depth + 1
+        central = run(art.vpa, word)[-1]
+        assert deepest == central and hash(deepest) == hash(central)
+        del deepest, central
+        gc.collect()
+        closed = chain_word(depth, art.vpa.alphabet)
+        assert monitor.dist_run(mon, init, closed) == run(art.vpa, closed)[-1]
+
+    def test_time_is_linear_in_depth(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        mon = monitor.extract_monitor(art.vpa)
+        init = initial_configuration(art.vpa)
+        shallow = chain_word(2_000, art.vpa.alphabet)
+        deep = chain_word(32_000, art.vpa.alphabet)
+        go = lambda word: monitor.dist_run(mon, init, word)  # noqa: E731
+        ratio = cpu_per_symbol(go, deep, 2) / cpu_per_symbol(go, shallow, 10)
+        # an O(depth) step makes this about 16
+        assert ratio < 4, ratio
+
+
 class TestFilterSpecs:
     def test_chain_request_rule(self):
         mon = monitor.extract_monitor(payment_chain_vpa())
@@ -126,6 +168,42 @@ class TestFilterSpecs:
         for v in vpas:
             for spec in monitor.emit_filters(monitor.extract_monitor(v)):
                 assert monitor.filter_spec_from_json(monitor.filter_spec_to_json(spec)) == spec
+
+
+    def test_not_json_rejected(self):
+        with pytest.raises(TreePolicyError):
+            monitor.filter_spec_from_json("pfff {")
+
+    @pytest.mark.parametrize("field", ["version", "endpoint", "on_request", "on_response"])
+    def test_missing_field_rejected(self, field):
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        doc = json.loads(monitor.filter_spec_to_json(spec))
+        del doc[field]
+        with pytest.raises(TreePolicyError):
+            monitor.filter_spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("endpoint", 7),
+            ("on_request", {"start": "q_P"}),
+            ("on_request", [{"if_state": "start", "then_state": "q_P", "push_local": None}]),
+            ("on_response", [{"if_state": "q_P", "if_local": "q_P"}]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        doc = json.loads(monitor.filter_spec_to_json(spec))
+        doc[field] = value
+        with pytest.raises(TreePolicyError):
+            monitor.filter_spec_from_json(json.dumps(doc))
+
+    def test_repeated_rule_key_rejected(self):
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        doc = json.loads(monitor.filter_spec_to_json(spec))
+        doc["on_request"].append(dict(doc["on_request"][0], then_state="sink"))
+        with pytest.raises(TreePolicyError, match="more than once"):
+            monitor.filter_spec_from_json(json.dumps(doc))
 
 
 class TestRenderScript:

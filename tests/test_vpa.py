@@ -1,10 +1,13 @@
 """Automaton runs, stack discipline, well-formedness, serialization."""
 
+import gc
+import json
 import random
 
 import pytest
 
-from treepolicy import nested_word as nw
+from treepolicy import compiler, nested_word as nw
+from treepolicy.corpus import corpus_documents
 from treepolicy.errors import StackUnderflow, VpaParseError
 from treepolicy.vpa import (
     BOTTOM,
@@ -18,7 +21,14 @@ from treepolicy.vpa import (
     step,
 )
 
-from conftest import payment_chain_vpa, random_rooted_word, two_state_vpa, word_from_str
+from conftest import (
+    chain_word,
+    cpu_per_symbol,
+    payment_chain_vpa,
+    random_rooted_word,
+    two_state_vpa,
+    word_from_str,
+)
 
 
 class TestStep:
@@ -93,6 +103,72 @@ class TestRun:
         assert run(v, payment_word) == run(v, payment_word)
 
 
+class TestConfiguration:
+    def test_built_equals_reached(self, payment_word):
+        v = payment_chain_vpa()
+        configs = run(v, payment_word)
+        assert configs[1] == Configuration("q_P", (BOTTOM, "q_P"))
+        assert hash(configs[1]) == hash(Configuration("q_P", (BOTTOM, "q_P")))
+        for c in configs:
+            built = Configuration(c.state, c.stack)
+            assert built == c and c == built
+            assert hash(built) == hash(c)
+
+    def test_unequal(self):
+        c = Configuration("q1", (BOTTOM, "q0"))
+        assert c != Configuration("q0", (BOTTOM, "q0"))
+        assert c != Configuration("q1", (BOTTOM,))
+        assert c != Configuration("q1", (BOTTOM, "q1"))
+        assert c != Configuration("q1", (BOTTOM, "q0", "q0"))
+        assert c != ("q1", (BOTTOM, "q0"))
+        assert len({c, Configuration("q1", (BOTTOM, "q0")), Configuration("q1", (BOTTOM,))}) == 2
+
+    @pytest.mark.parametrize(
+        "stack", [(), ("q0",), ("q0", BOTTOM), (BOTTOM, BOTTOM), (BOTTOM, "q0", BOTTOM)]
+    )
+    def test_malformed_stack(self, stack):
+        with pytest.raises(ValueError):
+            Configuration("q0", stack)
+
+    def test_stack_and_repr(self):
+        c = Configuration("q1", (BOTTOM, "a", "b"))
+        assert c.stack == (BOTTOM, "a", "b")
+        assert c.top == "b" and c.below.stack == (BOTTOM, "a")
+        assert repr(c) == f"Configuration(state='q1', stack=('{BOTTOM}', 'a', 'b'))"
+
+    def test_pop_shares_the_stack_below(self):
+        v = payment_chain_vpa()
+        configs = run(v, word_from_str("<P <D D> P>"))
+        # after <D D> the stack is the one <P left: the same cell, not a copy
+        assert configs[3].below is configs[1].below
+
+
+class TestDeepRuns:
+    def test_hundred_thousand_deep_chain(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        depth = 100_000
+        word = chain_word(depth, art.vpa.alphabet, closed=False)
+        configs = run(art.vpa, word)
+        deepest = configs[-1]
+        assert len(deepest.stack) == depth + 1
+        built = Configuration(deepest.state, deepest.stack)
+        assert built == deepest and hash(built) == hash(deepest)
+        assert configs[-2] != deepest
+        del configs, deepest, built
+        gc.collect()
+        # the closed chain runs back down to the bottom marker
+        assert run(art.vpa, chain_word(depth, art.vpa.alphabet))[-1].stack == (BOTTOM,)
+
+    def test_time_is_linear_in_depth(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        shallow = chain_word(2_000, art.vpa.alphabet)
+        deep = chain_word(32_000, art.vpa.alphabet)
+        go = lambda word: run(art.vpa, word)  # noqa: E731
+        ratio = cpu_per_symbol(go, deep, 2) / cpu_per_symbol(go, shallow, 10)
+        # an O(depth) step makes this about 16
+        assert ratio < 4, ratio
+
+
 class TestWellFormed:
     def test_sink_completed_passes(self):
         assert check_well_formed(two_state_vpa()).ok
@@ -135,6 +211,35 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(VpaParseError):
             import_vpa("pfff {")
+
+    def test_ill_formed_rejected_at_load(self):
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        dropped = doc["delta_call"].pop(0)
+        with pytest.raises(VpaParseError, match="missing call transition") as err:
+            import_vpa(json.dumps(doc))
+        assert repr(dropped["from"]) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("states", "q0"),
+            ("initial", ["q0"]),
+            ("finals", [1]),
+            ("delta_call", [{"from": "q0", "sym": "Appt", "to": "q1"}]),
+            ("delta_return", [["q1", "q0", "Appt", "q0"]]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        doc[field] = value
+        with pytest.raises(VpaParseError):
+            import_vpa(json.dumps(doc))
+
+    def test_repeated_transition_key_rejected(self):
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        doc["delta_call"].append(dict(doc["delta_call"][0], to="sink"))
+        with pytest.raises(VpaParseError, match="more than once"):
+            import_vpa(json.dumps(doc))
 
     def test_dot_labels(self):
         dot = export_vpa(two_state_vpa(), "dot")
