@@ -18,7 +18,7 @@ from . import compiler, mesh_sim, monitor, oracle
 from .errors import CompilerInternalError, TreePolicyError
 from .nested_word import build_nested_word, enumerate_rooted, parse_trace, serialize_trace
 from .policy import PolicyDocument, format_policy, parse_policy
-from .vpa import export_vpa, initial_configuration, run as vpa_run
+from .vpa import export_vpa, final_configuration, initial_configuration
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -85,7 +85,7 @@ def cmd_check(args) -> int:
     word = _load_word(args.trace_file, doc)
     verdicts = {}
     for artifact in compiler.compile(doc):
-        central = vpa_run(artifact.vpa, word, initial_configuration(artifact.vpa))[-1]
+        central = final_configuration(artifact.vpa, word)
         dist = monitor.dist_run(
             monitor.extract_monitor(artifact.vpa), initial_configuration(artifact.vpa), word
         )
@@ -133,7 +133,7 @@ def cmd_equiv(args) -> int:
         for i, artifact in enumerate(artifacts):
             want = oracle.sat_policy(word, doc.policies[i], doc.alphabet)
             init = initial_configuration(artifact.vpa)
-            central = vpa_run(artifact.vpa, word, init)[-1]
+            central = final_configuration(artifact.vpa, word, init)
             got = central.state in artifact.vpa.finals
             dist = monitor.dist_run(monitors[i], init, word)
             if central != dist:

@@ -2,15 +2,19 @@
 
 Services are deterministic call scripts: a topology maps each service to the
 ordered list of services it calls, and a request unrolls that script into a
-service tree.  Every simulated hop applies the policy's distributed monitor
--- the same per-endpoint ``FilterSpec`` tables that ``emit-filters`` writes
--- to a state header: ``on_request`` on the way in (storing the pushed
-symbol locally) and ``on_response`` on the way out.  The emitted trace is
-the request's rooted well-matched word, so centralized and denotational
-verdicts can be replayed against the monitored outcome.
+service tree.  Every simulated hop steps one state header per policy with
+that policy's distributed monitor -- the per-endpoint ``FilterSpec`` tables
+that ``emit-filters`` writes, which ``build_filter_set`` compiles once into
+integer rows.  The header is an integer, the state's position in
+``state_order``.  On the way in, the endpoint's request row maps it to the
+next header and the id of the pushed stack symbol, which stays at the hop;
+on the way out, the response row for that id maps it again.  The emitted
+trace is the request's rooted well-matched word, so centralized and
+denotational verdicts can be replayed against the monitored outcome.
 
 Each request owns its header values and hop-local storage; policies are
-monitored independently, one header per policy.
+monitored independently, one header per policy.  Call graphs and requests
+are walked with explicit stacks, so a call chain of any depth runs.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import getitem, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .monitor import STATE_HEADER, DistributedMonitor, extract_monitor
+from .monitor import STATE_HEADER, extract_monitor
 from .nested_word import Endpoint, NestedWord, TaggedSymbol, build_nested_word, call, ret
 
 MODE_LOG = "log"
@@ -49,27 +54,45 @@ class Topology:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        colors: dict[Endpoint, int] = {}
-
-        def visit(svc: Endpoint):
-            colors[svc] = 1
-            for c in self.behavior.get(svc, ()):
-                state = colors.get(c, 0)
-                if state == 1:
-                    raise ConfigError(f"call graph cycle through {c!r}")
-                if state == 0:
-                    visit(c)
-            colors[svc] = 2
-
-        for svc in self.services:
-            if colors.get(svc, 0) == 0:
-                visit(svc)
+        """Depth-first search with the open path on an explicit stack, so a
+        call chain of any length is checked."""
+        colors: dict[Endpoint, int] = {}  # 1 on the open path, 2 finished
+        for start in self.services:
+            if start in colors:
+                continue
+            colors[start] = 1
+            path = [(start, iter(self.children(start)))]
+            while path:
+                svc, children = path[-1]
+                for c in children:
+                    state = colors.get(c, 0)
+                    if state == 1:
+                        raise ConfigError(f"call graph cycle through {c!r}")
+                    if state == 0:
+                        colors[c] = 1
+                        path.append((c, iter(self.children(c))))
+                        break
+                else:
+                    colors[svc] = 2
+                    path.pop()
 
     def children(self, svc: Endpoint) -> tuple[Endpoint, ...]:
         return self.behavior.get(svc, ())
 
     def node_count(self, root: Endpoint) -> int:
-        return 1 + sum(self.node_count(c) for c in self.children(root))
+        """Nodes of the service tree a request to ``root`` unrolls to; each
+        service is counted once, after its children."""
+        counts: dict[Endpoint, int] = {}
+        todo = [root]
+        while todo:
+            svc = todo[-1]
+            uncounted = [c for c in self.children(svc) if c not in counts]
+            if uncounted:
+                todo += uncounted
+            else:
+                counts[svc] = 1 + sum(counts[c] for c in self.children(svc))
+                todo.pop()
+        return counts[root]
 
 
 def generate_topology(depth: int, fanout: int, alphabet: Sequence[Endpoint]) -> Topology:
@@ -131,40 +154,72 @@ def _names(value, what: str) -> tuple[Endpoint, ...]:
 # -- per-policy filter sets -----------------------------------------------------
 
 
+class HopRows(NamedTuple):
+    """One endpoint's filter for the simulated hop, indexed by header value.
+
+    ``request[h]`` is the header after the call and the id of the pushed
+    stack symbol; ``response[g][h]`` is the header after the return whose
+    call pushed symbol ``g``.  A rule the filter lacks is ``None``.
+    """
+
+    request: tuple[tuple[int, int] | None, ...]
+    response: tuple[tuple[int | None, ...], ...]
+
+
 @dataclass(frozen=True)
 class PolicyFilterSet:
-    """Everything a sidecar fleet needs to monitor one policy: the
-    distributed monitor, the canonical state numbering for the header
-    encoding, and the verdict/blocking state sets."""
+    """Everything a sidecar fleet needs to monitor one policy.
+
+    The header is an integer: a state's header value is its position in
+    ``state_order``, and a pushed stack symbol's id its position in
+    ``stack_symbols``.  ``table`` holds each endpoint's ``FilterSpec`` -- the
+    filter ``emit-filters`` writes -- compiled to integer rows, so a hop is
+    one row lookup per direction.  ``finals`` and ``reject_headers`` are
+    header values; the latter are the absorbing reject states a call may
+    enter in early-block mode, empty when the policy never blocks.
+    """
 
     policy_id: str
     header_name: str
     state_order: tuple[str, ...]
-    header_values: dict[str, str]  # state -> its index in state_order, as text
-    initial: str
-    finals: frozenset[str]
-    reject_states: frozenset[str]
-    blockable: bool
-    monitor: DistributedMonitor
-
-    def encode(self, state: str) -> str:
-        return self.header_values[state]
-
-    def decode(self, header_value: str) -> str:
-        return self.state_order[int(header_value)]
+    stack_symbols: tuple[str, ...]
+    initial: int
+    finals: frozenset[int]
+    reject_headers: frozenset[int]
+    table: dict[Endpoint, HopRows]
 
 
 def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
+    """Compile the policy's distributed monitor into integer hop rows.
+
+    Only symbols some call pushes get an id: a hop pops what its own call
+    pushed, so return rows for any other symbol (the bottom marker) never
+    apply.
+    """
+    monitor = extract_monitor(artifact.vpa)
+    header = {q: i for i, q in enumerate(artifact.state_order)}
+    pushed = sorted({g for spec in monitor.values() for _, g in spec.on_request.values()})
+    symbol_id = {g: i for i, g in enumerate(pushed)}
+    table = {}
+    for endpoint, spec in monitor.items():
+        request: list = [None] * len(header)
+        for q, (dst, g) in spec.on_request.items():
+            request[header[q]] = (header[dst], symbol_id[g])
+        response = [[None] * len(header) for _ in pushed]
+        for (q, g), dst in spec.on_response.items():
+            if g in symbol_id:
+                response[symbol_id[g]][header[q]] = header[dst]
+        table[endpoint] = HopRows(tuple(request), tuple(map(tuple, response)))
+    vpa = artifact.vpa
     return PolicyFilterSet(
         policy_id=artifact.policy_id,
         header_name=f"{STATE_HEADER}-{artifact.policy_id}",
         state_order=artifact.state_order,
-        header_values={q: str(i) for i, q in enumerate(artifact.state_order)},
-        initial=artifact.vpa.initial,
-        finals=artifact.vpa.finals,
-        reject_states=artifact.reject_states,
-        blockable=bool(artifact.reject_states),
-        monitor=extract_monitor(artifact.vpa),
+        stack_symbols=tuple(pushed),
+        initial=header[vpa.initial],
+        finals=frozenset(header[q] for q in vpa.finals),
+        reject_headers=frozenset(header[q] for q in artifact.reject_states),
+        table=table,
     )
 
 
@@ -186,6 +241,10 @@ class RequestResult:
         return sum(self.transitions.values())
 
 
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
 def execute_request(
     t: Topology,
     root: Endpoint,
@@ -194,81 +253,89 @@ def execute_request(
 ) -> RequestResult:
     """Synchronous depth-first execution of the root's call script.
 
-    On each hop the incoming header drives the endpoint's on_request rule
-    (the pushed symbol stays hop-local); the unwind applies on_response.  In
-    early-block mode a blockable policy whose call transition enters an
-    absorbing reject state stops the request: the offending subtree never
-    executes, open calls unwind normally, so the trace stays rooted.
+    On each hop every policy's header drives the endpoint's request row (the
+    pushed-symbol id stays hop-local); the unwind applies the response row
+    for that id.  In early-block mode a policy whose call transition enters
+    an absorbing reject state stops the request: the offending subtree never
+    executes, open calls unwind normally, so the trace stays rooted.  Open
+    calls wait on an explicit stack, so a call chain of any depth runs.
     """
     if root not in t.entrypoints:
         raise ConfigError(f"{root!r} is not an entrypoint")
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
     for pf in filters:
-        missing = [svc for svc in t.services if svc not in pf.monitor]
-        if missing:
+        if not all(map(pf.table.__contains__, t.services)):
+            missing = [svc for svc in t.services if svc not in pf.table]
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
+    blockers = (
+        [(k, pf.reject_headers) for k, pf in enumerate(filters) if pf.reject_headers]
+        if mode == MODE_EARLY_BLOCK
+        else []
+    )
 
+    # Per service reached: its call and return symbols, its children, and
+    # every policy's request rows and response rows, in filter order.
+    hops: dict[Endpoint, tuple] = {}
     events: list[TaggedSymbol] = []
-    headers = {pf.policy_id: pf.encode(pf.initial) for pf in filters}
-    transitions = {pf.policy_id: 0 for pf in filters}
+    headers = tuple(pf.initial for pf in filters)
     blocked_at: dict[str, int] = {}
-    state = {"calls": 0, "aborted": False}
-
-    def visit(svc: Endpoint):
-        state["calls"] += 1
-        position = state["calls"]
-        events.append(call(svc))
-        local_store = {}
-        for pf in filters:
-            current = pf.decode(headers[pf.policy_id])
-            rule = pf.monitor[svc].on_request.get(current)
-            if rule is None:
-                raise ConfigError(
-                    f"policy {pf.policy_id}: no on_request rule at {svc!r} for state {current!r}"
+    calls = 0
+    open_calls: list[tuple] = []  # (return symbol, response rows, pushed ids, children left)
+    svc: Endpoint | None = root
+    while True:
+        if svc is not None:
+            calls += 1
+            hop = hops.get(svc)
+            if hop is None:
+                rows = [pf.table[svc] for pf in filters]
+                hop = hops[svc] = (
+                    call(svc), ret(svc), t.children(svc),
+                    tuple(r.request for r in rows), tuple(r.response for r in rows),
                 )
-            then_state, push_local = rule
-            headers[pf.policy_id] = pf.encode(then_state)
-            local_store[pf.policy_id] = push_local
-            transitions[pf.policy_id] += 1
-            if (
-                mode == MODE_EARLY_BLOCK
-                and pf.blockable
-                and pf.policy_id not in blocked_at
-                and then_state in pf.reject_states
-            ):
-                blocked_at[pf.policy_id] = position
-                state["aborted"] = True
-        if not state["aborted"]:
-            for child in t.children(svc):
-                visit(child)
-                if state["aborted"]:
-                    break
-        events.append(ret(svc))
-        for pf in filters:
-            current = pf.decode(headers[pf.policy_id])
-            local = local_store[pf.policy_id]
-            then_state = pf.monitor[svc].on_response.get((current, local))
-            if then_state is None:
+            call_symbol, ret_symbol, children, requests, responses = hop
+            events.append(call_symbol)
+            rules = tuple(map(getitem, requests, headers))
+            if None in rules:
+                k = rules.index(None)
+                pf = filters[k]
                 raise ConfigError(
-                    f"policy {pf.policy_id}: no on_response rule at {svc!r} "
-                    f"for state {current!r} / local {local!r}"
+                    f"policy {pf.policy_id}: no on_request rule at {svc!r} "
+                    f"for state {pf.state_order[headers[k]]!r}"
                 )
-            headers[pf.policy_id] = pf.encode(then_state)
-            transitions[pf.policy_id] += 1
+            headers = tuple(map(_first, rules))
+            for k, stop in blockers:
+                if headers[k] in stop:
+                    blocked_at[filters[k].policy_id] = calls
+            open_calls.append((ret_symbol, responses, tuple(map(_second, rules)), iter(children)))
+        ret_symbol, responses, pushed, children = open_calls[-1]
+        svc = None if blocked_at else next(children, None)
+        if svc is None:
+            open_calls.pop()
+            events.append(ret_symbol)
+            after = tuple(map(getitem, map(getitem, responses, pushed), headers))
+            if None in after:
+                k = after.index(None)
+                pf = filters[k]
+                raise ConfigError(
+                    f"policy {pf.policy_id}: no on_response rule at {ret_symbol.endpoint!r} "
+                    f"for state {pf.state_order[headers[k]]!r} "
+                    f"/ local {pf.stack_symbols[pushed[k]]!r}"
+                )
+            headers = after
+            if not open_calls:
+                break
 
-    visit(root)
     word = build_nested_word(events)
     outcomes = {}
-    for pf in filters:
+    for pf, h in zip(filters, headers):
         if pf.policy_id in blocked_at:
             outcomes[pf.policy_id] = Outcome("blocked", position=blocked_at[pf.policy_id])
         else:
-            final = pf.decode(headers[pf.policy_id])
-            if final in pf.finals:
-                outcomes[pf.policy_id] = Outcome("accept", final_state=final)
-            else:
-                outcomes[pf.policy_id] = Outcome("violation", final_state=final)
+            kind = "accept" if h in pf.finals else "violation"
+            outcomes[pf.policy_id] = Outcome(kind, final_state=pf.state_order[h])
+    # every executed node steps every policy once on the way in, once out
+    transitions = {pf.policy_id: 2 * calls for pf in filters}
     return RequestResult(word, outcomes, transitions)
 
 
@@ -280,6 +347,8 @@ class SimReport:
     blocked: list[dict] = field(default_factory=list)
     per_hop_ops: Counter = field(default_factory=Counter)  # transitions/request -> count
     transitions_total: int = 0
+    # policy id -> {"transitions": n, "violations": n, "blocks": n}
+    per_policy: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_json(self) -> str:
         doc = {
@@ -290,6 +359,7 @@ class SimReport:
             "blocked": self.blocked,
             "per_hop_ops": {str(k): v for k, v in sorted(self.per_hop_ops.items())},
             "transitions_total": self.transitions_total,
+            "per_policy": self.per_policy,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -301,9 +371,13 @@ def run_workload(
     mode: str = MODE_LOG,
 ) -> SimReport:
     """Execute a workload, every policy monitored independently with its
-    own header, and aggregate the outcome and per-request work counts."""
+    own header, and aggregate the outcome and per-request work counts,
+    in total and per policy."""
     filters = [build_filter_set(a) for a in artifacts]
     report = SimReport()
+    report.per_policy = {
+        pf.policy_id: {"transitions": 0, "violations": 0, "blocks": 0} for pf in filters
+    }
     if not t.entrypoints:
         raise ConfigError("topology has no entrypoints")
     report.nodes_per_tree = t.node_count(t.entrypoints[0])
@@ -314,11 +388,15 @@ def run_workload(
         report.per_hop_ops[result.transitions_total] += 1
         report.transitions_total += result.transitions_total
         for policy_id, outcome in result.outcomes.items():
+            counts = report.per_policy[policy_id]
+            counts["transitions"] += result.transitions[policy_id]
             if outcome.kind == "violation":
+                counts["violations"] += 1
                 report.violations.append(
                     {"policy": policy_id, "request": i, "final_state": outcome.final_state}
                 )
             elif outcome.kind == "blocked":
+                counts["blocks"] += 1
                 report.blocked.append(
                     {"policy": policy_id, "request": i, "position": outcome.position}
                 )

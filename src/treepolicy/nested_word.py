@@ -55,9 +55,14 @@ def ret(endpoint: Endpoint) -> TaggedSymbol:
     return TaggedSymbol(RET, endpoint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexedSymbol:
-    """A tagged symbol at a 1-based position within a word."""
+    """A tagged symbol at a 1-based position within a word.
+
+    ``build_nested_word`` makes these through ``_indexed``, which fills the
+    slots without the dataclass ``__init__`` and its index check: a word has
+    one per event, and the positions it assigns start at 1.
+    """
 
     symbol: TaggedSymbol
     index: int
@@ -77,6 +82,18 @@ class IndexedSymbol:
     @property
     def is_call(self) -> bool:
         return self.symbol.tag == CALL
+
+
+_new = object.__new__
+_set_symbol = IndexedSymbol.symbol.__set__
+_set_index = IndexedSymbol.index.__set__
+
+
+def _indexed(symbol: TaggedSymbol, index: int) -> IndexedSymbol:
+    a = _new(IndexedSymbol)
+    _set_symbol(a, symbol)
+    _set_index(a, index)
+    return a
 
 
 # A path is a chain of call symbols from the root down to one call.
@@ -313,7 +330,7 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
     open_calls: list[tuple[int, Endpoint]] = []
     symbols = []
     for pos, ev in enumerate(events, start=1):
-        symbols.append(IndexedSymbol(ev, pos))
+        symbols.append(_indexed(ev, pos))
         if ev.tag == CALL:
             open_calls.append((pos, ev.endpoint))
         else:
@@ -393,11 +410,20 @@ def _trees(n_nodes: int, alphabet: tuple[Endpoint, ...]) -> Iterator[_Tree]:
 
 
 def tree_to_events(tree: _Tree) -> list[TaggedSymbol]:
+    """The tree's call/return events, depth first; open calls wait on a
+    stack, so any depth serializes."""
     label, children = tree
     events = [call(label)]
-    for child in children:
-        events.extend(tree_to_events(child))
-    events.append(ret(label))
+    open_calls = [(label, iter(children))]
+    while open_calls:
+        label, children = open_calls[-1]
+        child = next(children, None)
+        if child is None:
+            open_calls.pop()
+            events.append(ret(label))
+        else:
+            events.append(call(child[0]))
+            open_calls.append((child[0], iter(child[1])))
     return events
 
 

@@ -474,14 +474,22 @@ class _Nfa:
             self.add_edge(a, r.name, b)
             return a, b
         if isinstance(r, Union):
-            a1, b1 = self.build(r.left)
-            a2, b2 = self.build(r.right)
+            # A symbol set desugars to a union chain as long as the set, so
+            # the chain is walked without recursion and its symbols share
+            # one fragment, one labeled edge each.
             a = self.new_state()
             b = self.new_state()
-            self.add_eps(a, a1)
-            self.add_eps(a, a2)
-            self.add_eps(b1, b)
-            self.add_eps(b2, b)
+            todo = [r]
+            while todo:
+                node = todo.pop()
+                if isinstance(node, Union):
+                    todo += (node.right, node.left)
+                elif isinstance(node, Symbol):
+                    self.add_edge(a, node.name, b)
+                else:
+                    a1, b1 = self.build(node)
+                    self.add_eps(a, a1)
+                    self.add_eps(b1, b)
             return a, b
         if isinstance(r, Concat):
             a1, b1 = self.build(r.left)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import StackUnderflow, VpaParseError
 from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
@@ -109,14 +109,13 @@ def initial_configuration(v: Vpa) -> Configuration:
 
 def step(v: Vpa, c: Configuration, a: TaggedSymbol) -> Configuration:
     """One transition: a call pushes, a return pops."""
-    return _configurations(v, c, (a,))[-1]
+    return next(_configurations(v, c, (a,)))
 
 
-def _configurations(v: Vpa, c: Configuration, symbols: Iterable[TaggedSymbol]) -> list[Configuration]:
-    """``c`` and the configuration after each symbol.  A call links the new
-    configuration to the current one; a return takes the stack below the
-    current top."""
-    out = [c]
+def _configurations(v: Vpa, c: Configuration, symbols: Iterable[TaggedSymbol]) -> Iterator[Configuration]:
+    """The configuration after each symbol, starting from ``c``.  A call
+    links the new configuration to the current one; a return takes the stack
+    below the current top."""
     delta_call, delta_return = v.delta_call, v.delta_return
     q, top, below = c.state, c.top, c.below
     for a in symbols:
@@ -129,18 +128,27 @@ def _configurations(v: Vpa, c: Configuration, symbols: Iterable[TaggedSymbol]) -
             q = delta_return[(q, top, a.endpoint)]
             top, below = below.top, below.below
         c = link(q, top, below)
-        out.append(c)
-    return out
+        yield c
 
 
 def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> list[Configuration]:
     """The configuration sequence, starting from ``init`` (length |n|+1)."""
     c = init if init is not None else initial_configuration(v)
-    return _configurations(v, c, [a.symbol for a in n.symbols])
+    return [c, *_configurations(v, c, [a.symbol for a in n.symbols])]
+
+
+def final_configuration(v: Vpa, n: NestedWord, init: Configuration | None = None) -> Configuration:
+    """The last configuration of ``run``.  Only the configurations of the
+    current stack stay alive, so memory is linear in the nesting depth, not
+    in the length of the word."""
+    c = init if init is not None else initial_configuration(v)
+    for c in _configurations(v, c, (a.symbol for a in n.symbols)):
+        pass
+    return c
 
 
 def accepts(v: Vpa, n: NestedWord) -> bool:
-    return run(v, n)[-1].state in v.finals
+    return final_configuration(v, n).state in v.finals
 
 
 @dataclass(frozen=True)

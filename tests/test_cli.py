@@ -218,9 +218,10 @@ class TestSimulate:
         assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
         assert "must be" in capsys.readouterr().err
 
-    def test_deep_topology_is_internal_error(self, tmp_path, capsys):
-        # the call-graph traversals recurse; past the recursion limit the
-        # command reports an internal failure, never a violation
+    def test_deep_topology_runs(self, tmp_path, capsys):
+        # a chain three times the recursion limit: the call-graph checks,
+        # the request walk and the 2,999-symbol start-anchor set all run
+        # without recursing that deep
         names = [f"S{i}" for i in range(3000)]
         src = tmp_path / "chain.stp"
         src.write_text(f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n")
@@ -232,8 +233,11 @@ class TestSimulate:
         }
         tf = tmp_path / "topo.json"
         tf.write_text(json.dumps(doc))
-        assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 3
-        assert "RecursionError" in capsys.readouterr().err
+        assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == [] and report["blocked"] == []
+        assert report["nodes_per_tree"] == 3000
+        assert report["per_policy"] == {"pol0": {"transitions": 6000, "violations": 0, "blocks": 0}}
 
 
 class TestEmitFilters:

@@ -1,13 +1,17 @@
 """Topology generation, monitored execution, workload accounting, blocking."""
 
+import dataclasses
+import json
 import random
+import re
 
 import pytest
 
 from treepolicy import compiler, mesh_sim, oracle
+from treepolicy.corpus import CORPUS
 from treepolicy.errors import ConfigError
 from treepolicy.policy import parse_policy
-from treepolicy.vpa import accepts
+from treepolicy.vpa import accepts, final_configuration, run
 
 HOSPITAL = mesh_sim.Topology(
     ("F", "P", "D", "E"),
@@ -20,6 +24,40 @@ LOGGING_POLICY = "alphabet F, P, D, E;\nstart {P}: match (P) all-path ((D E star
 
 def artifacts_for(text):
     return compiler.compile(parse_policy(text))
+
+
+def chain_topology(n):
+    names = tuple(f"S{i}" for i in range(n))
+    behavior = {a: (b,) for a, b in zip(names, names[1:])}
+    behavior[names[-1]] = ()
+    return mesh_sim.Topology(names, behavior, (names[0],))
+
+
+@pytest.fixture(scope="module")
+def union_corpus():
+    """The nine full-corpus policies compiled over the union of their
+    alphabets, so every policy monitors every service."""
+    docs = [parse_policy(e.full) for e in CORPUS]
+    policies = [pol for doc in docs for pol in doc.policies]
+    alphabet = tuple(dict.fromkeys(x for doc in docs for x in doc.alphabet))
+    arts = [compiler.compile_policy(p, alphabet, policy_id=f"pol{i}") for i, p in enumerate(policies)]
+    return alphabet, arts
+
+
+def random_topology(rng, services, max_nodes=300):
+    """An acyclic call script over a shuffled service order, rooted at the
+    first service, whose request unrolls to at most ``max_nodes`` nodes."""
+    while True:
+        order = list(services)
+        rng.shuffle(order)
+        behavior = {}
+        for i, svc in enumerate(order):
+            later = order[i + 1 : i + 6]
+            n = rng.randint(2, 4) if i == 0 else rng.choice((0, 1, 1, 2, 3))
+            behavior[svc] = tuple(rng.choice(later) for _ in range(n if later else 0))
+        topo = mesh_sim.Topology(tuple(order), behavior, (order[0],))
+        if topo.node_count(order[0]) <= max_nodes:
+            return topo
 
 
 class TestTopology:
@@ -46,6 +84,12 @@ class TestTopology:
     def test_json_round_trip(self):
         text = mesh_sim.topology_to_json(HOSPITAL)
         assert mesh_sim.topology_from_json(text) == HOSPITAL
+
+    def test_deep_chain_checks_and_counts(self):
+        topo = chain_topology(20_000)
+        assert topo.node_count("S0") == 20_000
+        with pytest.raises(ConfigError, match="cycle through 'S0'"):
+            mesh_sim.Topology(topo.services, {**topo.behavior, "S19999": ("S0",)}, ("S0",))
 
 
 class TestExecuteRequest:
@@ -84,6 +128,67 @@ class TestExecuteRequest:
         full = mesh_sim.execute_request(topo, "Beta", [pf], mode=mesh_sim.MODE_LOG)
         assert not accepts(arts[0].vpa, full.word)
 
+    def test_missing_service_filter_rejected(self):
+        pf = mesh_sim.build_filter_set(artifacts_for(LOGGING_POLICY)[0])
+        table = {svc: rows for svc, rows in pf.table.items() if svc != "D"}
+        with pytest.raises(ConfigError, match=r"policy pol0 lacks filters for \['D'\]"):
+            mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])
+
+    def test_missing_rule_rejected(self):
+        art = artifacts_for(LOGGING_POLICY)[0]
+        pf = mesh_sim.build_filter_set(art)
+        word = mesh_sim.execute_request(HOSPITAL, "F", [pf]).word
+        # the state before the first E call, the fourth symbol; E is a leaf,
+        # so its return comes next
+        before = run(art.vpa, word)[3].state
+        h = pf.state_order.index(before)
+        rows = pf.table["E"]
+        then, pushed = rows.request[h]
+
+        request = list(rows.request)
+        request[h] = None
+        table = {**pf.table, "E": rows._replace(request=tuple(request))}
+        message = f"policy pol0: no on_request rule at 'E' for state '{before}'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])
+
+        response = [list(r) for r in rows.response]
+        response[pushed][then] = None
+        table = {**pf.table, "E": rows._replace(response=tuple(map(tuple, response)))}
+        message = (
+            f"policy pol0: no on_response rule at 'E' for state '{pf.state_order[then]}' "
+            f"/ local '{pf.stack_symbols[pushed]}'"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])
+
+    def test_hop_agrees_with_central_run(self, union_corpus):
+        # every policy's monitored outcome against the central automaton on
+        # the word the request emitted, in both modes
+        alphabet, arts = union_corpus
+        filters = [mesh_sim.build_filter_set(a) for a in arts]
+        rng = random.Random(2024)
+        blocked = 0
+        for _ in range(40):
+            topo = random_topology(rng, alphabet)
+            root = topo.entrypoints[0]
+            log = mesh_sim.execute_request(topo, root, filters, mode=mesh_sim.MODE_LOG)
+            early = mesh_sim.execute_request(topo, root, filters, mode=mesh_sim.MODE_EARLY_BLOCK)
+            assert len(log.word) == 2 * topo.node_count(root)
+            for res in (log, early):
+                for art in arts:
+                    out = res.outcomes[art.policy_id]
+                    assert res.transitions[art.policy_id] == len(res.word)  # 2 x nodes
+                    if out.kind == "blocked":
+                        assert res is early
+                        assert not accepts(art.vpa, log.word)
+                        blocked += 1
+                    else:
+                        final = final_configuration(art.vpa, res.word).state
+                        assert out.final_state == final
+                        assert (out.kind == "accept") == accepts(art.vpa, res.word)
+        assert blocked
+
     def test_non_entrypoint_rejected(self):
         arts = artifacts_for(LOGGING_POLICY)
         with pytest.raises(ConfigError):
@@ -112,6 +217,20 @@ class TestWorkload:
         assert len(arts) == 4
         report = mesh_sim.run_workload(HOSPITAL, 10, arts)
         assert dict(report.per_hop_ops) == {4 * 12: 10}
+        clean = {"transitions": 10 * 12, "violations": 0, "blocks": 0}
+        assert report.per_policy == {f"pol{i}": clean for i in range(4)}
+        # add a policy that D violates and block early: each request stops
+        # at D, the third node, which leaves the first policy's P subtree
+        # without its E
+        arts = artifacts_for(text + "start {F}: call-seq F (!D)*;\n")
+        report = mesh_sim.run_workload(HOSPITAL, 10, arts, mode=mesh_sim.MODE_EARLY_BLOCK)
+        stopped = {"transitions": 10 * 6, "violations": 0, "blocks": 0}
+        assert report.per_policy == {
+            "pol0": {**stopped, "violations": 10},
+            **{f"pol{i}": stopped for i in (1, 2, 3)},
+            "pol4": {**stopped, "blocks": 10},
+        }
+        assert json.loads(report.to_json())["per_policy"] == report.per_policy
 
     def test_zero_requests(self):
         arts = artifacts_for(LOGGING_POLICY)
@@ -124,6 +243,15 @@ class TestWorkload:
         report = mesh_sim.run_workload(HOSPITAL, 3, arts)
         assert len(report.violations) == 3
         assert report.violations[0]["policy"] == "pol0"
+        assert report.per_policy == {"pol0": {"transitions": 36, "violations": 3, "blocks": 0}}
+
+    def test_deep_chain(self):
+        # ten times past the recursion limit; with no policy the walk, the
+        # call-graph checks and the word are all that run
+        report = mesh_sim.run_workload(chain_topology(20_000), 2, [])
+        assert report.requests_total == 2
+        assert report.nodes_per_tree == 20_000
+        assert not report.violations and not report.blocked and report.per_policy == {}
 
     def test_three_way_agreement(self):
         # monitored verdict == centralized automaton == denotational semantics

@@ -1,5 +1,6 @@
 """Word reconstruction, tree-shaped derived sets, slicing, enumeration."""
 
+import dataclasses
 import math
 import random
 
@@ -43,6 +44,44 @@ class TestBuild:
     def test_empty_trace(self):
         with pytest.raises(MalformedTrace):
             nw.build_nested_word([])
+
+
+class TestIndexedSymbol:
+    def test_fields_and_views(self):
+        a = nw.IndexedSymbol(nw.call("P"), 3)
+        assert (a.symbol, a.index) == (nw.call("P"), 3)
+        assert (a.tag, a.endpoint, a.is_call) == (nw.CALL, "P", True)
+        b = nw.IndexedSymbol(nw.ret("P"), 4)
+        assert (b.tag, b.endpoint, b.is_call) == (nw.RET, "P", False)
+        assert [f.name for f in dataclasses.fields(a)] == ["symbol", "index"]
+
+    def test_built_equals_constructed(self, payment_word):
+        for pos, a in enumerate(payment_word.symbols, start=1):
+            made = nw.IndexedSymbol(a.symbol, pos)
+            assert type(a) is nw.IndexedSymbol
+            assert a.index == pos
+            assert made == a and hash(made) == hash(a) and repr(made) == repr(a)
+
+    def test_value_equality(self):
+        a = nw.IndexedSymbol(nw.call("P"), 1)
+        assert a == nw.IndexedSymbol(nw.call("P"), 1)
+        assert len({a, nw.IndexedSymbol(nw.call("P"), 1)}) == 1
+        assert a != nw.IndexedSymbol(nw.call("P"), 2)
+        assert a != nw.IndexedSymbol(nw.ret("P"), 1)
+        assert a != (nw.call("P"), 1)
+
+    def test_immutable(self, payment_word):
+        for a in (payment_word.symbols[0], nw.IndexedSymbol(nw.call("P"), 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.index = 2
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.symbol = nw.ret("P")
+            assert a.index == 1 and a.symbol == nw.call("P")
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_index_below_one_rejected(self, index):
+        with pytest.raises(ValueError):
+            nw.IndexedSymbol(nw.call("P"), index)
 
 
 class TestPredicates:
@@ -218,6 +257,15 @@ class TestEnumeration:
         for c in range(1, 6):
             catalan = math.comb(2 * (c - 1), c - 1) // c
             assert by_calls[c] == catalan * m**c
+
+    def test_deep_tree_serializes(self):
+        depth = 5_000
+        tree = ("B", ())
+        for _ in range(depth - 1):
+            tree = ("A", (tree,))
+        inner = [nw.call("B"), nw.ret("B")]
+        outer = depth - 1
+        assert nw.tree_to_events(tree) == [nw.call("A")] * outer + inner + [nw.ret("A")] * outer
 
     def test_deterministic_order(self):
         first = [w for w in nw.enumerate_rooted(("A", "B"), 4)]

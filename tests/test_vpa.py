@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from treepolicy.vpa import (
     accepts,
     check_well_formed,
     export_vpa,
+    final_configuration,
     import_vpa,
     initial_configuration,
     run,
@@ -102,6 +104,17 @@ class TestRun:
         v = payment_chain_vpa()
         assert run(v, payment_word) == run(v, payment_word)
 
+    def test_final_configuration_is_last_of_run(self):
+        v = payment_chain_vpa()
+        rng = random.Random(6)
+        words = [random_rooted_word(rng, 8, ("P", "D", "E")) for _ in range(50)]
+        words.append(chain_word(3_000, ("P", "D", "E"), closed=False))
+        for n in words:
+            configs = run(v, n)
+            assert final_configuration(v, n) == configs[-1]
+            assert final_configuration(v, n, configs[0]) == configs[-1]
+            assert accepts(v, n) == (configs[-1].state in v.finals)
+
 
 class TestConfiguration:
     def test_built_equals_reached(self, payment_word):
@@ -167,6 +180,28 @@ class TestDeepRuns:
         ratio = cpu_per_symbol(go, deep, 2) / cpu_per_symbol(go, shallow, 10)
         # an O(depth) step makes this about 16
         assert ratio < 4, ratio
+
+
+    def test_verdict_memory_is_linear_in_depth(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        alpha = art.vpa.alphabet
+        # a root with 99,999 leaf children: 100,000 calls, nesting depth 2
+        events = [nw.call(alpha[0])]
+        for i in range(99_999):
+            x = alpha[i % len(alpha)]
+            events += (nw.call(x), nw.ret(x))
+        events.append(nw.ret(alpha[0]))
+        word = nw.build_nested_word(events)
+        del events
+        tracemalloc.start()
+        try:
+            verdict = accepts(art.vpa, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # keeping every configuration, as run does, takes over 10 MB here
+        assert peak < 1_000_000, peak
+        assert verdict == (run(art.vpa, word)[-1].state in art.vpa.finals)
 
 
 class TestWellFormed:
