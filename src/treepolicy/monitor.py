@@ -11,18 +11,20 @@ serialize it, and the mesh simulator applies it on each hop.
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
 reproduces the centralized run configuration-for-configuration.  The
-serialized forms list rules in sorted key order, so they are byte-stable.
+serialized forms list rules in sorted key order, so they are byte-stable:
+``filter_spec_to_json`` writes through ``vpa.json_document`` the bytes
+``json.dumps(indent=2, ensure_ascii=False)`` gives for one object per rule,
+and ``render_filter_script`` formats each rule with one template.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import StackUnderflow, VpaParseError
 from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
-from .vpa import Configuration, Vpa, link, load_document, string_rows
+from .vpa import Configuration, Vpa, json_document, link, load_document, string_rows
 
 STATE_HEADER = "x-safetree-state"
 FILTER_SCHEMA_VERSION = 1
@@ -93,19 +95,17 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
 
 
 def filter_spec_to_json(spec: FilterSpec) -> str:
-    doc = {
-        "version": FILTER_SCHEMA_VERSION,
-        "endpoint": spec.endpoint,
-        "on_request": [
-            {"if_state": q, "then_state": dst, "push_local": push}
-            for q, (dst, push) in sorted(spec.on_request.items())
-        ],
-        "on_response": [
-            {"if_state": q, "if_local": local, "then_state": dst}
-            for (q, local), dst in sorted(spec.on_response.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint}
+    return json_document(head, {
+        "on_request": (
+            ("if_state", "then_state", "push_local"),
+            sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()]),
+        ),
+        "on_response": (
+            ("if_state", "if_local", "then_state"),
+            sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()]),
+        ),
+    })
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:
@@ -129,29 +129,24 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     request-scoped proxy memory written by OnRequest and read back by
     OnResponse.  Unmatched states fall through to a violation log.
     """
-    lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
-    lines.append("callback OnRequest() {")
-    kw = "if"
-    for q, (dst, push) in sorted(spec.on_request.items()):
-        lines.append(
-            f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        )
-        kw = "elseif"
-    if kw == "if":
-        lines.append('  log_violation("no call transition")')
-    else:
-        lines.append('  else log_violation("no call transition")')
-    lines.append("}")
-    lines.append("callback OnResponse() {")
-    kw = "if"
-    for (q, local), dst in sorted(spec.on_response.items()):
-        lines.append(
-            f'  {kw} (state == "{q}" && local_stack == "{local}") then state = "{dst}"'
-        )
-        kw = "elseif"
-    if kw == "if":
-        lines.append('  log_violation("no return transition")')
-    else:
-        lines.append('  else log_violation("no return transition")')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    requests = [
+        f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
+        for q, dst, push in sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()])
+    ]
+    responses = [
+        f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
+        for q, g, dst in sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()])
+    ]
+    return "".join([
+        f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
+        "callback OnRequest() {\n", _branches(requests, "no call transition"), "}\n",
+        "callback OnResponse() {\n", _branches(responses, "no return transition"), "}\n",
+    ])
+
+
+def _branches(rules: list[str], violation: str) -> str:
+    """An if/elseif chain over the rules, falling through to a violation log."""
+    fallback = f'log_violation("{violation}")\n'
+    if not rules:
+        return "  " + fallback
+    return "  if " + "\n  elseif ".join(rules) + "\n  else " + fallback

@@ -14,12 +14,20 @@ A push links the new configuration to the current one and a pop follows the
 link, so a step costs O(1) whatever the depth, and a run is linear in the
 length of the word.  Automata and configurations are never changed after
 construction; concurrent runs over one automaton are safe.
+
+``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
+the order of ``sorted(table.items())``, and the JSON equals what
+``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
+rule.  ``json_document`` writes it from row templates, escaping each name
+once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from itertools import filterfalse, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import StackUnderflow, VpaParseError
@@ -158,8 +166,8 @@ class WellFormedReport:
 
 
 def check_well_formed(v: Vpa) -> WellFormedReport:
-    """Totality of both transition tables, closure of targets, and the
-    no-push-of-bottom rule."""
+    """Totality of both transition tables, rules only over declared names
+    (states, endpoints, stack symbols), and the no-push-of-bottom rule."""
     problems = []
     if v.initial not in v.states:
         problems.append(f"initial state {v.initial!r} not in states")
@@ -167,25 +175,28 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
         problems.append(f"final state {q!r} not in states")
     if BOTTOM not in v.stack_alphabet:
         problems.append("stack alphabet lacks the bottom marker")
-    for q in sorted(v.states):
-        for e in v.alphabet:
-            if (q, e) not in v.delta_call:
-                problems.append(f"missing call transition ({q!r}, {e!r})")
+    for q, e in filterfalse(v.delta_call.__contains__, product(sorted(v.states), v.alphabet)):
+        problems.append(f"missing call transition ({q!r}, {e!r})")
+    alphabet = set(v.alphabet)
     for (q, e), (q2, s) in v.delta_call.items():
         if q not in v.states or q2 not in v.states:
             problems.append(f"call transition ({q!r}, {e!r}) touches unknown state")
+        if e not in alphabet:
+            problems.append(f"call transition ({q!r}, {e!r}) reads unknown endpoint {e!r}")
         if s == BOTTOM:
             problems.append(f"call transition ({q!r}, {e!r}) pushes the bottom marker")
         elif s not in v.stack_alphabet:
             problems.append(f"call transition ({q!r}, {e!r}) pushes unknown symbol {s!r}")
-    for q in sorted(v.states):
-        for s in sorted(v.stack_alphabet):
-            for e in v.alphabet:
-                if (q, s, e) not in v.delta_return:
-                    problems.append(f"missing return transition ({q!r}, {s!r}, {e!r})")
+    keys = product(sorted(v.states), sorted(v.stack_alphabet), v.alphabet)
+    for q, s, e in filterfalse(v.delta_return.__contains__, keys):
+        problems.append(f"missing return transition ({q!r}, {s!r}, {e!r})")
     for (q, s, e), q2 in v.delta_return.items():
         if q not in v.states or q2 not in v.states:
             problems.append(f"return transition ({q!r}, {s!r}, {e!r}) touches unknown state")
+        if e not in alphabet:
+            problems.append(f"return transition ({q!r}, {s!r}, {e!r}) reads unknown endpoint {e!r}")
+        if s not in v.stack_alphabet:
+            problems.append(f"return transition ({q!r}, {s!r}, {e!r}) pops unknown symbol {s!r}")
     return WellFormedReport(not problems, tuple(problems))
 
 
@@ -201,23 +212,53 @@ def export_vpa(v: Vpa, fmt: str = "json") -> str:
 
 
 def _export_json(v: Vpa) -> str:
-    doc = {
+    head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
         "states": sorted(v.states),
         "initial": v.initial,
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
-        "delta_call": [
-            {"from": q, "sym": e, "to": q2, "push": s}
-            for (q, e), (q2, s) in sorted(v.delta_call.items())
-        ],
-        "delta_return": [
-            {"from": q, "pop": s, "sym": e, "to": q2}
-            for (q, s, e), q2 in sorted(v.delta_return.items())
-        ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    # each row leads with its table key, and keys are unique: rows sort as items
+    return json_document(head, {
+        "delta_call": (
+            ("from", "sym", "to", "push"),
+            sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()]),
+        ),
+        "delta_return": (
+            ("from", "pop", "sym", "to"),
+            sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()]),
+        ),
+    })
+
+
+# json.dumps(s, ensure_ascii=False) without building an encoder per string
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def json_document(head: dict, tables: dict[str, tuple]) -> str:
+    """``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, byte for
+    byte, where ``doc`` is the non-empty ``head`` followed by one member per
+    table.  A table is (keys, rows); its member lists, for each row in the
+    given order, the object mapping the keys to the row's strings.
+
+    Only the head goes through ``json.dumps``.  A table's rows share one
+    template with the quoted keys built in, and each distinct string is
+    quoted once per call, by the encoder ``json.dumps`` uses.
+    """
+    quote = cache(_json_string)
+    parts = [json.dumps(head, indent=2, ensure_ascii=False)[:-2]]  # without "\n}"
+    for field, (keys, rows) in tables.items():
+        if not rows:
+            parts.append(f",\n  {_json_string(field)}: []")
+            continue
+        row = "    {\n" + ",\n".join(f"      {_json_string(k)}: %s" for k in keys) + "\n    }"
+        parts.append(f",\n  {_json_string(field)}: [\n")
+        parts.append(",\n".join(map(row.__mod__, zip(*[map(quote, col) for col in zip(*rows)]))))
+        parts.append("\n  ]")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def load_document(text: str, version: int) -> dict:
@@ -228,7 +269,8 @@ def load_document(text: str, version: int) -> dict:
         raise VpaParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise VpaParseError("top level must be an object")
-    if doc.get("version") != version:
+    found = doc.get("version")
+    if type(found) is not int or found != version:  # true and 1.0 also equal 1
         raise VpaParseError("missing or unsupported schema version")
     return doc
 
@@ -285,26 +327,25 @@ def import_vpa(text: str) -> Vpa:
     return v
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
-
-
 def _export_dot(v: Vpa) -> str:
     """Graphviz rendering in the usual convention: doubled circles for
-    finals, 'call e / push' on call edges, 'ret e, pop' on return edges."""
-    lines = ["digraph vpa {", "  rankdir=LR;"]
-    lines.append("  __start [shape=point];")
+    finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
+    Each name is escaped once; each edge is one template."""
+    calls = sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()])
+    returns = sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()])
+    names = {v.initial, *v.states}.union(*zip(*calls), *zip(*returns))
+    esc = {s: s.replace('"', '\\"') for s in names}
+    lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]
     for q in sorted(v.states):
         shape = "doublecircle" if q in v.finals else "circle"
-        lines.append(f"  {_dot_quote(q)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_quote(v.initial)};")
-    for (q, e), (q2, s) in sorted(v.delta_call.items()):
-        label = f"call {e} / {s}"
-        lines.append(f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}];")
-    for (q, s, e), q2 in sorted(v.delta_return.items()):
-        label = f"ret {e}, {s}"
-        lines.append(
-            f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}, style=dashed];"
-        )
+        lines.append(f'  "{esc[q]}" [shape={shape}];')
+    lines.append(f'  __start -> "{esc[v.initial]}";')
+    lines += [
+        f'  "{esc[q]}" -> "{esc[q2]}" [label="call {esc[e]} / {esc[s]}"];' for q, e, q2, s in calls
+    ]
+    lines += [
+        f'  "{esc[q]}" -> "{esc[q2]}" [label="ret {esc[e]}, {esc[s]}", style=dashed];'
+        for q, s, e, q2 in returns
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

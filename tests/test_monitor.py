@@ -198,6 +198,14 @@ class TestFilterSpecs:
         with pytest.raises(TreePolicyError):
             monitor.filter_spec_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer(self, version):
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        doc = json.loads(monitor.filter_spec_to_json(spec))
+        doc["version"] = version
+        with pytest.raises(TreePolicyError, match="schema version"):
+            monitor.filter_spec_from_json(json.dumps(doc))
+
     def test_repeated_rule_key_rejected(self):
         spec = monitor.extract_monitor(payment_chain_vpa())["P"]
         doc = json.loads(monitor.filter_spec_to_json(spec))

@@ -221,6 +221,23 @@ class TestWellFormed:
         assert not report.ok
         assert any("('q1', 'Appt')" in p for p in report.problems)
 
+    def test_rules_outside_the_alphabets_reported(self):
+        v = two_state_vpa()
+        delta_call = {**v.delta_call, ("q0", "Zed"): ("q1", "q0")}
+        delta_return = {
+            **v.delta_return, ("q1", "q0", "Zed"): "q0", ("q1", "nowhere", "Appt"): "q0",
+        }
+        broken = type(v)(
+            v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
+            delta_call, delta_return,
+        )
+        problems = check_well_formed(broken).problems
+        assert problems == (
+            "call transition ('q0', 'Zed') reads unknown endpoint 'Zed'",
+            "return transition ('q1', 'q0', 'Zed') reads unknown endpoint 'Zed'",
+            "return transition ('q1', 'nowhere', 'Appt') pops unknown symbol 'nowhere'",
+        )
+
     def test_bottom_push_reported(self):
         v = two_state_vpa()
         delta_call = dict(v.delta_call)
@@ -246,6 +263,28 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(VpaParseError):
             import_vpa("pfff {")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer(self, version):
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        doc["version"] = version
+        with pytest.raises(VpaParseError, match="schema version"):
+            import_vpa(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,row",
+        [
+            ("delta_call", {"from": "q0", "sym": "Zed", "to": "q1", "push": "q0"}),
+            ("delta_return", {"from": "q1", "pop": "q0", "sym": "Zed", "to": "q0"}),
+            ("delta_return", {"from": "q1", "pop": "nowhere", "sym": "Appt", "to": "q0"}),
+        ],
+    )
+    def test_rule_outside_the_alphabets_rejected_at_load(self, field, row):
+        # such a rule once loaded, and extract_monitor then raised KeyError
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        doc[field].append(row)
+        with pytest.raises(VpaParseError, match="unknown (endpoint|symbol)"):
+            import_vpa(json.dumps(doc))
 
     def test_ill_formed_rejected_at_load(self):
         doc = json.loads(export_vpa(two_state_vpa(), "json"))
@@ -283,6 +322,18 @@ class TestSerialization:
         # finals render doubled
         assert '"q0" [shape=doublecircle];' in dot
         assert '"q1" [shape=circle];' in dot
+
+    def test_json_export_memory(self):
+        (art,) = compiler.compile(corpus_documents("full")["data-compliance"])
+        tracemalloc.start()
+        try:
+            text = export_vpa(art.vpa, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dict per row through json.dumps(indent=2) peaked at 13.3 MB
+        assert len(text) > 1_000_000
+        assert peak < 8_000_000, peak
 
     def test_json_deterministic(self):
         v = payment_chain_vpa()

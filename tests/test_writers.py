@@ -1,0 +1,160 @@
+"""The templated artifact writers against the straightforward ones.
+
+Each reference below builds the document the plain way: one dict per rule
+through ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per
+DOT edge, one branch per script rule.  The writers must give the same
+bytes on hand-built automata and filter specs whose names hold quotes,
+backslashes, control characters and non-ASCII text, and on empty tables.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treepolicy import monitor
+from treepolicy.vpa import BOTTOM, Vpa, export_vpa, import_vpa
+
+NAMES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t/é⊥€𝄞'), st.characters()), max_size=4)
+
+
+def reference_vpa_json(v: Vpa) -> str:
+    doc = {
+        "version": 1,
+        "alphabet": list(v.alphabet),
+        "states": sorted(v.states),
+        "initial": v.initial,
+        "finals": sorted(v.finals),
+        "stack_alphabet": sorted(v.stack_alphabet),
+        "delta_call": [
+            {"from": q, "sym": e, "to": q2, "push": s}
+            for (q, e), (q2, s) in sorted(v.delta_call.items())
+        ],
+        "delta_return": [
+            {"from": q, "pop": s, "sym": e, "to": q2}
+            for (q, s, e), q2 in sorted(v.delta_return.items())
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_filter_json(spec: monitor.FilterSpec) -> str:
+    doc = {
+        "version": 1,
+        "endpoint": spec.endpoint,
+        "on_request": [
+            {"if_state": q, "then_state": dst, "push_local": push}
+            for q, (dst, push) in sorted(spec.on_request.items())
+        ],
+        "on_response": [
+            {"if_state": q, "if_local": local, "then_state": dst}
+            for (q, local), dst in sorted(spec.on_response.items())
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace('"', '\\"') + '"'
+
+
+def reference_dot(v: Vpa) -> str:
+    lines = ["digraph vpa {", "  rankdir=LR;"]
+    lines.append("  __start [shape=point];")
+    for q in sorted(v.states):
+        shape = "doublecircle" if q in v.finals else "circle"
+        lines.append(f"  {_dot_quote(q)} [shape={shape}];")
+    lines.append(f"  __start -> {_dot_quote(v.initial)};")
+    for (q, e), (q2, s) in sorted(v.delta_call.items()):
+        label = f"call {e} / {s}"
+        lines.append(f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}];")
+    for (q, s, e), q2 in sorted(v.delta_return.items()):
+        label = f"ret {e}, {s}"
+        lines.append(
+            f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}, style=dashed];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_script(spec: monitor.FilterSpec, header: str) -> str:
+    lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
+    lines.append("callback OnRequest() {")
+    kw = "if"
+    for q, (dst, push) in sorted(spec.on_request.items()):
+        lines.append(
+            f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
+        )
+        kw = "elseif"
+    if kw == "if":
+        lines.append('  log_violation("no call transition")')
+    else:
+        lines.append('  else log_violation("no call transition")')
+    lines.append("}")
+    lines.append("callback OnResponse() {")
+    kw = "if"
+    for (q, local), dst in sorted(spec.on_response.items()):
+        lines.append(
+            f'  {kw} (state == "{q}" && local_stack == "{local}") then state = "{dst}"'
+        )
+        kw = "elseif"
+    if kw == "if":
+        lines.append('  log_violation("no return transition")')
+    else:
+        lines.append('  else log_violation("no return transition")')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def vpas(draw) -> Vpa:
+    """A deterministic complete automaton over drawn names; the alphabet may
+    be empty, and then both tables are."""
+    states = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    alphabet = draw(st.lists(NAMES, max_size=3, unique=True))
+    pushed = draw(st.lists(NAMES.filter(lambda s: s != BOTTOM), min_size=1, max_size=3, unique=True))
+    stack_alphabet = [BOTTOM, *pushed]
+    state = st.sampled_from(states)
+    delta_call = {
+        (q, e): (draw(state), draw(st.sampled_from(pushed))) for q in states for e in alphabet
+    }
+    delta_return = {
+        (q, s, e): draw(state) for q in states for s in stack_alphabet for e in alphabet
+    }
+    finals = draw(st.lists(state, unique=True))
+    return Vpa(frozenset(states), draw(state), frozenset(finals), tuple(alphabet),
+               frozenset(stack_alphabet), delta_call, delta_return)
+
+
+@st.composite
+def filter_specs(draw) -> monitor.FilterSpec:
+    on_request = draw(st.dictionaries(NAMES, st.tuples(NAMES, NAMES), max_size=5))
+    on_response = draw(st.dictionaries(st.tuples(NAMES, NAMES), NAMES, max_size=5))
+    return monitor.FilterSpec(draw(NAMES), on_request, on_response)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vpas())
+def test_vpa_writers_equal_reference(v):
+    text = export_vpa(v, "json")
+    assert text == reference_vpa_json(v)
+    assert import_vpa(text) == v
+    assert export_vpa(v, "dot") == reference_dot(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_specs(), NAMES)
+def test_filter_writers_equal_reference(spec, header):
+    text = monitor.filter_spec_to_json(spec)
+    assert text == reference_filter_json(spec)
+    assert monitor.filter_spec_from_json(text) == spec
+    assert monitor.render_filter_script(spec, header=header) == reference_script(spec, header)
+
+
+def test_empty_tables():
+    spec = monitor.FilterSpec("X", {}, {})
+    assert monitor.filter_spec_to_json(spec) == reference_filter_json(spec)
+    assert monitor.render_filter_script(spec) == reference_script(spec, monitor.STATE_HEADER)
+    v = Vpa(frozenset({"q"}), "q", frozenset(), (), frozenset({BOTTOM}), {}, {})
+    assert export_vpa(v, "json") == reference_vpa_json(v)
+    assert '"delta_call": [],\n  "delta_return": []\n}\n' in export_vpa(v, "json")
