@@ -7,10 +7,10 @@ once the shortest match is found, hand the subtree to the inner check
 (a second DFA for leaf-path constraints, or an embedded sub-automaton),
 and record the verdict in absorbing satisfied/rejected bookkeeping states.
 
-Transition tables are materialized family by family.  Families that encode
-behaviour are added first and must never disagree on a key (a disagreement
-is a compiler bug and raises).  Reject-valued families and the final
-completion sweep only fill holes, never overwrite.
+Transition tables are materialized family by family.  Families state
+behaviour and must never disagree on a key (a disagreement is a compiler
+bug and raises).  The completion sweep in ``_Build.finish`` alone sends
+every key no family wrote to the reject state, which makes tables complete.
 
 Sub-automata are embedded by prefix-renaming every state and stack symbol,
 which keeps state spaces disjoint without global bookkeeping.
@@ -101,11 +101,11 @@ def _frag_fresh_initial(d: rx.Dfa, tag: str) -> _DfaFrag:
 class _Build:
     """Accumulates transition families with conflict detection.
 
-    ``fallback=True`` marks reject-flavoured completion families: they fill
-    only undefined keys.  Primary families must agree wherever they overlap.
-    Tuples whose source state or stack symbol falls outside the automaton
-    are silently dropped (the source rules quantify over larger sets);
-    destinations must always land inside.
+    Families must agree wherever they overlap.  Tuples whose source state
+    or stack symbol falls outside the automaton are silently dropped (the
+    source rules quantify over larger sets); destinations must always land
+    inside.  ``finish`` sends every key no family wrote to the reject
+    state; it is the only place a default reject rule comes from.
     """
 
     def __init__(self, states: set[str], initial: str, final: str, reject: str,
@@ -119,16 +119,13 @@ class _Build:
         self.calls: dict[tuple[str, str], tuple[str, str]] = {}
         self.returns: dict[tuple[str, str, str], str] = {}
 
-    def call(self, family: str, src: str, sym: str, dst: str, push: str,
-             fallback: bool = False):
+    def call(self, family: str, src: str, sym: str, dst: str, push: str):
         if src not in self.states:
             return
         assert dst in self.states, f"{family}: call target {dst!r} unknown"
         assert push in self.gamma, f"{family}: pushes undeclared symbol {push!r}"
         key = (src, sym)
         if key in self.calls:
-            if fallback:
-                return
             if self.calls[key] != (dst, push):
                 raise CompilerInternalError(
                     f"{family}: call conflict at {key}: "
@@ -137,15 +134,12 @@ class _Build:
             return
         self.calls[key] = (dst, push)
 
-    def ret(self, family: str, src: str, pop: str, sym: str, dst: str,
-            fallback: bool = False):
+    def ret(self, family: str, src: str, pop: str, sym: str, dst: str):
         if src not in self.states or pop not in self.gamma:
             return
         assert dst in self.states, f"{family}: return target {dst!r} unknown"
         key = (src, pop, sym)
         if key in self.returns:
-            if fallback:
-                return
             if self.returns[key] != dst:
                 raise CompilerInternalError(
                     f"{family}: return conflict at {key}: "
@@ -311,30 +305,6 @@ def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
                 for g in a1.nonfinals:
                     b.ret("r3", augs[q], g, s, g)
 
-    # r4: reject-valued completion family.
-    for s in alpha:
-        for q in a1.states:
-            b.ret("r4", q, SAT, s, REJ, fallback=True)
-            b.ret("r4", q, REJ, s, REJ, fallback=True)
-            for g in augs.values():
-                b.ret("r4", q, g, s, REJ, fallback=True)
-        for q in a2.nonfinals:
-            for g in augs.values():
-                b.ret("r4", q, g, s, REJ, fallback=True)  # leaf path failed A2
-        for q in a2.states:
-            for g in (BEG, SAT, REJ):
-                b.ret("r4", q, g, s, REJ, fallback=True)
-        for q in augs.values():
-            for g in (SAT, REJ):
-                b.ret("r4", q, g, s, REJ, fallback=True)
-            if q != augs[a2.initial]:
-                b.ret("r4", q, BEG, s, REJ, fallback=True)
-        for g in (REJ, SAT, BEG, *augs.values()):
-            b.ret("r4", REJ, g, s, REJ, fallback=True)
-        for g in gamma:
-            b.ret("r4", BEG, g, s, REJ, fallback=True)
-            b.ret("r4", END, g, s, REJ, fallback=True)
-
     return b.finish()
 
 
@@ -420,24 +390,6 @@ def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
             b.ret("r4", f, BEG, s, END)
         b.ret("r4", cend, BEG, s, END)
         b.ret("r4", SAT, BEG, s, END)
-
-    # r5: reject-valued completion family.
-    for s in alpha:
-        for g in (*cgamma, BEG, SAT, REJ):
-            b.ret("r5", REJ, g, s, REJ, fallback=True)
-        for q in a1.states:
-            b.ret("r5", q, SAT, s, REJ, fallback=True)
-            b.ret("r5", q, REJ, s, REJ, fallback=True)
-            for g in cgamma:
-                b.ret("r5", q, g, s, REJ, fallback=True)
-        for q in cstates:
-            b.ret("r5", q, SAT, s, REJ, fallback=True)
-            b.ret("r5", q, REJ, s, REJ, fallback=True)
-            if q not in c.finals:
-                b.ret("r5", q, BEG, s, REJ, fallback=True)
-        for g in gamma:
-            b.ret("r5", BEG, g, s, REJ, fallback=True)
-            b.ret("r5", END, g, s, REJ, fallback=True)
 
     return b.finish()
 
@@ -530,37 +482,11 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
         for g in gamma - set(a1.nonfinals) - {BEG}:
             b.ret("r3", EXISTS, g, s, EXISTS)
 
-    # r5: acceptance at the root's return.
+    # r4: acceptance at the root's return.
     for s in alpha:
-        b.ret("r5", SAT, BEG, s, END)
-        b.ret("r5", ends[k - 1], BEG, s, END)
-        b.ret("r5", EXISTS, BEG, s, END)
-
-    # r4: reject-valued completion family.
-    for s in alpha:
-        for q in a1.states:
-            b.ret("r4", q, BEG, s, REJ, fallback=True)
-        for g in gamma - set(a1.nonfinals):
-            b.ret("r4", REJ, g, s, REJ, fallback=True)
-        for q in states - {SAT, EXISTS}:
-            b.ret("r4", q, REJ, s, REJ, fallback=True)
-        for g in gamma:
-            b.ret("r4", BEG, g, s, REJ, fallback=True)
-            b.ret("r4", END, g, s, REJ, fallback=True)
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] not in a1.finals:
-                b.ret("r4", EXISTS, g, s, REJ, fallback=True)
-        for q in subs[k - 1].states:
-            if q != ends[k - 1]:
-                b.ret("r4", q, BEG, s, REJ, fallback=True)
-        for i in range(k - 1):
-            for q in subs[i].states:
-                b.ret("r4", q, BEG, s, REJ, fallback=True)
-        for i, v in enumerate(subs):
-            other = set().union(*(gammas[j] for j in range(k) if j != i)) if k > 1 else set()
-            for q in v.states:
-                for g in (*other, BEG, EXISTS, SAT):
-                    b.ret("r4", q, g, s, REJ, fallback=True)
+        b.ret("r4", SAT, BEG, s, END)
+        b.ret("r4", ends[k - 1], BEG, s, END)
+        b.ret("r4", EXISTS, BEG, s, END)
 
     return b.finish()
 
@@ -652,17 +578,6 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
         if q == ibeg or q == iend or g == BOTTOM:
             continue
         b.ret("r3", q, g, s, dst)
-
-    # r4: reject-valued family (inner violation at an S subtree's return,
-    # plus the absorbing reject).
-    for s in alpha:
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] in a1.finals:
-                for q in imid:
-                    if not inner_accepting_return(q, s):
-                        b.ret("r4", q, g, s, REJ, fallback=True)
-        for g in gamma:
-            b.ret("r4", REJ, g, s, REJ, fallback=True)
 
     return b.finish()
 

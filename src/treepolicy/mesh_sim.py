@@ -128,9 +128,10 @@ def topology_to_json(t: Topology) -> str:
 def topology_from_json(text: str) -> Topology:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"topology is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != 1:  # true and 1.0 also equal 1
         raise ConfigError("topology must be an object with version 1")
     try:
         behavior = doc["behavior"]

@@ -94,17 +94,20 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
     return {spec.endpoint: spec for spec in specs}
 
 
+def _sorted_rules(spec: FilterSpec) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """Request rules (state, then, push) and response rules (state, local,
+    then), each in the sorted key order every serialized form uses."""
+    requests = sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()])
+    responses = sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()])
+    return requests, responses
+
+
 def filter_spec_to_json(spec: FilterSpec) -> str:
+    requests, responses = _sorted_rules(spec)
     head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint}
     return json_document(head, {
-        "on_request": (
-            ("if_state", "then_state", "push_local"),
-            sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()]),
-        ),
-        "on_response": (
-            ("if_state", "if_local", "then_state"),
-            sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()]),
-        ),
+        "on_request": (("if_state", "then_state", "push_local"), requests),
+        "on_response": (("if_state", "if_local", "then_state"), responses),
     })
 
 
@@ -129,18 +132,19 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     request-scoped proxy memory written by OnRequest and read back by
     OnResponse.  Unmatched states fall through to a violation log.
     """
-    requests = [
+    requests, responses = _sorted_rules(spec)
+    on_request = [
         f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        for q, dst, push in sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()])
+        for q, dst, push in requests
     ]
-    responses = [
+    on_response = [
         f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
-        for q, g, dst in sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()])
+        for q, g, dst in responses
     ]
     return "".join([
         f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
-        "callback OnRequest() {\n", _branches(requests, "no call transition"), "}\n",
-        "callback OnResponse() {\n", _branches(responses, "no return transition"), "}\n",
+        "callback OnRequest() {\n", _branches(on_request, "no call transition"), "}\n",
+        "callback OnResponse() {\n", _branches(on_response, "no return transition"), "}\n",
     ])
 
 

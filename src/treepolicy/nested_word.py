@@ -372,7 +372,7 @@ def parse_trace(text: str) -> list[TaggedSymbol]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedTrace(f"line {lineno}: not valid JSON ({exc})") from None
         if not isinstance(obj, dict) or set(obj) != {"tag", "endpoint"}:
             raise MalformedTrace(f'line {lineno}: expected {{"tag", "endpoint"}}')

@@ -10,7 +10,8 @@ Two independent evaluation routes are kept deliberately separate:
   semantics and for differential tests.
 
 Sugar nodes (``any``, set literals, complements) desugar against the declared
-alphabet before either route runs.
+alphabet before either route runs: each becomes one ``SetLiteral`` over
+concrete names, which both routes treat as a single node however wide it is.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class Star(Regex):
     inner: Regex
 
 
-# Sugar: resolved against the declared alphabet by desugar().
+# Sugar, resolved against the declared alphabet by desugar().  A SetLiteral
+# over concrete names is also the core form every symbol set desugars to.
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,6 @@ EMPTY = Empty()
 ANY = Any()
 
 
-def union_all(parts: Sequence[Regex]) -> Regex:
-    if not parts:
-        return EMPTY
-    out = parts[0]
-    for p in parts[1:]:
-        out = Union(out, p)
-    return out
-
-
-def symbol_set(names: Iterable[Endpoint]) -> Regex:
-    return union_all([Symbol(n) for n in sorted(names)])
-
-
 @functools.lru_cache(maxsize=None)
 def _desugar(r: Regex, alphabet: tuple[Endpoint, ...]) -> Regex:
     if isinstance(r, (Symbol, Epsilon, Empty)):
@@ -112,16 +101,17 @@ def _desugar(r: Regex, alphabet: tuple[Endpoint, ...]) -> Regex:
     if isinstance(r, Star):
         return Star(_desugar(r.inner, alphabet))
     if isinstance(r, SetLiteral):
-        return symbol_set(r.members)
+        return r
     if isinstance(r, Complement):
-        return symbol_set(set(alphabet) - r.members)
+        return SetLiteral(frozenset(alphabet) - r.members)
     if isinstance(r, Any):
-        return symbol_set(alphabet)
+        return SetLiteral(frozenset(alphabet))
     raise TypeError(f"not a regex node: {r!r}")
 
 
 def desugar(r: Regex, alphabet: Iterable[Endpoint]) -> Regex:
-    """Rewrite sugar nodes into the six-core syntax over the alphabet."""
+    """Rewrite sugar nodes into the core syntax over the alphabet: the six
+    classic nodes plus ``SetLiteral`` over concrete names."""
     return _desugar(r, tuple(alphabet))
 
 
@@ -167,6 +157,8 @@ def _mk_concat(a: Regex, b: Regex) -> Regex:
 def _derivative(r: Regex, s: Endpoint) -> Regex:
     if isinstance(r, Symbol):
         return EPSILON if r.name == s else EMPTY
+    if isinstance(r, SetLiteral):
+        return EPSILON if s in r.members else EMPTY
     if isinstance(r, (Epsilon, Empty)):
         return EMPTY
     if isinstance(r, Union):
@@ -473,10 +465,16 @@ class _Nfa:
             b = self.new_state()
             self.add_edge(a, r.name, b)
             return a, b
+        if isinstance(r, SetLiteral):
+            a = self.new_state()
+            b = self.new_state()
+            for name in sorted(r.members):
+                self.add_edge(a, name, b)
+            return a, b
         if isinstance(r, Union):
-            # A symbol set desugars to a union chain as long as the set, so
-            # the chain is walked without recursion and its symbols share
-            # one fragment, one labeled edge each.
+            # A written chain ``A + B + ...`` nests to the left as deep as it
+            # is long, so it is walked without recursion and its symbols
+            # share one fragment, one labeled edge each.
             a = self.new_state()
             b = self.new_state()
             todo = [r]

@@ -211,7 +211,17 @@ def export_vpa(v: Vpa, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _sorted_rows(v: Vpa) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """Call rows (from, sym, to, push) and return rows (from, pop, sym, to),
+    each in the sorted order every writer uses.  Each row leads with its
+    table key, and keys are unique, so rows sort as the items would."""
+    calls = sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()])
+    returns = sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()])
+    return calls, returns
+
+
 def _export_json(v: Vpa) -> str:
+    calls, returns = _sorted_rows(v)
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -220,16 +230,9 @@ def _export_json(v: Vpa) -> str:
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
     }
-    # each row leads with its table key, and keys are unique: rows sort as items
     return json_document(head, {
-        "delta_call": (
-            ("from", "sym", "to", "push"),
-            sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()]),
-        ),
-        "delta_return": (
-            ("from", "pop", "sym", "to"),
-            sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()]),
-        ),
+        "delta_call": (("from", "sym", "to", "push"), calls),
+        "delta_return": (("from", "pop", "sym", "to"), returns),
     })
 
 
@@ -331,8 +334,7 @@ def _export_dot(v: Vpa) -> str:
     """Graphviz rendering in the usual convention: doubled circles for
     finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
     Each name is escaped once; each edge is one template."""
-    calls = sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()])
-    returns = sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()])
+    calls, returns = _sorted_rows(v)
     names = {v.initial, *v.states}.union(*zip(*calls), *zip(*returns))
     esc = {s: s.replace('"', '\\"') for s in names}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]

@@ -89,6 +89,13 @@ class TestCheck:
         assert central == dist and central in (0, 1)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_deeply_nested_json_line_is_usage_error(self, tmp_path, policy_file, capsys, command):
+        t = tmp_path / "hostile.jsonl"
+        t.write_text("[" * 200_000 + "\n")
+        assert cli.main([command, policy_file, str(t)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_stdin_trace(self, tmp_path, policy_file, capsys, monkeypatch):
         import io
 
@@ -113,6 +120,31 @@ class TestOracleCmd:
         t = trace_file(tmp_path, "<T T>")
         assert cli.main(["oracle", str(src), t]) == 2
         capsys.readouterr()
+
+
+@pytest.fixture
+def wide_policy_file(tmp_path):
+    """``call-seq star`` over 3,000 names: its symbol sets are that wide."""
+    names = ["S0"] + [f"N{i}" for i in range(2999)]
+    p = tmp_path / "wide.stp"
+    p.write_text(f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n")
+    return str(p)
+
+
+class TestWideAlphabet:
+    # each symbol set is one regex node, so the oracle's derivatives do not
+    # recurse once per name
+
+    def test_oracle(self, tmp_path, wide_policy_file, capsys):
+        t = trace_file(tmp_path, "<S0 <N7 <N2998 N2998> N7> S0>")
+        assert cli.main(["oracle", wide_policy_file, t]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] == {"pol0": True}
+
+    def test_equiv(self, wide_policy_file, capsys):
+        args = ["equiv", wide_policy_file, "--alphabet", "S0,N7", "--max-calls", "2"]
+        assert cli.main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["agreement"] and out["words_checked"] == 6
 
 
 class TestEquiv:
@@ -208,6 +240,8 @@ class TestSimulate:
             ("services", "FPDE"),
             ("services", [1, 2]),
             ("entrypoints", "F"),
+            ("version", True),  # equal to 1 in Python, but not an integer
+            ("version", 1.0),
         ],
     )
     def test_mistyped_topology_is_usage_error(self, tmp_path, policy_file, capsys, field, value):
@@ -217,6 +251,12 @@ class TestSimulate:
         tf.write_text(json.dumps(doc))
         assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
         assert "must be" in capsys.readouterr().err
+
+    def test_deeply_nested_topology_is_usage_error(self, tmp_path, policy_file, capsys):
+        tf = tmp_path / "topo.json"
+        tf.write_text("[" * 200_000)
+        assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_deep_topology_runs(self, tmp_path, capsys):
         # a chain three times the recursion limit: the call-graph checks,

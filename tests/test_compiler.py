@@ -7,7 +7,7 @@ import pytest
 
 from treepolicy import compiler, nested_word as nw, oracle, regex as rx
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import EpsilonMatchRegex
+from treepolicy.errors import CompilerInternalError, EpsilonMatchRegex
 from treepolicy.policy import (
     AllChildren,
     AllPath,
@@ -16,7 +16,7 @@ from treepolicy.policy import (
     Policy,
     parse_policy,
 )
-from treepolicy.vpa import accepts, check_well_formed
+from treepolicy.vpa import BOTTOM, accepts, check_well_formed
 
 from conftest import word_from_str
 from test_regex import random_regex
@@ -31,6 +31,58 @@ def assert_matches_oracle(vpa, sat, alphabet, max_calls=5, ctx=""):
 
 def inner_of(text):
     return parse_policy(text).policies[0].inner
+
+
+def small_build():
+    """A two-symbol table builder: states beg/end/rej/q, pushable beg/rej/q."""
+    states = {compiler.BEG, compiler.END, compiler.REJ, "q"}
+    gamma = {compiler.BEG, compiler.REJ, "q"}
+    return compiler._Build(states, compiler.BEG, compiler.END, compiler.REJ, ("A", "B"), gamma)
+
+
+class TestBuild:
+    """The table builder's contract: families never disagree, and the
+    completion sweep alone fills what they leave unwritten."""
+
+    def test_conflicting_call_write_raises(self):
+        b = small_build()
+        b.call("f1", "q", "A", "q", "q")
+        b.call("f2", "q", "A", "q", "q")  # agreeing rewrite is fine
+        with pytest.raises(CompilerInternalError, match="f3: call conflict"):
+            b.call("f3", "q", "A", compiler.END, "q")
+
+    def test_conflicting_return_write_raises(self):
+        b = small_build()
+        b.ret("f1", "q", compiler.BEG, "A", compiler.END)
+        b.ret("f2", "q", compiler.BEG, "A", compiler.END)
+        with pytest.raises(CompilerInternalError, match="f3: return conflict"):
+            b.ret("f3", "q", compiler.BEG, "A", compiler.REJ)
+
+    def test_unwritten_keys_complete_to_reject(self):
+        b = small_build()
+        b.call("f", compiler.BEG, "A", "q", compiler.BEG)
+        b.ret("f", "q", compiler.BEG, "A", compiler.END)
+        v = b.finish()
+        rej = compiler.REJ
+        assert v.delta_call[(compiler.BEG, "A")] == ("q", compiler.BEG)
+        assert v.delta_return[("q", compiler.BEG, "A")] == compiler.END
+        assert v.delta_call[(compiler.BEG, "B")] == (rej, rej)
+        assert v.delta_call[(compiler.END, "A")] == (rej, rej)
+        assert v.delta_return[("q", compiler.BEG, "B")] == rej
+        assert v.delta_return[("q", BOTTOM, "A")] == rej
+        assert len(v.delta_call) == 4 * 2
+        assert len(v.delta_return) == 4 * 4 * 2  # pushable symbols plus BOTTOM
+
+    def test_undeclared_source_or_pop_is_dropped(self):
+        b = small_build()
+        b.call("f", "elsewhere", "A", "q", "q")
+        b.ret("f", "elsewhere", "q", "A", "q")
+        b.ret("f", "q", "elsewhere", "A", "q")
+        b.ret("f", "q", compiler.END, "A", "q")  # END is a state, not pushable
+        assert not b.calls and not b.returns
+        v = b.finish()
+        assert v.delta_call[("q", "A")] == (compiler.REJ, compiler.REJ)
+        assert ("q", compiler.END, "A") not in v.delta_return
 
 
 class TestCallSeq:

@@ -23,7 +23,7 @@ class TestParse:
     def test_complement_desugars(self):
         node = rx.parse_regex("(!D)*", PDE)
         assert node == rx.Star(rx.Complement(frozenset({"D"})))
-        assert rx.desugar(node, PDE) == rx.Star(rx.Union(rx.Symbol("E"), rx.Symbol("P")))
+        assert rx.desugar(node, PDE) == rx.Star(rx.SetLiteral(frozenset({"E", "P"})))
 
     def test_union_precedence(self):
         # union binds loosest: "P D + E" is (P D) + E
