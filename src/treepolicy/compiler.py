@@ -646,7 +646,7 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
     metrics = Metrics(
         depth=depth(policy),
         fanout=fanout(policy),
-        # the component DFAs are exactly those of policy.iter_regexes
+        # one component DFA per regex of the policy, the start anchor's too
         max_dfa_states=max(d.n_states for d in dfas.values()),
         state_count=len(vpa.states),
         header_bits=header_bits(len(vpa.states)),

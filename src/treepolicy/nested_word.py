@@ -7,6 +7,11 @@ the word representation, the matching relation, the tree-shaped derived sets
 (paths, children, subtrees) that policy semantics are defined over, and a
 deterministic enumerator of all rooted well-matched words up to a size bound.
 
+The matching is stored once, as a partner array: each position holds the
+index of the symbol it is matched with, or +inf/-inf when it is a pending
+call or an orphan return.  Predicates, slices and tree views all read that
+array, so a slice copies its window and a tree view is one pass.
+
 All values are immutable after construction and safe to share between
 concurrent tasks.
 """
@@ -101,67 +106,51 @@ Path = tuple[IndexedSymbol, ...]
 
 
 class MatchingRelation:
-    """Pairs each call index with its return index.
+    """The matching of a word as one partner array.
 
-    Pending calls pair with +inf, orphan returns with -inf.  The relation is
-    functional in both coordinates, edges go forward, and edges never cross.
+    For the symbol at index ``first + k``, ``partner[k]`` is the index of its
+    matched return (for a call) or of its matched call (for a return); a
+    pending call holds +inf and an orphan return -inf.  So a call's partner
+    lies after it and a return's before it; ``pairs`` lists each call with
+    its partner and each orphan return as ``(-inf, index)``.
     """
 
-    __slots__ = ("_pairs", "_by_call", "_by_ret")
+    __slots__ = ("first", "partner")
 
-    def __init__(self, pairs: Iterable[tuple[float, float]], _validate: bool = True):
-        pairs = frozenset((i, j) for i, j in pairs)
-        by_call: dict[float, float] = {}
-        by_ret: dict[float, float] = {}
-        for i, j in pairs:
-            if i != NEG_INF:
-                if i in by_call:
-                    raise ValueError(f"index {i} occurs in two pairs")
-                by_call[i] = j
-            if j != POS_INF:
-                if j in by_ret:
-                    raise ValueError(f"index {j} occurs in two pairs")
-                by_ret[j] = i
-        self._pairs = pairs
-        self._by_call = by_call
-        self._by_ret = by_ret
-        if _validate:
-            self._check_shape()
-
-    def _check_shape(self):
-        for i, j in self._pairs:
-            if i != NEG_INF and j != POS_INF and not i < j:
-                raise ValueError(f"edge ({i}, {j}) does not go forward")
-        finite = [(i, j) for i, j in self._pairs]
-        for i, j in finite:
-            for i2, j2 in finite:
-                if i == NEG_INF or i2 == NEG_INF:
-                    continue
-                if i < i2:
-                    # well-nested (j2 < j) or disjoint (j < i2); anything else crosses
-                    if not (j2 < j or j < i2):
-                        raise ValueError(f"edges ({i},{j}) and ({i2},{j2}) cross")
+    def __init__(self, first: int, partner: Sequence[float]):
+        self.first = first
+        self.partner = tuple(partner)
 
     @property
     def pairs(self) -> frozenset[tuple[float, float]]:
-        return self._pairs
+        out = set()
+        for i, j in enumerate(self.partner, start=self.first):
+            if j > i:
+                out.add((i, j))
+            elif j == NEG_INF:
+                out.add((NEG_INF, i))
+        return frozenset(out)
 
     def return_of(self, call_index: int) -> float:
         """Index of the matched return, or +inf when pending."""
-        return self._by_call[call_index]
+        return self.partner[call_index - self.first]
 
     def call_of(self, ret_index: int) -> float:
         """Index of the matched call, or -inf when orphaned."""
-        return self._by_ret[ret_index]
+        return self.partner[ret_index - self.first]
 
     def __eq__(self, other):
-        return isinstance(other, MatchingRelation) and self._pairs == other._pairs
+        return (
+            isinstance(other, MatchingRelation)
+            and self.first == other.first
+            and self.partner == other.partner
+        )
 
     def __hash__(self):
-        return hash(self._pairs)
+        return hash((self.first, self.partner))
 
     def __repr__(self):
-        body = ", ".join(f"({i},{j})" for i, j in sorted(self._pairs))
+        body = ", ".join(f"({i},{j})" for i, j in sorted(self.pairs))
         return f"MatchingRelation({{{body}}})"
 
 
@@ -228,13 +217,11 @@ class NestedWord:
     # -- predicates -------------------------------------------------------
 
     def is_well_matched(self) -> bool:
-        return all(i != NEG_INF and j != POS_INF for i, j in self.matching.pairs)
+        partner = self.matching.partner
+        return POS_INF not in partner and NEG_INF not in partner
 
     def is_rooted(self) -> bool:
-        return (
-            self.is_well_matched()
-            and (self.first_index, self.last_index) in self.matching.pairs
-        )
+        return self.is_well_matched() and self.matching.partner[0] == self.last_index
 
     def _require_rooted(self):
         if not self.is_rooted():
@@ -251,65 +238,57 @@ class NestedWord:
         """
         if not (self.first_index <= i < i2 <= self.last_index):
             raise IndexOutOfRange(f"bad slice [{i}, {i2}]")
-        symbols = self.symbols[i - self.first_index : i2 - self.first_index + 1]
-        pairs = []
-        for p, q in self.matching.pairs:
-            if i <= p and q <= i2:
-                pairs.append((p, q))
-            elif i <= p <= i2 and q > i2:
-                pairs.append((p, POS_INF))
-            elif i <= q <= i2 and p < i:
-                pairs.append((NEG_INF, q))
-        return NestedWord(symbols, MatchingRelation(pairs, _validate=False))
+        lo, hi = i - self.first_index, i2 - self.first_index + 1
+        partner = [
+            j if i <= j <= i2 else POS_INF if j > i2 else NEG_INF
+            for j in self.matching.partner[lo:hi]
+        ]
+        return NestedWord(self.symbols[lo:hi], MatchingRelation(i, partner))
 
     # -- tree structure ---------------------------------------------------
-
-    def path_to(self, a_m: IndexedSymbol) -> Path:
-        """Chain of calls from the root to ``a_m``: the calls at or before
-        ``a_m`` whose matched return lies strictly after it."""
-        m = a_m.index
-        picked = []
-        for a in self.symbols:
-            if a.index > m:
-                break
-            if a.is_call and self.matching.return_of(a.index) > m:
-                picked.append(a)
-        return tuple(picked)
+    #
+    # The path to a call a_m is the chain of calls at or before a_m whose
+    # matched return lies after it: on a rooted word, the calls still open
+    # when a_m is read, a_m included.
 
     def seq(self) -> tuple[Path, ...]:
         """All root-to-call paths, ordered by terminal call index."""
         self._require_rooted()
-        return tuple(self.path_to(a) for a in self.symbols if a.is_call)
+        out = []
+        open_paths: list[Path] = [()]
+        for a in self.symbols:
+            if a.is_call:
+                path = open_paths[-1] + (a,)
+                open_paths.append(path)
+                out.append(path)
+            else:
+                open_paths.pop()
+        return tuple(out)
 
     def seq_leaf(self) -> tuple[Path, ...]:
         """The subset of ``seq`` whose terminal call is a leaf (its return
         is the immediately following symbol)."""
-        self._require_rooted()
-        out = []
-        for a in self.symbols:
-            if a.is_call and self.matching.return_of(a.index) == a.index + 1:
-                out.append(self.path_to(a))
-        return tuple(out)
+        return_of = self.matching.return_of
+        return tuple(p for p in self.seq() if return_of(p[-1].index) == p[-1].index + 1)
 
     def children(self) -> tuple[IndexedSymbol, ...]:
-        """Calls that are direct children of the root, in call order."""
+        """Calls that are direct children of the root, in call order: the
+        first follows the root, and each next one follows the return of the
+        one before."""
         self._require_rooted()
-        root = self.symbols[0]
+        return_of = self.matching.return_of
         out = []
-        for a in self.symbols:
-            if a.is_call and a.index != root.index:
-                if self.path_to(a) == (root, a):
-                    out.append(a)
+        nxt = self.first_index + 1
+        for a in self.symbols[1:-1]:
+            if a.index == nxt:
+                out.append(a)
+                nxt = return_of(nxt) + 1
         return tuple(out)
 
     def subtrees(self) -> tuple["NestedWord", ...]:
         """Rooted slices under each child of the root, in child order."""
-        self._require_rooted()
-        out = []
-        for child in self.children():
-            x = self.matching.return_of(child.index)
-            out.append(self.sub_word(child.index, int(x)))
-        return tuple(out)
+        return_of = self.matching.return_of
+        return tuple(self.sub_word(c.index, return_of(c.index)) for c in self.children())
 
 
 def calls_projection(path: Path) -> tuple[Endpoint, ...]:
@@ -326,27 +305,26 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
     """
     if not events:
         raise MalformedTrace("empty trace")
-    pairs: list[tuple[float, float]] = []
+    partner: list[float] = []
     open_calls: list[tuple[int, Endpoint]] = []
     symbols = []
     for pos, ev in enumerate(events, start=1):
         symbols.append(_indexed(ev, pos))
         if ev.tag == CALL:
             open_calls.append((pos, ev.endpoint))
+            partner.append(POS_INF)
+        elif open_calls:
+            i, ep = open_calls.pop()
+            if ep != ev.endpoint:
+                raise MalformedTrace(
+                    f"return from {ev.endpoint!r} at position {pos} does not close "
+                    f"the open call to {ep!r} at position {i}"
+                )
+            partner[i - 1] = pos
+            partner.append(i)
         else:
-            if open_calls:
-                i, ep = open_calls.pop()
-                if ep != ev.endpoint:
-                    raise MalformedTrace(
-                        f"return from {ev.endpoint!r} at position {pos} does not close "
-                        f"the open call to {ep!r} at position {i}"
-                    )
-                pairs.append((i, pos))
-            else:
-                pairs.append((NEG_INF, pos))
-    for i, _ep in open_calls:
-        pairs.append((i, POS_INF))
-    return NestedWord(symbols, MatchingRelation(pairs, _validate=False))
+            partner.append(NEG_INF)
+    return NestedWord(symbols, MatchingRelation(1, partner))
 
 
 # -- trace file format ----------------------------------------------------
@@ -365,22 +343,28 @@ def serialize_trace(word_or_events: NestedWord | Sequence[TaggedSymbol]) -> str:
 
 
 def parse_trace(text: str) -> list[TaggedSymbol]:
+    """The trace's events.  An event is one of two tags on one endpoint, so
+    lines repeat; each distinct line is decoded and checked once."""
     events = []
+    parsed: dict[str, TaggedSymbol] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedTrace(f"line {lineno}: not valid JSON ({exc})") from None
-        if not isinstance(obj, dict) or set(obj) != {"tag", "endpoint"}:
-            raise MalformedTrace(f'line {lineno}: expected {{"tag", "endpoint"}}')
-        if obj["tag"] not in (CALL, RET):
-            raise MalformedTrace(f"line {lineno}: bad tag {obj['tag']!r}")
-        if not isinstance(obj["endpoint"], str) or not obj["endpoint"]:
-            raise MalformedTrace(f"line {lineno}: bad endpoint")
-        events.append(TaggedSymbol(obj["tag"], obj["endpoint"]))
+        ev = parsed.get(line)
+        if ev is None:
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedTrace(f"line {lineno}: not valid JSON ({exc})") from None
+            if not isinstance(obj, dict) or set(obj) != {"tag", "endpoint"}:
+                raise MalformedTrace(f'line {lineno}: expected {{"tag", "endpoint"}}')
+            if obj["tag"] not in (CALL, RET):
+                raise MalformedTrace(f"line {lineno}: bad tag {obj['tag']!r}")
+            if not isinstance(obj["endpoint"], str) or not obj["endpoint"]:
+                raise MalformedTrace(f"line {lineno}: bad endpoint")
+            ev = parsed[line] = TaggedSymbol(obj["tag"], obj["endpoint"])
+        events.append(ev)
     if not events:
         raise MalformedTrace("empty trace")
     return events

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union as TUnion
+from typing import Union as TUnion
 
 from . import regex as rx
 from .errors import EpsilonMatchRegex, PolicySyntaxError, UnknownEndpoint
@@ -167,7 +167,13 @@ def _parse_inner(ts: rx.TokenStream, alphabet: tuple[Endpoint, ...]) -> InnerPol
 
 def parse_policy(text: str) -> PolicyDocument:
     """Parse and validate a policy document."""
-    ts = rx.TokenStream(rx.tokenize(text))
+    try:
+        return _parse_document(rx.TokenStream(rx.tokenize(text)))
+    except RecursionError:
+        raise PolicySyntaxError("policy nests too deeply") from None
+
+
+def _parse_document(ts: rx.TokenStream) -> PolicyDocument:
     if ts.peek() is None:
         raise PolicySyntaxError("empty policy document")
     alphabet = _parse_alphabet(ts)
@@ -241,38 +247,10 @@ def fanout(p: TUnion[Policy, InnerPolicy]) -> int:
     raise TypeError(f"not a policy node: {p!r}")
 
 
-def iter_regexes(p: TUnion[Policy, InnerPolicy]):
-    """All regexes appearing in the policy, with the start set's anchor
-    expression contributed by the start wrapper."""
-    if isinstance(p, Policy):
-        yield start_anchor_regex(p.start_set)
-        yield from iter_regexes(p.inner)
-    elif isinstance(p, AllPath):
-        yield p.reg1
-        yield p.reg2
-    elif isinstance(p, CallSeq):
-        yield p.reg
-    elif isinstance(p, AllChildren):
-        yield p.reg
-        yield from iter_regexes(p.child)
-    elif isinstance(p, ExistsChild):
-        yield p.reg
-        for s in p.subpolicies:
-            yield from iter_regexes(s)
-    else:
-        raise TypeError(f"not a policy node: {p!r}")
-
-
 def start_anchor_regex(start_set: frozenset[Endpoint]) -> rx.Regex:
     """Paths ending at a start endpoint with no earlier start endpoint:
     the shortest-match targets of ``any* S``."""
     return rx.Concat(rx.Star(rx.ANY), rx.SetLiteral(frozenset(start_set)))
-
-
-def max_dfa_states(p: TUnion[Policy, InnerPolicy], alphabet: Iterable[Endpoint]) -> int:
-    """Largest minimal-DFA size across the policy's regexes."""
-    alpha = tuple(alphabet)
-    return max(rx.to_dfa(r, alpha).n_states for r in iter_regexes(p))
 
 
 def header_bits(state_count: int) -> int:

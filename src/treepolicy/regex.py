@@ -12,6 +12,10 @@ Two independent evaluation routes are kept deliberately separate:
 Sugar nodes (``any``, set literals, complements) desugar against the declared
 alphabet before either route runs: each becomes one ``SetLiteral`` over
 concrete names, which both routes treat as a single node however wide it is.
+
+The parser keeps trees shallow, since every route walks them recursively: a
+written chain ``A + B + ...`` or ``A B ...`` parses to a balanced tree, and a
+run of stars written together, ``R**``, parses to one ``Star``.
 """
 
 from __future__ import annotations
@@ -313,13 +317,11 @@ def _parse_atom(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
 
 def _parse_postfix(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
     node = _parse_atom(ts, alphabet)
-    while True:
-        tok = ts.peek()
-        if tok is not None and tok.kind == "*":
-            ts.next()
-            node = Star(node)
-        else:
-            return node
+    starred = False
+    while (tok := ts.peek()) is not None and tok.kind == "*":  # (R*)* = R*
+        ts.next()
+        starred = True
+    return Star(node) if starred else node
 
 
 def _starts_atom(tok: Token | None) -> bool:
@@ -330,22 +332,28 @@ def _starts_atom(tok: Token | None) -> bool:
     return tok.kind == "keyword" and tok.text in _ATOM_KEYWORDS
 
 
+def _balanced(node: type, terms: list[Regex]) -> Regex:
+    """Join a chain of terms into a tree of logarithmic depth, split at
+    ceil(n/2), so a chain up to three terms long nests to the left."""
+    if len(terms) == 1:
+        return terms[0]
+    k = (len(terms) + 1) // 2
+    return node(_balanced(node, terms[:k]), _balanced(node, terms[k:]))
+
+
 def _parse_concat(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
-    node = _parse_postfix(ts, alphabet)
+    terms = [_parse_postfix(ts, alphabet)]
     while _starts_atom(ts.peek()):
-        node = Concat(node, _parse_postfix(ts, alphabet))
-    return node
+        terms.append(_parse_postfix(ts, alphabet))
+    return _balanced(Concat, terms)
 
 
 def _parse_union(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
-    node = _parse_concat(ts, alphabet)
-    while True:
-        tok = ts.peek()
-        if tok is not None and tok.kind == "+":
-            ts.next()
-            node = Union(node, _parse_concat(ts, alphabet))
-        else:
-            return node
+    terms = [_parse_concat(ts, alphabet)]
+    while (tok := ts.peek()) is not None and tok.kind == "+":
+        ts.next()
+        terms.append(_parse_concat(ts, alphabet))
+    return _balanced(Union, terms)
 
 
 def parse_regex_tokens(ts: TokenStream, alphabet: Iterable[Endpoint]) -> Regex:
@@ -354,7 +362,10 @@ def parse_regex_tokens(ts: TokenStream, alphabet: Iterable[Endpoint]) -> Regex:
 
 def parse_regex(text: str, alphabet: Iterable[Endpoint]) -> Regex:
     ts = TokenStream(tokenize(text))
-    node = parse_regex_tokens(ts, alphabet)
+    try:
+        node = parse_regex_tokens(ts, alphabet)
+    except RecursionError:
+        raise PolicySyntaxError("regex nests too deeply") from None
     if ts.peek() is not None:
         tok = ts.peek()
         raise PolicySyntaxError(f"trailing input {tok.text!r} at offset {tok.pos}")
@@ -384,16 +395,10 @@ def format_regex(r: Regex) -> str:
         if isinstance(node, Concat):
             return f"({fmt(node.left)} {fmt(node.right)})"
         if isinstance(node, Star):
-            return f"{_atomized(node.inner)}*"
+            if isinstance(node.inner, Star):  # a run of stars would parse as one
+                return f"({fmt(node.inner)})*"
+            return f"{fmt(node.inner)}*"
         raise TypeError(f"not a regex node: {node!r}")
-
-    def _atomized(node: Regex) -> str:
-        text = fmt(node)
-        if isinstance(node, (Union, Concat, Star)):
-            # Star output like "x*" needs wrapping so "*" reattaches correctly.
-            if not text.startswith("("):
-                return f"({text})"
-        return text
 
     return fmt(r)
 
@@ -472,8 +477,7 @@ class _Nfa:
                 self.add_edge(a, name, b)
             return a, b
         if isinstance(r, Union):
-            # A written chain ``A + B + ...`` nests to the left as deep as it
-            # is long, so it is walked without recursion and its symbols
+            # A written chain ``A + B + ...`` is a tree of unions; its symbols
             # share one fragment, one labeled edge each.
             a = self.new_state()
             b = self.new_state()

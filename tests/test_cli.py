@@ -147,6 +147,52 @@ class TestWideAlphabet:
         assert out["agreement"] and out["words_checked"] == 6
 
 
+def _chain(op: str, n: int) -> str:
+    return op.join(["A", "B"] * (n // 2))
+
+
+# Each document is 3,000 terms long or deep, three times the recursion limit.
+DEEP_REGEX = {
+    "union-chain": f"call-seq ({_chain(' + ', 3000)})*",
+    "match-union-chain": f"match ({_chain(' + ', 3000)}) all-path star",
+    "concat-chain": f"call-seq {_chain(' ', 3000)}",
+    "star-run": "call-seq A B" + "*" * 3000,
+    "parentheses": "call-seq " + "(" * 3000 + "A B" + ")" * 3000,
+    "parentheses-200": "call-seq " + "(" * 200 + "A B*" + ")" * 200,
+}
+
+
+class TestDeepRegex:
+    # chains parse to balanced trees and star runs to one star, so no regex
+    # route recurses once per term; only nesting written as parentheses is
+    # as deep as it is written, and past the recursion limit it is a usage
+    # error, never a crash
+
+    @pytest.mark.parametrize(
+        "command,name,code",
+        [
+            ("check", "union-chain", 0),
+            ("oracle", "union-chain", 0),
+            ("format", "union-chain", 0),
+            ("check", "match-union-chain", 0),
+            ("oracle", "match-union-chain", 0),
+            ("oracle", "concat-chain", 1),
+            ("format", "concat-chain", 0),
+            ("check", "star-run", 0),
+            ("check", "parentheses", 2),
+            ("check", "parentheses-200", 0),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, name, code):
+        src = tmp_path / "deep.stp"
+        src.write_text(f"alphabet A, B;\nstart {{A}}: {DEEP_REGEX[name]};\n")
+        args = [command, str(src)]
+        if command != "format":
+            args.append(trace_file(tmp_path, "<A <B B> A>"))
+        assert cli.main(args) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestEquiv:
     def test_small_agreement(self, policy_file, capsys):
         assert cli.main(["equiv", policy_file, "--max-calls", "4"]) == 0

@@ -215,6 +215,68 @@ class TestChildrenSubtrees:
             assert sorted(covered) == list(range(n.first_index + 1, n.last_index))
 
 
+def bruteforce_pairs(n):
+    """Each call paired with the first symbol after which the word from the
+    call on is balanced; valid on rooted words."""
+    pairs = set()
+    for k, a in enumerate(n.symbols):
+        if a.is_call:
+            depth = 0
+            for b in n.symbols[k:]:
+                depth += 1 if b.is_call else -1
+                if depth == 0:
+                    pairs.add((a.index, b.index))
+                    break
+    return pairs
+
+
+def words_and_subtrees(rng, count):
+    """Seeded random rooted words and, recursively, every subtree of each."""
+    todo = [random_rooted_word(rng, 10, ("A", "B", "C")) for _ in range(count)]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(n.subtrees())
+
+
+class TestTreeViewsAgainstDefinitions:
+    def test_views_match_definitions(self):
+        for n in words_and_subtrees(random.Random(2024), 150):
+            pairs = bruteforce_pairs(n)
+            assert n.matching.pairs == frozenset(pairs)
+            ret = dict(pairs)
+            for i, j in pairs:
+                assert n.matching.return_of(i) == j and n.matching.call_of(j) == i
+            # the definition: the path to a_m is the calls at or before a_m
+            # whose return lies after it
+            calls = [a for a in n.symbols if a.is_call]
+            paths = tuple(
+                tuple(a for a in calls if a.index <= m.index < ret[a.index]) for m in calls
+            )
+            assert n.seq() == paths
+            assert n.seq_leaf() == tuple(p for p in paths if ret[p[-1].index] == p[-1].index + 1)
+            assert n.children() == tuple(p[-1] for p in paths if len(p) == 2)
+
+    def test_equal_windows_have_equal_relations(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = random_rooted_word(rng, 10, ("A", "B", "C"))
+            i = rng.randint(n.first_index, n.last_index - 1)
+            j = rng.randint(i + 1, n.last_index)
+            a, b = n.sub_word(i, j), n.sub_word(i, j)
+            assert a.matching == b.matching and hash(a.matching) == hash(b.matching)
+            assert a == b and hash(a) == hash(b)
+            i2 = rng.randint(n.first_index, n.last_index - 1)
+            other = n.sub_word(i2, rng.randint(i2 + 1, n.last_index)).matching
+            assert (other == a.matching) == (other.pairs == a.matching.pairs)
+            for t in n.subtrees():
+                again = n.sub_word(t.first_index, t.last_index)
+                assert again.matching == t.matching and hash(again.matching) == hash(t.matching)
+        # two windows of pending calls alike in all but where they start
+        chain = word_from_str("<A <A <A A> A> A>")
+        assert chain.sub_word(1, 2).matching != chain.sub_word(2, 3).matching
+
+
 class TestCallsProjection:
     def test_payment_projection(self, payment_word):
         path = payment_word.seq()[2]

@@ -3,6 +3,7 @@
 import pytest
 
 from treepolicy import regex as rx
+from treepolicy.compiler import compile_inner, compile_policy
 from treepolicy.corpus import CORPUS, corpus_documents
 from treepolicy.errors import EpsilonMatchRegex, PolicySyntaxError, UnknownEndpoint
 from treepolicy.policy import (
@@ -12,7 +13,6 @@ from treepolicy.policy import (
     depth,
     fanout,
     format_policy,
-    max_dfa_states,
     parse_policy,
 )
 
@@ -103,6 +103,10 @@ def _inner(text: str):
     return parse_policy(text).policies[0].inner
 
 
+def _max_dfa_states(inner, alpha):
+    return max(d.n_states for d in compile_inner(inner, alpha)[1].values())
+
+
 class TestMetrics:
     def test_depth_examples(self):
         doc = parse_policy("alphabet A;\nstart {A}: call-seq A;\n")
@@ -143,21 +147,21 @@ class TestMetrics:
         inner = _inner("alphabet P, D, E;\nstart {P}: match (P D) all-path (star);\n")
         d1 = rx.to_dfa(rx.parse_regex("P D", alpha), alpha)
         d2 = rx.to_dfa(rx.parse_regex("star", alpha), alpha)
-        assert max_dfa_states(inner, alpha) == max(d1.n_states, d2.n_states)
+        assert _max_dfa_states(inner, alpha) == max(d1.n_states, d2.n_states)
 
     def test_callseq_max_dfa_states_is_its_regex(self):
         alpha = ("A", "B")
         inner = _inner("alphabet A, B;\nstart {A}: call-seq A B* A;\n")
         d = rx.to_dfa(rx.parse_regex("A B* A", alpha), alpha)
-        assert max_dfa_states(inner, alpha) == d.n_states
+        assert _max_dfa_states(inner, alpha) == d.n_states
 
     def test_policy_level_includes_anchor(self):
         alpha = ("A", "B")
         pol = parse_policy("alphabet A, B;\nstart {A}: call-seq star;\n").policies[0]
         # the inner regex alone compiles to a single state; the start
         # wrapper's anchor automaton contributes its own size
-        assert max_dfa_states(pol.inner, alpha) == 1
-        assert max_dfa_states(pol, alpha) == 2
+        assert _max_dfa_states(pol.inner, alpha) == 1
+        assert compile_policy(pol, alpha).metrics.max_dfa_states == 2
 
 
 class TestCorpus:

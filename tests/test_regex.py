@@ -46,6 +46,30 @@ class TestParse:
             with pytest.raises(PolicySyntaxError):
                 rx.parse_regex(bad, PDE)
 
+    def test_chains_parse_balanced(self):
+        p, d, e = (rx.Symbol(x) for x in PDE)
+        # a chain of up to three terms nests to the left
+        assert rx.parse_regex("P + D + E", PDE) == rx.Union(rx.Union(p, d), e)
+        assert rx.parse_regex("P D E P", PDE) == rx.Concat(rx.Concat(p, d), rx.Concat(e, p))
+        assert rx.parse_regex("P + D + E + P + D", PDE) == rx.Union(
+            rx.Union(rx.Union(p, d), e), rx.Union(p, d)
+        )
+
+    def test_star_run_folds(self):
+        d = rx.Symbol("D")
+        assert rx.parse_regex("D***", PDE) == rx.Star(d)
+        assert rx.parse_regex("(D*)*", PDE) == rx.Star(rx.Star(d))
+
+    def test_nested_stars_round_trip(self):
+        node = rx.Symbol("D")
+        for _ in range(4):
+            node = rx.Star(node)
+            assert rx.parse_regex(rx.format_regex(node), PDE) == node
+
+    def test_deep_nesting_is_syntax_error(self):
+        with pytest.raises(PolicySyntaxError):
+            rx.parse_regex("(" * 3000 + "P" + ")" * 3000, PDE)
+
     def test_format_round_trip(self):
         rng = random.Random(5)
         for _ in range(300):
