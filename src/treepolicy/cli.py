@@ -127,12 +127,13 @@ def cmd_equiv(args) -> int:
         alphabet = chosen
     artifacts = compiler.compile(doc)
     monitors = [monitor.extract_monitor(a.vpa) for a in artifacts]
+    inits = [initial_configuration(a.vpa) for a in artifacts]
     checked = 0
     for word in enumerate_rooted(alphabet, args.max_calls):
         checked += 1
         for i, artifact in enumerate(artifacts):
             want = oracle.sat_policy(word, doc.policies[i], doc.alphabet)
-            init = initial_configuration(artifact.vpa)
+            init = inits[i]
             central = final_configuration(artifact.vpa, word, init)
             got = central.state in artifact.vpa.finals
             dist = monitor.dist_run(monitors[i], init, word)

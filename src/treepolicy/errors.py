@@ -35,6 +35,12 @@ class StackUnderflow(TreePolicyError):
     bottom marker.  Impossible on rooted well-matched input."""
 
 
+class MissingTransition(TreePolicyError):
+    """A run reached a state, endpoint or popped stack symbol for which the
+    automaton or filter set has no rule (a filter spec with a rule removed,
+    say)."""
+
+
 class VpaParseError(TreePolicyError):
     """Malformed serialized automaton or filter spec."""
 

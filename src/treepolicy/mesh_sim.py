@@ -3,18 +3,22 @@
 Services are deterministic call scripts: a topology maps each service to the
 ordered list of services it calls, and a request unrolls that script into a
 service tree.  Every simulated hop steps one state header per policy with
-that policy's distributed monitor -- the per-endpoint ``FilterSpec`` tables
-that ``emit-filters`` writes, which ``build_filter_set`` compiles once into
-integer rows.  The header is an integer, the state's position in
-``state_order``.  On the way in, the endpoint's request row maps it to the
-next header and the id of the pushed stack symbol, which stays at the hop;
-on the way out, the response row for that id maps it again.  The emitted
-trace is the request's rooted well-matched word, so centralized and
-denotational verdicts can be replayed against the monitored outcome.
+that policy's integer transition table, ``Vpa.table``: the per-endpoint
+rows that the central and distributed runs step too, and that the
+``FilterSpec`` files ``emit-filters`` writes hold as strings.
+``build_filter_set`` takes the automaton's table as it is.  The header is an
+integer, the state's position in ``state_order``.  On the way in, the
+endpoint's request row maps it to the next header and the id of the pushed
+stack symbol, which stays at the hop; on the way out, the response row for
+that id maps it again.  The emitted trace is the request's rooted
+well-matched word, so centralized and denotational verdicts can be replayed
+against the monitored outcome.
 
 Each request owns its header values and hop-local storage; policies are
 monitored independently, one header per policy.  Call graphs and requests
-are walked with explicit stacks, so a call chain of any depth runs.
+are walked with explicit stacks, so a call chain of any depth runs.  A
+topology unrolls exponentially in its depth, so ``run_workload`` refuses one
+whose requests unroll to more than ``MAX_REQUEST_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .monitor import STATE_HEADER, extract_monitor
+from .monitor import STATE_HEADER
 from .nested_word import Endpoint, NestedWord, TaggedSymbol, build_nested_word, call, ret
 
 MODE_LOG = "log"
 MODE_EARLY_BLOCK = "early_block"
+
+MAX_REQUEST_NODES = 1_000_000  # per request, in run_workload
 
 
 @dataclass(frozen=True)
@@ -80,19 +86,24 @@ class Topology:
         return self.behavior.get(svc, ())
 
     def node_count(self, root: Endpoint) -> int:
-        """Nodes of the service tree a request to ``root`` unrolls to; each
-        service is counted once, after its children."""
+        """Nodes of the service tree a request to ``root`` unrolls to."""
+        return self.node_counts((root,))[root]
+
+    def node_counts(self, roots: Iterable[Endpoint]) -> dict[Endpoint, int]:
+        """``node_count`` of each root and of every service below one, in
+        one pass: each service is counted once, after its children."""
         counts: dict[Endpoint, int] = {}
-        todo = [root]
-        while todo:
-            svc = todo[-1]
-            uncounted = [c for c in self.children(svc) if c not in counts]
-            if uncounted:
-                todo += uncounted
-            else:
-                counts[svc] = 1 + sum(counts[c] for c in self.children(svc))
-                todo.pop()
-        return counts[root]
+        for root in roots:
+            todo = [root]
+            while todo:
+                svc = todo[-1]
+                uncounted = [c for c in self.children(svc) if c not in counts]
+                if uncounted:
+                    todo += uncounted
+                else:
+                    counts[svc] = 1 + sum(counts[c] for c in self.children(svc))
+                    todo.pop()
+        return counts
 
 
 def generate_topology(depth: int, fanout: int, alphabet: Sequence[Endpoint]) -> Topology:
@@ -156,11 +167,10 @@ def _names(value, what: str) -> tuple[Endpoint, ...]:
 
 
 class HopRows(NamedTuple):
-    """One endpoint's filter for the simulated hop, indexed by header value.
-
-    ``request[h]`` is the header after the call and the id of the pushed
-    stack symbol; ``response[g][h]`` is the header after the return whose
-    call pushed symbol ``g``.  A rule the filter lacks is ``None``.
+    """One endpoint's rows of the automaton's table, indexed by header
+    value: ``request[h]`` is the header after the call and the id of the
+    pushed stack symbol; ``response[g][h]`` is the header after the return
+    whose call pushed symbol ``g``.  A rule the filter lacks is ``None``.
     """
 
     request: tuple[tuple[int, int] | None, ...]
@@ -173,11 +183,12 @@ class PolicyFilterSet:
 
     The header is an integer: a state's header value is its position in
     ``state_order``, and a pushed stack symbol's id its position in
-    ``stack_symbols``.  ``table`` holds each endpoint's ``FilterSpec`` -- the
-    filter ``emit-filters`` writes -- compiled to integer rows, so a hop is
-    one row lookup per direction.  ``finals`` and ``reject_headers`` are
-    header values; the latter are the absorbing reject states a call may
-    enter in early-block mode, empty when the policy never blocks.
+    ``stack_symbols``.  ``table`` holds each endpoint's rows of the
+    automaton's integer table (``Vpa.table``), the filter ``emit-filters``
+    writes as strings, so a hop is one row lookup per direction.
+    ``finals`` and ``reject_headers`` are header values; the latter are the
+    absorbing reject states a call may enter in early-block mode, empty
+    when the policy never blocks.
     """
 
     policy_id: str
@@ -191,36 +202,19 @@ class PolicyFilterSet:
 
 
 def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
-    """Compile the policy's distributed monitor into integer hop rows.
-
-    Only symbols some call pushes get an id: a hop pops what its own call
-    pushed, so return rows for any other symbol (the bottom marker) never
-    apply.
-    """
-    monitor = extract_monitor(artifact.vpa)
-    header = {q: i for i, q in enumerate(artifact.state_order)}
-    pushed = sorted({g for spec in monitor.values() for _, g in spec.on_request.values()})
-    symbol_id = {g: i for i, g in enumerate(pushed)}
-    table = {}
-    for endpoint, spec in monitor.items():
-        request: list = [None] * len(header)
-        for q, (dst, g) in spec.on_request.items():
-            request[header[q]] = (header[dst], symbol_id[g])
-        response = [[None] * len(header) for _ in pushed]
-        for (q, g), dst in spec.on_response.items():
-            if g in symbol_id:
-                response[symbol_id[g]][header[q]] = header[dst]
-        table[endpoint] = HopRows(tuple(request), tuple(map(tuple, response)))
+    """The policy's filters as the automaton's integer table, whose rows
+    each endpoint's ``FilterSpec`` holds as strings."""
     vpa = artifact.vpa
+    t = vpa.table
     return PolicyFilterSet(
         policy_id=artifact.policy_id,
         header_name=f"{STATE_HEADER}-{artifact.policy_id}",
-        state_order=artifact.state_order,
-        stack_symbols=tuple(pushed),
-        initial=header[vpa.initial],
-        finals=frozenset(header[q] for q in vpa.finals),
-        reject_headers=frozenset(header[q] for q in artifact.reject_states),
-        table=table,
+        state_order=t.states,
+        stack_symbols=t.symbols,
+        initial=t.state_id[vpa.initial],
+        finals=frozenset(t.state_id[q] for q in vpa.finals),
+        reject_headers=frozenset(t.state_id[q] for q in artifact.reject_states),
+        table={e: HopRows(t.request[e], t.response[e]) for e in t.request},
     )
 
 
@@ -373,15 +367,24 @@ def run_workload(
 ) -> SimReport:
     """Execute a workload, every policy monitored independently with its
     own header, and aggregate the outcome and per-request work counts,
-    in total and per policy."""
+    in total and per policy.  A topology with an entrypoint whose request
+    unrolls to more than ``MAX_REQUEST_NODES`` nodes is a ``ConfigError``,
+    raised before anything runs."""
+    if not t.entrypoints:
+        raise ConfigError("topology has no entrypoints")
+    sizes = t.node_counts(t.entrypoints)
+    largest = max(t.entrypoints, key=sizes.__getitem__)
+    if sizes[largest] > MAX_REQUEST_NODES:
+        raise ConfigError(
+            f"a request to {largest!r} unrolls to {sizes[largest]} nodes, "
+            f"more than {MAX_REQUEST_NODES}"
+        )
     filters = [build_filter_set(a) for a in artifacts]
     report = SimReport()
     report.per_policy = {
         pf.policy_id: {"transitions": 0, "violations": 0, "blocks": 0} for pf in filters
     }
-    if not t.entrypoints:
-        raise ConfigError("topology has no entrypoints")
-    report.nodes_per_tree = t.node_count(t.entrypoints[0])
+    report.nodes_per_tree = sizes[t.entrypoints[0]]
     for i in range(n_requests):
         root = t.entrypoints[i % len(t.entrypoints)]
         result = execute_request(t, root, filters, mode=mode)

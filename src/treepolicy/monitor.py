@@ -3,10 +3,16 @@
 A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
 of an endpoint holds that endpoint's call rows as ``on_request`` (state ->
 state and pushed symbol) and its return rows as ``on_response`` (state and
-popped symbol -> state).  A distributed monitor is the endpoint -> spec
-mapping, in alphabet order, and it is the only form of these tables: the
-distributed run steps through it, the filter JSON and sidecar scripts
-serialize it, and the mesh simulator applies it on each hop.
+popped symbol -> state).  A ``DistributedMonitor`` is the endpoint -> spec
+mapping, in alphabet order, plus the integer table its runs step: the
+filter JSON and sidecar scripts serialize the specs, and ``dist_run`` walks
+the table with ``vpa.walk``, the same walk as the centralized run.  A
+monitor extracted from an automaton shares the automaton's ``Vpa.table``;
+one read back from filter specs (``monitor_from_filters``) builds its own
+from the specs on its first run, numbering names in sorted order as
+``Vpa.table`` does, so a complete spec set gets the automaton's ids.  A
+rule missing from the specs raises ``MissingTransition`` naming the
+endpoint and the state, never a wrong verdict.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
@@ -22,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import StackUnderflow, VpaParseError
-from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
-from .vpa import Configuration, Vpa, json_document, link, load_document, string_rows
+from .errors import VpaParseError
+from .nested_word import Endpoint, IndexedSymbol, NestedWord, TaggedSymbol
+from .vpa import (
+    BOTTOM, Configuration, Table, Vpa, build_table, json_document, load_document, string_rows, walk,
+)
 
 STATE_HEADER = "x-safetree-state"
 FILTER_SCHEMA_VERSION = 1
@@ -39,11 +47,42 @@ class FilterSpec:
     on_response: dict[tuple[str, str], str]  # (state, popped symbol) -> state
 
 
-DistributedMonitor = dict[Endpoint, FilterSpec]
+class DistributedMonitor(dict):
+    """Endpoint -> ``FilterSpec``, in alphabet order, and the integer table
+    the distributed run steps: the automaton's own table when the monitor
+    was extracted from it, else one built from the specs on first use."""
+
+    __slots__ = ("_vpa", "_table")
+
+    def __init__(self, specs: Iterable[tuple[Endpoint, FilterSpec]], vpa: Vpa | None = None):
+        super().__init__(specs)
+        self._vpa, self._table = vpa, None
+
+    @property
+    def table(self) -> Table:
+        if self._table is None:
+            self._table = self._vpa.table if self._vpa is not None else _spec_table(self)
+        return self._table
+
+
+def _spec_table(m: DistributedMonitor) -> Table:
+    """The table of the specs' rules over every state and stack symbol they
+    name, and the bottom marker."""
+    states, symbols = set(), {BOTTOM}
+    for spec in m.values():
+        for q, (dst, g) in spec.on_request.items():
+            states.update((q, dst))
+            symbols.add(g)
+        for (q, g), dst in spec.on_response.items():
+            states.update((q, dst))
+            symbols.add(g)
+    calls = (((q, e), rule) for e, spec in m.items() for q, rule in spec.on_request.items())
+    returns = (((q, g, e), dst) for e, spec in m.items() for (q, g), dst in spec.on_response.items())
+    return build_table(states, symbols, m, calls, returns)
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
-    m = {e: FilterSpec(e, {}, {}) for e in v.alphabet}
+    m = DistributedMonitor(((e, FilterSpec(e, {}, {})) for e in v.alphabet), v)
     for (q, e), target in v.delta_call.items():
         m[e].on_request[q] = target
     for (q, g, e), target in v.delta_return.items():
@@ -53,33 +92,14 @@ def extract_monitor(v: Vpa) -> DistributedMonitor:
 
 def dist_step(m: DistributedMonitor, c: Configuration, a: TaggedSymbol) -> Configuration:
     """Apply the symbol's own filter: calls push, returns pop."""
-    return _dist_walk(m, c, (a,))
+    return walk(m.table, c, (IndexedSymbol(a, 1),))
 
 
 def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Configuration:
-    """The configuration after the word, starting from ``init``.
-
-    Each step is O(1) at any depth.  The state, the top stack symbol and the
-    configuration below it stay in locals; a call links one configuration
-    (the current one) below the pushed symbol, a return follows that link,
-    and the final configuration is built once at the end.
-    """
-    return _dist_walk(m, init, [a.symbol for a in n.symbols])
-
-
-def _dist_walk(m: DistributedMonitor, c: Configuration, symbols: Iterable[TaggedSymbol]) -> Configuration:
-    q, top, below = c.state, c.top, c.below
-    for a in symbols:
-        spec = m[a.endpoint]
-        if a.tag == CALL:
-            below = link(q, top, below)
-            q, top = spec.on_request[q]
-        elif below is None:
-            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
-        else:
-            q = spec.on_response[(q, top)]
-            top, below = below.top, below.below
-    return link(q, top, below)
+    """The configuration after the word, starting from ``init``; each step
+    is O(1) at any depth.  A rule missing from the specs raises
+    ``MissingTransition``, which names it."""
+    return walk(m.table, init, n.symbols)
 
 
 # -- filter specifications ----------------------------------------------------
@@ -91,7 +111,7 @@ def emit_filters(m: DistributedMonitor) -> list[FilterSpec]:
 
 
 def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
-    return {spec.endpoint: spec for spec in specs}
+    return DistributedMonitor((spec.endpoint, spec) for spec in specs)
 
 
 def _sorted_rules(spec: FilterSpec) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:

@@ -7,13 +7,27 @@ endpoints.  The bottom marker is never pushed; a return arriving with only
 the bottom marker on the stack raises ``StackUnderflow`` (impossible on
 rooted well-matched input).
 
+Every run steps one integer table per automaton, ``Vpa.table``, built on
+first use and kept on the automaton.  A state's id is its position in
+``sorted(states)`` and a stack symbol's its position in
+``sorted(stack_alphabet)``; for each endpoint, ``request[e][h]`` is the
+next state and the pushed symbol and ``response[e][g][h]`` the state after
+popping ``g``.  ``walk`` keeps the state and the top as ints and the stack
+below as a list of ints, so a step is a row lookup and a push or pop,
+whatever the depth, and builds nothing; it converts the configuration on
+entry and back on exit.  ``final_configuration``, ``step``, ``run`` and the
+distributed monitor's ``dist_run`` all walk this table, and so does the
+mesh simulator's hop.
+
 Configurations share their stacks.  A configuration holds its state, the
 top stack symbol and a link to the configuration whose stack lies below
 that top; the chain ends at a configuration holding only the bottom marker.
-A push links the new configuration to the current one and a pop follows the
-link, so a step costs O(1) whatever the depth, and a run is linear in the
-length of the word.  Automata and configurations are never changed after
-construction; concurrent runs over one automaton are safe.
+``run`` walks when called and returns a ``Run``, whose last item is the
+walk's result; the other configurations are built, all at once, the first
+time one of them is read, a push linking the new configuration to the
+current one and a pop following the link.  Automata and configurations are
+never changed after construction; concurrent runs over one automaton are
+safe.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
 the order of ``sorted(table.items())``, and the JSON equals what
@@ -25,13 +39,14 @@ once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import filterfalse, product
-from typing import Iterable, Iterator, Mapping
+from typing import NamedTuple
 
-from .errors import StackUnderflow, VpaParseError
-from .nested_word import CALL, Endpoint, NestedWord, TaggedSymbol
+from .errors import MissingTransition, StackUnderflow, VpaParseError
+from .nested_word import CALL, Endpoint, IndexedSymbol, NestedWord, TaggedSymbol
 
 BOTTOM = "⊥"
 
@@ -50,6 +65,15 @@ class Vpa:
     stack_alphabet: frozenset[StackSymbol]  # includes BOTTOM
     delta_call: Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]
     delta_return: Mapping[tuple[State, StackSymbol, Endpoint], State]
+
+    @cached_property
+    def table(self) -> Table:
+        """The integer table every run steps, built on first use and kept
+        on the automaton (not a field: equality ignores it)."""
+        return build_table(
+            self.states, self.stack_alphabet, self.alphabet,
+            self.delta_call.items(), self.delta_return.items(),
+        )
 
 
 class Configuration:
@@ -115,48 +139,206 @@ def initial_configuration(v: Vpa) -> Configuration:
     return Configuration(v.initial, (BOTTOM,))
 
 
+# -- the integer table and the runs that step it -------------------------------
+
+
+class Table(NamedTuple):
+    """The integer form of one automaton's transitions.
+
+    A state's id is its position in ``states`` and a stack symbol's its
+    position in ``symbols``, both sorted; ``state_id`` and ``symbol_id``
+    invert them.  For endpoint ``e``, ``request[e][h]`` is the state id
+    after a call in state ``h`` and the id of the pushed symbol, and
+    ``response[e][g][h]`` the state id after a return that pops ``g``.  A
+    rule the automaton or filter set lacks is ``None``.
+    """
+
+    states: tuple[State, ...]
+    symbols: tuple[StackSymbol, ...]
+    state_id: dict[State, int]
+    symbol_id: dict[StackSymbol, int]
+    request: dict[Endpoint, tuple[tuple[int, int] | None, ...]]
+    response: dict[Endpoint, tuple[tuple[int | None, ...], ...]]
+
+
+def build_table(
+    states: Iterable[State],
+    symbols: Iterable[StackSymbol],
+    alphabet: Iterable[Endpoint],
+    calls: Iterable[tuple[tuple[State, Endpoint], tuple[State, StackSymbol]]],
+    returns: Iterable[tuple[tuple[State, StackSymbol, Endpoint], State]],
+) -> Table:
+    """The table of the given rules, in one pass over them.  ``calls`` and
+    ``returns`` yield what ``delta_call.items()`` and
+    ``delta_return.items()`` do; names are numbered in sorted order."""
+    states, symbols = tuple(sorted(states)), tuple(sorted(symbols))
+    state_id = {q: i for i, q in enumerate(states)}
+    symbol_id = {g: i for i, g in enumerate(symbols)}
+    request = {e: [None] * len(states) for e in alphabet}
+    response = {e: [[None] * len(states) for _ in symbols] for e in alphabet}
+    for (q, e), (q2, g) in calls:
+        request[e][state_id[q]] = (state_id[q2], symbol_id[g])
+    for (q, g, e), q2 in returns:
+        response[e][symbol_id[g]][state_id[q]] = state_id[q2]
+    return Table(
+        states, symbols, state_id, symbol_id,
+        {e: tuple(row) for e, row in request.items()},
+        {e: tuple(map(tuple, rows)) for e, rows in response.items()},
+    )
+
+
+def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Configuration:
+    """The configuration after the symbols, starting from ``c``.
+
+    The state and the top stack symbol stay ints and the stack below the
+    top a list of ints, so a step builds nothing: a call pushes the top and
+    reads the request row, a return reads the response row and pops.  The
+    configuration is converted on entry and rebuilt on exit.  The loop
+    checks nothing; a lookup that fails, or a missing rule's ``None``
+    reaching the next lookup, sends the walk to ``_fault``, which names it.
+    """
+    request, response = t.request, t.response
+    try:
+        q, top, below = _enter(t, c)
+        for a in symbols:
+            s = a.symbol
+            if s.tag == CALL:
+                below.append(top)
+                q, top = request[s.endpoint][q]
+            else:
+                q, top = response[s.endpoint][top][q], below.pop()
+        return _leave(t, q, top, below)
+    except (KeyError, IndexError, TypeError):
+        _fault(t, c, symbols)
+        raise
+
+
+def _enter(t: Table, c: Configuration) -> tuple[int, int, list[int]]:
+    symbol_id = t.symbol_id
+    below = []
+    d = c.below
+    while d is not None:
+        below.append(symbol_id[d.top])
+        d = d.below
+    below.reverse()
+    return t.state_id[c.state], symbol_id[c.top], below
+
+
+def _leave(t: Table, q: int, top: int, below: list[int]) -> Configuration:
+    state, symbols = t.states[q], t.symbols
+    c = None
+    for g in below:
+        c = link(state, symbols[g], c)
+    return link(state, symbols[top], c)
+
+
+def _fault(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> None:
+    """Replay a walk that failed, checking each lookup, and raise
+    ``StackUnderflow`` or ``MissingTransition`` for the first that fails."""
+    try:
+        q, top, below = _enter(t, c)
+    except KeyError as exc:
+        raise MissingTransition(f"no rules for {exc.args[0]!r}") from None
+    for a in symbols:
+        e = a.symbol.endpoint
+        if e not in t.request:
+            raise MissingTransition(f"no rules for endpoint {e!r}")
+        if a.symbol.tag == CALL:
+            if t.request[e][q] is None:
+                raise MissingTransition(f"no call rule at {e!r} for state {t.states[q]!r}")
+            below.append(top)
+            q, top = t.request[e][q]
+        elif not below:
+            raise StackUnderflow(f"return from {e!r} with empty stack in state {t.states[q]!r}")
+        elif t.response[e][top][q] is None:
+            raise MissingTransition(
+                f"no return rule at {e!r} for state {t.states[q]!r} / popped {t.symbols[top]!r}"
+            )
+        else:
+            q, top = t.response[e][top][q], below.pop()
+
+
 def step(v: Vpa, c: Configuration, a: TaggedSymbol) -> Configuration:
     """One transition: a call pushes, a return pops."""
-    return next(_configurations(v, c, (a,)))
-
-
-def _configurations(v: Vpa, c: Configuration, symbols: Iterable[TaggedSymbol]) -> Iterator[Configuration]:
-    """The configuration after each symbol, starting from ``c``.  A call
-    links the new configuration to the current one; a return takes the stack
-    below the current top."""
-    delta_call, delta_return = v.delta_call, v.delta_return
-    q, top, below = c.state, c.top, c.below
-    for a in symbols:
-        if a.tag == CALL:
-            below = c
-            q, top = delta_call[(q, a.endpoint)]
-        elif below is None:
-            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
-        else:
-            q = delta_return[(q, top, a.endpoint)]
-            top, below = below.top, below.below
-        c = link(q, top, below)
-        yield c
-
-
-def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> list[Configuration]:
-    """The configuration sequence, starting from ``init`` (length |n|+1)."""
-    c = init if init is not None else initial_configuration(v)
-    return [c, *_configurations(v, c, [a.symbol for a in n.symbols])]
+    return walk(v.table, c, (IndexedSymbol(a, 1),))
 
 
 def final_configuration(v: Vpa, n: NestedWord, init: Configuration | None = None) -> Configuration:
-    """The last configuration of ``run``.  Only the configurations of the
-    current stack stay alive, so memory is linear in the nesting depth, not
-    in the length of the word."""
-    c = init if init is not None else initial_configuration(v)
-    for c in _configurations(v, c, (a.symbol for a in n.symbols)):
-        pass
-    return c
+    """The last configuration of ``run``.  Memory is linear in the nesting
+    depth, not in the length of the word."""
+    return walk(v.table, init if init is not None else initial_configuration(v), n.symbols)
 
 
 def accepts(v: Vpa, n: NestedWord) -> bool:
     return final_configuration(v, n).state in v.finals
+
+
+def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> "Run":
+    """The configuration sequence, starting from ``init`` (length |n|+1).
+
+    The walk happens here, so the last configuration is ready; the others
+    are built the first time one of them is read.
+    """
+    c = init if init is not None else initial_configuration(v)
+    t = v.table
+    return Run(t, c, n.symbols, walk(t, c, n.symbols))
+
+
+class Run(Sequence):
+    """The configurations of a run: the initial one, then one after each
+    symbol.  The last is the walk's result.  The first time another item
+    is read, all of them are built at once by stepping the same table; a
+    push links the new configuration to the current one and a pop takes the
+    stack below, so configurations share their stacks.  Compares equal to a
+    list of the same configurations.
+    """
+
+    __slots__ = ("_table", "_init", "_symbols", "_last", "_items")
+    __hash__ = None
+
+    def __init__(self, t: Table, init: Configuration, symbols: Sequence[IndexedSymbol], last: Configuration):
+        self._table, self._init, self._symbols, self._last, self._items = t, init, symbols, last, None
+
+    def __len__(self) -> int:
+        return len(self._symbols) + 1
+
+    def __getitem__(self, i):
+        if i == -1 or i == len(self._symbols):
+            return self._last
+        return self._configurations()[i]
+
+    def __iter__(self):
+        return iter(self._configurations())
+
+    def __eq__(self, other):
+        if isinstance(other, (Run, list)):
+            return self._configurations() == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Run({self._configurations()!r})"
+
+    def _configurations(self) -> list[Configuration]:
+        if self._items is not None:
+            return self._items
+        t = self._table
+        states, symbols, request, response = t.states, t.symbols, t.request, t.response
+        c = self._init
+        items = [c]
+        q, top, below = _enter(t, c)
+        for a in self._symbols[:-1]:
+            s = a.symbol
+            if s.tag == CALL:
+                below.append(top)
+                q, top = request[s.endpoint][q]
+                c = link(states[q], symbols[top], c)
+            else:
+                q, top = response[s.endpoint][top][q], below.pop()
+                c = link(states[q], c.below.top, c.below.below)
+            items.append(c)
+        items.append(self._last)
+        self._items = items
+        return items
 
 
 @dataclass(frozen=True)

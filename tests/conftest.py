@@ -9,7 +9,8 @@ import time
 import pytest
 
 from treepolicy import nested_word as nw
-from treepolicy.vpa import BOTTOM, Vpa
+from treepolicy.errors import StackUnderflow
+from treepolicy.vpa import BOTTOM, Vpa, link
 
 
 def events_from_str(text: str) -> list[nw.TaggedSymbol]:
@@ -150,3 +151,43 @@ def cpu_per_symbol(fn, word: nw.NestedWord, repeats: int) -> float:
         if collecting:
             gc.enable()
     return best / len(word)
+
+
+# -- reference steppers ---------------------------------------------------------
+#
+# The runs step an integer table; these step the string-keyed dicts the table
+# is built from, one configuration object per symbol, as the reference model.
+
+
+def reference_configurations(v: Vpa, c, symbols):
+    """The configuration after each tagged symbol, starting from ``c``,
+    looked up in ``delta_call``/``delta_return``."""
+    q, top, below = c.state, c.top, c.below
+    for a in symbols:
+        if a.tag == nw.CALL:
+            below = c
+            q, top = v.delta_call[(q, a.endpoint)]
+        elif below is None:
+            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
+        else:
+            q = v.delta_return[(q, top, a.endpoint)]
+            top, below = below.top, below.below
+        c = link(q, top, below)
+        yield c
+
+
+def reference_dist_walk(m, c, symbols):
+    """The configuration after the tagged symbols, starting from ``c``,
+    looked up in each endpoint's filter spec."""
+    q, top, below = c.state, c.top, c.below
+    for a in symbols:
+        spec = m[a.endpoint]
+        if a.tag == nw.CALL:
+            below = link(q, top, below)
+            q, top = spec.on_request[q]
+        elif below is None:
+            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
+        else:
+            q = spec.on_response[(q, top)]
+            top, below = below.top, below.below
+    return link(q, top, below)

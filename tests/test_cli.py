@@ -1,6 +1,7 @@
 """End-to-end command behaviour and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -324,6 +325,27 @@ class TestSimulate:
         assert report["violations"] == [] and report["blocked"] == []
         assert report["nodes_per_tree"] == 3000
         assert report["per_policy"] == {"pol0": {"transitions": 6000, "violations": 0, "blocks": 0}}
+
+
+    def test_exponential_topology_is_usage_error(self, tmp_path, capsys):
+        # 40 services, each calling the next twice: 2^40 - 1 nodes a request
+        names = [f"S{i}" for i in range(40)]
+        src = tmp_path / "chain.stp"
+        src.write_text(f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n")
+        doc = {
+            "version": 1,
+            "services": names,
+            "behavior": {a: [b, b] for a, b in zip(names, names[1:])},
+            "entrypoints": ["S0"],
+        }
+        tf = tmp_path / "topo.json"
+        tf.write_text(json.dumps(doc))
+        t0 = time.thread_time()
+        assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 2
+        assert time.thread_time() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'S0' unrolls to 1099511627775 nodes, more than 1000000" in captured.err
 
 
 class TestEmitFilters:

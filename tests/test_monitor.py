@@ -3,12 +3,13 @@
 import gc
 import json
 import random
+import re
 
 import pytest
 
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import StackUnderflow, TreePolicyError
+from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError
 from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, step
 
 from conftest import (
@@ -212,6 +213,54 @@ class TestFilterSpecs:
         doc["on_request"].append(dict(doc["on_request"][0], then_state="sink"))
         with pytest.raises(TreePolicyError, match="more than once"):
             monitor.filter_spec_from_json(json.dumps(doc))
+
+
+class TestMissingRule:
+    """A rule deleted from a filter spec read back from JSON is named, never
+    a crash or a verdict."""
+
+    @staticmethod
+    def _without(endpoint, field, **rule):
+        v = payment_chain_vpa()
+        texts = []
+        for spec in monitor.emit_filters(monitor.extract_monitor(v)):
+            doc = json.loads(monitor.filter_spec_to_json(spec))
+            if spec.endpoint == endpoint:
+                kept = [r for r in doc[field] if any(r[k] != x for k, x in rule.items())]
+                assert len(kept) == len(doc[field]) - 1
+                doc[field] = kept
+            texts.append(json.dumps(doc))
+        m = monitor.monitor_from_filters(monitor.filter_spec_from_json(t) for t in texts)
+        return m, initial_configuration(v)
+
+    def test_missing_request_rule(self):
+        m, init = self._without("D", "on_request", if_state="q_P")
+        message = "no call rule at 'D' for state 'q_P'"
+        with pytest.raises(MissingTransition, match=re.escape(message)):
+            monitor.dist_run(m, init, word_from_str("<P <D D> P>"))
+        # the rule is only missing where the run needs it
+        assert monitor.dist_run(m, init, word_from_str("<P P>")) == init
+
+    @pytest.mark.parametrize("trace", ["<P <D D> P>", "<P <D D>"])
+    def test_missing_response_rule(self, trace):
+        # in the middle of the word, and as its last symbol
+        m, init = self._without("D", "on_response", if_state="q_D", if_local="q_D")
+        message = "no return rule at 'D' for state 'q_D' / popped 'q_D'"
+        with pytest.raises(MissingTransition, match=re.escape(message)) as err:
+            monitor.dist_run(m, init, word_from_str(trace))
+        assert isinstance(err.value, TreePolicyError)
+        c = monitor.dist_run(m, init, word_from_str("<P <D"))
+        with pytest.raises(MissingTransition, match=re.escape(message)):
+            monitor.dist_step(m, c, nw.ret("D"))
+
+    def test_unknown_names(self):
+        v = payment_chain_vpa()
+        specs = monitor.emit_filters(monitor.extract_monitor(v))
+        m = monitor.monitor_from_filters(s for s in specs if s.endpoint != "P")
+        with pytest.raises(MissingTransition, match="no rules for endpoint 'P'"):
+            monitor.dist_run(m, initial_configuration(v), word_from_str("<P P>"))
+        with pytest.raises(MissingTransition, match="no rules for 'nowhere'"):
+            monitor.dist_run(m, Configuration("nowhere", (BOTTOM,)), word_from_str("<D D>"))
 
 
 class TestRenderScript:

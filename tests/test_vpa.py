@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from treepolicy import compiler, nested_word as nw
+from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import StackUnderflow, VpaParseError
 from treepolicy.vpa import (
@@ -28,6 +28,8 @@ from conftest import (
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
+    reference_configurations,
+    reference_dist_walk,
     two_state_vpa,
     word_from_str,
 )
@@ -202,6 +204,96 @@ class TestDeepRuns:
         # keeping every configuration, as run does, takes over 10 MB here
         assert peak < 1_000_000, peak
         assert verdict == (run(art.vpa, word)[-1].state in art.vpa.finals)
+
+
+class TestRunSequence:
+    def test_sequence_contract(self, payment_word):
+        v = payment_chain_vpa()
+        init = initial_configuration(v)
+        want = [init, *reference_configurations(v, init, [a.symbol for a in payment_word.symbols])]
+        configs = run(v, payment_word, init)
+        assert len(configs) == len(payment_word) + 1 == len(want)
+        assert configs[0] == init and configs[-1] == want[-1]
+        for i in range(-len(want), len(want)):
+            assert configs[i] == want[i]
+        with pytest.raises(IndexError):
+            configs[len(want)]
+        assert list(configs) == want and [*iter(configs)] == want
+        assert configs == want and want == configs and configs[2:5] == want[2:5]
+        assert configs != want[:-1] and configs != tuple(want)
+        assert run(v, payment_word) == run(v, payment_word)
+        assert run(v, payment_word) != run(v, word_from_str("<P P>"))
+
+    def test_last_is_computed_without_the_others(self):
+        art = compiler.compile(corpus_documents("small")["data-compliance"])[0]
+        word = chain_word(100_000, art.vpa.alphabet)
+        run(art.vpa, word_from_str(f"<{art.vpa.alphabet[0]} {art.vpa.alphabet[0]}>"))  # the table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            last = run(art.vpa, word)[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # keeping all 200,001 configurations takes over 10 MB here
+        assert peak < 2_000_000, peak
+        assert last == final_configuration(art.vpa, word) and last.stack == (BOTTOM,)
+
+
+def _both_corpora():
+    for variant in ("small", "full"):
+        for name, doc in corpus_documents(variant).items():
+            for art in compiler.compile(doc):
+                yield f"{variant}/{name}/{art.policy_id}", doc.alphabet, art.vpa
+
+
+class TestTableWalk:
+    """Every run over the integer table against the string-dict reference."""
+
+    @staticmethod
+    def _readback(v):
+        specs = monitor.emit_filters(monitor.extract_monitor(v))
+        return monitor.monitor_from_filters(
+            monitor.filter_spec_from_json(monitor.filter_spec_to_json(s)) for s in specs
+        )
+
+    def _agree(self, v, readback, init, events):
+        word = nw.build_nested_word(events)
+        want = [init, *reference_configurations(v, init, events)]
+        assert final_configuration(v, word, init) == want[-1]
+        assert run(v, word, init) == want
+        assert monitor.dist_run(readback, init, word) == want[-1]
+        assert reference_dist_walk(readback, init, events) == want[-1]
+        for c, a, after in zip(want, events, want[1:]):
+            assert step(v, c, a) == after
+            assert monitor.dist_step(readback, c, a) == after
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpora_agree_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        for label, alphabet, v in _both_corpora():
+            readback = self._readback(v)
+            assert readback.table == v.table, label
+            init = initial_configuration(v)
+            for _ in range(6):
+                events = [a.symbol for a in random_rooted_word(rng, 12, alphabet).symbols]
+                k = rng.randrange(1, len(events))
+                # rooted; pending calls; a non-bottom initial stack
+                self._agree(v, readback, init, events)
+                self._agree(v, readback, init, events[:k])
+                middle = list(reference_configurations(v, init, events[:k]))[-1]
+                self._agree(v, readback, middle, events[k:])
+                # orphan returns: the suffix closes the root, which it lacks
+                suffix = nw.build_nested_word(events[k:])
+                for go in (
+                    lambda: final_configuration(v, suffix, init),
+                    lambda: run(v, suffix, init),
+                    lambda: monitor.dist_run(readback, init, suffix),
+                    lambda: list(reference_configurations(v, init, events[k:])),
+                    lambda: reference_dist_walk(readback, init, events[k:]),
+                ):
+                    with pytest.raises(StackUnderflow):
+                        go()
 
 
 class TestWellFormed:
