@@ -86,8 +86,11 @@ def cmd_check(args) -> int:
     verdicts = {}
     for artifact in compiler.compile(doc):
         central = final_configuration(artifact.vpa, word)
+        # the distributed side steps the table the emitted filters make up,
+        # not the automaton's own
+        filters = monitor.emit_filters(monitor.extract_monitor(artifact.vpa))
         dist = monitor.dist_run(
-            monitor.extract_monitor(artifact.vpa), initial_configuration(artifact.vpa), word
+            monitor.monitor_from_filters(filters), initial_configuration(artifact.vpa), word
         )
         if central != dist:
             print(

@@ -627,7 +627,6 @@ class CompilationArtifacts:
     vpa: Vpa
     component_dfas: dict[str, rx.Dfa]
     metrics: Metrics
-    state_order: tuple[str, ...]  # canonical ordering for header encoding
     reject_states: frozenset[str]  # absorbing states usable for early blocking
 
 
@@ -668,7 +667,6 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
         vpa=vpa,
         component_dfas=dfas,
         metrics=metrics,
-        state_order=tuple(sorted(vpa.states)),
         reject_states=reject_states & vpa.states,
     )
 

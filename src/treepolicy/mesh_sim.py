@@ -6,11 +6,11 @@ service tree.  Every simulated hop steps one state header per policy with
 that policy's integer transition table, ``Vpa.table``: the per-endpoint
 rows that the central and distributed runs step too, and that the
 ``FilterSpec`` files ``emit-filters`` writes hold as strings.
-``build_filter_set`` takes the automaton's table as it is.  The header is an
-integer, the state's position in ``state_order``.  On the way in, the
-endpoint's request row maps it to the next header and the id of the pushed
-stack symbol, which stays at the hop; on the way out, the response row for
-that id maps it again.  The emitted trace is the request's rooted
+``build_filter_set`` stores the automaton's table object as it is.  The
+header is an integer, the state's position in ``Table.states``.  On the way
+in, the endpoint's request row maps it to the next header and the id of the
+pushed stack symbol, which stays at the hop; on the way out, the response
+row for that id maps it again.  The emitted trace is the request's rooted
 well-matched word, so centralized and denotational verdicts can be replayed
 against the monitored outcome.
 
@@ -27,12 +27,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .monitor import STATE_HEADER
 from .nested_word import Endpoint, NestedWord, TaggedSymbol, build_nested_word, call, ret
+from .vpa import Table
 
 MODE_LOG = "log"
 MODE_EARLY_BLOCK = "early_block"
@@ -166,55 +166,38 @@ def _names(value, what: str) -> tuple[Endpoint, ...]:
 # -- per-policy filter sets -----------------------------------------------------
 
 
-class HopRows(NamedTuple):
-    """One endpoint's rows of the automaton's table, indexed by header
-    value: ``request[h]`` is the header after the call and the id of the
-    pushed stack symbol; ``response[g][h]`` is the header after the return
-    whose call pushed symbol ``g``.  A rule the filter lacks is ``None``.
-    """
-
-    request: tuple[tuple[int, int] | None, ...]
-    response: tuple[tuple[int | None, ...], ...]
-
-
 @dataclass(frozen=True)
 class PolicyFilterSet:
     """Everything a sidecar fleet needs to monitor one policy.
 
-    The header is an integer: a state's header value is its position in
-    ``state_order``, and a pushed stack symbol's id its position in
-    ``stack_symbols``.  ``table`` holds each endpoint's rows of the
-    automaton's integer table (``Vpa.table``), the filter ``emit-filters``
-    writes as strings, so a hop is one row lookup per direction.
-    ``finals`` and ``reject_headers`` are header values; the latter are the
-    absorbing reject states a call may enter in early-block mode, empty
-    when the policy never blocks.
+    ``table`` is the automaton's own integer table (``Vpa.table``), whose
+    rows each endpoint's ``FilterSpec`` holds as strings, so a hop is one
+    row lookup per direction.  The header is an integer: a state's header
+    value is its position in ``table.states``, and a pushed stack symbol's
+    id its position in ``table.symbols``.  ``initial``, ``finals`` and
+    ``reject_headers`` are header values; the latter are the absorbing
+    reject states a call may enter in early-block mode, empty when the
+    policy never blocks.
     """
 
     policy_id: str
-    header_name: str
-    state_order: tuple[str, ...]
-    stack_symbols: tuple[str, ...]
     initial: int
     finals: frozenset[int]
     reject_headers: frozenset[int]
-    table: dict[Endpoint, HopRows]
+    table: Table
 
 
 def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
-    """The policy's filters as the automaton's integer table, whose rows
-    each endpoint's ``FilterSpec`` holds as strings."""
+    """The policy's filters: the automaton's table, stored as it is, and
+    its initial, final and reject states as header values."""
     vpa = artifact.vpa
     t = vpa.table
     return PolicyFilterSet(
         policy_id=artifact.policy_id,
-        header_name=f"{STATE_HEADER}-{artifact.policy_id}",
-        state_order=t.states,
-        stack_symbols=t.symbols,
         initial=t.state_id[vpa.initial],
         finals=frozenset(t.state_id[q] for q in vpa.finals),
         reject_headers=frozenset(t.state_id[q] for q in artifact.reject_states),
-        table={e: HopRows(t.request[e], t.response[e]) for e in t.request},
+        table=t,
     )
 
 
@@ -260,8 +243,8 @@ def execute_request(
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
     for pf in filters:
-        if not all(map(pf.table.__contains__, t.services)):
-            missing = [svc for svc in t.services if svc not in pf.table]
+        if not all(map(pf.table.request.__contains__, t.services)):
+            missing = [svc for svc in t.services if svc not in pf.table.request]
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
     blockers = (
         [(k, pf.reject_headers) for k, pf in enumerate(filters) if pf.reject_headers]
@@ -283,10 +266,10 @@ def execute_request(
             calls += 1
             hop = hops.get(svc)
             if hop is None:
-                rows = [pf.table[svc] for pf in filters]
                 hop = hops[svc] = (
                     call(svc), ret(svc), t.children(svc),
-                    tuple(r.request for r in rows), tuple(r.response for r in rows),
+                    tuple(pf.table.request[svc] for pf in filters),
+                    tuple(pf.table.response[svc] for pf in filters),
                 )
             call_symbol, ret_symbol, children, requests, responses = hop
             events.append(call_symbol)
@@ -296,7 +279,7 @@ def execute_request(
                 pf = filters[k]
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_request rule at {svc!r} "
-                    f"for state {pf.state_order[headers[k]]!r}"
+                    f"for state {pf.table.states[headers[k]]!r}"
                 )
             headers = tuple(map(_first, rules))
             for k, stop in blockers:
@@ -314,8 +297,8 @@ def execute_request(
                 pf = filters[k]
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_response rule at {ret_symbol.endpoint!r} "
-                    f"for state {pf.state_order[headers[k]]!r} "
-                    f"/ local {pf.stack_symbols[pushed[k]]!r}"
+                    f"for state {pf.table.states[headers[k]]!r} "
+                    f"/ local {pf.table.symbols[pushed[k]]!r}"
                 )
             headers = after
             if not open_calls:
@@ -328,7 +311,7 @@ def execute_request(
             outcomes[pf.policy_id] = Outcome("blocked", position=blocked_at[pf.policy_id])
         else:
             kind = "accept" if h in pf.finals else "violation"
-            outcomes[pf.policy_id] = Outcome(kind, final_state=pf.state_order[h])
+            outcomes[pf.policy_id] = Outcome(kind, final_state=pf.table.states[h])
     # every executed node steps every policy once on the way in, once out
     transitions = {pf.policy_id: 2 * calls for pf in filters}
     return RequestResult(word, outcomes, transitions)

@@ -6,13 +6,14 @@ state and pushed symbol) and its return rows as ``on_response`` (state and
 popped symbol -> state).  A ``DistributedMonitor`` is the endpoint -> spec
 mapping, in alphabet order, plus the integer table its runs step: the
 filter JSON and sidecar scripts serialize the specs, and ``dist_run`` walks
-the table with ``vpa.walk``, the same walk as the centralized run.  A
-monitor extracted from an automaton shares the automaton's ``Vpa.table``;
-one read back from filter specs (``monitor_from_filters``) builds its own
-from the specs on its first run, numbering names in sorted order as
-``Vpa.table`` does, so a complete spec set gets the automaton's ids.  A
-rule missing from the specs raises ``MissingTransition`` naming the
-endpoint and the state, never a wrong verdict.
+the table with ``vpa.walk``, the same walk as the centralized run.  Specs
+are read-only.  A monitor extracted from an automaton shares the
+automaton's ``Vpa.table``; one read back from filter specs
+(``monitor_from_filters``) builds its own from the specs on its first run,
+numbering names in sorted order as ``Vpa.table`` does, so a complete spec
+set gets the automaton's ids.  A rule missing from the specs raises
+``MissingTransition`` naming the endpoint and the state, never a wrong
+verdict.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
@@ -25,8 +26,9 @@ and ``render_filter_script`` formats each rule with one template.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
 
 from .errors import VpaParseError
 from .nested_word import Endpoint, IndexedSymbol, NestedWord, TaggedSymbol
@@ -40,11 +42,17 @@ FILTER_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Call/return transitions of one endpoint."""
+    """Call/return transitions of one endpoint.  The rule mappings are
+    read-only views (``MappingProxyType``), so no edit through a spec can
+    leave a monitor's table behind."""
 
     endpoint: Endpoint
-    on_request: dict[str, tuple[str, str]]  # state -> (state, pushed symbol)
-    on_response: dict[tuple[str, str], str]  # (state, popped symbol) -> state
+    on_request: Mapping[str, tuple[str, str]]  # state -> (state, pushed symbol)
+    on_response: Mapping[tuple[str, str], str]  # (state, popped symbol) -> state
+
+    def __post_init__(self):
+        object.__setattr__(self, "on_request", MappingProxyType(self.on_request))
+        object.__setattr__(self, "on_response", MappingProxyType(self.on_response))
 
 
 class DistributedMonitor(dict):
@@ -82,12 +90,14 @@ def _spec_table(m: DistributedMonitor) -> Table:
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
-    m = DistributedMonitor(((e, FilterSpec(e, {}, {})) for e in v.alphabet), v)
+    requests = {e: {} for e in v.alphabet}
+    responses = {e: {} for e in v.alphabet}
     for (q, e), target in v.delta_call.items():
-        m[e].on_request[q] = target
+        requests[e][q] = target
     for (q, g, e), target in v.delta_return.items():
-        m[e].on_response[(q, g)] = target
-    return m
+        responses[e][(q, g)] = target
+    specs = ((e, FilterSpec(e, requests[e], responses[e])) for e in v.alphabet)
+    return DistributedMonitor(specs, v)
 
 
 def dist_step(m: DistributedMonitor, c: Configuration, a: TaggedSymbol) -> Configuration:

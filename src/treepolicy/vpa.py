@@ -12,22 +12,22 @@ first use and kept on the automaton.  A state's id is its position in
 ``sorted(states)`` and a stack symbol's its position in
 ``sorted(stack_alphabet)``; for each endpoint, ``request[e][h]`` is the
 next state and the pushed symbol and ``response[e][g][h]`` the state after
-popping ``g``.  ``walk`` keeps the state and the top as ints and the stack
-below as a list of ints, so a step is a row lookup and a push or pop,
-whatever the depth, and builds nothing; it converts the configuration on
-entry and back on exit.  ``final_configuration``, ``step``, ``run`` and the
-distributed monitor's ``dist_run`` all walk this table, and so does the
-mesh simulator's hop.
+popping ``g``.  Two loops step it.  ``walk`` keeps the state and the top as
+ints and the stack below as a list of ints, so a step is a row lookup and a
+push or pop, whatever the depth; its loop builds and checks nothing.
+``steps`` checks every lookup and yields each configuration: it names the
+fault a walk hit and builds the items of a ``Run``.
+``final_configuration``, ``step``, ``run`` and the distributed monitor's
+``dist_run`` all walk this table, and the mesh simulator's hop reads its
+rows.
 
 Configurations share their stacks.  A configuration holds its state, the
 top stack symbol and a link to the configuration whose stack lies below
 that top; the chain ends at a configuration holding only the bottom marker.
 ``run`` walks when called and returns a ``Run``, whose last item is the
-walk's result; the other configurations are built, all at once, the first
-time one of them is read, a push linking the new configuration to the
-current one and a pop following the link.  Automata and configurations are
-never changed after construction; concurrent runs over one automaton are
-safe.
+walk's result; the others are built the first time one of them is read.
+Automata and configurations are never changed after construction;
+concurrent runs over one automaton are safe.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
 the order of ``sorted(table.items())``, and the JSON equals what
@@ -39,7 +39,7 @@ once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import filterfalse, product
@@ -195,7 +195,8 @@ def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Config
     reads the request row, a return reads the response row and pops.  The
     configuration is converted on entry and rebuilt on exit.  The loop
     checks nothing; a lookup that fails, or a missing rule's ``None``
-    reaching the next lookup, sends the walk to ``_fault``, which names it.
+    reaching the next lookup, sends the walk to ``steps``, whose checked
+    replay names the fault.
     """
     request, response = t.request, t.response
     try:
@@ -209,7 +210,8 @@ def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Config
                 q, top = response[s.endpoint][top][q], below.pop()
         return _leave(t, q, top, below)
     except (KeyError, IndexError, TypeError):
-        _fault(t, c, symbols)
+        for _ in steps(t, c, symbols):
+            pass
         raise
 
 
@@ -232,30 +234,37 @@ def _leave(t: Table, q: int, top: int, below: list[int]) -> Configuration:
     return link(state, symbols[top], c)
 
 
-def _fault(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> None:
-    """Replay a walk that failed, checking each lookup, and raise
-    ``StackUnderflow`` or ``MissingTransition`` for the first that fails."""
+def steps(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Iterator[Configuration]:
+    """The configuration after each symbol, starting from ``c``, checking
+    every lookup: ``StackUnderflow`` or ``MissingTransition`` names the
+    first that fails.  A push links the new configuration to the current
+    one and a pop reuses the stack below, so configurations share their
+    stacks."""
+    states, names, request, response = t.states, t.symbols, t.request, t.response
     try:
         q, top, below = _enter(t, c)
     except KeyError as exc:
         raise MissingTransition(f"no rules for {exc.args[0]!r}") from None
     for a in symbols:
         e = a.symbol.endpoint
-        if e not in t.request:
+        if e not in request:
             raise MissingTransition(f"no rules for endpoint {e!r}")
         if a.symbol.tag == CALL:
-            if t.request[e][q] is None:
-                raise MissingTransition(f"no call rule at {e!r} for state {t.states[q]!r}")
+            if request[e][q] is None:
+                raise MissingTransition(f"no call rule at {e!r} for state {states[q]!r}")
             below.append(top)
-            q, top = t.request[e][q]
+            q, top = request[e][q]
+            c = link(states[q], names[top], c)
         elif not below:
-            raise StackUnderflow(f"return from {e!r} with empty stack in state {t.states[q]!r}")
-        elif t.response[e][top][q] is None:
+            raise StackUnderflow(f"return from {e!r} with empty stack in state {states[q]!r}")
+        elif response[e][top][q] is None:
             raise MissingTransition(
-                f"no return rule at {e!r} for state {t.states[q]!r} / popped {t.symbols[top]!r}"
+                f"no return rule at {e!r} for state {states[q]!r} / popped {names[top]!r}"
             )
         else:
-            q, top = t.response[e][top][q], below.pop()
+            q, top = response[e][top][q], below.pop()
+            c = link(states[q], c.below.top, c.below.below)
+        yield c
 
 
 def step(v: Vpa, c: Configuration, a: TaggedSymbol) -> Configuration:
@@ -287,10 +296,9 @@ def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> "Run":
 class Run(Sequence):
     """The configurations of a run: the initial one, then one after each
     symbol.  The last is the walk's result.  The first time another item
-    is read, all of them are built at once by stepping the same table; a
-    push links the new configuration to the current one and a pop takes the
-    stack below, so configurations share their stacks.  Compares equal to a
-    list of the same configurations.
+    is read, all of them are built at once by ``steps``, so configurations
+    share their stacks.  Compares equal to a list of the same
+    configurations.
     """
 
     __slots__ = ("_table", "_init", "_symbols", "_last", "_items")
@@ -319,26 +327,9 @@ class Run(Sequence):
         return f"Run({self._configurations()!r})"
 
     def _configurations(self) -> list[Configuration]:
-        if self._items is not None:
-            return self._items
-        t = self._table
-        states, symbols, request, response = t.states, t.symbols, t.request, t.response
-        c = self._init
-        items = [c]
-        q, top, below = _enter(t, c)
-        for a in self._symbols[:-1]:
-            s = a.symbol
-            if s.tag == CALL:
-                below.append(top)
-                q, top = request[s.endpoint][q]
-                c = link(states[q], symbols[top], c)
-            else:
-                q, top = response[s.endpoint][top][q], below.pop()
-                c = link(states[q], c.below.top, c.below.below)
-            items.append(c)
-        items.append(self._last)
-        self._items = items
-        return items
+        if self._items is None:
+            self._items = [self._init, *steps(self._table, self._init, self._symbols)]
+        return self._items
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,45 @@
+"""The program names and call shapes the benchmark in ``perfbench/`` uses.
+
+The benchmark wraps public functions by name and calls them from its
+workloads; a refactor that renames or reshapes one loses that layer's
+numbers or the workload, and only the benchmark run would show it.  These
+tests import the benchmark's modules and run one cheap operation of each
+workload.  Nothing is written under ``perfbench/``.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        tracing = importlib.import_module("tracing")
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return tracing, workloads
+
+
+def test_traced_targets_resolve(bench):
+    tracing, _ = bench
+    for module, name, _size in tracing.TARGETS:
+        target = getattr(importlib.import_module(f"treepolicy.{module}"), name, None)
+        assert callable(target), f"{module}.{name}"
+
+
+def test_cheapest_operation_of_each_workload_runs_and_checks(bench):
+    _, workloads = bench
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(7)
+        w.setup(0)
+        op = min(w.round_ops(0), key=lambda o: o.units)
+        assert w.check(op, op.run()) is None, name

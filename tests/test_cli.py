@@ -90,6 +90,27 @@ class TestCheck:
         assert central == dist and central in (0, 1)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["central", "dist"])
+    def test_broken_emitted_filter_is_internal_error(self, tmp_path, policy_file, capsys,
+                                                     monkeypatch, mode):
+        # the distributed side is the table the emitted filters make up, so
+        # a filter that disagrees with the automaton is caught
+        real = monitor.emit_filters
+
+        def broken(m):
+            specs = real(m)
+            p = next(s for s in specs if s.endpoint == "P")
+            states = sorted({dst for dst, _ in p.on_request.values()})
+            wrong = {q: (states[(states.index(dst) + 1) % len(states)], push)
+                     for q, (dst, push) in p.on_request.items()}
+            return [monitor.FilterSpec("P", wrong, s.on_response) if s is p else s
+                    for s in specs]
+
+        monkeypatch.setattr(monitor, "emit_filters", broken)
+        t = trace_file(tmp_path, GOOD_TRACE)
+        assert cli.main(["check", policy_file, t, "--mode", mode]) == 3
+        assert "centralized and distributed runs disagree on pol0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["check", "oracle"])
     def test_deeply_nested_json_line_is_usage_error(self, tmp_path, policy_file, capsys, command):
         t = tmp_path / "hostile.jsonl"
@@ -236,7 +257,7 @@ class TestEquiv:
             )
             return type(art)(
                 art.policy_id, art.policy, broken, art.component_dfas,
-                art.metrics, art.state_order, art.reject_states,
+                art.metrics, art.reject_states,
             )
 
         monkeypatch.setattr(compiler, "compile_policy", sabotaged)

@@ -130,7 +130,8 @@ class TestExecuteRequest:
 
     def test_missing_service_filter_rejected(self):
         pf = mesh_sim.build_filter_set(artifacts_for(LOGGING_POLICY)[0])
-        table = {svc: rows for svc, rows in pf.table.items() if svc != "D"}
+        request = {svc: row for svc, row in pf.table.request.items() if svc != "D"}
+        table = pf.table._replace(request=request)
         with pytest.raises(ConfigError, match=r"policy pol0 lacks filters for \['D'\]"):
             mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])
 
@@ -141,23 +142,24 @@ class TestExecuteRequest:
         # the state before the first E call, the fourth symbol; E is a leaf,
         # so its return comes next
         before = run(art.vpa, word)[3].state
-        h = pf.state_order.index(before)
-        rows = pf.table["E"]
-        then, pushed = rows.request[h]
+        t = pf.table
+        assert t is art.vpa.table
+        h = t.state_id[before]
+        then, pushed = t.request["E"][h]
 
-        request = list(rows.request)
+        request = list(t.request["E"])
         request[h] = None
-        table = {**pf.table, "E": rows._replace(request=tuple(request))}
+        table = t._replace(request={**t.request, "E": tuple(request)})
         message = f"policy pol0: no on_request rule at 'E' for state '{before}'"
         with pytest.raises(ConfigError, match=re.escape(message)):
             mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])
 
-        response = [list(r) for r in rows.response]
+        response = [list(r) for r in t.response["E"]]
         response[pushed][then] = None
-        table = {**pf.table, "E": rows._replace(response=tuple(map(tuple, response)))}
+        table = t._replace(response={**t.response, "E": tuple(map(tuple, response))})
         message = (
-            f"policy pol0: no on_response rule at 'E' for state '{pf.state_order[then]}' "
-            f"/ local '{pf.stack_symbols[pushed]}'"
+            f"policy pol0: no on_response rule at 'E' for state '{t.states[then]}' "
+            f"/ local '{t.symbols[pushed]}'"
         )
         with pytest.raises(ConfigError, match=re.escape(message)):
             mesh_sim.execute_request(HOSPITAL, "F", [dataclasses.replace(pf, table=table)])

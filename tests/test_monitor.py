@@ -36,6 +36,17 @@ class TestExtract:
         mon = monitor.extract_monitor(v)
         assert tuple(mon) == v.alphabet
 
+    def test_specs_are_read_only(self):
+        # the monitor steps a table built from the specs once, so a spec
+        # that could change would leave the table behind
+        extracted = monitor.extract_monitor(payment_chain_vpa())["P"]
+        readback = monitor.filter_spec_from_json(monitor.filter_spec_to_json(extracted))
+        for spec in (extracted, readback):
+            with pytest.raises(TypeError):
+                spec.on_request["start"] = ("sink", "sink")
+            with pytest.raises(TypeError):
+                spec.on_response[("q_P", "q_P")] = "sink"
+
 
 class TestDistributedRun:
     def test_two_state_golden(self):
