@@ -3,16 +3,15 @@
 Services are deterministic call scripts: a topology maps each service to the
 ordered list of services it calls, and a request unrolls that script into a
 service tree.  Every simulated hop steps one state header per policy with
-that policy's integer transition table, ``Vpa.table``: the per-endpoint
-rows that the central and distributed runs step too, and that the
-``FilterSpec`` files ``emit-filters`` writes hold as strings.
-``build_filter_set`` stores the automaton's table object as it is.  The
-header is an integer, the state's position in ``Table.states``.  On the way
-in, the endpoint's request row maps it to the next header and the id of the
-pushed stack symbol, which stays at the hop; on the way out, the response
-row for that id maps it again.  The emitted trace is the request's rooted
-well-matched word, so centralized and denotational verdicts can be replayed
-against the monitored outcome.
+that policy's integer transition table, ``Vpa.table``, which the central
+and distributed runs step and extracted ``FilterSpec``s read, and which
+``build_filter_set`` stores as it is.  The header is an integer, the
+state's position in ``Table.states``.  On the way in, the endpoint's
+request row maps it to the next header and the id of the pushed stack
+symbol, which stays at the hop; on the way out, the response row for that
+id maps it again.  The emitted trace is the request's rooted well-matched
+word, so centralized and denotational verdicts can be replayed against the
+monitored outcome.
 
 Each request owns its header values and hop-local storage; policies are
 monitored independently, one header per policy.  Call graphs and requests
@@ -171,8 +170,8 @@ class PolicyFilterSet:
     """Everything a sidecar fleet needs to monitor one policy.
 
     ``table`` is the automaton's own integer table (``Vpa.table``), whose
-    rows each endpoint's ``FilterSpec`` holds as strings, so a hop is one
-    row lookup per direction.  The header is an integer: a state's header
+    rows each extracted ``FilterSpec`` reads, so a hop is one row lookup
+    per direction.  The header is an integer: a state's header
     value is its position in ``table.states``, and a pushed stack symbol's
     id its position in ``table.symbols``.  ``initial``, ``finals`` and
     ``reject_headers`` are header values; the latter are the absorbing

@@ -1,24 +1,20 @@
 """Distributed monitor: one transition table per endpoint.
 
 A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
-of an endpoint holds that endpoint's call rows as ``on_request`` (state ->
-state and pushed symbol) and its return rows as ``on_response`` (state and
-popped symbol -> state).  A ``DistributedMonitor`` is the endpoint -> spec
-mapping, in alphabet order, plus the integer table its runs step: the
-filter JSON and sidecar scripts serialize the specs, and ``dist_run`` walks
-the table with ``vpa.walk``, the same walk as the centralized run.  Specs
-are read-only.  A monitor extracted from an automaton shares the
-automaton's ``Vpa.table``; one read back from filter specs
-(``monitor_from_filters``) builds its own from the specs on its first run,
-numbering names in sorted order as ``Vpa.table`` does, so a complete spec
-set gets the automaton's ids.  A rule missing from the specs raises
-``MissingTransition`` naming the endpoint and the state, never a wrong
-verdict.
+of an endpoint holds its call rules as ``on_request`` (state -> state and
+pushed symbol) and its return rules as ``on_response`` (state and popped
+symbol -> state), read-only and in sorted key order.  A
+``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
+integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
+does.  ``extract_monitor`` copies no rule: its specs read ``Vpa.table`` in
+place and its monitor steps that table.  A monitor read back from filter
+specs (``monitor_from_filters``) builds its own table from them; a rule
+missing there raises ``MissingTransition``, which names it.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
 reproduces the centralized run configuration-for-configuration.  The
-serialized forms list rules in sorted key order, so they are byte-stable:
+serialized forms list rules in the specs' order, so they are byte-stable:
 ``filter_spec_to_json`` writes through ``vpa.json_document`` the bytes
 ``json.dumps(indent=2, ensure_ascii=False)`` gives for one object per rule,
 and ``render_filter_script`` formats each rule with one template.
@@ -28,10 +24,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 
 from .errors import VpaParseError
-from .nested_word import Endpoint, IndexedSymbol, NestedWord, TaggedSymbol
+from .nested_word import Endpoint, NestedWord
 from .vpa import (
     BOTTOM, Configuration, Table, Vpa, build_table, json_document, load_document, string_rows, walk,
 )
@@ -40,69 +37,102 @@ STATE_HEADER = "x-safetree-state"
 FILTER_SCHEMA_VERSION = 1
 
 
+class _TableRules(Mapping):
+    """One endpoint's rules read in place from a ``Table``: the call rules
+    of ``request[e]`` (state -> state and pushed symbol) or the return
+    rules of ``response[e]`` (state and popped symbol -> state).  Keys
+    come in id order, which is sorted key order."""
+
+    def __init__(self, t: Table, row: tuple):
+        self._t, self._row = t, row
+
+
+class _RequestRules(_TableRules):
+    def __getitem__(self, q):
+        if (rule := self._row[self._t.state_id[q]]) is None:
+            raise KeyError(q)
+        return self._t.states[rule[0]], self._t.symbols[rule[1]]
+
+    def __iter__(self):
+        return compress(self._t.states, self._row)  # a missing rule is None
+
+    def __len__(self):
+        return len(self._row) - self._row.count(None)
+
+
+class _ResponseRules(_TableRules):
+    def __getitem__(self, key):
+        if (dst := self._row[self._t.symbol_id[key[1]]][self._t.state_id[key[0]]]) is None:
+            raise KeyError(key)
+        return self._t.states[dst]
+
+    def __iter__(self):
+        symbols = self._t.symbols
+        return ((q, g) for q, column in zip(self._t.states, zip(*self._row))
+                for g, dst in zip(symbols, column) if dst is not None)
+
+    def __len__(self):
+        return sum(len(r) - r.count(None) for r in self._row)
+
+
 @dataclass(frozen=True)
 class FilterSpec:
-    """Call/return transitions of one endpoint.  The rule mappings are
-    read-only views (``MappingProxyType``), so no edit through a spec can
-    leave a monitor's table behind."""
+    """Call/return transitions of one endpoint.  Rules read from a table
+    are kept as they are; any other mapping is copied once, sorted, so no
+    edit through or behind a spec can leave a monitor's table behind."""
 
     endpoint: Endpoint
     on_request: Mapping[str, tuple[str, str]]  # state -> (state, pushed symbol)
     on_response: Mapping[tuple[str, str], str]  # (state, popped symbol) -> state
 
     def __post_init__(self):
-        object.__setattr__(self, "on_request", MappingProxyType(self.on_request))
-        object.__setattr__(self, "on_response", MappingProxyType(self.on_response))
+        for name in ("on_request", "on_response"):
+            if not isinstance(rules := getattr(self, name), _TableRules):
+                object.__setattr__(self, name, MappingProxyType(dict(sorted(rules.items()))))
 
 
-class DistributedMonitor(dict):
-    """Endpoint -> ``FilterSpec``, in alphabet order, and the integer table
-    the distributed run steps: the automaton's own table when the monitor
-    was extracted from it, else one built from the specs on first use."""
+class DistributedMonitor(Mapping):
+    """Endpoint -> ``FilterSpec``, read-only, and the table ``dist_run``
+    steps: the automaton's own when the monitor was extracted from it, else
+    one built from the specs on first use."""
 
-    __slots__ = ("_vpa", "_table")
+    __slots__ = ("_specs", "_table")
 
-    def __init__(self, specs: Iterable[tuple[Endpoint, FilterSpec]], vpa: Vpa | None = None):
-        super().__init__(specs)
-        self._vpa, self._table = vpa, None
+    def __init__(self, specs: Iterable[FilterSpec], table: Table | None = None):
+        self._specs, self._table = {spec.endpoint: spec for spec in specs}, table
+
+    def __getitem__(self, e: Endpoint) -> FilterSpec:
+        return self._specs[e]
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self):
+        return len(self._specs)
 
     @property
     def table(self) -> Table:
         if self._table is None:
-            self._table = self._vpa.table if self._vpa is not None else _spec_table(self)
+            self._table = _spec_table(self)
         return self._table
 
 
 def _spec_table(m: DistributedMonitor) -> Table:
     """The table of the specs' rules over every state and stack symbol they
     name, and the bottom marker."""
-    states, symbols = set(), {BOTTOM}
-    for spec in m.values():
-        for q, (dst, g) in spec.on_request.items():
-            states.update((q, dst))
-            symbols.add(g)
-        for (q, g), dst in spec.on_response.items():
-            states.update((q, dst))
-            symbols.add(g)
-    calls = (((q, e), rule) for e, spec in m.items() for q, rule in spec.on_request.items())
-    returns = (((q, g, e), dst) for e, spec in m.items() for (q, g), dst in spec.on_response.items())
+    calls = [((q, e), rule) for e, spec in m.items() for q, rule in spec.on_request.items()]
+    returns = [((q, g, e), dst) for e, spec in m.items() for (q, g), dst in spec.on_response.items()]
+    states = {x for (q, _), (dst, _) in calls for x in (q, dst)}
+    states.update(x for (q, _, _), dst in returns for x in (q, dst))
+    symbols = {BOTTOM, *(g for _, (_, g) in calls), *(g for (_, g, _), _ in returns)}
     return build_table(states, symbols, m, calls, returns)
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
-    requests = {e: {} for e in v.alphabet}
-    responses = {e: {} for e in v.alphabet}
-    for (q, e), target in v.delta_call.items():
-        requests[e][q] = target
-    for (q, g, e), target in v.delta_return.items():
-        responses[e][(q, g)] = target
-    specs = ((e, FilterSpec(e, requests[e], responses[e])) for e in v.alphabet)
-    return DistributedMonitor(specs, v)
-
-
-def dist_step(m: DistributedMonitor, c: Configuration, a: TaggedSymbol) -> Configuration:
-    """Apply the symbol's own filter: calls push, returns pop."""
-    return walk(m.table, c, (IndexedSymbol(a, 1),))
+    t = v.table
+    specs = (FilterSpec(e, _RequestRules(t, t.request[e]), _ResponseRules(t, t.response[e]))
+             for e in v.alphabet)
+    return DistributedMonitor(specs, t)
 
 
 def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Configuration:
@@ -121,19 +151,12 @@ def emit_filters(m: DistributedMonitor) -> list[FilterSpec]:
 
 
 def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
-    return DistributedMonitor((spec.endpoint, spec) for spec in specs)
-
-
-def _sorted_rules(spec: FilterSpec) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """Request rules (state, then, push) and response rules (state, local,
-    then), each in the sorted key order every serialized form uses."""
-    requests = sorted([(q, dst, push) for q, (dst, push) in spec.on_request.items()])
-    responses = sorted([(q, g, dst) for (q, g), dst in spec.on_response.items()])
-    return requests, responses
+    return DistributedMonitor(specs)
 
 
 def filter_spec_to_json(spec: FilterSpec) -> str:
-    requests, responses = _sorted_rules(spec)
+    requests = [(q, dst, push) for q, (dst, push) in spec.on_request.items()]
+    responses = [(q, g, dst) for (q, g), dst in spec.on_response.items()]
     head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint}
     return json_document(head, {
         "on_request": (("if_state", "then_state", "push_local"), requests),
@@ -162,14 +185,13 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     request-scoped proxy memory written by OnRequest and read back by
     OnResponse.  Unmatched states fall through to a violation log.
     """
-    requests, responses = _sorted_rules(spec)
     on_request = [
         f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        for q, dst, push in requests
+        for q, (dst, push) in spec.on_request.items()
     ]
     on_response = [
         f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
-        for q, g, dst in responses
+        for (q, g), dst in spec.on_response.items()
     ]
     return "".join([
         f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",

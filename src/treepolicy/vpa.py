@@ -7,30 +7,18 @@ endpoints.  The bottom marker is never pushed; a return arriving with only
 the bottom marker on the stack raises ``StackUnderflow`` (impossible on
 rooted well-matched input).
 
-Every run steps one integer table per automaton, ``Vpa.table``, built on
-first use and kept on the automaton.  A state's id is its position in
-``sorted(states)`` and a stack symbol's its position in
-``sorted(stack_alphabet)``; for each endpoint, ``request[e][h]`` is the
-next state and the pushed symbol and ``response[e][g][h]`` the state after
-popping ``g``.  Two loops step it.  ``walk`` keeps the state and the top as
-ints and the stack below as a list of ints, so a step is a row lookup and a
-push or pop, whatever the depth; its loop builds and checks nothing.
-``steps`` checks every lookup and yields each configuration: it names the
-fault a walk hit and builds the items of a ``Run``.
-``final_configuration``, ``step``, ``run`` and the distributed monitor's
-``dist_run`` all walk this table, and the mesh simulator's hop reads its
-rows.
-
-Configurations share their stacks.  A configuration holds its state, the
-top stack symbol and a link to the configuration whose stack lies below
-that top; the chain ends at a configuration holding only the bottom marker.
-``run`` walks when called and returns a ``Run``, whose last item is the
-walk's result; the others are built the first time one of them is read.
-Automata and configurations are never changed after construction;
-concurrent runs over one automaton are safe.
+``Vpa.table``, built on first use and kept on the automaton, is the one
+integer form of an automaton (see ``Table``): ids number names in sorted
+order.  The unchecked ``walk`` steps it for ``final_configuration``,
+``run`` and the distributed monitor's ``dist_run``; the checked ``steps``
+names the fault a walk hit and builds the items of a ``Run``.  The mesh
+simulator's hop, the writers and extracted filter specs read its rows as
+they are.  Configurations share their stacks.  Automata and configurations
+are never changed, so concurrent runs over one automaton are safe.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
-the order of ``sorted(table.items())``, and the JSON equals what
+sorted key order, which is the table's id order with the alphabet sorted,
+so no writer sorts rows.  The JSON equals what
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
 rule.  ``json_document`` writes it from row templates, escaping each name
 once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
@@ -46,7 +34,7 @@ from itertools import filterfalse, product
 from typing import NamedTuple
 
 from .errors import MissingTransition, StackUnderflow, VpaParseError
-from .nested_word import CALL, Endpoint, IndexedSymbol, NestedWord, TaggedSymbol
+from .nested_word import CALL, Endpoint, IndexedSymbol, NestedWord
 
 BOTTOM = "⊥"
 
@@ -267,11 +255,6 @@ def steps(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Itera
         yield c
 
 
-def step(v: Vpa, c: Configuration, a: TaggedSymbol) -> Configuration:
-    """One transition: a call pushes, a return pops."""
-    return walk(v.table, c, (IndexedSymbol(a, 1),))
-
-
 def final_configuration(v: Vpa, n: NestedWord, init: Configuration | None = None) -> Configuration:
     """The last configuration of ``run``.  Memory is linear in the nesting
     depth, not in the length of the word."""
@@ -386,10 +369,14 @@ def export_vpa(v: Vpa, fmt: str = "json") -> str:
 
 def _sorted_rows(v: Vpa) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
     """Call rows (from, sym, to, push) and return rows (from, pop, sym, to),
-    each in the sorted order every writer uses.  Each row leads with its
-    table key, and keys are unique, so rows sort as the items would."""
-    calls = sorted([(q, e, q2, s) for (q, e), (q2, s) in v.delta_call.items()])
-    returns = sorted([(q, s, e, q2) for (q, s, e), q2 in v.delta_return.items()])
+    read from ``v.table`` in id order with the alphabet sorted: sorted key
+    order, which every writer uses."""
+    t = v.table
+    states, symbols, alphabet = t.states, t.symbols, sorted(t.request)
+    calls = [(q, e, states[r[0]], symbols[r[1]]) for h, q in enumerate(states)
+             for e in alphabet if (r := t.request[e][h]) is not None]
+    returns = [(q, s, e, states[r]) for h, q in enumerate(states) for g, s in enumerate(symbols)
+               for e in alphabet if (r := t.response[e][g][h]) is not None]
     return calls, returns
 
 
@@ -508,10 +495,10 @@ def _export_dot(v: Vpa) -> str:
     finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
     Each name is escaped once; each edge is one template."""
     calls, returns = _sorted_rows(v)
-    names = {v.initial, *v.states}.union(*zip(*calls), *zip(*returns))
-    esc = {s: s.replace('"', '\\"') for s in names}
+    t = v.table
+    esc = {s: s.replace('"', '\\"') for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]
-    for q in sorted(v.states):
+    for q in t.states:
         shape = "doublecircle" if q in v.finals else "circle"
         lines.append(f'  "{esc[q]}" [shape={shape}];')
     lines.append(f'  __start -> "{esc[v.initial]}";')

@@ -231,7 +231,9 @@ class TestEquiv:
         captured = capsys.readouterr()
         assert captured.out == "" and "repeated" in captured.err
 
-    def test_builds_each_monitor_once(self, policy_file, capsys, monkeypatch):
+    def test_builds_no_monitor(self, policy_file, capsys, monkeypatch):
+        # the oracle is the check; a monitor extracted from the automaton
+        # steps the automaton's own table, so comparing with it adds nothing
         calls = []
         real = monitor.extract_monitor
 
@@ -241,7 +243,7 @@ class TestEquiv:
 
         monkeypatch.setattr(monitor, "extract_monitor", counting)
         assert cli.main(["equiv", policy_file, "--max-calls", "3"]) == 0
-        assert len(calls) == 1
+        assert calls == []
         capsys.readouterr()
 
     def test_injected_mutation_found(self, policy_file, capsys, monkeypatch):

@@ -10,7 +10,8 @@ import pytest
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError
-from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, step
+from treepolicy.nested_word import IndexedSymbol
+from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, walk
 
 from conftest import (
     chain_word,
@@ -47,6 +48,39 @@ class TestExtract:
             with pytest.raises(TypeError):
                 spec.on_response[("q_P", "q_P")] = "sink"
 
+    def test_spec_copies_plain_mappings(self):
+        # a spec copies the dicts it is built from, so editing them later
+        # changes neither the spec nor a monitor that has already run
+        v = payment_chain_vpa()
+        dicts = [(s.endpoint, dict(s.on_request), dict(s.on_response))
+                 for s in monitor.emit_filters(monitor.extract_monitor(v))]
+        specs = [monitor.FilterSpec(e, req, resp) for e, req, resp in dicts]
+        m = monitor.monitor_from_filters(specs)
+        init, word = initial_configuration(v), word_from_str("<P P>")
+        before = monitor.dist_run(m, init, word)
+        next(req for e, req, _ in dicts if e == "P")["start"] = ("sink", "sink")
+        assert m["P"].on_request["start"] == ("q_P", "q_P")
+        assert monitor.dist_run(monitor.monitor_from_filters(specs), init, word) == before
+        assert monitor.dist_run(m, init, word) == before == init
+
+    def test_monitor_is_read_only(self):
+        v = payment_chain_vpa()
+        for m in (monitor.extract_monitor(v),
+                  monitor.monitor_from_filters(monitor.emit_filters(monitor.extract_monitor(v)))):
+            init, word = initial_configuration(v), word_from_str("<P P>")
+            before = monitor.dist_run(m, init, word)
+            spec = m["P"]
+            sunk = monitor.FilterSpec("P", dict(spec.on_request, start=("sink", "sink")),
+                                      spec.on_response)
+            with pytest.raises(TypeError):
+                m["P"] = sunk
+            with pytest.raises(AttributeError):
+                m.update({"P": sunk})
+            with pytest.raises(AttributeError):
+                m.pop("P")
+            assert m["P"] is spec
+            assert monitor.dist_run(m, init, word) == before == init
+
 
 class TestDistributedRun:
     def test_two_state_golden(self):
@@ -54,29 +88,30 @@ class TestDistributedRun:
         mon = monitor.extract_monitor(v)
         n = word_from_str("<Appt Appt>")
         init = Configuration("q0", (BOTTOM,))
-        c1 = monitor.dist_step(mon, init, nw.call("Appt"))
+        c1 = walk(mon.table, init, (IndexedSymbol(nw.call("Appt"), 1),))
         assert c1 == Configuration("q1", (BOTTOM, "q0"))
-        c2 = monitor.dist_step(mon, c1, nw.ret("Appt"))
+        c2 = walk(mon.table, c1, (IndexedSymbol(nw.ret("Appt"), 1),))
         assert c2 == Configuration("q0", (BOTTOM,))
         assert monitor.dist_run(mon, init, n) == init
 
     def test_underflow(self):
         mon = monitor.extract_monitor(two_state_vpa())
         with pytest.raises(StackUnderflow):
-            monitor.dist_step(mon, Configuration("q0", (BOTTOM,)), nw.ret("Appt"))
+            walk(mon.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.ret("Appt"), 1),))
 
     def test_step_equals_central_step_pointwise(self):
         rng = random.Random(13)
         for doc in corpus_documents("small").values():
             art = compiler.compile(doc)[0]
             v = art.vpa
-            mon = monitor.extract_monitor(v)
+            # read back, so the two walks step two tables
+            mon = monitor.monitor_from_filters(monitor.emit_filters(monitor.extract_monitor(v)))
             for _ in range(50):
                 n = random_rooted_word(rng, 10, doc.alphabet)
                 c = initial_configuration(v)
                 for a in n.symbols:
-                    central = step(v, c, a.symbol)
-                    dist = monitor.dist_step(mon, c, a.symbol)
+                    central = walk(v.table, c, (IndexedSymbol(a.symbol, 1),))
+                    dist = walk(mon.table, c, (IndexedSymbol(a.symbol, 1),))
                     assert central == dist
                     c = central
 
@@ -262,7 +297,7 @@ class TestMissingRule:
         assert isinstance(err.value, TreePolicyError)
         c = monitor.dist_run(m, init, word_from_str("<P <D"))
         with pytest.raises(MissingTransition, match=re.escape(message)):
-            monitor.dist_step(m, c, nw.ret("D"))
+            walk(m.table, c, (IndexedSymbol(nw.ret("D"), 1),))
 
     def test_unknown_names(self):
         v = payment_chain_vpa()

@@ -10,6 +10,7 @@ import pytest
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import StackUnderflow, VpaParseError
+from treepolicy.nested_word import IndexedSymbol
 from treepolicy.vpa import (
     BOTTOM,
     Configuration,
@@ -20,7 +21,7 @@ from treepolicy.vpa import (
     import_vpa,
     initial_configuration,
     run,
-    step,
+    walk,
 )
 
 from conftest import (
@@ -38,23 +39,23 @@ from conftest import (
 class TestStep:
     def test_two_state_push(self):
         v = two_state_vpa()
-        c = step(v, Configuration("q0", (BOTTOM,)), nw.call("Appt"))
+        c = walk(v.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.call("Appt"), 1),))
         assert c == Configuration("q1", (BOTTOM, "q0"))
 
     def test_two_state_pop(self):
         v = two_state_vpa()
-        c = step(v, Configuration("q1", (BOTTOM, "q0")), nw.ret("Appt"))
+        c = walk(v.table, Configuration("q1", (BOTTOM, "q0")), (IndexedSymbol(nw.ret("Appt"), 1),))
         assert c == Configuration("q0", (BOTTOM,))
 
     def test_chain_push(self):
         v = payment_chain_vpa()
-        c = step(v, Configuration("start", (BOTTOM,)), nw.call("P"))
+        c = walk(v.table, Configuration("start", (BOTTOM,)), (IndexedSymbol(nw.call("P"), 1),))
         assert c == Configuration("q_P", (BOTTOM, "q_P"))
 
     def test_underflow(self):
         v = two_state_vpa()
         with pytest.raises(StackUnderflow):
-            step(v, Configuration("q0", (BOTTOM,)), nw.ret("Appt"))
+            walk(v.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.ret("Appt"), 1),))
 
 
 class TestRun:
@@ -265,8 +266,8 @@ class TestTableWalk:
         assert monitor.dist_run(readback, init, word) == want[-1]
         assert reference_dist_walk(readback, init, events) == want[-1]
         for c, a, after in zip(want, events, want[1:]):
-            assert step(v, c, a) == after
-            assert monitor.dist_step(readback, c, a) == after
+            assert walk(v.table, c, (IndexedSymbol(a, 1),)) == after
+            assert walk(readback.table, c, (IndexedSymbol(a, 1),)) == after
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_corpora_agree_with_the_reference(self, seed):

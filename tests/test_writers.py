@@ -151,6 +151,26 @@ def test_filter_writers_equal_reference(spec, header):
     assert monitor.render_filter_script(spec, header=header) == reference_script(spec, header)
 
 
+@settings(max_examples=200, deadline=None)
+@given(vpas(), NAMES)
+def test_extracted_specs_equal_reference(v, header):
+    # an extracted spec reads the automaton's table in place
+    specs = monitor.emit_filters(monitor.extract_monitor(v))
+    texts = [monitor.filter_spec_to_json(s) for s in specs]
+    for spec, text in zip(specs, texts):
+        e = spec.endpoint
+        assert dict(spec.on_request) == {q: r for (q, a), r in v.delta_call.items() if a == e}
+        assert dict(spec.on_response) == {
+            (q, g): r for (q, g, a), r in v.delta_return.items() if a == e
+        }
+        assert text == reference_filter_json(spec)
+        assert monitor.filter_spec_from_json(text) == spec
+        assert monitor.render_filter_script(spec, header=header) == reference_script(spec, header)
+    readback = monitor.monitor_from_filters(map(monitor.filter_spec_from_json, texts))
+    assert list(readback.values()) == specs
+    assert monitor.monitor_from_filters(specs).table is not v.table
+
+
 def test_empty_tables():
     spec = monitor.FilterSpec("X", {}, {})
     assert monitor.filter_spec_to_json(spec) == reference_filter_json(spec)
