@@ -1,11 +1,13 @@
 """Compile policies into deterministic, complete visibly pushdown automata.
 
-Each policy form has its own construction.  The common scheme: simulate the
-match regex's DFA on call symbols while pushing the pre-call DFA state, so
-that return symbols can backtrack the simulation and retry other branches;
-once the shortest match is found, hand the subtree to the inner check
-(a second DFA for leaf-path constraints, or an embedded sub-automaton),
-and record the verdict in absorbing satisfied/rejected bookkeeping states.
+Each policy form has its own construction.  The three hierarchical forms
+(all-path, all-children, exists-child) share one match search,
+``_match_search``: simulate the match regex's DFA on call symbols while
+pushing the pre-call DFA state, so that return symbols can backtrack the
+simulation and retry other branches; once the shortest match is found, the
+construction hands the subtree to its inner check (a second DFA for
+leaf-path constraints, or embedded sub-automata), and the search records
+the verdict in absorbing satisfied/rejected bookkeeping states.
 
 Transition tables are materialized family by family.  Families state
 behaviour and must never disagree on a key (a disagreement is a compiler
@@ -226,6 +228,53 @@ def compile_callseq(d: rx.Dfa) -> Vpa:
     return b.finish()
 
 
+# -- the match search shared by the hierarchical forms ----------------------
+
+
+def _match_search(b: _Build, a1: _DfaFrag, done: str):
+    """The families all-path, all-children and exists-child share: search
+    for the shortest root path whose calls A1 (the match DFA) accepts,
+    pushing pre-call A1 states so that returns backtrack the search, and
+    record the verdict.  ``done`` is the state in which a matched subtree
+    completes accepted.  Its return pops the A1 state ``g`` below the
+    matched node: if A1 steps from ``g`` to a final state on the returned
+    endpoint, that node was the match and the policy is satisfied;
+    otherwise the search resumes in ``g``."""
+    for s in b.alphabet:
+        # c1: simulate A1 while searching for the matched path.
+        b.call("c1", BEG, s, a1.delta[(a1.initial, s)], BEG)
+        for q in a1.nonfinals:
+            b.call("c1", q, s, a1.delta[(q, s)], q)
+        # c3: absorbing bookkeeping states.
+        b.call("c3", SAT, s, SAT, SAT)
+        b.call("c3", REJ, s, REJ, REJ)
+        b.call("c3", END, s, REJ, REJ)
+        for g in a1.nonfinals:
+            # r-back: backtrack A1; a rejected subtree resumes the search.
+            for q in (REJ, *a1.nonfinals):
+                b.ret("r-back", q, g, s, g)
+            # r-done: the matched subtree completed accepted.
+            b.ret("r-done", done, g, s, SAT if a1.delta[(g, s)] in a1.finals else g)
+        for g in b.gamma - {BEG}:
+            b.ret("r-sat", SAT, g, s, SAT)
+        # r-root: acceptance at the root's return.
+        b.ret("r-root", SAT, BEG, s, END)
+        b.ret("r-root", done, BEG, s, END)
+
+
+def _leaf_match(b: _Build, a1: _DfaFrag):
+    """All-path and all-children: a matched node without children satisfies
+    the match, at the root too; a root return while still searching keeps
+    its A1 state, which does not accept."""
+    for s in b.alphabet:
+        for f in a1.finals:
+            for g in a1.nonfinals:
+                b.ret("r-leaf", f, g, s, SAT)
+            b.ret("r-leaf", f, BEG, s, END)
+        for q in a1.nonfinals:
+            b.ret("r-leaf", q, BEG, s, q)
+
+
 # -- all-path construction ----------------------------------------------------
 
 
@@ -233,22 +282,20 @@ def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
     """Find the shortest path matching the first regex (its DFA d1 is A1,
     pushing pre-call states for backtracking), then check every leaf path
     of the matched subtree against the second (d2 is A2, with augmented
-    copies of A2 states used as resume points after each completed child)."""
+    copies of A2 states used as resume points after each completed child).
+    The matched subtree is done in A2's augmented initial state."""
     _require_no_epsilon(d1)
     alpha = d1.alphabet
     a1 = _frag(d1, "a")
     a2 = _frag(d2, "b")
     augs = {q: _aug(q) for q in a2.states}
+    done = augs[a2.initial]
 
     states = {BEG, END, SAT, REJ, *a1.states, *a2.states, *augs.values()}
     gamma = {BEG, SAT, REJ, *a1.nonfinals, *augs.values()}
     b = _Build(states, BEG, END, REJ, alpha, gamma)
-
-    # c1: simulate A1 while searching for the matched path.
-    for s in alpha:
-        b.call("c1", BEG, s, a1.delta[(a1.initial, s)], BEG)
-        for q in a1.nonfinals:
-            b.call("c1", q, s, a1.delta[(q, s)], q)
+    _match_search(b, a1, done)
+    _leaf_match(b, a1)
 
     # c2: simulate A2 inside the matched subtree, pushing augmented states.
     for s in alpha:
@@ -258,52 +305,18 @@ def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
             b.call("c2", q, s, a2.delta[(q, s)], augs[q])
             b.call("c2", augs[q], s, a2.delta[(q, s)], augs[q])
 
-    # c3: absorbing bookkeeping states.
+    # r3: backtrack A2 within the matched subtree: a child returns to the
+    # augmented state its parent pushed if A2 accepted its leaf path or the
+    # child was itself resumed; popping an A1 state in any state but done
+    # resumes the search.
     for s in alpha:
-        b.call("c3", SAT, s, SAT, SAT)
-        b.call("c3", REJ, s, REJ, REJ)
-        b.call("c3", END, s, REJ, REJ)
-
-    # r1: backtrack A1; a rejected subtree resumes the search.
-    for s in alpha:
-        for q in a1.nonfinals:
-            for g in a1.nonfinals:
-                b.ret("r1", q, g, s, g)
-            b.ret("r1", q, BEG, s, q)
-            b.ret("r1", REJ, q, s, q)
-
-    # r2: transitions into the satisfied marker and into acceptance.
-    for s in alpha:
-        for f in a1.finals:
-            for g in a1.nonfinals:
-                b.ret("r2", f, g, s, SAT)  # matched node was a leaf
-            b.ret("r2", f, BEG, s, END)
-        for g in (*a1.nonfinals, *augs.values(), SAT, REJ):
-            b.ret("r2", SAT, g, s, SAT)
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] in a1.finals:
-                b.ret("r2", augs[a2.initial], g, s, SAT)  # matched subtree done
-        b.ret("r2", augs[a2.initial], BEG, s, END)
-        b.ret("r2", SAT, BEG, s, END)
-
-    # r3: backtrack A2 within the matched subtree.
-    for s in alpha:
-        for q in a2.finals:
-            for g in augs.values():
-                b.ret("r3", q, g, s, g)  # leaf path accepted by A2
-        for q in a2.states:
-            for g in a1.nonfinals:
-                b.ret("r3", q, g, s, g)
-        for q in augs.values():
-            for g in augs.values():
+        for g in augs.values():
+            for q in (*a2.finals, *augs.values()):
                 b.ret("r3", q, g, s, g)
         for g in a1.nonfinals:
-            if a1.delta[(g, s)] not in a1.finals:
-                b.ret("r3", augs[a2.initial], g, s, g)
-        for q in a2.states:
-            if q != a2.initial:
-                for g in a1.nonfinals:
-                    b.ret("r3", augs[q], g, s, g)
+            for q in (*a2.states, *augs.values()):
+                if q != done:
+                    b.ret("r3", q, g, s, g)
 
     return b.finish()
 
@@ -314,7 +327,8 @@ def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
 def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
     """Find the shortest path matching d, then run the child automaton on
     every child subtree of the matched node, restarting it from its initial
-    behaviour each time it accepts; one failing subtree rejects."""
+    behaviour each time it accepts; one failing subtree rejects.  The
+    subtree is done in the child's final state."""
     _require_no_epsilon(d)
     alpha = d.alphabet
     a1 = _frag(d, "a")
@@ -322,17 +336,12 @@ def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
     cbeg = c.initial
     cend = _single_final(c)
     cgamma = c.stack_alphabet - {BOTTOM}
-    cstates = c.states
 
-    states = {BEG, END, SAT, REJ, *cstates, *a1.states}
+    states = {BEG, END, SAT, REJ, *c.states, *a1.states}
     gamma = set(cgamma) | {BEG, SAT, REJ, *a1.nonfinals}
     b = _Build(states, BEG, END, REJ, alpha, gamma)
-
-    # c1: simulate A1.
-    for s in alpha:
-        b.call("c1", BEG, s, a1.delta[(a1.initial, s)], BEG)
-        for q in a1.nonfinals:
-            b.call("c1", q, s, a1.delta[(q, s)], q)
+    _match_search(b, a1, cend)
+    _leaf_match(b, a1)
 
     # c2: child transitions; the matched node and the child's accept state
     # both behave like the child's initial state on calls.
@@ -345,51 +354,19 @@ def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
         elif q != cend:
             b.call("c2", q, s, dst, push)
 
-    # c3: absorbing bookkeeping.
-    for s in alpha:
-        b.call("c3", SAT, s, SAT, SAT)
-        b.call("c3", REJ, s, REJ, REJ)
-        b.call("c3", END, s, REJ, REJ)
-
     # r1: child transitions, except that a child subtree completing in a
     # non-accepting child state rejects (recognized by the child's begin
     # marker on the stack).
     for (q, g, s), dst in c.delta_return.items():
-        if q == cend or g == BOTTOM:
+        if q == cend:
             continue
-        if g == cbeg and dst not in c.finals:
-            b.ret("r1", q, g, s, REJ)
-        else:
-            b.ret("r1", q, g, s, dst)
+        b.ret("r1", q, g, s, REJ if g == cbeg and dst not in c.finals else dst)
 
-    # r2: A1 backtracking and retry.
+    # r2: A1 backtracking out of an unfinished child.
     for s in alpha:
         for g in a1.nonfinals:
-            if a1.delta[(g, s)] not in a1.finals:
-                b.ret("r2", cend, g, s, g)
-            b.ret("r2", REJ, g, s, g)
-            for q in (*a1.nonfinals, *(q for q in cstates if q not in c.finals)):
+            for q in c.states - {cend}:
                 b.ret("r2", q, g, s, g)
-        for q in a1.nonfinals:
-            b.ret("r2", q, BEG, s, q)
-
-    # r3: satisfied marker.
-    for s in alpha:
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] in a1.finals:
-                b.ret("r3", cend, g, s, SAT)
-        for g in (*a1.nonfinals, *cgamma, SAT, REJ):
-            b.ret("r3", SAT, g, s, SAT)
-        for f in a1.finals:
-            for g in a1.nonfinals:
-                b.ret("r3", f, g, s, SAT)
-
-    # r4: acceptance at the root's return.
-    for s in alpha:
-        for f in a1.finals:
-            b.ret("r4", f, BEG, s, END)
-        b.ret("r4", cend, BEG, s, END)
-        b.ret("r4", SAT, BEG, s, END)
 
     return b.finish()
 
@@ -401,7 +378,8 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
     """Find the shortest path matching d, then thread the sub-automata
     over the matched node's child subtrees: each accepted subtree advances
     to the next sub-automaton, each rejected subtree retries the current
-    one on the following sibling."""
+    one on the following sibling.  The subtree is done in the last
+    sub-automaton's final state."""
     _require_no_epsilon(d)
     assert subpolicies, "exists-child needs at least one subpolicy"
     alpha = d.alphabet
@@ -416,12 +394,9 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
     states = {BEG, END, REJ, EXISTS, SAT, *a1.states, *all_sub_states}
     gamma = {BEG, REJ, EXISTS, SAT, *a1.nonfinals}.union(*gammas)
     b = _Build(states, BEG, END, REJ, alpha, gamma)
+    _match_search(b, a1, ends[k - 1])
 
-    # c1: simulate A1; the matched node hands over to the first sub-automaton.
-    for s in alpha:
-        b.call("c1", BEG, s, a1.delta[(a1.initial, s)], BEG)
-        for q in a1.nonfinals:
-            b.call("c1", q, s, a1.delta[(q, s)], q)
+    # c1: the matched node hands over to the first sub-automaton.
     for (q, s), (dst, push) in subs[0].delta_call.items():
         if q == begs[0]:
             for f in a1.finals:
@@ -439,54 +414,32 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
                 if q == begs[i + 1]:
                     b.call("c2", ends[i], s, dst, push)
 
-    # c3: bookkeeping; once all k subtrees are found the run coasts in the
-    # exists marker.
+    # c3: once all k subtrees are found the run coasts in the exists marker.
     for s in alpha:
         b.call("c3", ends[k - 1], s, EXISTS, EXISTS)
         b.call("c3", EXISTS, s, EXISTS, EXISTS)
-        b.call("c3", SAT, s, SAT, SAT)
-        b.call("c3", REJ, s, REJ, REJ)
-        b.call("c3", END, s, REJ, REJ)
 
     # r1: sub-automata transitions with retry: a subtree failing the current
     # sub-policy resets to that sub-policy's initial state.
     for i, v in enumerate(subs):
         for (q, g, s), dst in v.delta_return.items():
-            if g == BOTTOM:
-                continue
-            if g == begs[i] and dst not in v.finals:
-                b.ret("r1", q, g, s, begs[i])
-            else:
-                b.ret("r1", q, g, s, dst)
+            b.ret("r1", q, g, s, begs[i] if g == begs[i] and dst not in v.finals else dst)
 
-    # r2: A1 backtracking.
+    # r2: A1 backtracking out of the sub-automata and out of the matched node.
+    backtracking = (*(all_sub_states - {ends[k - 1]}), *a1.finals)
     for s in alpha:
         for g in a1.nonfinals:
-            for q in all_sub_states:
-                if q != ends[k - 1]:
-                    b.ret("r2", q, g, s, g)
-            for q in a1.states:
+            for q in backtracking:
                 b.ret("r2", q, g, s, g)
-            b.ret("r2", REJ, g, s, g)
-            if a1.delta[(g, s)] not in a1.finals:
-                b.ret("r2", ends[k - 1], g, s, g)
 
-    # r3: satisfied/exists markers.
+    # r3: the exists marker, like the done state, satisfies the match.
     for s in alpha:
         for g in a1.nonfinals:
             if a1.delta[(g, s)] in a1.finals:
-                b.ret("r3", ends[k - 1], g, s, SAT)
                 b.ret("r3", EXISTS, g, s, SAT)
-        for g in gamma - {BEG}:
-            b.ret("r3", SAT, g, s, SAT)
         for g in gamma - set(a1.nonfinals) - {BEG}:
             b.ret("r3", EXISTS, g, s, EXISTS)
-
-    # r4: acceptance at the root's return.
-    for s in alpha:
-        b.ret("r4", SAT, BEG, s, END)
-        b.ret("r4", ends[k - 1], BEG, s, END)
-        b.ret("r4", EXISTS, BEG, s, END)
+        b.ret("r3", EXISTS, BEG, s, END)
 
     return b.finish()
 
@@ -542,10 +495,9 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
                 dst, _ = inner_initial_call(s)
                 b.call("c1", q, s, dst, q)
 
-    # c2: inner transitions between its middle states.
+    # c2: inner transitions between its middle states (``_Build`` drops
+    # those from the fused initial and final states).
     for (q, s), (dst, push) in inn.delta_call.items():
-        if q == ibeg or q == iend:
-            continue
         b.call("c2", q, s, dst, push)
     for s in alpha:
         b.call("c-rej", REJ, s, REJ, REJ)
@@ -575,8 +527,6 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
 
     # r3: inner transitions between its middle states.
     for (q, g, s), dst in inn.delta_return.items():
-        if q == ibeg or q == iend or g == BOTTOM:
-            continue
         b.ret("r3", q, g, s, dst)
 
     return b.finish()

@@ -202,11 +202,6 @@ class NestedWord:
         )
         return f"NestedWord({body!r}, {self.matching!r})"
 
-    def at(self, index: int) -> IndexedSymbol:
-        if not self.first_index <= index <= self.last_index:
-            raise IndexOutOfRange(f"index {index} outside [{self.first_index}, {self.last_index}]")
-        return self.symbols[index - self.first_index]
-
     def calls(self) -> tuple[IndexedSymbol, ...]:
         return tuple(a for a in self.symbols if a.is_call)
 

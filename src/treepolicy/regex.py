@@ -425,9 +425,6 @@ class Dfa:
     def states(self) -> range:
         return range(self.n_states)
 
-    def step(self, state: int, symbol: Endpoint) -> int:
-        return self.transition[(state, symbol)]
-
 
 def dfa_accepts(d: Dfa, word: Sequence[Endpoint]) -> bool:
     state = d.initial

@@ -493,10 +493,12 @@ def import_vpa(text: str) -> Vpa:
 def _export_dot(v: Vpa) -> str:
     """Graphviz rendering in the usual convention: doubled circles for
     finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
-    Each name is escaped once; each edge is one template."""
+    Each name is escaped once, a backslash before each backslash and each
+    double quote; each edge is one template."""
     calls, returns = _sorted_rows(v)
     t = v.table
-    esc = {s: s.replace('"', '\\"') for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
+    esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
+           for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]
     for q in t.states:
         shape = "doublecircle" if q in v.finals else "circle"

@@ -79,10 +79,12 @@ class TestBuild:
         b.ret("f", "elsewhere", "q", "A", "q")
         b.ret("f", "q", "elsewhere", "A", "q")
         b.ret("f", "q", compiler.END, "A", "q")  # END is a state, not pushable
+        b.ret("f", "q", BOTTOM, "A", "q")  # the bottom marker is never pushed
         assert not b.calls and not b.returns
         v = b.finish()
         assert v.delta_call[("q", "A")] == (compiler.REJ, compiler.REJ)
         assert ("q", compiler.END, "A") not in v.delta_return
+        assert v.delta_return[("q", BOTTOM, "A")] == compiler.REJ
 
 
 class TestCallSeq:

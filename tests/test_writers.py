@@ -55,7 +55,7 @@ def reference_filter_json(spec: monitor.FilterSpec) -> str:
 
 
 def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def reference_dot(v: Vpa) -> str:
@@ -178,3 +178,27 @@ def test_empty_tables():
     v = Vpa(frozenset({"q"}), "q", frozenset(), (), frozenset({BOTTOM}), {}, {})
     assert export_vpa(v, "json") == reference_vpa_json(v)
     assert '"delta_call": [],\n  "delta_return": []\n}\n' in export_vpa(v, "json")
+
+
+def _dot_strings_close(line: str) -> bool:
+    """Whether every quoted string on a DOT line closes, reading a backslash
+    and the character after it as one pair."""
+    inside = escaped = False
+    for ch in line:
+        if escaped:
+            escaped = False
+        elif inside and ch == "\\":
+            escaped = True
+        elif ch == '"':
+            inside = not inside
+    return not inside
+
+
+def test_dot_escapes_backslashes():
+    q = "a\\"
+    v = Vpa(frozenset({q}), q, frozenset({q}), ("E",), frozenset({BOTTOM, q}),
+            {(q, "E"): (q, q)}, {(q, g, "E"): q for g in (BOTTOM, q)})
+    dot = export_vpa(v, "dot")
+    assert '  "a\\\\" [shape=doublecircle];' in dot.splitlines()
+    assert all(_dot_strings_close(line) for line in dot.splitlines())
+    assert dot == reference_dot(v)
