@@ -9,6 +9,7 @@ argument of ``-`` reads JSON Lines from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -193,7 +194,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="treepolicy",
         description="Compile service call-tree policies, check traces, extract mesh filters.",

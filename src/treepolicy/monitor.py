@@ -22,7 +22,7 @@ and ``render_filter_script`` formats each rule with one template.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from types import MappingProxyType
@@ -46,6 +46,16 @@ class _TableRules(Mapping):
     def __init__(self, t: Table, row: tuple):
         self._t, self._row = t, row
 
+    def items(self):
+        return _RuleItems(self)
+
+
+class _RuleItems(ItemsView):
+    """(key, rule) pairs read off the row in one pass, in key order."""
+
+    def __iter__(self):
+        return self._mapping._pairs()
+
 
 class _RequestRules(_TableRules):
     def __getitem__(self, q):
@@ -55,6 +65,11 @@ class _RequestRules(_TableRules):
 
     def __iter__(self):
         return compress(self._t.states, self._row)  # a missing rule is None
+
+    def _pairs(self):
+        states, symbols = self._t.states, self._t.symbols
+        return ((q, (states[rule[0]], symbols[rule[1]]))
+                for q, rule in zip(states, self._row) if rule is not None)
 
     def __len__(self):
         return len(self._row) - self._row.count(None)
@@ -67,8 +82,11 @@ class _ResponseRules(_TableRules):
         return self._t.states[dst]
 
     def __iter__(self):
-        symbols = self._t.symbols
-        return ((q, g) for q, column in zip(self._t.states, zip(*self._row))
+        return (key for key, _ in self._pairs())
+
+    def _pairs(self):
+        states, symbols = self._t.states, self._t.symbols
+        return (((q, g), states[dst]) for q, column in zip(states, zip(*self._row))
                 for g, dst in zip(symbols, column) if dst is not None)
 
     def __len__(self):

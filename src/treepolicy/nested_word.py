@@ -12,6 +12,11 @@ index of the symbol it is matched with, or +inf/-inf when it is a pending
 call or an orphan return.  Predicates, slices and tree views all read that
 array, so a slice copies its window and a tree view is one pass.
 
+The enumerator builds tree sizes' event tuples from the smaller sizes' and
+turns each tuple into a word directly: positions share one indexed symbol
+per (event, position), and the partner array is filled in one stack pass.
+Its caches live only as long as one enumeration.
+
 All values are immutable after construction and safe to share between
 concurrent tasks.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, MalformedTrace, NotRooted
@@ -64,9 +70,10 @@ def ret(endpoint: Endpoint) -> TaggedSymbol:
 class IndexedSymbol:
     """A tagged symbol at a 1-based position within a word.
 
-    ``build_nested_word`` makes these through ``_indexed``, which fills the
-    slots without the dataclass ``__init__`` and its index check: a word has
-    one per event, and the positions it assigns start at 1.
+    ``build_nested_word`` and ``enumerate_rooted`` make these through
+    ``_indexed``, which fills the slots without the dataclass ``__init__``
+    and its index check: a word has one per event, and the positions they
+    assign start at 1.
     """
 
     symbol: TaggedSymbol
@@ -286,6 +293,10 @@ class NestedWord:
         return tuple(self.sub_word(c.index, return_of(c.index)) for c in self.children())
 
 
+_set_symbols = NestedWord.symbols.__set__
+_set_matching = NestedWord.matching.__set__
+
+
 def calls_projection(path: Path) -> tuple[Endpoint, ...]:
     """Drop tags and indices, keeping the endpoint of every call in the path."""
     return tuple(a.endpoint for a in path)
@@ -372,22 +383,6 @@ def parse_trace(text: str) -> list[TaggedSymbol]:
 _Tree = tuple[Endpoint, tuple]
 
 
-def _forests(n_nodes: int, alphabet: tuple[Endpoint, ...]) -> Iterator[tuple[_Tree, ...]]:
-    if n_nodes == 0:
-        yield ()
-        return
-    for first_size in range(1, n_nodes + 1):
-        for first in _trees(first_size, alphabet):
-            for rest in _forests(n_nodes - first_size, alphabet):
-                yield (first,) + rest
-
-
-def _trees(n_nodes: int, alphabet: tuple[Endpoint, ...]) -> Iterator[_Tree]:
-    for label in alphabet:
-        for children in _forests(n_nodes - 1, alphabet):
-            yield (label, children)
-
-
 def tree_to_events(tree: _Tree) -> list[TaggedSymbol]:
     """The tree's call/return events, depth first; open calls wait on a
     stack, so any depth serializes."""
@@ -406,16 +401,60 @@ def tree_to_events(tree: _Tree) -> list[TaggedSymbol]:
     return events
 
 
-def word_from_tree(tree: _Tree) -> NestedWord:
-    return build_nested_word(tree_to_events(tree))
-
-
 def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[NestedWord]:
     """Every rooted well-matched word with at most ``max_calls`` calls,
-    exactly once, in a deterministic order (call count, then shape/labels)."""
+    exactly once, in a deterministic order (call count, then shape/labels).
+
+    A tree of n calls is a labeled call around a forest of n - 1 calls, and
+    a forest is a first tree followed by a smaller forest, so each size's
+    event tuples are built by concatenating the smaller sizes'.  Sizes up
+    to ``max_calls - 2`` are built once and kept; the two largest stream,
+    since keeping them would hold a share of the output in memory.  The
+    words share one ``IndexedSymbol`` per (event, position), and their
+    partner arrays are filled in one stack pass, without
+    ``build_nested_word``'s checks: a serialized tree is rooted and well
+    matched by construction.
+    """
     alpha = tuple(alphabet)
     if not alpha or max_calls < 1:
         raise ValueError("need a non-empty alphabet and max_calls >= 1")
+    brackets = [(call(e), ret(e)) for e in alpha]
+    indexed = [{ev: _indexed(ev, pos) for pair in brackets for ev in pair}
+               for pos in range(1, 2 * max_calls + 1)]
+    trees: list[list[tuple]] = [[]]  # trees[k]: event tuples of the k-call trees
+    forests: list[list[tuple]] = [[()]]  # forests[k]: the same for k-call forests
+
+    def tree_events(k: int) -> Iterable[tuple]:
+        if k < len(trees):
+            return trees[k]
+        return ((c,) + f + (r,) for c, r in brackets for f in forest_events(k - 1))
+
+    def forest_events(k: int) -> Iterable[tuple]:
+        if k < len(forests):
+            return forests[k]
+        return (t + f for first in range(1, k + 1)
+                for t in tree_events(first) for f in forest_events(k - first))
+
     for n in range(1, max_calls + 1):
-        for tree in _trees(n, alpha):
-            yield word_from_tree(tree)
+        if n < max_calls - 1:
+            trees.append(list(tree_events(n)))
+            forests.append(list(forest_events(n)))
+        for events in tree_events(n):
+            yield _rooted_word(tuple(map(getitem, indexed, events)))
+
+
+def _rooted_word(symbols: tuple[IndexedSymbol, ...]) -> NestedWord:
+    """The nested word of a serialized tree's symbols, positions from 1."""
+    partner = [0] * len(symbols)
+    open_calls = []
+    for pos, a in enumerate(symbols, start=1):
+        if a.symbol.tag == CALL:
+            open_calls.append(pos)
+        else:
+            i = open_calls.pop()
+            partner[i - 1] = pos
+            partner[pos - 1] = i
+    w = _new(NestedWord)
+    _set_symbols(w, symbols)
+    _set_matching(w, MatchingRelation(1, partner))
+    return w

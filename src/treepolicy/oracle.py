@@ -3,8 +3,15 @@
 Evaluates the set-comprehension semantics directly over paths and subtrees,
 with regex membership decided by the derivative matcher.  Nothing here
 touches the automaton pipeline, so this module is the independent ground
-truth that compiled automata are tested against.  It favours clarity over
-speed and is not a monitor.
+truth that compiled automata are tested against.  It is not a monitor.
+
+Paths are matched in one walk over the word: each open call holds the
+derivative of the regex by its path's call projection, taken from its
+parent's by one symbol (Owens, Reppy & Turon, "Regular-expression
+derivatives re-examined", JFP 2009).  A call whose derivative is empty
+or already nullable ends its path, so its subtree is skipped.  The tests
+pin both walks to the literal definitions over ``seq`` and ``seq_leaf``,
+which they keep as references.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import regex as rx
 from .errors import NotRooted
-from .nested_word import Endpoint, NestedWord, Path, calls_projection
+from .nested_word import CALL, Endpoint, NestedWord, Path
 from .policy import (
     AllChildren,
     AllPath,
@@ -28,17 +35,51 @@ from .policy import (
 
 def first_match(n: NestedWord, reg: rx.Regex, alphabet: Iterable[Endpoint]) -> tuple[Path, ...]:
     """Paths whose call projection matches ``reg`` with no matching proper
-    prefix (the shortest-match paths)."""
-    alpha = tuple(alphabet)
+    prefix (the shortest-match paths), ordered by terminal call index.  The
+    empty prefix does not count."""
+    if not n.is_rooted():
+        raise NotRooted("operation requires a rooted well-matched word")
+    symbols, partner, first = n.symbols, n.matching.partner, n.first_index
     out = []
-    for path in n.seq():
-        word = calls_projection(path)
-        if not rx.matches(reg, word, alpha):
-            continue
-        if any(rx.matches(reg, word[:j], alpha) for j in range(1, len(word))):
-            continue
-        out.append(path)
+    path: list = []
+    states = [rx.desugar(reg, alphabet)]  # one per open call on the path
+    k, end = 0, len(symbols)
+    while k < end:
+        a = symbols[k]
+        if a.symbol.tag == CALL:
+            state = rx.derive(states[-1], a.symbol.endpoint)
+            if state.nullable:
+                out.append((*path, a))
+            if state.nullable or type(state) is rx.Empty:
+                # no extension of a matched or dead path is a first match
+                k = int(partner[k]) - first  # on to the call's return
+            else:
+                path.append(a)
+                states.append(state)
+        else:
+            path.pop()
+            states.pop()
+        k += 1
     return tuple(out)
+
+
+def _leaf_paths_match(n: NestedWord, call_index: int, core: rx.Regex) -> bool:
+    """Does every leaf path of every child subtree of the call match the
+    core regex, each path starting at the child?  True without children."""
+    symbols, first = n.symbols, n.first_index
+    states = [core]
+    for k in range(call_index - first + 1, int(n.matching.return_of(call_index)) - first):
+        a = symbols[k]
+        if a.symbol.tag == CALL:
+            state = rx.derive(states[-1], a.symbol.endpoint)
+            if type(state) is rx.Empty:  # every call has a leaf below it
+                return False
+            states.append(state)
+        else:
+            if symbols[k - 1].symbol.tag == CALL and not states[-1].nullable:
+                return False
+            states.pop()
+    return True
 
 
 def _matched_subtree(n: NestedWord, path: Path) -> NestedWord:
@@ -52,15 +93,10 @@ def _matched_subtree(n: NestedWord, path: Path) -> NestedWord:
 def sat_hierarchical(n: NestedWord, p: Hierarchical, alphabet: Iterable[Endpoint]) -> bool:
     alpha = tuple(alphabet)
     if isinstance(p, AllPath):
-        for path in first_match(n, p.reg1, alpha):
-            sub = _matched_subtree(n, path)
-            if all(
-                rx.matches(p.reg2, calls_projection(leaf_path), alpha)
-                for t in sub.subtrees()
-                for leaf_path in t.seq_leaf()
-            ):
-                return True
-        return False
+        core = rx.desugar(p.reg2, alpha)
+        return any(
+            _leaf_paths_match(n, path[-1].index, core) for path in first_match(n, p.reg1, alpha)
+        )
     if isinstance(p, AllChildren):
         for path in first_match(n, p.reg, alpha):
             sub = _matched_subtree(n, path)

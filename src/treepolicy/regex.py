@@ -29,9 +29,23 @@ from .nested_word import Endpoint
 
 
 class Regex:
-    """Base class for regex syntax nodes. Nodes are frozen and hashable."""
+    """Base class for regex syntax nodes. Nodes are frozen and hashable.
+    ``nullable`` says whether the empty word is in the language."""
 
     __slots__ = ()
+    nullable = False
+
+
+def _stored_hash(node: Regex) -> int:
+    return node._hash
+
+
+def _store(node: Regex, nullable: bool, fields: tuple) -> None:
+    """Keep a compound node's nullability and hash on it, each computed
+    once from its children's: a derivative walk tests a state and looks it
+    up at every step, and the generated hash would rehash the whole tree."""
+    object.__setattr__(node, "nullable", nullable)
+    object.__setattr__(node, "_hash", hash((type(node), *fields)))
 
 
 @dataclass(frozen=True)
@@ -41,7 +55,7 @@ class Symbol(Regex):
 
 @dataclass(frozen=True)
 class Epsilon(Regex):
-    pass
+    nullable = True
 
 
 @dataclass(frozen=True)
@@ -54,16 +68,31 @@ class Union(Regex):
     left: Regex
     right: Regex
 
+    def __post_init__(self):
+        _store(self, self.left.nullable or self.right.nullable, (self.left, self.right))
+
+    __hash__ = _stored_hash
+
 
 @dataclass(frozen=True)
 class Concat(Regex):
     left: Regex
     right: Regex
 
+    def __post_init__(self):
+        _store(self, self.left.nullable and self.right.nullable, (self.left, self.right))
+
+    __hash__ = _stored_hash
+
 
 @dataclass(frozen=True)
 class Star(Regex):
     inner: Regex
+
+    def __post_init__(self):
+        _store(self, True, (self.inner,))
+
+    __hash__ = _stored_hash
 
 
 # Sugar, resolved against the declared alphabet by desugar().  A SetLiteral
@@ -121,17 +150,7 @@ def desugar(r: Regex, alphabet: Iterable[Endpoint]) -> Regex:
 
 def matches_epsilon(r: Regex) -> bool:
     """True iff the empty word is in the language."""
-    if isinstance(r, Epsilon):
-        return True
-    if isinstance(r, (Symbol, Empty, SetLiteral, Complement, Any)):
-        return False
-    if isinstance(r, Union):
-        return matches_epsilon(r.left) or matches_epsilon(r.right)
-    if isinstance(r, Concat):
-        return matches_epsilon(r.left) and matches_epsilon(r.right)
-    if isinstance(r, Star):
-        return True
-    raise TypeError(f"not a regex node: {r!r}")
+    return r.nullable
 
 
 # -- structural matcher (Brzozowski derivatives) ---------------------------
@@ -158,7 +177,10 @@ def _mk_concat(a: Regex, b: Regex) -> Regex:
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative(r: Regex, s: Endpoint) -> Regex:
+def derive(r: Regex, s: Endpoint) -> Regex:
+    """The Brzozowski derivative of a core regex by one symbol: a regex for
+    the words ``w`` with ``s w`` in the language.  Matching a word is one
+    call per symbol from ``desugar(r, alphabet)``."""
     if isinstance(r, Symbol):
         return EPSILON if r.name == s else EMPTY
     if isinstance(r, SetLiteral):
@@ -166,14 +188,14 @@ def _derivative(r: Regex, s: Endpoint) -> Regex:
     if isinstance(r, (Epsilon, Empty)):
         return EMPTY
     if isinstance(r, Union):
-        return _mk_union(_derivative(r.left, s), _derivative(r.right, s))
+        return _mk_union(derive(r.left, s), derive(r.right, s))
     if isinstance(r, Concat):
-        d = _mk_concat(_derivative(r.left, s), r.right)
-        if matches_epsilon(r.left):
-            d = _mk_union(d, _derivative(r.right, s))
+        d = _mk_concat(derive(r.left, s), r.right)
+        if r.left.nullable:
+            d = _mk_union(d, derive(r.right, s))
         return d
     if isinstance(r, Star):
-        return _mk_concat(_derivative(r.inner, s), r)
+        return _mk_concat(derive(r.inner, s), r)
     raise TypeError(f"derivative needs a core regex, got {r!r}")
 
 
@@ -181,10 +203,10 @@ def matches(r: Regex, word: Sequence[Endpoint], alphabet: Iterable[Endpoint]) ->
     """Membership by repeated derivation; independent of the DFA pipeline."""
     state = desugar(r, alphabet)
     for s in word:
-        state = _derivative(state, s)
+        state = derive(state, s)
         if isinstance(state, Empty):
             return False
-    return matches_epsilon(state)
+    return state.nullable
 
 
 # -- parsing ----------------------------------------------------------------

@@ -440,12 +440,21 @@ def load_document(text: str, version: int) -> dict:
 
 def string_rows(doc: dict, field: str, keys: tuple[str, ...]) -> list[tuple[str, ...]]:
     """The field's rows, each an object holding a string under every key."""
+    error = f"{field} must be a list of objects with string fields {list(keys)}"
     rows = doc.get(field)
-    if isinstance(rows, list) and all(
-        isinstance(r, dict) and all(isinstance(r.get(k), str) for k in keys) for r in rows
-    ):
-        return [tuple(r[k] for k in keys) for r in rows]
-    raise VpaParseError(f"{field} must be a list of objects with string fields {list(keys)}")
+    if not isinstance(rows, list):
+        raise VpaParseError(error)
+    out = []
+    for r in rows:
+        if not isinstance(r, dict):
+            raise VpaParseError(error)
+        row = []
+        for k in keys:
+            if not isinstance(value := r.get(k), str):
+                raise VpaParseError(error)
+            row.append(value)
+        out.append(tuple(row))
+    return out
 
 
 def _strings(doc: dict, field: str) -> list[str]:

@@ -119,7 +119,8 @@ def random_tree(rng: random.Random, n_calls: int, alphabet: tuple[str, ...]):
 
 
 def random_rooted_word(rng: random.Random, max_calls: int, alphabet: tuple[str, ...]) -> nw.NestedWord:
-    return nw.word_from_tree(random_tree(rng, rng.randint(1, max_calls), alphabet))
+    tree = random_tree(rng, rng.randint(1, max_calls), alphabet)
+    return nw.build_nested_word(nw.tree_to_events(tree))
 
 
 def chain_word(depth: int, alphabet, seed: int = 0, closed: bool = True) -> nw.NestedWord:

@@ -1,6 +1,7 @@
 """End-to-end command behaviour and exit codes."""
 
 import json
+import math
 import time
 
 import pytest
@@ -410,6 +411,28 @@ class TestExitCodes:
         assert cli.main(["check", policy_file, t]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "KeyError: 'boom'" in err
+
+
+def rooted_word_count(labels: int, max_calls: int) -> int:
+    """Trees of c nodes over m labels: Catalan(c - 1) * m^c."""
+    return sum(math.comb(2 * (c - 1), c - 1) // c * labels**c for c in range(1, max_calls + 1))
+
+
+def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
+    path = tmp_path / "two.stp"
+    path.write_text("alphabet A, B;\nstart {A}: call-seq star;\n", encoding="utf-8")
+    assert cli.main(["equiv", str(path), "--alphabet", "A", "--max-calls", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["words_checked"] == rooted_word_count(1, 2)
+    assert cli.main(["equiv", str(path)]) == 0  # the whole alphabet, the default bound
+    assert json.loads(capsys.readouterr().out)["words_checked"] == rooted_word_count(2, 6)
+    assert cli.main(["equiv", str(path), "--max-calls", "0"]) == 2
+    capsys.readouterr()
+    assert cli.main(["format", str(path)]) == 0
+    reused = capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    assert cli.main(["format", str(path)]) == 0
+    assert capsys.readouterr() == reused
 
 
 class TestUsage:

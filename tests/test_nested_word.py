@@ -335,6 +335,39 @@ class TestEnumeration:
         assert first == second
 
 
+def _reference_forests(n_nodes, alphabet):
+    if n_nodes == 0:
+        yield ()
+        return
+    for first_size in range(1, n_nodes + 1):
+        for first in _reference_trees(first_size, alphabet):
+            for rest in _reference_forests(n_nodes - first_size, alphabet):
+                yield (first,) + rest
+
+
+def _reference_trees(n_nodes, alphabet):
+    for label in alphabet:
+        for children in _reference_forests(n_nodes - 1, alphabet):
+            yield (label, children)
+
+
+def reference_enumerate_rooted(alphabet, max_calls):
+    """The enumerator as recursive tree generators, each tree serialized
+    and rebuilt through ``build_nested_word``'s checks."""
+    for n in range(1, max_calls + 1):
+        for tree in _reference_trees(n, alphabet):
+            yield nw.build_nested_word(nw.tree_to_events(tree))
+
+
+@pytest.mark.parametrize("labels", ["A", "AB", "ABC"])
+def test_enumeration_equals_recursive_reference(labels):
+    for max_calls in range(1, 6):
+        got = list(nw.enumerate_rooted(tuple(labels), max_calls))
+        want = list(reference_enumerate_rooted(tuple(labels), max_calls))
+        assert got == want
+        assert [w.matching.partner for w in got] == [w.matching.partner for w in want]
+
+
 class TestTraceFormat:
     def test_round_trip(self, payment_word):
         text = nw.serialize_trace(payment_word)

@@ -4,12 +4,14 @@ relations, scope anchoring."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treepolicy import nested_word as nw
 from treepolicy import oracle
 from treepolicy import regex as rx
 from treepolicy.errors import NotRooted
-from treepolicy.policy import parse_policy
+from treepolicy.policy import AllPath, parse_policy
 
 from conftest import random_rooted_word, word_from_str
 
@@ -194,3 +196,73 @@ class TestProperties:
         swapped = word_from_str("<T <L L> <O O> T>")
         assert oracle.sat_hierarchical(ordered, p, alpha)
         assert not oracle.sat_hierarchical(swapped, p, alpha)
+
+
+# -- the path walks against the literal definitions ------------------------
+
+
+def reference_first_match(n, reg, alphabet):
+    """``first_match`` read off its definition: each path of ``seq`` whose
+    call projection matches, with no matching non-empty proper prefix."""
+    out = []
+    for path in n.seq():
+        word = nw.calls_projection(path)
+        if not rx.matches(reg, word, alphabet):
+            continue
+        if any(rx.matches(reg, word[:j], alphabet) for j in range(1, len(word))):
+            continue
+        out.append(path)
+    return tuple(out)
+
+
+def reference_all_path(n, p, alphabet):
+    """All-path read off its definition: under some first match, every
+    leaf path of every child subtree matches ``reg2``."""
+    for path in reference_first_match(n, p.reg1, alphabet):
+        a = path[-1]
+        sub = n.sub_word(a.index, int(n.matching.return_of(a.index)))
+        if all(
+            rx.matches(p.reg2, nw.calls_projection(leaf_path), alphabet)
+            for t in sub.subtrees()
+            for leaf_path in t.seq_leaf()
+        ):
+            return True
+    return False
+
+
+ABC = ("A", "B", "C")
+# every rooted word of <= 4 calls, and the child subtrees of each: slices
+# whose first index is not 1
+WALKED_WORDS = [
+    w for word in nw.enumerate_rooted(ABC, 4) for w in (word, *word.subtrees())
+]
+
+_names = st.frozensets(st.sampled_from(ABC))
+REGEXES = st.recursive(
+    st.one_of(
+        st.sampled_from([rx.EPSILON, rx.EMPTY, rx.ANY]),
+        st.sampled_from(ABC).map(rx.Symbol),
+        _names.map(rx.SetLiteral),
+        _names.map(rx.Complement),
+    ),
+    lambda inner: st.one_of(
+        st.builds(rx.Union, inner, inner),
+        st.builds(rx.Concat, inner, inner),
+        st.builds(rx.Star, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(REGEXES, REGEXES)
+@example(rx.EPSILON, rx.EMPTY)
+@example(rx.Star(rx.ANY), rx.EPSILON)
+@example(rx.Union(rx.Symbol("A"), rx.EPSILON), rx.Star(rx.Complement(frozenset({"A"}))))
+@example(rx.Concat(rx.Star(rx.Symbol("A")), rx.SetLiteral(frozenset({"B", "C"}))),
+         rx.Concat(rx.Star(rx.ANY), rx.Symbol("C")))
+def test_path_walks_equal_literal_definitions(reg1, reg2):
+    p = AllPath(reg1, reg2)
+    for n in WALKED_WORDS:
+        assert oracle.first_match(n, reg1, ABC) == reference_first_match(n, reg1, ABC)
+        assert oracle.sat_hierarchical(n, p, ABC) == reference_all_path(n, p, ABC)
