@@ -1,6 +1,7 @@
 """Denotational semantics: shortest-match paths, the three satisfaction
 relations, scope anchoring."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from treepolicy import nested_word as nw
 from treepolicy import oracle
 from treepolicy import regex as rx
+from treepolicy.corpus import corpus_documents
 from treepolicy.errors import NotRooted
 from treepolicy.policy import AllPath, parse_policy
 
@@ -266,3 +268,21 @@ def test_path_walks_equal_literal_definitions(reg1, reg2):
     for n in WALKED_WORDS:
         assert oracle.first_match(n, reg1, ABC) == reference_first_match(n, reg1, ABC)
         assert oracle.sat_hierarchical(n, p, ABC) == reference_all_path(n, p, ABC)
+
+
+# -- the oracle's verdicts, pinned -----------------------------------------
+
+# SHA-256 over one byte per (word, policy), b"1" where sat_policy holds:
+# every rooted word of <= 4 calls per small-corpus document and of <= 3
+# calls per full-corpus document, in corpus order (35,771 pairs).
+VERDICTS_SHA256 = "537f7acfa78a9a1ff93cb79ef560ca0a0e31803836192b49b34fab8ef058edec"
+
+
+def test_corpus_verdicts_pinned():
+    h = hashlib.sha256()
+    for variant, max_calls in (("small", 4), ("full", 3)):
+        for doc in corpus_documents(variant).values():
+            for word in nw.enumerate_rooted(doc.alphabet, max_calls):
+                for pol in doc.policies:
+                    h.update(b"1" if oracle.sat_policy(word, pol, doc.alphabet) else b"0")
+    assert h.hexdigest() == VERDICTS_SHA256
