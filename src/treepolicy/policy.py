@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Union as TUnion
 
 from . import regex as rx
-from .errors import EpsilonMatchRegex, PolicySyntaxError, UnknownEndpoint
+from .errors import EpsilonMatchRegex, PolicySyntaxError
 from .nested_word import Endpoint
 
 
@@ -108,17 +108,7 @@ def _parse_start_set(ts: rx.TokenStream, alphabet: tuple[Endpoint, ...]) -> froz
     if tok.kind == "keyword" and tok.text == "star":
         return frozenset(alphabet)
     if tok.kind == "{":
-        names = []
-        while True:
-            name = ts.expect("ident").text
-            if name not in alphabet:
-                raise UnknownEndpoint(f"endpoint {name!r} not in declared alphabet")
-            names.append(name)
-            nxt = ts.next()
-            if nxt.kind == "}":
-                return frozenset(names)
-            if nxt.kind != ",":
-                raise PolicySyntaxError(f"expected ',' or '}}' at offset {nxt.pos}")
+        return rx.parse_name_set(ts, alphabet)
     raise PolicySyntaxError(f"expected '{{' or 'star' after 'start' at offset {tok.pos}")
 
 

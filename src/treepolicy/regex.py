@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import PolicySyntaxError, UnknownEndpoint
 from .nested_word import Endpoint
@@ -289,7 +289,9 @@ _ATOM_STARTERS = {"ident", "(", "{", "!"}
 _ATOM_KEYWORDS = {"any", "star", "eps", "empty"}
 
 
-def _parse_set_body(ts: TokenStream, alphabet: frozenset[Endpoint]) -> frozenset[Endpoint]:
+def parse_name_set(ts: TokenStream, alphabet: Container[Endpoint]) -> frozenset[Endpoint]:
+    """The names of a set literal up to its closing brace, the opening
+    brace already read; each must be in the alphabet."""
     names = []
     while True:
         tok = ts.expect("ident")
@@ -324,7 +326,7 @@ def _parse_atom(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
         ts.expect(")")
         return inner
     if tok.kind == "{":
-        return SetLiteral(_parse_set_body(ts, alphabet))
+        return SetLiteral(parse_name_set(ts, alphabet))
     if tok.kind == "!":
         nxt = ts.next()
         if nxt.kind == "ident":
@@ -332,7 +334,7 @@ def _parse_atom(ts: TokenStream, alphabet: frozenset[Endpoint]) -> Regex:
                 raise UnknownEndpoint(f"endpoint {nxt.text!r} not in declared alphabet")
             return Complement(frozenset({nxt.text}))
         if nxt.kind == "{":
-            return Complement(_parse_set_body(ts, alphabet))
+            return Complement(parse_name_set(ts, alphabet))
         raise PolicySyntaxError(f"expected endpoint or set after '!' at offset {tok.pos}")
     raise PolicySyntaxError(f"unexpected token {tok.text!r} at offset {tok.pos}")
 
@@ -610,23 +612,22 @@ def to_dfa(r: Regex, alphabet: Iterable[Endpoint]) -> Dfa:
     # subset acts as the dead state), so minimize directly.
     class_of = _hopcroft(n, finals, trans, alpha)
     # Relabel classes breadth-first from the initial class, alphabet order.
+    rep = {}  # class id -> its lowest state
+    for q in range(n):
+        rep.setdefault(class_of[q], q)
     start_class = class_of[0]
     relabel = {start_class: 0}
     order = [start_class]
+    new_trans = {}
     i = 0
     while i < len(order):
-        cur = order[i]
-        rep = next(q for q in range(n) if class_of[q] == cur)
+        q = rep[order[i]]
         for s in alpha:
-            nxt = class_of[trans[(rep, s)]]
+            nxt = class_of[trans[(q, s)]]
             if nxt not in relabel:
                 relabel[nxt] = len(order)
                 order.append(nxt)
+            new_trans[(i, s)] = relabel[nxt]
         i += 1
-    new_trans = {}
-    for cid in order:
-        rep = next(q for q in range(n) if class_of[q] == cid)
-        for s in alpha:
-            new_trans[(relabel[cid], s)] = relabel[class_of[trans[(rep, s)]]]
     new_finals = frozenset(relabel[class_of[q]] for q in finals)
     return Dfa(len(order), 0, new_finals, new_trans, alpha)

@@ -13,9 +13,10 @@ from treepolicy import oracle
 from treepolicy import regex as rx
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import NotRooted
-from treepolicy.policy import AllPath, parse_policy
+from treepolicy.policy import AllChildren, AllPath, CallSeq, parse_policy, start_anchor_regex
 
 from conftest import random_rooted_word, word_from_str
+from test_compiler import random_policy
 
 PDE = ("P", "D", "E")
 
@@ -44,10 +45,22 @@ class TestFirstMatch:
         got = oracle.first_match(payment_word, reg("P D"), PDE)
         assert {tuple(a.index for a in p) for p in got} == {(1, 2), (1, 6)}
 
-    def test_not_rooted(self):
+    # rootedness is checked once, at each public entry
+    @pytest.mark.parametrize(
+        "entry", ["first_match", "sat_hierarchical", "sat_linear", "sat_policy"]
+    )
+    def test_not_rooted(self, entry):
         n = nw.build_nested_word([nw.call("P"), nw.call("D")])
+        all_path = "alphabet P, D, E;\nstart {P}: match (P) all-path (star);\n"
+        call_seq = "alphabet P, D, E;\nstart {P}: call-seq P D;\n"
+        arg = {
+            "first_match": reg("P"),
+            "sat_hierarchical": inner_of(all_path),
+            "sat_linear": inner_of(call_seq),
+            "sat_policy": policy_of(call_seq),
+        }[entry]
         with pytest.raises(NotRooted):
-            oracle.first_match(n, reg("P"), PDE)
+            getattr(oracle, entry)(n, arg, PDE)
 
 
 class TestAllPath:
@@ -217,19 +230,60 @@ def reference_first_match(n, reg, alphabet):
     return tuple(out)
 
 
+def matched_subtree(n, path):
+    """The slice rooted at the path's terminal call."""
+    a = path[-1]
+    return n.sub_word(a.index, int(n.matching.return_of(a.index)))
+
+
 def reference_all_path(n, p, alphabet):
     """All-path read off its definition: under some first match, every
     leaf path of every child subtree matches ``reg2``."""
-    for path in reference_first_match(n, p.reg1, alphabet):
-        a = path[-1]
-        sub = n.sub_word(a.index, int(n.matching.return_of(a.index)))
-        if all(
+    return any(
+        all(
             rx.matches(p.reg2, nw.calls_projection(leaf_path), alphabet)
-            for t in sub.subtrees()
+            for t in matched_subtree(n, path).subtrees()
             for leaf_path in t.seq_leaf()
-        ):
-            return True
-    return False
+        )
+        for path in reference_first_match(n, p.reg1, alphabet)
+    )
+
+
+def reference_sat_inner(n, p, alphabet):
+    """An inner policy on a rooted slice: each first match's subtree is
+    sliced out, and its children are the slices of ``subtrees``."""
+    if isinstance(p, CallSeq):
+        return rx.matches(p.reg, n.call_sequence(), alphabet)
+    if isinstance(p, AllPath):
+        return reference_all_path(n, p, alphabet)
+    children = [
+        matched_subtree(n, path).subtrees() for path in reference_first_match(n, p.reg, alphabet)
+    ]
+    if isinstance(p, AllChildren):
+        return any(all(reference_sat_inner(t, p.child, alphabet) for t in ts) for ts in children)
+    return any(reference_ordered_selection(ts, p.subpolicies, alphabet) for ts in children)
+
+
+def reference_ordered_selection(subtrees, subpolicies, alphabet):
+    """Can the subpolicies take distinct subtrees in left-to-right order?
+    Tried by backtracking over every choice."""
+    if not subpolicies:
+        return True
+    return any(
+        reference_sat_inner(t, subpolicies[0], alphabet)
+        and reference_ordered_selection(subtrees[i + 1 :], subpolicies[1:], alphabet)
+        for i, t in enumerate(subtrees)
+    )
+
+
+def reference_sat_policy(n, pol, alphabet):
+    """``sat_policy`` read off its definition over slices: every
+    start-anchored first match's subtree satisfies the inner policy."""
+    anchor = start_anchor_regex(pol.start_set)
+    return all(
+        reference_sat_inner(matched_subtree(n, path), pol.inner, alphabet)
+        for path in reference_first_match(n, anchor, alphabet)
+    )
 
 
 ABC = ("A", "B", "C")
@@ -268,6 +322,14 @@ def test_path_walks_equal_literal_definitions(reg1, reg2):
     for n in WALKED_WORDS:
         assert oracle.first_match(n, reg1, ABC) == reference_first_match(n, reg1, ABC)
         assert oracle.sat_hierarchical(n, p, ABC) == reference_all_path(n, p, ABC)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_in_place_reading_equals_slices(seed):
+    pol = random_policy(random.Random(seed), ABC, depth_budget=4)
+    for n in WALKED_WORDS:
+        assert oracle.sat_policy(n, pol, ABC) == reference_sat_policy(n, pol, ABC), (pol, n)
 
 
 # -- the oracle's verdicts, pinned -----------------------------------------
