@@ -127,28 +127,22 @@ class _Build:
         assert dst in self.states, f"{family}: call target {dst!r} unknown"
         assert push in self.gamma, f"{family}: pushes undeclared symbol {push!r}"
         key = (src, sym)
-        if key in self.calls:
-            if self.calls[key] != (dst, push):
-                raise CompilerInternalError(
-                    f"{family}: call conflict at {key}: "
-                    f"{self.calls[key]} vs {(dst, push)}"
-                )
-            return
-        self.calls[key] = (dst, push)
+        old = self.calls.setdefault(key, (dst, push))
+        if old != (dst, push):
+            raise CompilerInternalError(
+                f"{family}: call conflict at {key}: {old} vs {(dst, push)}"
+            )
 
     def ret(self, family: str, src: str, pop: str, sym: str, dst: str):
         if src not in self.states or pop not in self.gamma:
             return
         assert dst in self.states, f"{family}: return target {dst!r} unknown"
         key = (src, pop, sym)
-        if key in self.returns:
-            if self.returns[key] != dst:
-                raise CompilerInternalError(
-                    f"{family}: return conflict at {key}: "
-                    f"{self.returns[key]} vs {dst}"
-                )
-            return
-        self.returns[key] = dst
+        old = self.returns.setdefault(key, dst)
+        if old != dst:
+            raise CompilerInternalError(
+                f"{family}: return conflict at {key}: {old} vs {dst}"
+            )
 
     def finish(self) -> Vpa:
         """Complete both tables into the reject state and freeze."""
@@ -173,20 +167,17 @@ class _Build:
 
 
 def _rename_vpa(v: Vpa, prefix: str) -> Vpa:
-    def st(q: str) -> str:
-        return prefix + q
-
-    def sy(g: str) -> str:
-        return g if g == BOTTOM else prefix + g
-
+    # One table for states and stack symbols alike; the bottom marker stays.
+    ren = {x: prefix + x for x in v.states | v.stack_alphabet}
+    ren[BOTTOM] = BOTTOM
     return Vpa(
-        frozenset(st(q) for q in v.states),
-        st(v.initial),
-        frozenset(st(q) for q in v.finals),
+        frozenset(ren[q] for q in v.states),
+        ren[v.initial],
+        frozenset(ren[q] for q in v.finals),
         v.alphabet,
-        frozenset(sy(g) for g in v.stack_alphabet),
-        {(st(q), s): (st(q2), sy(g)) for (q, s), (q2, g) in v.delta_call.items()},
-        {(st(q), sy(g), s): st(q2) for (q, g, s), q2 in v.delta_return.items()},
+        frozenset(ren[g] for g in v.stack_alphabet),
+        {(ren[q], s): (ren[q2], ren[g]) for (q, s), (q2, g) in v.delta_call.items()},
+        {(ren[q], ren[g], s): ren[q2] for (q, g, s), q2 in v.delta_return.items()},
     )
 
 
@@ -397,10 +388,10 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
     _match_search(b, a1, ends[k - 1])
 
     # c1: the matched node hands over to the first sub-automaton.
-    for (q, s), (dst, push) in subs[0].delta_call.items():
-        if q == begs[0]:
-            for f in a1.finals:
-                b.call("c1", f, s, dst, push)
+    for s in alpha:
+        dst, push = subs[0].delta_call[(begs[0], s)]
+        for f in a1.finals:
+            b.call("c1", f, s, dst, push)
 
     # c2: sub-automata transitions; an accept state behaves like the next
     # sub-automaton's initial state.
@@ -410,9 +401,9 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
                 continue
             b.call("c2", q, s, dst, push)
         if i + 1 < k:
-            for (q, s), (dst, push) in subs[i + 1].delta_call.items():
-                if q == begs[i + 1]:
-                    b.call("c2", ends[i], s, dst, push)
+            for s in alpha:
+                dst, push = subs[i + 1].delta_call[(begs[i + 1], s)]
+                b.call("c2", ends[i], s, dst, push)
 
     # c3: once all k subtrees are found the run coasts in the exists marker.
     for s in alpha:
@@ -479,21 +470,16 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
         return inn.delta_return[(q, ibeg, s)] == iend
 
     # c1: simulate the anchor DFA; on reaching an S endpoint, enter the
-    # inner automaton instead (two cases: root call, deeper call).
+    # inner automaton instead.  The root call steps the anchor from its
+    # initial state and pushes the begin marker; a deeper call pushes its
+    # source state.
+    sources = ((a1.initial, BEG), *((q, q) for q in a1.nonfinals))
     for s in alpha:
-        t = a1.delta[(a1.initial, s)]
-        if t not in a1.finals:
-            b.call("c1", BEG, s, t, BEG)
-        else:
-            dst, _ = inner_initial_call(s)
-            b.call("c1", BEG, s, dst, BEG)
-        for q in a1.nonfinals:
+        for q, src in sources:
             t = a1.delta[(q, s)]
-            if t not in a1.finals:
-                b.call("c1", q, s, t, q)
-            else:
-                dst, _ = inner_initial_call(s)
-                b.call("c1", q, s, dst, q)
+            if t in a1.finals:
+                t, _ = inner_initial_call(s)
+            b.call("c1", src, s, t, src)
 
     # c2: inner transitions between its middle states (``_Build`` drops
     # those from the fused initial and final states).

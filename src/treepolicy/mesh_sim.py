@@ -16,8 +16,9 @@ monitored outcome.
 Each request owns its header values and hop-local storage; policies are
 monitored independently, one header per policy.  Call graphs and requests
 are walked with explicit stacks, so a call chain of any depth runs.  A
-topology unrolls exponentially in its depth, so ``run_workload`` refuses one
-whose requests unroll to more than ``MAX_REQUEST_NODES`` nodes.
+topology unrolls exponentially in its depth, so ``execute_request`` refuses
+every request that unrolls to more than ``MAX_REQUEST_NODES`` nodes, and
+``run_workload`` checks each entrypoint before anything runs.
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ from .vpa import Table
 MODE_LOG = "log"
 MODE_EARLY_BLOCK = "early_block"
 
-MAX_REQUEST_NODES = 1_000_000  # per request, in run_workload
+MAX_REQUEST_NODES = 1_000_000  # per request
 
 
 @dataclass(frozen=True)
 class Topology:
+    """A call script.  Construction walks the call graph once, refusing a
+    cycle and counting the nodes a request to each service unrolls to; the
+    counts are not a field, so equality and ``repr`` ignore them."""
+
     services: tuple[Endpoint, ...]
     behavior: dict[Endpoint, tuple[Endpoint, ...]]
     entrypoints: tuple[Endpoint, ...]
@@ -56,53 +61,44 @@ class Topology:
         for e in self.entrypoints:
             if e not in known:
                 raise ConfigError(f"entrypoint {e!r} not a service")
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        """Depth-first search with the open path on an explicit stack, so a
-        call chain of any length is checked."""
-        colors: dict[Endpoint, int] = {}  # 1 on the open path, 2 finished
+        # Depth-first search with the open path on an explicit stack, so a
+        # call chain of any length is checked and counted.
+        sizes: dict[Endpoint, int] = {}
+        open_path: set[Endpoint] = set()
         for start in self.services:
-            if start in colors:
+            if start in sizes:
                 continue
-            colors[start] = 1
+            open_path.add(start)
             path = [(start, iter(self.children(start)))]
             while path:
                 svc, children = path[-1]
                 for c in children:
-                    state = colors.get(c, 0)
-                    if state == 1:
+                    if c in open_path:
                         raise ConfigError(f"call graph cycle through {c!r}")
-                    if state == 0:
-                        colors[c] = 1
+                    if c not in sizes:
+                        open_path.add(c)
                         path.append((c, iter(self.children(c))))
                         break
                 else:
-                    colors[svc] = 2
+                    sizes[svc] = 1 + sum(sizes[c] for c in self.children(svc))
+                    open_path.remove(svc)
                     path.pop()
+        object.__setattr__(self, "_sizes", sizes)
 
     def children(self, svc: Endpoint) -> tuple[Endpoint, ...]:
         return self.behavior.get(svc, ())
 
     def node_count(self, root: Endpoint) -> int:
         """Nodes of the service tree a request to ``root`` unrolls to."""
-        return self.node_counts((root,))[root]
+        return self._sizes[root]
 
-    def node_counts(self, roots: Iterable[Endpoint]) -> dict[Endpoint, int]:
-        """``node_count`` of each root and of every service below one, in
-        one pass: each service is counted once, after its children."""
-        counts: dict[Endpoint, int] = {}
-        for root in roots:
-            todo = [root]
-            while todo:
-                svc = todo[-1]
-                uncounted = [c for c in self.children(svc) if c not in counts]
-                if uncounted:
-                    todo += uncounted
-                else:
-                    counts[svc] = 1 + sum(counts[c] for c in self.children(svc))
-                    todo.pop()
-        return counts
+
+def _check_request_size(t: Topology, root: Endpoint):
+    size = t.node_count(root)
+    if size > MAX_REQUEST_NODES:
+        raise ConfigError(
+            f"a request to {root!r} unrolls to {size} nodes, more than {MAX_REQUEST_NODES}"
+        )
 
 
 def generate_topology(depth: int, fanout: int, alphabet: Sequence[Endpoint]) -> Topology:
@@ -235,10 +231,13 @@ def execute_request(
     for that id.  In early-block mode a policy whose call transition enters
     an absorbing reject state stops the request: the offending subtree never
     executes, open calls unwind normally, so the trace stays rooted.  Open
-    calls wait on an explicit stack, so a call chain of any depth runs.
+    calls wait on an explicit stack, so a call chain of any depth runs.  A
+    request that unrolls to more than ``MAX_REQUEST_NODES`` nodes is a
+    ``ConfigError``.
     """
     if root not in t.entrypoints:
         raise ConfigError(f"{root!r} is not an entrypoint")
+    _check_request_size(t, root)
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
     for pf in filters:
@@ -354,19 +353,14 @@ def run_workload(
     raised before anything runs."""
     if not t.entrypoints:
         raise ConfigError("topology has no entrypoints")
-    sizes = t.node_counts(t.entrypoints)
-    largest = max(t.entrypoints, key=sizes.__getitem__)
-    if sizes[largest] > MAX_REQUEST_NODES:
-        raise ConfigError(
-            f"a request to {largest!r} unrolls to {sizes[largest]} nodes, "
-            f"more than {MAX_REQUEST_NODES}"
-        )
+    for root in t.entrypoints:
+        _check_request_size(t, root)
     filters = [build_filter_set(a) for a in artifacts]
     report = SimReport()
     report.per_policy = {
         pf.policy_id: {"transitions": 0, "violations": 0, "blocks": 0} for pf in filters
     }
-    report.nodes_per_tree = sizes[t.entrypoints[0]]
+    report.nodes_per_tree = t.node_count(t.entrypoints[0])
     for i in range(n_requests):
         root = t.entrypoints[i % len(t.entrypoints)]
         result = execute_request(t, root, filters, mode=mode)

@@ -112,12 +112,16 @@ class FilterSpec:
 class DistributedMonitor(Mapping):
     """Endpoint -> ``FilterSpec``, read-only, and the table ``dist_run``
     steps: the automaton's own when the monitor was extracted from it, else
-    one built from the specs on first use."""
+    one built from the specs on first use.  Two specs for one endpoint are
+    a ``VpaParseError``."""
 
     __slots__ = ("_specs", "_table")
 
     def __init__(self, specs: Iterable[FilterSpec], table: Table | None = None):
-        self._specs, self._table = {spec.endpoint: spec for spec in specs}, table
+        self._specs, self._table = {}, table
+        for spec in specs:
+            if self._specs.setdefault(spec.endpoint, spec) is not spec:
+                raise VpaParseError(f"two filter specs for endpoint {spec.endpoint!r}")
 
     def __getitem__(self, e: Endpoint) -> FilterSpec:
         return self._specs[e]

@@ -27,6 +27,7 @@ once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -323,7 +324,8 @@ class WellFormedReport:
 
 def check_well_formed(v: Vpa) -> WellFormedReport:
     """Totality of both transition tables, rules only over declared names
-    (states, endpoints, stack symbols), and the no-push-of-bottom rule."""
+    (states, endpoints, stack symbols), each endpoint declared once, and the
+    no-push-of-bottom rule."""
     problems = []
     if v.initial not in v.states:
         problems.append(f"initial state {v.initial!r} not in states")
@@ -331,6 +333,9 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
         problems.append(f"final state {q!r} not in states")
     if BOTTOM not in v.stack_alphabet:
         problems.append("stack alphabet lacks the bottom marker")
+    for e, n in Counter(v.alphabet).items():
+        if n > 1:
+            problems.append(f"alphabet names {e!r} more than once")
     for q, e in filterfalse(v.delta_call.__contains__, product(sorted(v.states), v.alphabet)):
         problems.append(f"missing call transition ({q!r}, {e!r})")
     alphabet = set(v.alphabet)

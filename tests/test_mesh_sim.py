@@ -66,6 +66,12 @@ class TestTopology:
         assert mesh_sim.generate_topology(5, 4, alpha).node_count("A") == 1365
         assert mesh_sim.generate_topology(2, 1, alpha).node_count("A") == 3
         assert mesh_sim.generate_topology(4, 2, alpha).node_count("A") == 31
+        assert HOSPITAL.node_count("D") == 2
+        with pytest.raises(KeyError):
+            HOSPITAL.node_count("Z")
+        # the counts are not a field, so equality and repr ignore them
+        fields = [f.name for f in dataclasses.fields(HOSPITAL)]
+        assert fields == ["services", "behavior", "entrypoints"]
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -190,6 +196,14 @@ class TestExecuteRequest:
                         assert out.final_state == final
                         assert (out.kind == "accept") == accepts(art.vpa, res.word)
         assert blocked
+
+    def test_oversized_request_refused(self, monkeypatch):
+        filters = [mesh_sim.build_filter_set(artifacts_for(LOGGING_POLICY)[0])]
+        monkeypatch.setattr(mesh_sim, "MAX_REQUEST_NODES", 6)  # HOSPITAL unrolls to 6
+        assert mesh_sim.execute_request(HOSPITAL, "F", filters).transitions_total == 12
+        monkeypatch.setattr(mesh_sim, "MAX_REQUEST_NODES", 5)
+        with pytest.raises(ConfigError, match="'F' unrolls to 6 nodes, more than 5"):
+            mesh_sim.execute_request(HOSPITAL, "F", filters)
 
     def test_non_entrypoint_rejected(self):
         arts = artifacts_for(LOGGING_POLICY)

@@ -9,8 +9,9 @@ import pytest
 
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError
+from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.nested_word import IndexedSymbol
+from treepolicy.policy import parse_policy
 from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, walk
 
 from conftest import (
@@ -307,6 +308,17 @@ class TestMissingRule:
             monitor.dist_run(m, initial_configuration(v), word_from_str("<P P>"))
         with pytest.raises(MissingTransition, match="no rules for 'nowhere'"):
             monitor.dist_run(m, Configuration("nowhere", (BOTTOM,)), word_from_str("<D D>"))
+
+
+class TestRepeatedEndpoint:
+    def test_two_specs_for_one_endpoint_rejected(self):
+        # the filter files emit-filters writes for a two-policy document
+        doc = parse_policy("alphabet A, B;\nstart {A}: call-seq A B*;\nstart {B}: call-seq B;\n")
+        texts = [monitor.filter_spec_to_json(spec) for art in compiler.compile(doc)
+                 for spec in monitor.emit_filters(monitor.extract_monitor(art.vpa))]
+        assert len(texts) == 4
+        with pytest.raises(VpaParseError, match="two filter specs for endpoint 'A'"):
+            monitor.monitor_from_filters(map(monitor.filter_spec_from_json, texts))
 
 
 class TestRenderScript:

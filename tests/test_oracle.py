@@ -324,11 +324,22 @@ def test_path_walks_equal_literal_definitions(reg1, reg2):
         assert oracle.sat_hierarchical(n, p, ABC) == reference_all_path(n, p, ABC)
 
 
+# the child slices starting at index 3 or later of the rooted words of <= 5
+# calls over A, B (520); the shortest such slices that hold a node with a
+# following sibling need 5 calls, and only there does a subtree window that
+# ignores the first index overrun into that sibling
+LATE_SLICES = [
+    t for word in nw.enumerate_rooted(("A", "B"), 5)
+    for t in word.subtrees() if t.first_index >= 3
+]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_in_place_reading_equals_slices(seed):
-    pol = random_policy(random.Random(seed), ABC, depth_budget=4)
-    for n in WALKED_WORDS:
+@given(st.integers(min_value=0, max_value=2**32).map(
+    lambda seed: random_policy(random.Random(seed), ABC, depth_budget=4)))
+@example(parse_policy("alphabet A, B, C;\nstart {B}: call-seq B;\n").policies[0])
+def test_in_place_reading_equals_slices(pol):
+    for n in (*WALKED_WORDS, *LATE_SLICES):
         assert oracle.sat_policy(n, pol, ABC) == reference_sat_policy(n, pol, ABC), (pol, n)
 
 

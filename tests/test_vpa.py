@@ -408,6 +408,18 @@ class TestSerialization:
         with pytest.raises(VpaParseError, match="more than once"):
             import_vpa(json.dumps(doc))
 
+    def test_repeated_alphabet_name_rejected(self):
+        v = two_state_vpa()
+        repeated = type(v)(
+            v.states, v.initial, v.finals, ("Appt", "Appt"), v.stack_alphabet,
+            v.delta_call, v.delta_return,
+        )
+        assert check_well_formed(repeated).problems == ("alphabet names 'Appt' more than once",)
+        doc = json.loads(export_vpa(v, "json"))
+        doc["alphabet"] = ["Appt", "Appt"]
+        with pytest.raises(VpaParseError, match="alphabet names 'Appt' more than once"):
+            import_vpa(json.dumps(doc))
+
     def test_dot_labels(self):
         dot = export_vpa(two_state_vpa(), "dot")
         assert '"call Appt / q0"' in dot
