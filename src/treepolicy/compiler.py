@@ -16,6 +16,12 @@ every key no family wrote to the reject state, which makes tables complete.
 
 Sub-automata are embedded by prefix-renaming every state and stack symbol,
 which keeps state spaces disjoint without global bookkeeping.
+
+``compile_policy`` applies one pass after the constructions, ``_prune``: it
+keeps the states a run from the initial state can reach, the stack symbols
+such a run can push (with the bottom marker), and the rules over them.  The
+result is still complete, and every run is the same.  The constructions
+themselves stay unpruned, so their state counts follow from their parts.
 """
 
 from __future__ import annotations
@@ -84,7 +90,8 @@ def _frag_fresh_initial(d: rx.Dfa, tag: str) -> _DfaFrag:
     The start construction resumes the anchor DFA when a checked subtree
     returns, guarded by "the popped state is not the initial one"; giving
     the DFA an initial state that is never re-entered (and hence never
-    pushed) keeps that guard vacuous instead of wrong.
+    pushed) keeps that guard vacuous instead of wrong.  No run enters it,
+    so ``compile_policy``'s prune pass drops it from the output.
     """
     base = _frag(d, tag)
     init = f"{tag}init"
@@ -518,6 +525,68 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     return b.finish()
 
 
+# -- reachability pruning ------------------------------------------------------
+
+
+def _prune(v: Vpa) -> Vpa:
+    """The automaton restricted to what a run from the initial state can use.
+
+    A least fixpoint from the initial state: a reached state's call rules
+    reach their targets and push their symbols, and its return rules that
+    pop a pushed symbol or the bottom marker reach their targets.  It keeps
+    the reached states, the pushed symbols with the bottom marker, and the
+    rules over them, which are recorded as the fixpoint meets them; every
+    rule over kept names leads to kept names, so the result is complete and
+    well-formed, and every run from the initial configuration is the same,
+    configuration for configuration.  Each (state, stack symbol) pair is
+    visited once: when the later of the two is taken from its worklist.
+    """
+    alpha, delta_call, delta_return = v.alphabet, v.delta_call, v.delta_return
+    states, symbols = [v.initial], [BOTTOM]
+    reached, pushed = set(states), set(symbols)
+    calls: dict[tuple[str, str], tuple[str, str]] = {}
+    returns: dict[tuple[str, str, str], str] = {}
+
+    def visit(q: str, g: str):
+        for e in alpha:
+            key = (q, g, e)
+            t = returns[key] = delta_return[key]
+            if t not in reached:
+                reached.add(t)
+                states.append(t)
+
+    i = j = 0  # states[:i] and symbols[:j] are visited against each other
+    while i < len(states) or j < len(symbols):
+        if i < len(states):
+            q = states[i]
+            i += 1
+            for e in alpha:
+                key = (q, e)
+                t, g = calls[key] = delta_call[key]
+                if t not in reached:
+                    reached.add(t)
+                    states.append(t)
+                if g not in pushed:
+                    pushed.add(g)
+                    symbols.append(g)
+            for g in symbols[:j]:
+                visit(q, g)
+        else:
+            g = symbols[j]
+            j += 1
+            for q in states[:i]:
+                visit(q, g)
+    return Vpa(
+        frozenset(reached),
+        v.initial,
+        v.finals & reached,
+        alpha,
+        frozenset(pushed),
+        calls,
+        returns,
+    )
+
+
 # -- whole-policy compilation ---------------------------------------------------
 
 
@@ -572,7 +641,7 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
     dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), alpha)}
     inner_vpa, inner_dfas = compile_inner(policy.inner, alpha)
     dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
-    vpa = compile_start(dfas["start"], inner_vpa)
+    vpa = _prune(compile_start(dfas["start"], inner_vpa))
     report = check_well_formed(vpa)
     if not report.ok:
         raise CompilerInternalError(

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from treepolicy import nested_word as nw
+from treepolicy import compiler, nested_word as nw, regex as rx
 from treepolicy.errors import StackUnderflow
+from treepolicy.policy import Policy, start_anchor_regex
 from treepolicy.vpa import BOTTOM, Vpa, link
 
 
@@ -62,6 +63,14 @@ def complete_with_sink(v: Vpa, sink: str = "sink") -> Vpa:
         delta_call,
         delta_return,
     )
+
+
+def raw_automaton(pol: Policy, alphabet) -> Vpa:
+    """The automaton ``compile_policy`` builds before its prune pass: the
+    inner automaton anchored at the start set by ``compile_start``."""
+    alpha = tuple(alphabet)
+    inner, _ = compiler.compile_inner(pol.inner, alpha)
+    return compiler.compile_start(rx.to_dfa(start_anchor_regex(pol.start_set), alpha), inner)
 
 
 def two_state_vpa() -> Vpa:

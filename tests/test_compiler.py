@@ -1,9 +1,12 @@
 """Construction-by-construction differential tests against the semantics,
 plus structural invariants and the analytic state bound."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepolicy import compiler, nested_word as nw, oracle, regex as rx
 from treepolicy.corpus import corpus_documents
@@ -16,9 +19,9 @@ from treepolicy.policy import (
     Policy,
     parse_policy,
 )
-from treepolicy.vpa import BOTTOM, accepts, check_well_formed
+from treepolicy.vpa import BOTTOM, accepts, check_well_formed, final_configuration
 
-from conftest import word_from_str
+from conftest import random_rooted_word, raw_automaton, word_from_str
 from test_regex import random_regex
 
 
@@ -343,6 +346,61 @@ class TestRandomPolicySoundness:
                 want = oracle.sat_policy(word, pol, alpha)
                 got = accepts(art.vpa, word)
                 assert want == got, (i, pol, [(a.tag, a.endpoint) for a in word.symbols])
+
+
+class TestPrune:
+    """``compile_policy`` prunes what no run from the initial state can use:
+    every run must reach the same configuration as on the raw automaton."""
+
+    RANDOM_SEEDS = {2024: 100, 555: 40}  # the seeds and counts drawn above
+
+    @staticmethod
+    @functools.cache
+    def automata(pol, alphabet):
+        """The raw and the pruned automaton of a policy."""
+        return raw_automaton(pol, alphabet), compiler.compile_policy(pol, alphabet).vpa
+
+    def assert_same_runs(self, pol, alphabet, words, ctx=""):
+        raw, pruned = self.automata(pol, alphabet)
+        assert pruned.states <= raw.states and pruned.stack_alphabet <= raw.stack_alphabet
+        for word in words:
+            assert final_configuration(pruned, word) == final_configuration(raw, word), (
+                ctx, pol, [(a.tag, a.endpoint) for a in word.symbols])
+
+    def test_runs_unchanged_on_small_words(self):
+        for variant, max_calls in (("small", 4), ("full", 3)):
+            for name, doc in corpus_documents(variant).items():
+                words = list(nw.enumerate_rooted(doc.alphabet, max_calls))
+                for pol in doc.policies:
+                    self.assert_same_runs(pol, doc.alphabet, words, (variant, name))
+        alpha = ("A", "B", "C")
+        words = list(nw.enumerate_rooted(alpha, 4))
+        for seed, count in self.RANDOM_SEEDS.items():
+            rng = random.Random(seed)
+            for i in range(count):
+                pol = random_policy(rng, alpha, depth_budget=4)
+                self.assert_same_runs(pol, alpha, words, (seed, i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_runs_unchanged_on_full_corpus_words(self, seed):
+        rng = random.Random(seed)
+        for name, doc in corpus_documents("full").items():
+            word = random_rooted_word(rng, 20, doc.alphabet)
+            for pol in doc.policies:
+                self.assert_same_runs(pol, doc.alphabet, [word], name)
+
+    def test_fresh_anchor_initial_state_is_dropped(self):
+        for variant in ("small", "full"):
+            for name, doc in corpus_documents(variant).items():
+                for pol, art in zip(doc.policies, compiler.compile(doc)):
+                    fresh = compiler._frag_fresh_initial(art.component_dfas["start"], "a").initial
+                    assert fresh in raw_automaton(pol, doc.alphabet).states
+                    assert fresh not in art.vpa.states, (variant, name)
+        full = [a for doc in corpus_documents("full").values() for a in compiler.compile(doc)]
+        # 158 states and 41 header bits before pruning
+        assert sum(a.metrics.state_count for a in full) == 117
+        assert sum(a.metrics.header_bits for a in full) == 35
 
 
 def random_match_regex(rng: random.Random, alphabet) -> rx.Regex:
