@@ -162,20 +162,22 @@ def cmd_emit_filters(args) -> int:
     doc = _load_document(args.policy_file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    written, sizes = [], []
     for artifact in compiler.compile(doc):
         mon = monitor.extract_monitor(artifact.vpa)
+        header = f"{monitor.STATE_HEADER}-{artifact.policy_id}"
+        rules = size = 0
         for spec in monitor.emit_filters(mon):
             stem = f"{artifact.policy_id}.{spec.endpoint}"
-            (out_dir / f"{stem}.filter.json").write_text(
-                monitor.filter_spec_to_json(spec), encoding="utf-8"
-            )
-            header = f"{monitor.STATE_HEADER}-{artifact.policy_id}"
-            (out_dir / f"{stem}.filter.lua").write_text(
-                monitor.render_filter_script(spec, header=header), encoding="utf-8"
-            )
+            for suffix, text in ((".filter.json", monitor.filter_spec_to_json(spec)),
+                                 (".filter.lua", monitor.render_filter_script(spec, header=header))):
+                data = text.encode("utf-8")
+                (out_dir / f"{stem}{suffix}").write_bytes(data)
+                size += len(data)
+            rules += len(spec.on_request) + len(spec.on_response)
             written.append(stem)
-    _emit({"version": 1, "filters": written})
+        sizes.append({"policy_id": artifact.policy_id, "rules": rules, "bytes": size})
+    _emit({"version": 1, "filters": written, "policies": sizes})
     return EXIT_OK
 
 

@@ -3,13 +3,18 @@
 A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
 of an endpoint holds its call rules as ``on_request`` (state -> state and
 pushed symbol) and its return rules as ``on_response`` (state and popped
-symbol -> state), read-only and in sorted key order.  A
-``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
+symbol -> state), read-only and in sorted key order, and names the
+automaton's reject sink as ``reject``: a rule the spec lacks goes there.
+A ``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
 integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
 does.  ``extract_monitor`` copies no rule: its specs read ``Vpa.table`` in
-place and its monitor steps that table.  A monitor read back from filter
-specs (``monitor_from_filters``) builds its own table from them; a rule
-missing there raises ``MissingTransition``, which names it.
+place, leaving out the rules equal to the sink's, and its monitor steps
+that table.  A monitor read back from filter specs
+(``monitor_from_filters``) builds its own table from them, over the states
+they name and the sink, with the sink's rule in every cell they leave out;
+``dist_run`` sends a state they do not name to the sink, as a script's
+fall-through does.  With no ``reject``, a rule missing there raises
+``MissingTransition``, which names it.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
@@ -24,13 +29,13 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
-from itertools import compress
 from types import MappingProxyType
 
 from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
-    BOTTOM, Configuration, Table, Vpa, build_table, json_document, load_document, string_rows, walk,
+    BOTTOM, Configuration, Table, Vpa, build_table, fill_reject, json_document, link, load_document,
+    reject_member, reject_sink, skipped_cells, string_rows, walk,
 )
 
 STATE_HEADER = "x-safetree-state"
@@ -40,11 +45,12 @@ FILTER_SCHEMA_VERSION = 1
 class _TableRules(Mapping):
     """One endpoint's rules read in place from a ``Table``: the call rules
     of ``request[e]`` (state -> state and pushed symbol) or the return
-    rules of ``response[e]`` (state and popped symbol -> state).  Keys
-    come in id order, which is sorted key order."""
+    rules of ``response[e]`` (state and popped symbol -> state), without
+    the cells in ``skip`` (the reject sink's rule and a missing rule's
+    ``None``).  Keys come in id order, which is sorted key order."""
 
-    def __init__(self, t: Table, row: tuple):
-        self._t, self._row = t, row
+    def __init__(self, t: Table, row: tuple, skip: tuple):
+        self._t, self._row, self._skip = t, row, skip
 
     def items(self):
         return _RuleItems(self)
@@ -59,25 +65,25 @@ class _RuleItems(ItemsView):
 
 class _RequestRules(_TableRules):
     def __getitem__(self, q):
-        if (rule := self._row[self._t.state_id[q]]) is None:
+        if (rule := self._row[self._t.state_id[q]]) in self._skip:
             raise KeyError(q)
         return self._t.states[rule[0]], self._t.symbols[rule[1]]
 
     def __iter__(self):
-        return compress(self._t.states, self._row)  # a missing rule is None
+        return (q for q, rule in zip(self._t.states, self._row) if rule not in self._skip)
 
     def _pairs(self):
-        states, symbols = self._t.states, self._t.symbols
+        states, symbols, skip = self._t.states, self._t.symbols, self._skip
         return ((q, (states[rule[0]], symbols[rule[1]]))
-                for q, rule in zip(states, self._row) if rule is not None)
+                for q, rule in zip(states, self._row) if rule not in skip)
 
     def __len__(self):
-        return len(self._row) - self._row.count(None)
+        return len(self._row) - sum(map(self._row.count, self._skip))
 
 
 class _ResponseRules(_TableRules):
     def __getitem__(self, key):
-        if (dst := self._row[self._t.symbol_id[key[1]]][self._t.state_id[key[0]]]) is None:
+        if (dst := self._row[self._t.symbol_id[key[1]]][self._t.state_id[key[0]]]) in self._skip:
             raise KeyError(key)
         return self._t.states[dst]
 
@@ -85,23 +91,26 @@ class _ResponseRules(_TableRules):
         return (key for key, _ in self._pairs())
 
     def _pairs(self):
-        states, symbols = self._t.states, self._t.symbols
+        states, symbols, skip = self._t.states, self._t.symbols, self._skip
         return (((q, g), states[dst]) for q, column in zip(states, zip(*self._row))
-                for g, dst in zip(symbols, column) if dst is not None)
+                for g, dst in zip(symbols, column) if dst not in skip)
 
     def __len__(self):
-        return sum(len(r) - r.count(None) for r in self._row)
+        return sum(len(r) - sum(map(r.count, self._skip)) for r in self._row)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Call/return transitions of one endpoint.  Rules read from a table
-    are kept as they are; any other mapping is copied once, sorted, so no
-    edit through or behind a spec can leave a monitor's table behind."""
+    """Call/return transitions of one endpoint; a rule it lacks goes to the
+    ``reject`` state (a call also pushes it), or is missing when ``reject``
+    is ``None``.  Rules read from a table are kept as they are; any other
+    mapping is copied once, sorted, so no edit through or behind a spec can
+    leave a monitor's table behind."""
 
     endpoint: Endpoint
     on_request: Mapping[str, tuple[str, str]]  # state -> (state, pushed symbol)
     on_response: Mapping[tuple[str, str], str]  # (state, popped symbol) -> state
+    reject: str | None = None
 
     def __post_init__(self):
         for name in ("on_request", "on_response"):
@@ -112,16 +121,21 @@ class FilterSpec:
 class DistributedMonitor(Mapping):
     """Endpoint -> ``FilterSpec``, read-only, and the table ``dist_run``
     steps: the automaton's own when the monitor was extracted from it, else
-    one built from the specs on first use.  Two specs for one endpoint are
-    a ``VpaParseError``."""
+    one built from the specs on first use.  Two specs for one endpoint, or
+    specs that name different ``reject`` states, are a ``VpaParseError``."""
 
-    __slots__ = ("_specs", "_table")
+    __slots__ = ("_specs", "_table", "_reject")
 
     def __init__(self, specs: Iterable[FilterSpec], table: Table | None = None):
         self._specs, self._table = {}, table
         for spec in specs:
             if self._specs.setdefault(spec.endpoint, spec) is not spec:
                 raise VpaParseError(f"two filter specs for endpoint {spec.endpoint!r}")
+        rejects = {spec.reject for spec in self._specs.values()}
+        if len(rejects) > 1:
+            raise VpaParseError(f"filter specs name different reject states: "
+                                f"{', '.join(sorted(map(repr, rejects)))}")
+        self._reject = rejects.pop() if rejects else None
 
     def __getitem__(self, e: Endpoint) -> FilterSpec:
         return self._specs[e]
@@ -133,6 +147,11 @@ class DistributedMonitor(Mapping):
         return len(self._specs)
 
     @property
+    def reject(self) -> str | None:
+        """The reject state every spec names."""
+        return self._reject
+
+    @property
     def table(self) -> Table:
         if self._table is None:
             self._table = _spec_table(self)
@@ -141,27 +160,42 @@ class DistributedMonitor(Mapping):
 
 def _spec_table(m: DistributedMonitor) -> Table:
     """The table of the specs' rules over every state and stack symbol they
-    name, and the bottom marker."""
-    calls = [((q, e), rule) for e, spec in m.items() for q, rule in spec.on_request.items()]
-    returns = [((q, g, e), dst) for e, spec in m.items() for (q, g), dst in spec.on_response.items()]
-    states = {x for (q, _), (dst, _) in calls for x in (q, dst)}
-    states.update(x for (q, _, _), dst in returns for x in (q, dst))
-    symbols = {BOTTOM, *(g for _, (_, g) in calls), *(g for (_, g, _), _ in returns)}
-    return build_table(states, symbols, m, calls, returns)
+    name, the reject state and the bottom marker; the cells no rule writes
+    hold the reject state's rule."""
+    calls = {(q, e): rule for e, spec in m.items() for q, rule in spec.on_request.items()}
+    returns = {(q, g, e): dst for e, spec in m.items() for (q, g), dst in spec.on_response.items()}
+    states = {x for (q, _), (dst, _) in calls.items() for x in (q, dst)}
+    states.update(x for (q, _, _), dst in returns.items() for x in (q, dst))
+    symbols = {BOTTOM, *(g for _, g in calls.values()), *(g for _, g, _ in returns)}
+    if m.reject is not None:
+        states.add(m.reject)
+        symbols.add(m.reject)
+        calls, returns = fill_reject(states, symbols, m, m.reject, calls, returns)
+    return build_table(states, symbols, m, calls.items(), returns.items())
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
+    """The automaton's per-endpoint specs, read in place from its table,
+    each leaving out the rules into the reject sink."""
     t = v.table
-    specs = (FilterSpec(e, _RequestRules(t, t.request[e]), _ResponseRules(t, t.response[e]))
+    sink = reject_sink(v)
+    skip_call, skip_return = skipped_cells(t, sink)
+    specs = (FilterSpec(e, _RequestRules(t, t.request[e], skip_call),
+                        _ResponseRules(t, t.response[e], skip_return), sink)
              for e in v.alphabet)
     return DistributedMonitor(specs, t)
 
 
 def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Configuration:
     """The configuration after the word, starting from ``init``; each step
-    is O(1) at any depth.  A rule missing from the specs raises
-    ``MissingTransition``, which names it."""
-    return walk(m.table, init, n.symbols)
+    is O(1) at any depth.  A state the monitor does not know takes the
+    reject state's step, as a script's fall-through does; without a reject
+    state, or for a rule missing from the specs, ``MissingTransition``
+    names what is missing."""
+    t = m.table
+    if m.reject is not None and init.state not in t.state_id:
+        init = link(m.reject, init.top, init.below)
+    return walk(t, init, n.symbols)
 
 
 # -- filter specifications ----------------------------------------------------
@@ -179,7 +213,7 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
 def filter_spec_to_json(spec: FilterSpec) -> str:
     requests = [(q, dst, push) for q, (dst, push) in spec.on_request.items()]
     responses = [(q, g, dst) for (q, g), dst in spec.on_response.items()]
-    head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint}
+    head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint, "reject": spec.reject}
     return json_document(head, {
         "on_request": (("if_state", "then_state", "push_local"), requests),
         "on_response": (("if_state", "if_local", "then_state"), responses),
@@ -191,13 +225,14 @@ def filter_spec_from_json(text: str) -> FilterSpec:
     doc = load_document(text, FILTER_SCHEMA_VERSION)
     if not isinstance(doc.get("endpoint"), str):
         raise VpaParseError("endpoint must be a string")
+    reject = reject_member(doc)
     request_rows = string_rows(doc, "on_request", ("if_state", "then_state", "push_local"))
     response_rows = string_rows(doc, "on_response", ("if_state", "if_local", "then_state"))
     on_request = {q: (dst, push) for q, dst, push in request_rows}
     on_response = {(q, local): dst for q, local, dst in response_rows}
     if len(on_request) < len(request_rows) or len(on_response) < len(response_rows):
         raise VpaParseError("a rule key appears more than once")
-    return FilterSpec(doc["endpoint"], on_request, on_response)
+    return FilterSpec(doc["endpoint"], on_request, on_response, reject)
 
 
 def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
@@ -205,7 +240,9 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
 
     The ``state`` value travels in the request header; ``local_stack`` is
     request-scoped proxy memory written by OnRequest and read back by
-    OnResponse.  Unmatched states fall through to a violation log.
+    OnResponse.  When the spec names a reject state, a last branch keeps a
+    request that is in it there without logging, and unmatched states fall
+    through to it; the fall-through logs a violation.
     """
     on_request = [
         f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
@@ -215,16 +252,24 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
         f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
         for (q, g), dst in spec.on_response.items()
     ]
+    to_reject = push_reject = ""
+    if (r := spec.reject) is not None:
+        # the sink's own rule, last: a request in it stays there silently
+        on_request.append(f'(state == "{r}") then state = "{r}"; local_stack = "{r}"')
+        on_response.append(f'(state == "{r}") then state = "{r}"')
+        to_reject = f'state = "{r}"; '
+        push_reject = f'{to_reject}local_stack = "{r}"; '
     return "".join([
         f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
-        "callback OnRequest() {\n", _branches(on_request, "no call transition"), "}\n",
-        "callback OnResponse() {\n", _branches(on_response, "no return transition"), "}\n",
+        "callback OnRequest() {\n", _branches(on_request, push_reject, "no call transition"), "}\n",
+        "callback OnResponse() {\n", _branches(on_response, to_reject, "no return transition"), "}\n",
     ])
 
 
-def _branches(rules: list[str], violation: str) -> str:
-    """An if/elseif chain over the rules, falling through to a violation log."""
-    fallback = f'log_violation("{violation}")\n'
+def _branches(rules: list[str], reject: str, violation: str) -> str:
+    """An if/elseif chain over the rules, falling through to the reject
+    assignments and a violation log."""
+    fallback = f'{reject}log_violation("{violation}")\n'
     if not rules:
         return "  " + fallback
     return "  if " + "\n  elseif ".join(rules) + "\n  else " + fallback

@@ -22,13 +22,19 @@ so no writer sorts rows.  The JSON equals what
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
 rule.  ``json_document`` writes it from row templates, escaping each name
 once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
+
+Written automata are default-reject: ``reject_sink`` finds the sink, the
+writers leave out every rule equal to its rule and name it as ``reject``,
+and ``fill_reject`` puts the missing rules back for ``import_vpa`` and the
+read-back monitor.  Completeness is
+a property of the automaton in memory, not of the file.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import filterfalse, product
@@ -372,21 +378,48 @@ def export_vpa(v: Vpa, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _sorted_rows(v: Vpa) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """Call rows (from, sym, to, push) and return rows (from, pop, sym, to),
-    read from ``v.table`` in id order with the alphabet sorted: sorted key
-    order, which every writer uses."""
+def reject_sink(v: Vpa) -> State | None:
+    """The automaton's reject sink, read from ``v.table``: the least
+    non-final state ``s`` whose every call rule goes to ``s`` pushing ``s``
+    and whose every return rule goes to ``s``; ``None`` if no state is one.
+    Written artifacts leave out the rules that equal the sink's."""
+    t = v.table
+    for h, s in enumerate(t.states):
+        g = t.symbol_id.get(s)
+        if g is None or s in v.finals:
+            continue
+        if all(row[h] == (h, g) for row in t.request.values()) and all(
+                rows[h] == h for by_symbol in t.response.values() for rows in by_symbol):
+            return s
+    return None
+
+
+def skipped_cells(t: Table, sink: State | None) -> tuple[tuple, tuple]:
+    """The request and response cell values a writer leaves out: a missing
+    rule's ``None`` and, with a sink, the sink's rule."""
+    if sink is None:
+        return (None,), (None,)
+    h = t.state_id[sink]
+    return (None, (h, t.symbol_id[sink])), (None, h)
+
+
+def _sorted_rows(v: Vpa, sink: State | None) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """Call rows (from, sym, to, push) and return rows (from, pop, sym, to)
+    other than the sink's, read from ``v.table`` in id order with the
+    alphabet sorted: sorted key order, which every writer uses."""
     t = v.table
     states, symbols, alphabet = t.states, t.symbols, sorted(t.request)
+    skip_call, skip_return = skipped_cells(t, sink)
     calls = [(q, e, states[r[0]], symbols[r[1]]) for h, q in enumerate(states)
-             for e in alphabet if (r := t.request[e][h]) is not None]
+             for e in alphabet if (r := t.request[e][h]) not in skip_call]
     returns = [(q, s, e, states[r]) for h, q in enumerate(states) for g, s in enumerate(symbols)
-               for e in alphabet if (r := t.response[e][g][h]) is not None]
+               for e in alphabet if (r := t.response[e][g][h]) not in skip_return]
     return calls, returns
 
 
 def _export_json(v: Vpa) -> str:
-    calls, returns = _sorted_rows(v)
+    sink = reject_sink(v)
+    calls, returns = _sorted_rows(v, sink)
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -394,6 +427,7 @@ def _export_json(v: Vpa) -> str:
         "initial": v.initial,
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
+        "reject": sink,
     }
     return json_document(head, {
         "delta_call": (("from", "sym", "to", "push"), calls),
@@ -469,9 +503,36 @@ def _strings(doc: dict, field: str) -> list[str]:
     raise VpaParseError(f"{field} must be a list of strings")
 
 
+def fill_reject(
+    states: Collection[State],
+    symbols: Collection[StackSymbol],
+    alphabet: Collection[Endpoint],
+    reject: State,
+    calls: dict[tuple[State, Endpoint], tuple[State, StackSymbol]],
+    returns: dict[tuple[State, StackSymbol, Endpoint], State],
+) -> tuple[dict, dict]:
+    """The rules of a default-reject artifact made complete over the
+    names: every key ``calls`` or ``returns`` lacks gets the reject state's
+    rule (a call goes to ``reject`` pushing it, a return goes to it).  The
+    one fill both readers use."""
+    return (dict.fromkeys(product(states, alphabet), (reject, reject)) | calls,
+            dict.fromkeys(product(states, symbols, alphabet), reject) | returns)
+
+
+def reject_member(doc: dict) -> str | None:
+    """The document's ``reject`` member: a string, or ``None`` when it is
+    null or absent."""
+    reject = doc.get("reject")
+    if reject is not None and not isinstance(reject, str):
+        raise VpaParseError("reject must be a string or null")
+    return reject
+
+
 def import_vpa(text: str) -> Vpa:
     """Read an exported automaton back; it must be deterministic, complete
-    and well-formed, else ``VpaParseError`` names the first problems."""
+    and well-formed, else ``VpaParseError`` names the first problems.  A
+    rule the document leaves out goes to its ``reject`` state; without
+    one, a missing rule is a problem."""
     doc = load_document(text, SCHEMA_VERSION)
     required = {
         "alphabet", "states", "initial", "finals", "stack_alphabet",
@@ -482,21 +543,27 @@ def import_vpa(text: str) -> Vpa:
         raise VpaParseError(f"missing fields: {sorted(missing)}")
     if not isinstance(doc["initial"], str):
         raise VpaParseError("initial must be a string")
+    reject = reject_member(doc)
     call_rows = string_rows(doc, "delta_call", ("from", "sym", "to", "push"))
     return_rows = string_rows(doc, "delta_return", ("from", "pop", "sym", "to"))
     delta_call = {(q, e): (q2, s) for q, e, q2, s in call_rows}
     delta_return = {(q, s, e): q2 for q, s, e, q2 in return_rows}
     if len(delta_call) < len(call_rows) or len(delta_return) < len(return_rows):
         raise VpaParseError("a transition key appears more than once")
-    v = Vpa(
-        frozenset(_strings(doc, "states")),
-        doc["initial"],
-        frozenset(_strings(doc, "finals")),
-        tuple(_strings(doc, "alphabet")),
-        frozenset(_strings(doc, "stack_alphabet")),
-        delta_call,
-        delta_return,
-    )
+    states = frozenset(_strings(doc, "states"))
+    finals = frozenset(_strings(doc, "finals"))
+    alphabet = tuple(_strings(doc, "alphabet"))
+    stack_alphabet = frozenset(_strings(doc, "stack_alphabet"))
+    if reject is not None:
+        if reject not in states:
+            raise VpaParseError(f"reject state {reject!r} is not declared")
+        if reject in finals:
+            raise VpaParseError(f"reject state {reject!r} is final")
+        if reject not in stack_alphabet:
+            raise VpaParseError(f"reject state {reject!r} is not in the stack alphabet")
+        delta_call, delta_return = fill_reject(
+            states, stack_alphabet, alphabet, reject, delta_call, delta_return)
+    v = Vpa(states, doc["initial"], finals, alphabet, stack_alphabet, delta_call, delta_return)
     problems = check_well_formed(v).problems
     if problems:
         more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
@@ -507,9 +574,11 @@ def import_vpa(text: str) -> Vpa:
 def _export_dot(v: Vpa) -> str:
     """Graphviz rendering in the usual convention: doubled circles for
     finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
-    Each name is escaped once, a backslash before each backslash and each
-    double quote; each edge is one template."""
-    calls, returns = _sorted_rows(v)
+    The rules into the reject sink are not drawn; the graph's ``comment``
+    names the sink.  Each name is escaped once, a backslash before each
+    backslash and each double quote; each edge is one template."""
+    sink = reject_sink(v)
+    calls, returns = _sorted_rows(v, sink)
     t = v.table
     esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
            for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
@@ -518,6 +587,8 @@ def _export_dot(v: Vpa) -> str:
         shape = "doublecircle" if q in v.finals else "circle"
         lines.append(f'  "{esc[q]}" [shape={shape}];')
     lines.append(f'  __start -> "{esc[v.initial]}";')
+    if sink is not None:
+        lines.append(f'  comment="every rule not drawn goes to {esc[sink]}";')
     lines += [
         f'  "{esc[q]}" -> "{esc[q2]}" [label="call {esc[e]} / {esc[s]}"];' for q, e, q2, s in calls
     ]

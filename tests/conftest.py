@@ -65,6 +65,12 @@ def complete_with_sink(v: Vpa, sink: str = "sink") -> Vpa:
     )
 
 
+def wide_policy_text(n: int = 3000) -> str:
+    """``call-seq star`` over ``n`` names: its symbol sets are that wide."""
+    names = ["S0"] + [f"N{i}" for i in range(n - 1)]
+    return f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n"
+
+
 def raw_automaton(pol: Policy, alphabet) -> Vpa:
     """The automaton ``compile_policy`` builds before its prune pass: the
     inner automaton anchored at the start set by ``compile_start``."""
@@ -188,16 +194,19 @@ def reference_configurations(v: Vpa, c, symbols):
 
 def reference_dist_walk(m, c, symbols):
     """The configuration after the tagged symbols, starting from ``c``,
-    looked up in each endpoint's filter spec."""
+    looked up in each endpoint's filter spec; a rule the spec lacks goes to
+    its reject state, if it names one."""
     q, top, below = c.state, c.top, c.below
     for a in symbols:
         spec = m[a.endpoint]
+        sink = spec.reject
         if a.tag == nw.CALL:
             below = link(q, top, below)
-            q, top = spec.on_request[q]
+            q, top = spec.on_request[q] if q in spec.on_request or sink is None else (sink, sink)
         elif below is None:
             raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
         else:
-            q = spec.on_response[(q, top)]
+            key = (q, top)
+            q = spec.on_response[key] if key in spec.on_response or sink is None else sink
             top, below = below.top, below.below
     return link(q, top, below)

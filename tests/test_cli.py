@@ -10,8 +10,10 @@ from treepolicy import cli, compiler, mesh_sim, monitor
 from treepolicy.errors import CompilerInternalError
 from treepolicy import nested_word as nw
 from treepolicy.corpus import CORPUS
+from treepolicy.policy import parse_policy
+from treepolicy.vpa import final_configuration
 
-from conftest import events_from_str
+from conftest import events_from_str, wide_policy_text, word_from_str
 
 POLICY = "alphabet F, P, D, E;\nstart {P}: match (P {D}) all-path ({E} star);\n"
 GOOD_TRACE = "<F <P <D <E E> D> <D <E E> D> P> F>"
@@ -104,7 +106,29 @@ class TestCheck:
             states = sorted({dst for dst, _ in p.on_request.values()})
             wrong = {q: (states[(states.index(dst) + 1) % len(states)], push)
                      for q, (dst, push) in p.on_request.items()}
-            return [monitor.FilterSpec("P", wrong, s.on_response) if s is p else s
+            return [monitor.FilterSpec("P", wrong, s.on_response, s.reject) if s is p else s
+                    for s in specs]
+
+        monkeypatch.setattr(monitor, "emit_filters", broken)
+        t = trace_file(tmp_path, GOOD_TRACE)
+        assert cli.main(["check", policy_file, t, "--mode", mode]) == 3
+        assert "centralized and distributed runs disagree on pol0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["central", "dist"])
+    def test_deleted_emitted_rule_is_internal_error(self, tmp_path, policy_file, capsys,
+                                                    monkeypatch, mode):
+        # a rule left out of a filter reads as a call into the reject sink,
+        # so deleting one the trace takes is caught, not read as a violation
+        v = compiler.compile(parse_policy(POLICY))[0].vpa
+        used = final_configuration(v, word_from_str("<F")).state  # where the trace calls P
+        real = monitor.emit_filters
+
+        def broken(m):
+            specs = real(m)
+            p = next(s for s in specs if s.endpoint == "P")
+            assert p.reject is not None and used in p.on_request
+            kept = {q: rule for q, rule in p.on_request.items() if q != used}
+            return [monitor.FilterSpec("P", kept, s.on_response, s.reject) if s is p else s
                     for s in specs]
 
         monkeypatch.setattr(monitor, "emit_filters", broken)
@@ -147,10 +171,8 @@ class TestOracleCmd:
 
 @pytest.fixture
 def wide_policy_file(tmp_path):
-    """``call-seq star`` over 3,000 names: its symbol sets are that wide."""
-    names = ["S0"] + [f"N{i}" for i in range(2999)]
     p = tmp_path / "wide.stp"
-    p.write_text(f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n")
+    p.write_text(wide_policy_text())
     return str(p)
 
 
@@ -390,6 +412,22 @@ class TestEmitFilters:
             assert (out / f"pol0.{svc}.filter.json").exists()
             assert (out / f"pol0.{svc}.filter.lua").exists()
         capsys.readouterr()
+
+    def test_summary_counts_what_was_written(self, tmp_path, capsys):
+        src = tmp_path / "two.stp"
+        src.write_text(POLICY + "start {F}: call-seq F P;\n", encoding="utf-8")
+        out = tmp_path / "filters"
+        assert cli.main(["emit-filters", str(src), str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [p["policy_id"] for p in summary["policies"]] == ["pol0", "pol1"]
+        for p in summary["policies"]:
+            files = sorted(out.glob(f"{p['policy_id']}.*"))
+            assert len(files) == 8
+            assert p["bytes"] == sum(f.stat().st_size for f in files)
+            rules = [r for f in files if f.suffix == ".json"
+                     for field in ("on_request", "on_response")
+                     for r in json.loads(f.read_text(encoding="utf-8"))[field]]
+            assert p["rules"] == len(rules) > 0
 
 
 class TestExitCodes:

@@ -3,8 +3,10 @@
 Documents, traces and topologies are drawn small enough to compile in
 milliseconds, plus regex shapes that are long or deep by data alone: union
 chains and star runs of up to 1,500 terms and parentheses nested up to 400.
-Each input may then be mangled by a few random edits.  Nothing here starts
-a thread or a process.
+Each input may then be mangled by a few random edits.  The automaton and
+filter readers get exported documents with members replaced, dropped or
+trimmed, their ``reject`` member among them, and may only refuse them with
+``VpaParseError``.  Nothing here starts a thread or a process.
 """
 
 import contextlib
@@ -14,8 +16,12 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treepolicy import cli
+from treepolicy import cli, monitor
 from treepolicy import nested_word as nw
+from treepolicy.errors import TreePolicyError, VpaParseError
+from treepolicy.vpa import export_vpa, import_vpa, initial_configuration
+
+from conftest import payment_chain_vpa, two_state_vpa, word_from_str
 
 NAMES = ("A", "B", "C")
 # tokens an edit may splice into a document: punctuation, keywords and a
@@ -158,6 +164,36 @@ def topologies(draw):
     return json.dumps(doc)
 
 
+@st.composite
+def mangled(draw, doc: dict, names: list[str]) -> dict:
+    """``doc`` with up to two members replaced by a drawn value or a name
+    from ``names``, dropped, or with a rule list cut short."""
+    doc = dict(doc)
+    for field in draw(_maybe(st.sampled_from(sorted(doc) + ["reject"]))):
+        how = draw(st.sampled_from(["value", "name", "drop", "cut"]))
+        if how == "value":
+            doc[field] = draw(JSON_VALUES)
+        elif how == "name":
+            doc[field] = draw(st.sampled_from(names))
+        elif how == "drop":
+            doc.pop(field, None)
+        elif isinstance(doc.get(field), list):
+            doc[field] = doc[field][:draw(st.integers(0, len(doc[field])))]
+    return doc
+
+
+@st.composite
+def artifact_documents(draw):
+    """An exported automaton and its filter specs, as JSON objects, each
+    perhaps mangled."""
+    v = draw(st.sampled_from([two_state_vpa(), payment_chain_vpa()]))
+    names = sorted(v.states) + ["nowhere"]
+    vpa_doc = draw(mangled(json.loads(export_vpa(v, "json")), names))
+    filter_docs = [draw(mangled(json.loads(monitor.filter_spec_to_json(spec)), names))
+                   for spec in monitor.emit_filters(monitor.extract_monitor(v))]
+    return v, vpa_doc, filter_docs
+
+
 ALPHABETS = st.integers(1, 3).map(lambda k: NAMES[:k])
 
 
@@ -206,3 +242,22 @@ class TestFuzzCli:
         topo = _write(tmp_path / "topo.json", topology)
         code, err = _run(["simulate", topo, policy, "--requests", "2", "--mode", mode])
         assert code in (0, 1, 2) and "Traceback" not in err, err
+
+    @settings(FUZZ, max_examples=200)
+    @given(case=artifact_documents())
+    def test_artifact_readers(self, case):
+        v, vpa_doc, filter_docs = case
+        try:
+            import_vpa(json.dumps(vpa_doc))
+        except VpaParseError:
+            pass
+        try:
+            m = monitor.monitor_from_filters(
+                monitor.filter_spec_from_json(json.dumps(d)) for d in filter_docs)
+        except VpaParseError:
+            return
+        for trace in ("<P <D D> P>", "<Appt Appt>"):
+            try:
+                monitor.dist_run(m, initial_configuration(v), word_from_str(trace))
+            except TreePolicyError:
+                pass

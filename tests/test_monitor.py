@@ -1,5 +1,6 @@
 """Monitor extraction, single-step and run equivalence, filter emission."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -12,10 +13,11 @@ from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.nested_word import IndexedSymbol
 from treepolicy.policy import parse_policy
-from treepolicy.vpa import BOTTOM, Configuration, initial_configuration, run, walk
+from treepolicy.vpa import BOTTOM, Configuration, Vpa, initial_configuration, run, walk
 
 from conftest import (
     chain_word,
+    complete_with_sink,
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
@@ -175,18 +177,20 @@ class TestFilterSpecs:
         assert specs["P"].on_response[("q_P", "q_P")] == "start"
 
     def test_rule_counts_match_tables(self):
-        # the per-endpoint tables partition the automaton's tables
+        # the per-endpoint tables partition the automaton's tables, less
+        # the rules into the reject sink
         v = payment_chain_vpa()
         specs = monitor.emit_filters(monitor.extract_monitor(v))
-        assert sum(len(spec.on_request) for spec in specs) == len(v.delta_call)
-        assert sum(len(spec.on_response) for spec in specs) == len(v.delta_return)
+        calls = {k: r for k, r in v.delta_call.items() if r != ("sink", "sink")}
+        returns = {k: r for k, r in v.delta_return.items() if r != "sink"}
+        assert sum(len(spec.on_request) for spec in specs) == len(calls) == 3
+        assert sum(len(spec.on_response) for spec in specs) == len(returns) == 3
         for spec in specs:
+            assert spec.reject == "sink"
             for q, target in spec.on_request.items():
-                assert v.delta_call[(q, spec.endpoint)] == target
+                assert calls[(q, spec.endpoint)] == target
             for (q, g), target in spec.on_response.items():
-                assert v.delta_return[(q, g, spec.endpoint)] == target
-            # complete automaton: every state has a request rule
-            assert set(spec.on_request) == set(v.states)
+                assert returns[(q, g, spec.endpoint)] == target
 
     def test_reconstruction_is_extensionally_equal(self):
         for doc in corpus_documents("small").values():
@@ -237,6 +241,8 @@ class TestFilterSpecs:
             ("on_request", {"start": "q_P"}),
             ("on_request", [{"if_state": "start", "then_state": "q_P", "push_local": None}]),
             ("on_response", [{"if_state": "q_P", "if_local": "q_P"}]),
+            ("reject", 7),
+            ("reject", ["sink"]),
         ],
     )
     def test_mistyped_field_rejected(self, field, value):
@@ -261,17 +267,31 @@ class TestFilterSpecs:
         with pytest.raises(TreePolicyError, match="more than once"):
             monitor.filter_spec_from_json(json.dumps(doc))
 
+    def test_different_reject_states_rejected(self):
+        v = payment_chain_vpa()
+        texts = [monitor.filter_spec_to_json(s) for s in monitor.emit_filters(monitor.extract_monitor(v))]
+        for other in ("start", None):
+            doc = json.loads(texts[0])
+            doc["reject"] = other
+            with pytest.raises(VpaParseError, match="different reject states"):
+                monitor.monitor_from_filters(
+                    map(monitor.filter_spec_from_json, [json.dumps(doc), *texts[1:]]))
+
 
 class TestMissingRule:
-    """A rule deleted from a filter spec read back from JSON is named, never
-    a crash or a verdict."""
+    """A rule deleted from a filter spec read back from JSON goes to the
+    reject state the specs name; with none named, the missing rule is
+    named, never a crash or a verdict."""
 
     @staticmethod
-    def _without(endpoint, field, **rule):
+    def _without(endpoint, field, keep_reject=False, **rule):
         v = payment_chain_vpa()
         texts = []
         for spec in monitor.emit_filters(monitor.extract_monitor(v)):
             doc = json.loads(monitor.filter_spec_to_json(spec))
+            assert doc["reject"] == "sink"
+            if not keep_reject:
+                doc["reject"] = None
             if spec.endpoint == endpoint:
                 kept = [r for r in doc[field] if any(r[k] != x for k, x in rule.items())]
                 assert len(kept) == len(doc[field]) - 1
@@ -300,14 +320,48 @@ class TestMissingRule:
         with pytest.raises(MissingTransition, match=re.escape(message)):
             walk(m.table, c, (IndexedSymbol(nw.ret("D"), 1),))
 
+    @pytest.mark.parametrize("field,rule", [
+        ("on_request", {"if_state": "q_P"}),
+        ("on_response", {"if_state": "q_D", "if_local": "q_D"}),
+    ])
+    def test_deleted_rule_goes_to_reject(self, field, rule):
+        m, init = self._without("D", field, keep_reject=True, **rule)
+        assert m.reject == "sink"
+        reached = monitor.dist_run(m, init, word_from_str("<P <D D> P>"))
+        assert reached == Configuration("sink", (BOTTOM,))
+        assert monitor.dist_run(m, init, word_from_str("<P P>")) == init
+
     def test_unknown_names(self):
         v = payment_chain_vpa()
         specs = monitor.emit_filters(monitor.extract_monitor(v))
         m = monitor.monitor_from_filters(s for s in specs if s.endpoint != "P")
+        # only P's rules name "start"; the others name "q_P"
         with pytest.raises(MissingTransition, match="no rules for endpoint 'P'"):
-            monitor.dist_run(m, initial_configuration(v), word_from_str("<P P>"))
+            monitor.dist_run(m, Configuration("q_P", (BOTTOM,)), word_from_str("<P P>"))
+        # a state no spec names takes the reject state's step, as a
+        # script's fall-through does; with no reject state it is named
+        nowhere = Configuration("nowhere", (BOTTOM,))
+        for known in (m, monitor.extract_monitor(v)):
+            assert monitor.dist_run(known, nowhere, word_from_str("<D D>")) == Configuration("sink", (BOTTOM,))
+        dense = monitor.monitor_from_filters(
+            dataclasses.replace(s, reject=None) for s in specs if s.endpoint != "P")
         with pytest.raises(MissingTransition, match="no rules for 'nowhere'"):
-            monitor.dist_run(m, Configuration("nowhere", (BOTTOM,)), word_from_str("<D D>"))
+            monitor.dist_run(dense, nowhere, word_from_str("<D D>"))
+
+    def test_initial_state_with_only_reject_rules(self):
+        # every rule of the initial state goes to the sink, so no written
+        # rule names it, and the read-back table does not hold it
+        v = complete_with_sink(Vpa(frozenset({"q"}), "q", frozenset({"q"}), ("A",),
+                                   frozenset({BOTTOM}), {}, {}))
+        specs = monitor.emit_filters(monitor.extract_monitor(v))
+        assert [(s.reject, len(s.on_request), len(s.on_response)) for s in specs] == [("sink", 0, 0)]
+        m = monitor.monitor_from_filters(
+            monitor.filter_spec_from_json(monitor.filter_spec_to_json(s)) for s in specs)
+        assert "q" not in m.table.state_id
+        init = initial_configuration(v)
+        for trace in ("<A A>", "<A <A A> A>", "<A A> <A A>"):
+            word = word_from_str(trace)
+            assert monitor.dist_run(m, init, word) == run(v, word, init)[-1]
 
 
 class TestRepeatedEndpoint:
@@ -330,6 +384,20 @@ class TestRenderScript:
         assert "callback OnResponse()" in script
         assert 'if (state == "start") then state = "q_P"; local_stack = "q_P"' in script
         assert '(state == "q_P" && local_stack == "q_P") then state = "start"' in script
+
+    def test_sink_branch_stays_silent(self):
+        mon = monitor.extract_monitor(payment_chain_vpa())
+        spec = next(s for s in monitor.emit_filters(mon) if s.endpoint == "P")
+        script = monitor.render_filter_script(spec)
+        request, response = script.split("callback OnResponse()")
+        # the sink keeps a request in it without logging; only the
+        # fall-through that moves a request into the sink logs
+        assert ('  elseif (state == "sink") then state = "sink"; local_stack = "sink"\n'
+                '  else state = "sink"; local_stack = "sink"; log_violation("no call transition")\n'
+                ) in request
+        assert ('  elseif (state == "sink") then state = "sink"\n'
+                '  else state = "sink"; log_violation("no return transition")\n') in response
+        assert script.count("log_violation") == 2
 
     def test_empty_rules_fall_through(self):
         spec = monitor.FilterSpec("X", {}, {})

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -11,15 +12,18 @@ from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import StackUnderflow, VpaParseError
 from treepolicy.nested_word import IndexedSymbol
+from treepolicy.policy import parse_policy
 from treepolicy.vpa import (
     BOTTOM,
     Configuration,
+    Vpa,
     accepts,
     check_well_formed,
     export_vpa,
     final_configuration,
     import_vpa,
     initial_configuration,
+    reject_sink,
     run,
     walk,
 )
@@ -29,12 +33,14 @@ from conftest import (
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
-    raw_automaton,
     reference_configurations,
     reference_dist_walk,
     two_state_vpa,
+    wide_policy_text,
     word_from_str,
 )
+from test_compiler import random_policy
+from test_golden import RANDOM_ALPHABET, RANDOM_SEEDS
 
 
 class TestStep:
@@ -298,6 +304,56 @@ class TestTableWalk:
                         go()
 
 
+def _random_automata():
+    """The 140 seeded random policies the compiler tests draw."""
+    for seed, count in RANDOM_SEEDS.items():
+        rng = random.Random(seed)
+        for i in range(count):
+            pol = random_policy(rng, RANDOM_ALPHABET, depth_budget=4)
+            yield f"random/{seed}/{i}", compiler.compile_policy(pol, RANDOM_ALPHABET).vpa
+
+
+class TestDefaultReject:
+    """The written artifacts leave out the rules into the reject sink, and
+    every reader fills them back: the in-memory automaton stays complete."""
+
+    def test_artifacts_fill_back(self):
+        automata = [(label, v) for label, _, v in _both_corpora()] + list(_random_automata())
+        assert len(automata) == 158
+        for label, v in automata:
+            sink = reject_sink(v)
+            assert sink == "rej", label
+            text = export_vpa(v, "json")
+            assert import_vpa(text) == v, label
+            doc = json.loads(text)
+            filters = [json.loads(monitor.filter_spec_to_json(spec))
+                       for spec in monitor.emit_filters(monitor.extract_monitor(v))]
+            readback = monitor.monitor_from_filters(
+                monitor.filter_spec_from_json(json.dumps(f)) for f in filters)
+            assert readback.table == v.table, label
+            # no written rule enters the sink; every other cell is written
+            calls, returns = doc["delta_call"], doc["delta_return"]
+            requests = [r for f in filters for r in f["on_request"]]
+            responses = [r for f in filters for r in f["on_response"]]
+            assert sink not in {r["to"] for r in calls + returns}, label
+            assert sink not in {r["then_state"] for r in requests + responses}, label
+            explicit_calls = sum(r != (sink, sink) for r in v.delta_call.values())
+            explicit_returns = sum(r != sink for r in v.delta_return.values())
+            assert len(calls) == len(requests) == explicit_calls, label
+            assert len(returns) == len(responses) == explicit_returns, label
+
+    def test_no_sink(self):
+        # an automaton without a reject sink is written in full, as before
+        v = Vpa(frozenset({"q"}), "q", frozenset({"q"}), ("E",), frozenset({BOTTOM, "q"}),
+                {("q", "E"): ("q", "q")}, {("q", g, "E"): "q" for g in (BOTTOM, "q")})
+        assert reject_sink(v) is None
+        doc = json.loads(export_vpa(v, "json"))
+        assert doc["reject"] is None and len(doc["delta_return"]) == 2
+        spec = monitor.extract_monitor(v)["E"]
+        assert spec.reject is None and len(spec.on_request) == 1 and len(spec.on_response) == 2
+        assert import_vpa(export_vpa(v, "json")) == v
+
+
 class TestWellFormed:
     def test_sink_completed_passes(self):
         assert check_well_formed(two_state_vpa()).ok
@@ -381,7 +437,9 @@ class TestSerialization:
             import_vpa(json.dumps(doc))
 
     def test_ill_formed_rejected_at_load(self):
+        # without a reject state, a rule the document leaves out is missing
         doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        doc["reject"] = None
         dropped = doc["delta_call"].pop(0)
         with pytest.raises(VpaParseError, match="missing call transition") as err:
             import_vpa(json.dumps(doc))
@@ -429,10 +487,40 @@ class TestSerialization:
         assert '"q0" [shape=doublecircle];' in dot
         assert '"q1" [shape=circle];' in dot
 
+    @pytest.mark.parametrize("reject,message", [
+        (7, "reject must be a string or null"),
+        (["sink"], "reject must be a string or null"),
+        ("nowhere", "reject state 'nowhere' is not declared"),
+        ("q0", "reject state 'q0' is final"),
+        ("q1", "reject state 'q1' is not in the stack alphabet"),
+    ])
+    def test_bad_reject_rejected_at_load(self, reject, message):
+        doc = json.loads(export_vpa(two_state_vpa(), "json"))
+        assert doc["reject"] == "sink"
+        doc["reject"] = reject
+        with pytest.raises(VpaParseError, match=re.escape(message)):
+            import_vpa(json.dumps(doc))
+
+    @pytest.mark.parametrize("reject", [None, "sink"])
+    def test_dense_document_reads_the_same(self, reject):
+        # every rule listed, as documents without a reject state hold them:
+        # with or without the member, the automaton is the one written
+        v = payment_chain_vpa()
+        doc = json.loads(export_vpa(v, "json"))
+        del doc["reject"]
+        if reject is not None:
+            doc["reject"] = reject
+        doc["delta_call"] = [{"from": q, "sym": e, "to": q2, "push": g}
+                             for (q, e), (q2, g) in sorted(v.delta_call.items())]
+        doc["delta_return"] = [{"from": q, "pop": g, "sym": e, "to": q2}
+                               for (q, g, e), q2 in sorted(v.delta_return.items())]
+        assert import_vpa(json.dumps(doc)) == v
+
     def test_json_export_memory(self):
-        # the unpruned automaton: pruned, this one exports only 418 KB
-        doc = corpus_documents("full")["data-compliance"]
-        v = raw_automaton(doc.policies[0], doc.alphabet)
+        # 2,000 endpoints keep the JSON over 1 MB with the reject sink's
+        # rules left out; the peak counts building the automaton's table,
+        # as the compile command's export does
+        v = compiler.compile(parse_policy(wide_policy_text(2000)))[0].vpa
         tracemalloc.start()
         try:
             text = export_vpa(v, "json")

@@ -2,8 +2,9 @@
 
 Each reference below builds the document the plain way: one dict per rule
 through ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per
-DOT edge, one branch per script rule.  The writers must give the same
-bytes on hand-built automata and filter specs whose names hold quotes,
+DOT edge, one branch per script rule, leaving out the rules into the reject
+sink found by scanning the automaton's dicts.  The writers must give the
+same bytes on hand-built automata and filter specs whose names hold quotes,
 backslashes, control characters and non-ASCII text, and on empty tables.
 """
 
@@ -18,7 +19,30 @@ from treepolicy.vpa import BOTTOM, Vpa, export_vpa, import_vpa
 NAMES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t/é⊥€𝄞'), st.characters()), max_size=4)
 
 
+def reference_sink(v: Vpa):
+    """The least non-final state whose every rule stays in it, a call
+    pushing its name, or ``None``."""
+    for s in sorted(v.states - v.finals):
+        if s in v.stack_alphabet and all(
+            v.delta_call[(s, e)] == (s, s)
+            and all(v.delta_return[(s, g, e)] == s for g in v.stack_alphabet)
+            for e in v.alphabet
+        ):
+            return s
+    return None
+
+
+def explicit_rules(v: Vpa) -> tuple[dict, dict]:
+    """The call and return rules other than the reject sink's."""
+    sink = reference_sink(v)
+    return (
+        {k: r for k, r in v.delta_call.items() if sink is None or r != (sink, sink)},
+        {k: r for k, r in v.delta_return.items() if sink is None or r != sink},
+    )
+
+
 def reference_vpa_json(v: Vpa) -> str:
+    calls, returns = explicit_rules(v)
     doc = {
         "version": 1,
         "alphabet": list(v.alphabet),
@@ -26,13 +50,14 @@ def reference_vpa_json(v: Vpa) -> str:
         "initial": v.initial,
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
+        "reject": reference_sink(v),
         "delta_call": [
             {"from": q, "sym": e, "to": q2, "push": s}
-            for (q, e), (q2, s) in sorted(v.delta_call.items())
+            for (q, e), (q2, s) in sorted(calls.items())
         ],
         "delta_return": [
             {"from": q, "pop": s, "sym": e, "to": q2}
-            for (q, s, e), q2 in sorted(v.delta_return.items())
+            for (q, s, e), q2 in sorted(returns.items())
         ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -42,6 +67,7 @@ def reference_filter_json(spec: monitor.FilterSpec) -> str:
     doc = {
         "version": 1,
         "endpoint": spec.endpoint,
+        "reject": spec.reject,
         "on_request": [
             {"if_state": q, "then_state": dst, "push_local": push}
             for q, (dst, push) in sorted(spec.on_request.items())
@@ -65,10 +91,13 @@ def reference_dot(v: Vpa) -> str:
         shape = "doublecircle" if q in v.finals else "circle"
         lines.append(f"  {_dot_quote(q)} [shape={shape}];")
     lines.append(f"  __start -> {_dot_quote(v.initial)};")
-    for (q, e), (q2, s) in sorted(v.delta_call.items()):
+    if (sink := reference_sink(v)) is not None:
+        lines.append(f"  comment={_dot_quote('every rule not drawn goes to ' + sink)};")
+    calls, returns = explicit_rules(v)
+    for (q, e), (q2, s) in sorted(calls.items()):
         label = f"call {e} / {s}"
         lines.append(f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}];")
-    for (q, s, e), q2 in sorted(v.delta_return.items()):
+    for (q, s, e), q2 in sorted(returns.items()):
         label = f"ret {e}, {s}"
         lines.append(
             f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}, style=dashed];"
@@ -78,30 +107,39 @@ def reference_dot(v: Vpa) -> str:
 
 
 def reference_script(spec: monitor.FilterSpec, header: str) -> str:
+    to_reject = push_reject = ""
+    requests = sorted(spec.on_request.items())
+    responses = [(f'state == "{q}" && local_stack == "{local}"', dst)
+                 for (q, local), dst in sorted(spec.on_response.items())]
+    if spec.reject is not None:
+        r = spec.reject
+        to_reject = f'state = "{r}"; '
+        push_reject = to_reject + f'local_stack = "{r}"; '
+        # the sink keeps a request in it: its branch comes after the rules
+        requests.append((r, (r, r)))
+        responses.append((f'state == "{r}"', r))
     lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
     lines.append("callback OnRequest() {")
     kw = "if"
-    for q, (dst, push) in sorted(spec.on_request.items()):
+    for q, (dst, push) in requests:
         lines.append(
             f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
         )
         kw = "elseif"
     if kw == "if":
-        lines.append('  log_violation("no call transition")')
+        lines.append(f'  {push_reject}log_violation("no call transition")')
     else:
-        lines.append('  else log_violation("no call transition")')
+        lines.append(f'  else {push_reject}log_violation("no call transition")')
     lines.append("}")
     lines.append("callback OnResponse() {")
     kw = "if"
-    for (q, local), dst in sorted(spec.on_response.items()):
-        lines.append(
-            f'  {kw} (state == "{q}" && local_stack == "{local}") then state = "{dst}"'
-        )
+    for condition, dst in responses:
+        lines.append(f'  {kw} ({condition}) then state = "{dst}"')
         kw = "elseif"
     if kw == "if":
-        lines.append('  log_violation("no return transition")')
+        lines.append(f'  {to_reject}log_violation("no return transition")')
     else:
-        lines.append('  else log_violation("no return transition")')
+        lines.append(f'  else {to_reject}log_violation("no return transition")')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -130,7 +168,7 @@ def vpas(draw) -> Vpa:
 def filter_specs(draw) -> monitor.FilterSpec:
     on_request = draw(st.dictionaries(NAMES, st.tuples(NAMES, NAMES), max_size=5))
     on_response = draw(st.dictionaries(st.tuples(NAMES, NAMES), NAMES, max_size=5))
-    return monitor.FilterSpec(draw(NAMES), on_request, on_response)
+    return monitor.FilterSpec(draw(NAMES), on_request, on_response, draw(st.none() | NAMES))
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,11 +195,13 @@ def test_extracted_specs_equal_reference(v, header):
     # an extracted spec reads the automaton's table in place
     specs = monitor.emit_filters(monitor.extract_monitor(v))
     texts = [monitor.filter_spec_to_json(s) for s in specs]
+    calls, returns = explicit_rules(v)
     for spec, text in zip(specs, texts):
         e = spec.endpoint
-        assert dict(spec.on_request) == {q: r for (q, a), r in v.delta_call.items() if a == e}
+        assert spec.reject == reference_sink(v)
+        assert dict(spec.on_request) == {q: r for (q, a), r in calls.items() if a == e}
         assert dict(spec.on_response) == {
-            (q, g): r for (q, g, a), r in v.delta_return.items() if a == e
+            (q, g): r for (q, g, a), r in returns.items() if a == e
         }
         assert text == reference_filter_json(spec)
         assert monitor.filter_spec_from_json(text) == spec
