@@ -9,17 +9,17 @@ construction hands the subtree to its inner check (a second DFA for
 leaf-path constraints, or embedded sub-automata), and the search records
 the verdict in absorbing satisfied/rejected bookkeeping states.
 
-Transition tables are materialized family by family.  Families state
-behaviour and must never disagree on a key (a disagreement is a compiler
-bug and raises).  The completion sweep in ``_Build.finish`` alone sends
-every key no family wrote to the reject state, which makes tables complete.
+Each construction writes the cells of its ``vpa.Table`` family by family.
+Families state behaviour and must never disagree on a cell (a disagreement
+is a compiler bug and raises).  ``_Build.finish`` alone sends every cell no
+family wrote to the reject state, which makes tables complete.
 
 Sub-automata are embedded by prefix-renaming every state and stack symbol,
-which keeps state spaces disjoint without global bookkeeping.
+which keeps state spaces disjoint; their rows are then read by id.
 
 ``compile_policy`` applies one pass after the constructions, ``_prune``: it
 keeps the states a run from the initial state can reach, the stack symbols
-such a run can push (with the bottom marker), and the rules over them.  The
+such a run can push (with the bottom marker), and the cells over them.  The
 result is still complete, and every run is the same.  The constructions
 themselves stay unpruned, so their state counts follow from their parts.
 """
@@ -27,7 +27,7 @@ themselves stay unpruned, so their state counts follow from their parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import regex as rx
 from .errors import CompilerInternalError, EpsilonMatchRegex
@@ -45,7 +45,7 @@ from .policy import (
     header_bits,
     start_anchor_regex,
 )
-from .vpa import BOTTOM, Vpa, check_well_formed
+from .vpa import BOTTOM, Table, Vpa, check_well_formed
 
 # Conventional role names within one construction; embedding renames them.
 BEG = "beg"
@@ -108,84 +108,102 @@ def _frag_fresh_initial(d: rx.Dfa, tag: str) -> _DfaFrag:
 
 
 class _Build:
-    """Accumulates transition families with conflict detection.
+    """Accumulates transition families into the cells of one ``Table``, each
+    ``None`` until written, with conflict detection.
 
     Families must agree wherever they overlap.  Tuples whose source state
     or stack symbol falls outside the automaton are silently dropped (the
     source rules quantify over larger sets); destinations must always land
-    inside.  ``finish`` sends every key no family wrote to the reject
+    inside.  ``finish`` sends every cell no family wrote to the reject
     state; it is the only place a default reject rule comes from.
     """
 
     def __init__(self, states: set[str], initial: str, final: str, reject: str,
                  alphabet: Sequence[Endpoint], gamma: set[str]):
-        self.states = states
-        self.initial = initial
-        self.final = final
-        self.reject = reject
-        self.alphabet = tuple(alphabet)
-        self.gamma = gamma  # pushable symbols; BOTTOM handled separately
-        self.calls: dict[tuple[str, str], tuple[str, str]] = {}
-        self.returns: dict[tuple[str, str, str], str] = {}
+        self.initial, self.final, self.reject = initial, final, reject
+        self.alphabet, self.gamma = tuple(alphabet), gamma  # gamma: pushable symbols, not BOTTOM
+        self.states, self.symbols = tuple(sorted(states)), tuple(sorted({*gamma, BOTTOM}))
+        self.state_id = {q: i for i, q in enumerate(self.states)}
+        self.symbol_id = {g: i for i, g in enumerate(self.symbols)}
+        self.request = {e: [None] * len(states) for e in self.alphabet}
+        self.response = {e: [[None] * len(states) for _ in self.symbols] for e in self.alphabet}
 
     def call(self, family: str, src: str, sym: str, dst: str, push: str):
-        if src not in self.states:
-            return
-        assert dst in self.states, f"{family}: call target {dst!r} unknown"
-        assert push in self.gamma, f"{family}: pushes undeclared symbol {push!r}"
-        key = (src, sym)
-        old = self.calls.setdefault(key, (dst, push))
-        if old != (dst, push):
-            raise CompilerInternalError(
-                f"{family}: call conflict at {key}: {old} vs {(dst, push)}"
-            )
+        if (h := self.state_id.get(src)) is not None:
+            assert dst in self.state_id, f"{family}: call target {dst!r} unknown"
+            assert push in self.gamma, f"{family}: pushes undeclared symbol {push!r}"
+            self._write(family, self.request[sym], h, (self.state_id[dst], self.symbol_id[push]))
 
     def ret(self, family: str, src: str, pop: str, sym: str, dst: str):
-        if src not in self.states or pop not in self.gamma:
-            return
-        assert dst in self.states, f"{family}: return target {dst!r} unknown"
-        key = (src, pop, sym)
-        old = self.returns.setdefault(key, dst)
-        if old != dst:
+        if (h := self.state_id.get(src)) is not None and pop in self.gamma:
+            assert dst in self.state_id, f"{family}: return target {dst!r} unknown"
+            self._write(family, self.response[sym][self.symbol_id[pop]], h, self.state_id[dst])
+
+    def copy(self, family: str, v: Vpa, skip_call=None, skip_return=None, reset=None):
+        """``call`` and ``ret`` for the embedded ``v``'s rules, read by id,
+        but those from ``skip_call`` and ``skip_return``; with ``reset``, a
+        return popping ``v``'s initial state into a non-final one goes there."""
+        t = v.table
+        ids = [self.state_id.get(q) for q in t.states]
+        pushed = [self.symbol_id[g] if g in self.gamma else None for g in t.symbols]
+        resets = [k if q in v.finals else self.state_id.get(reset) for q, k in zip(t.states, ids)]
+        for e, row in t.request.items():
+            for h, (q, g) in enumerate(row):
+                if ids[h] is not None and t.states[h] != skip_call:
+                    assert ids[q] is not None and pushed[g] is not None, family
+                    self._write(family, self.request[e], ids[h], (ids[q], pushed[g]))
+        for e, rows in t.response.items():
+            for g, row in enumerate(rows):
+                targets = resets if reset and t.symbols[g] == v.initial else ids
+                for h, q in enumerate(row):
+                    if ids[h] is not None and pushed[g] is not None and t.states[h] != skip_return:
+                        assert targets[q] is not None, family
+                        self._write(family, self.response[e][pushed[g]], ids[h], targets[q])
+
+    def calls_like(self, family: str, sources: Collection[str], v: Vpa):
+        """Each of ``sources`` calls as the embedded ``v``'s initial state."""
+        for s in self.alphabet:
+            dst, push = v.delta_call[(v.initial, s)]
+            for q in sources:
+                self.call(family, q, s, dst, push)
+
+    def _write(self, family: str, row: list, h: int, cell):
+        """Write ``cell`` into ``row[h]``, which must be unwritten or hold it."""
+        if row[h] is None:
+            row[h] = cell
+        elif row[h] != cell:  # a return cell is a state, a call cell a state and a push
+            kind, name = ("return", self.states.__getitem__) if type(cell) is int else (
+                "call", lambda c: (self.states[c[0]], self.symbols[c[1]]))
             raise CompilerInternalError(
-                f"{family}: return conflict at {key}: {old} vs {dst}"
-            )
+                f"{family}: {kind} conflict at {self.states[h]!r}: {name(row[h])} vs {name(cell)}")
 
     def finish(self) -> Vpa:
-        """Complete both tables into the reject state and freeze."""
-        for q in self.states:
-            for s in self.alphabet:
-                self.calls.setdefault((q, s), (self.reject, self.reject))
-        stack_alphabet = set(self.gamma) | {BOTTOM}
-        for q in self.states:
-            for g in stack_alphabet:
-                for s in self.alphabet:
-                    self.returns.setdefault((q, g, s), self.reject)
+        """Send the unwritten cells to the reject state and freeze."""
         assert self.reject in self.gamma
-        return Vpa(
-            frozenset(self.states),
-            self.initial,
-            frozenset({self.final}),
-            self.alphabet,
-            frozenset(stack_alphabet),
-            self.calls,
-            self.returns,
+        r = self.state_id[self.reject]  # fill.get(cell, cell): the reject rule for None
+        call_fill, return_fill = {None: (r, self.symbol_id[self.reject])}, {None: r}
+        # Rows pass through a list: a tuple built from a list is allocated at its size, so
+        # the interpreter reuses freed tuples instead of parking one per freed row.
+        table = Table(
+            self.states, self.symbols, self.state_id, self.symbol_id,
+            {e: tuple([*map(call_fill.get, row, row)]) for e, row in self.request.items()},
+            {e: tuple(tuple([*map(return_fill.get, row, row)]) for row in rows)
+             for e, rows in self.response.items()},
         )
+        return Vpa(frozenset(self.states), self.initial, frozenset({self.final}), self.alphabet,
+                   frozenset(self.symbols), table)
 
 
 def _rename_vpa(v: Vpa, prefix: str) -> Vpa:
-    # One table for states and stack symbols alike; the bottom marker stays.
-    ren = {x: prefix + x for x in v.states | v.stack_alphabet}
-    ren[BOTTOM] = BOTTOM
-    return Vpa(
-        frozenset(ren[q] for q in v.states),
-        ren[v.initial],
-        frozenset(ren[q] for q in v.finals),
-        v.alphabet,
-        frozenset(ren[g] for g in v.stack_alphabet),
-        {(ren[q], s): (ren[q2], ren[g]) for (q, s), (q2, g) in v.delta_call.items()},
-        {(ren[q], ren[g], s): ren[q2] for (q, g, s), q2 in v.delta_return.items()},
-    )
+    # Only the name tuples change: prefixed, ASCII names keep their order.
+    t = v.table
+    states = tuple(prefix + q for q in t.states)
+    symbols = tuple(g if g == BOTTOM else prefix + g for g in t.symbols)
+    table = t._replace(states=states, symbols=symbols,
+                       state_id={q: i for i, q in enumerate(states)},
+                       symbol_id={g: i for i, g in enumerate(symbols)})
+    return Vpa(frozenset(states), prefix + v.initial, frozenset(prefix + q for q in v.finals),
+               v.alphabet, frozenset(symbols), table)
 
 
 def _single_final(v: Vpa) -> str:
@@ -341,24 +359,12 @@ def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
     _match_search(b, a1, cend)
     _leaf_match(b, a1)
 
-    # c2: child transitions; the matched node and the child's accept state
-    # both behave like the child's initial state on calls.
-    for (q, s), (dst, push) in c.delta_call.items():
-        if q == cbeg:
-            for f in a1.finals:
-                b.call("c2", f, s, dst, push)
-            b.call("c2", cend, s, dst, push)
-            b.call("c2", cbeg, s, dst, push)
-        elif q != cend:
-            b.call("c2", q, s, dst, push)
-
-    # r1: child transitions, except that a child subtree completing in a
+    # c2/r1: child transitions, except that a child subtree completing in a
     # non-accepting child state rejects (recognized by the child's begin
-    # marker on the stack).
-    for (q, g, s), dst in c.delta_return.items():
-        if q == cend:
-            continue
-        b.ret("r1", q, g, s, REJ if g == cbeg and dst not in c.finals else dst)
+    # marker on the stack); the matched node and the child's accept state
+    # both behave like the child's initial state on calls.
+    b.copy("c2/r1", c, skip_call=cend, skip_return=cend, reset=REJ)
+    b.calls_like("c2", (*a1.finals, cend), c)
 
     # r2: A1 backtracking out of an unfinished child.
     for s in alpha:
@@ -395,33 +401,20 @@ def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
     _match_search(b, a1, ends[k - 1])
 
     # c1: the matched node hands over to the first sub-automaton.
-    for s in alpha:
-        dst, push = subs[0].delta_call[(begs[0], s)]
-        for f in a1.finals:
-            b.call("c1", f, s, dst, push)
+    b.calls_like("c1", a1.finals, subs[0])
 
-    # c2: sub-automata transitions; an accept state behaves like the next
-    # sub-automaton's initial state.
+    # c2/r1: sub-automata transitions with retry: a subtree failing the
+    # current sub-policy resets to that sub-policy's initial state; an
+    # accept state behaves like the next sub-automaton's initial state.
     for i, v in enumerate(subs):
-        for (q, s), (dst, push) in v.delta_call.items():
-            if q == ends[i]:
-                continue
-            b.call("c2", q, s, dst, push)
+        b.copy("c2/r1", v, skip_call=ends[i], reset=begs[i])
         if i + 1 < k:
-            for s in alpha:
-                dst, push = subs[i + 1].delta_call[(begs[i + 1], s)]
-                b.call("c2", ends[i], s, dst, push)
+            b.calls_like("c2", (ends[i],), subs[i + 1])
 
     # c3: once all k subtrees are found the run coasts in the exists marker.
     for s in alpha:
         b.call("c3", ends[k - 1], s, EXISTS, EXISTS)
         b.call("c3", EXISTS, s, EXISTS, EXISTS)
-
-    # r1: sub-automata transitions with retry: a subtree failing the current
-    # sub-policy resets to that sub-policy's initial state.
-    for i, v in enumerate(subs):
-        for (q, g, s), dst in v.delta_return.items():
-            b.ret("r1", q, g, s, begs[i] if g == begs[i] and dst not in v.finals else dst)
 
     # r2: A1 backtracking out of the sub-automata and out of the matched node.
     backtracking = (*(all_sub_states - {ends[k - 1]}), *a1.finals)
@@ -488,10 +481,9 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
                 t, _ = inner_initial_call(s)
             b.call("c1", src, s, t, src)
 
-    # c2: inner transitions between its middle states (``_Build`` drops
+    # c2/r3: inner transitions between its middle states (``_Build`` drops
     # those from the fused initial and final states).
-    for (q, s), (dst, push) in inn.delta_call.items():
-        b.call("c2", q, s, dst, push)
+    b.copy("c2/r3", inn)
     for s in alpha:
         b.call("c-rej", REJ, s, REJ, REJ)
 
@@ -518,10 +510,6 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
                     if inner_accepting_return(q, s):
                         b.ret("r2", q, g, s, g)
 
-    # r3: inner transitions between its middle states.
-    for (q, g, s), dst in inn.delta_return.items():
-        b.ret("r3", q, g, s, dst)
-
     return b.finish()
 
 
@@ -531,60 +519,62 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
 def _prune(v: Vpa) -> Vpa:
     """The automaton restricted to what a run from the initial state can use.
 
-    A least fixpoint from the initial state: a reached state's call rules
-    reach their targets and push their symbols, and its return rules that
-    pop a pushed symbol or the bottom marker reach their targets.  It keeps
-    the reached states, the pushed symbols with the bottom marker, and the
-    rules over them, which are recorded as the fixpoint meets them; every
-    rule over kept names leads to kept names, so the result is complete and
-    well-formed, and every run from the initial configuration is the same,
-    configuration for configuration.  Each (state, stack symbol) pair is
-    visited once: when the later of the two is taken from its worklist.
-    """
-    alpha, delta_call, delta_return = v.alphabet, v.delta_call, v.delta_return
-    states, symbols = [v.initial], [BOTTOM]
+    A least fixpoint from the initial state over ``v.table``: a reached
+    state's call cells reach their targets and push their symbols, and its
+    return cells that pop a pushed symbol or the bottom marker reach their
+    targets.  It keeps the reached states, the pushed symbols with the
+    bottom marker, and the cells over them; every such cell leads to kept
+    names, so the result is complete and well-formed, and every run from
+    the initial configuration is the same, configuration for configuration.
+    Each (state, stack symbol) pair is visited once: when the later of the
+    two is taken from its worklist."""
+    t = v.table
+    requests, responses = tuple(t.request.values()), tuple(t.response.values())
+    states, symbols = [t.state_id[v.initial]], [t.symbol_id[BOTTOM]]
     reached, pushed = set(states), set(symbols)
-    calls: dict[tuple[str, str], tuple[str, str]] = {}
-    returns: dict[tuple[str, str, str], str] = {}
 
-    def visit(q: str, g: str):
-        for e in alpha:
-            key = (q, g, e)
-            t = returns[key] = delta_return[key]
-            if t not in reached:
-                reached.add(t)
-                states.append(t)
+    def visit(h: int, g: int):
+        for rows in responses:
+            q = rows[g][h]
+            if q not in reached:
+                reached.add(q)
+                states.append(q)
 
     i = j = 0  # states[:i] and symbols[:j] are visited against each other
     while i < len(states) or j < len(symbols):
         if i < len(states):
-            q = states[i]
+            h = states[i]
             i += 1
-            for e in alpha:
-                key = (q, e)
-                t, g = calls[key] = delta_call[key]
-                if t not in reached:
-                    reached.add(t)
-                    states.append(t)
+            for row in requests:
+                q, g = row[h]
+                if q not in reached:
+                    reached.add(q)
+                    states.append(q)
                 if g not in pushed:
                     pushed.add(g)
                     symbols.append(g)
             for g in symbols[:j]:
-                visit(q, g)
+                visit(h, g)
         else:
             g = symbols[j]
             j += 1
-            for q in states[:i]:
-                visit(q, g)
-    return Vpa(
-        frozenset(reached),
-        v.initial,
-        v.finals & reached,
-        alpha,
-        frozenset(pushed),
-        calls,
-        returns,
+            for h in states[:i]:
+                visit(h, g)
+    kept, kept_symbols = sorted(reached), sorted(pushed)  # old ids, in sorted name order
+    new = {h: i for i, h in enumerate(kept)}
+    new_symbol = {g: i for i, g in enumerate(kept_symbols)}
+    names = tuple(t.states[h] for h in kept)
+    symbol_names = tuple(t.symbols[g] for g in kept_symbols)
+    table = Table(
+        names, symbol_names,
+        {q: i for i, q in enumerate(names)}, {g: i for i, g in enumerate(symbol_names)},
+        {e: tuple([(new[q], new_symbol[g]) for q, g in map(row.__getitem__, kept)])
+         for e, row in t.request.items()},  # rows pass through lists, as in _Build.finish
+        {e: tuple(tuple([*map(new.__getitem__, map(rows[g].__getitem__, kept))])
+                  for g in kept_symbols) for e, rows in t.response.items()},
     )
+    return Vpa(frozenset(names), v.initial, v.finals & frozenset(names), v.alphabet,
+               frozenset(symbol_names), table)
 
 
 # -- whole-policy compilation ---------------------------------------------------

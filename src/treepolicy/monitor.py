@@ -7,14 +7,14 @@ symbol -> state), read-only and in sorted key order, and names the
 automaton's reject sink as ``reject``: a rule the spec lacks goes there.
 A ``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
 integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
-does.  ``extract_monitor`` copies no rule: its specs read ``Vpa.table`` in
-place, leaving out the rules equal to the sink's, and its monitor steps
-that table.  A monitor read back from filter specs
-(``monitor_from_filters``) builds its own table from them, over the states
-they name and the sink, with the sink's rule in every cell they leave out;
-``dist_run`` sends a state they do not name to the sink, as a script's
-fall-through does.  With no ``reject``, a rule missing there raises
-``MissingTransition``, which names it.
+does.  ``extract_monitor`` copies no rule: its specs are row views of
+``Vpa.table``, leaving out the rules equal to the sink's, and its monitor
+steps that table.  A monitor read back from filter specs
+(``monitor_from_filters``) builds its own table with ``vpa.build_table``,
+over the states they name and the sink, each cell starting with the sink's
+rule; ``dist_run`` sends a state they do not name to the sink, as a
+script's fall-through does.  With no ``reject``, a rule missing there
+raises ``MissingTransition``, which names it.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
@@ -27,76 +27,20 @@ and ``render_filter_script`` formats each rule with one template.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
-    BOTTOM, Configuration, Table, Vpa, build_table, fill_reject, json_document, link, load_document,
-    reject_member, reject_sink, skipped_cells, string_rows, walk,
+    BOTTOM, Configuration, RequestRules, ResponseRules, Table, TableRules, Vpa, build_table,
+    json_document, link, load_document, reject_member, reject_sink, skipped_cells, string_rows,
+    walk,
 )
 
 STATE_HEADER = "x-safetree-state"
 FILTER_SCHEMA_VERSION = 1
-
-
-class _TableRules(Mapping):
-    """One endpoint's rules read in place from a ``Table``: the call rules
-    of ``request[e]`` (state -> state and pushed symbol) or the return
-    rules of ``response[e]`` (state and popped symbol -> state), without
-    the cells in ``skip`` (the reject sink's rule and a missing rule's
-    ``None``).  Keys come in id order, which is sorted key order."""
-
-    def __init__(self, t: Table, row: tuple, skip: tuple):
-        self._t, self._row, self._skip = t, row, skip
-
-    def items(self):
-        return _RuleItems(self)
-
-
-class _RuleItems(ItemsView):
-    """(key, rule) pairs read off the row in one pass, in key order."""
-
-    def __iter__(self):
-        return self._mapping._pairs()
-
-
-class _RequestRules(_TableRules):
-    def __getitem__(self, q):
-        if (rule := self._row[self._t.state_id[q]]) in self._skip:
-            raise KeyError(q)
-        return self._t.states[rule[0]], self._t.symbols[rule[1]]
-
-    def __iter__(self):
-        return (q for q, rule in zip(self._t.states, self._row) if rule not in self._skip)
-
-    def _pairs(self):
-        states, symbols, skip = self._t.states, self._t.symbols, self._skip
-        return ((q, (states[rule[0]], symbols[rule[1]]))
-                for q, rule in zip(states, self._row) if rule not in skip)
-
-    def __len__(self):
-        return len(self._row) - sum(map(self._row.count, self._skip))
-
-
-class _ResponseRules(_TableRules):
-    def __getitem__(self, key):
-        if (dst := self._row[self._t.symbol_id[key[1]]][self._t.state_id[key[0]]]) in self._skip:
-            raise KeyError(key)
-        return self._t.states[dst]
-
-    def __iter__(self):
-        return (key for key, _ in self._pairs())
-
-    def _pairs(self):
-        states, symbols, skip = self._t.states, self._t.symbols, self._skip
-        return (((q, g), states[dst]) for q, column in zip(states, zip(*self._row))
-                for g, dst in zip(symbols, column) if dst not in skip)
-
-    def __len__(self):
-        return sum(len(r) - sum(map(r.count, self._skip)) for r in self._row)
 
 
 @dataclass(frozen=True)
@@ -114,20 +58,20 @@ class FilterSpec:
 
     def __post_init__(self):
         for name in ("on_request", "on_response"):
-            if not isinstance(rules := getattr(self, name), _TableRules):
+            if not isinstance(rules := getattr(self, name), TableRules):
                 object.__setattr__(self, name, MappingProxyType(dict(sorted(rules.items()))))
 
 
 class DistributedMonitor(Mapping):
     """Endpoint -> ``FilterSpec``, read-only, and the table ``dist_run``
-    steps: the automaton's own when the monitor was extracted from it, else
-    one built from the specs on first use.  Two specs for one endpoint, or
-    specs that name different ``reject`` states, are a ``VpaParseError``."""
+    steps: the automaton's own, or one built from the specs.  Two specs for
+    one endpoint, different ``reject`` states and rules ``build_table``
+    refuses are a ``VpaParseError``."""
 
     __slots__ = ("_specs", "_table", "_reject")
 
     def __init__(self, specs: Iterable[FilterSpec], table: Table | None = None):
-        self._specs, self._table = {}, table
+        self._specs = {}
         for spec in specs:
             if self._specs.setdefault(spec.endpoint, spec) is not spec:
                 raise VpaParseError(f"two filter specs for endpoint {spec.endpoint!r}")
@@ -136,6 +80,7 @@ class DistributedMonitor(Mapping):
             raise VpaParseError(f"filter specs name different reject states: "
                                 f"{', '.join(sorted(map(repr, rejects)))}")
         self._reject = rejects.pop() if rejects else None
+        self._table = table if table is not None else _spec_table(self)
 
     def __getitem__(self, e: Endpoint) -> FilterSpec:
         return self._specs[e]
@@ -153,15 +98,12 @@ class DistributedMonitor(Mapping):
 
     @property
     def table(self) -> Table:
-        if self._table is None:
-            self._table = _spec_table(self)
         return self._table
 
 
 def _spec_table(m: DistributedMonitor) -> Table:
-    """The table of the specs' rules over every state and stack symbol they
-    name, the reject state and the bottom marker; the cells no rule writes
-    hold the reject state's rule."""
+    """The table of the specs' rules over the states and stack symbols they
+    name, the reject state and the bottom marker."""
     calls = {(q, e): rule for e, spec in m.items() for q, rule in spec.on_request.items()}
     returns = {(q, g, e): dst for e, spec in m.items() for (q, g), dst in spec.on_response.items()}
     states = {x for (q, _), (dst, _) in calls.items() for x in (q, dst)}
@@ -170,8 +112,7 @@ def _spec_table(m: DistributedMonitor) -> Table:
     if m.reject is not None:
         states.add(m.reject)
         symbols.add(m.reject)
-        calls, returns = fill_reject(states, symbols, m, m.reject, calls, returns)
-    return build_table(states, symbols, m, calls.items(), returns.items())
+    return build_table(states, symbols, m, calls, returns, m.reject)
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
@@ -180,8 +121,7 @@ def extract_monitor(v: Vpa) -> DistributedMonitor:
     t = v.table
     sink = reject_sink(v)
     skip_call, skip_return = skipped_cells(t, sink)
-    specs = (FilterSpec(e, _RequestRules(t, t.request[e], skip_call),
-                        _ResponseRules(t, t.response[e], skip_return), sink)
+    specs = (FilterSpec(e, RequestRules(t, e, skip_call), ResponseRules(t, e, skip_return), sink)
              for e in v.alphabet)
     return DistributedMonitor(specs, t)
 

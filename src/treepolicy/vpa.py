@@ -7,14 +7,14 @@ endpoints.  The bottom marker is never pushed; a return arriving with only
 the bottom marker on the stack raises ``StackUnderflow`` (impossible on
 rooted well-matched input).
 
-``Vpa.table``, built on first use and kept on the automaton, is the one
-integer form of an automaton (see ``Table``): ids number names in sorted
-order.  The unchecked ``walk`` steps it for ``final_configuration``,
-``run`` and the distributed monitor's ``dist_run``; the checked ``steps``
-names the fault a walk hit and builds the items of a ``Run``.  The mesh
-simulator's hop, the writers and extracted filter specs read its rows as
-they are.  Configurations share their stacks.  Automata and configurations
-are never changed, so concurrent runs over one automaton are safe.
+``Vpa.table`` is an automaton's one rule store (see ``Table``): ids number
+names in sorted order.  ``delta_call`` and ``delta_return`` are read-only
+views of it, the row views filter specs hold.  ``Vpa.from_rules`` is the
+checked constructor from string-keyed rules, through ``build_table``.  The
+unchecked ``walk`` steps the table for ``final_configuration``, ``run``
+and ``dist_run``; the checked ``steps`` names the fault a walk hit and
+builds the items of a ``Run``.  Configurations share their stacks, and
+automata and configurations are never changed.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
 sorted key order, which is the table's id order with the alphabet sorted,
@@ -25,19 +25,17 @@ once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 
 Written automata are default-reject: ``reject_sink`` finds the sink, the
 writers leave out every rule equal to its rule and name it as ``reject``,
-and ``fill_reject`` puts the missing rules back for ``import_vpa`` and the
-read-back monitor.  Completeness is
-a property of the automaton in memory, not of the file.
+and ``import_vpa`` and read-back monitors start every cell with that
+rule.  Completeness is a property of the automaton in memory, not of files.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import filterfalse, product
+from functools import cache
 from typing import NamedTuple
 
 from .errors import MissingTransition, StackUnderflow, VpaParseError
@@ -53,22 +51,36 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Vpa:
+    """An automaton; equality compares tables, so rule order never counts."""
+
     states: frozenset[State]
     initial: State
     finals: frozenset[State]
     alphabet: tuple[Endpoint, ...]
     stack_alphabet: frozenset[StackSymbol]  # includes BOTTOM
-    delta_call: Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]
-    delta_return: Mapping[tuple[State, StackSymbol, Endpoint], State]
+    table: Table
 
-    @cached_property
-    def table(self) -> Table:
-        """The integer table every run steps, built on first use and kept
-        on the automaton (not a field: equality ignores it)."""
-        return build_table(
-            self.states, self.stack_alphabet, self.alphabet,
-            self.delta_call.items(), self.delta_return.items(),
-        )
+    @property
+    def delta_call(self) -> Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]:
+        return RequestRules(self.table)
+
+    @property
+    def delta_return(self) -> Mapping[tuple[State, StackSymbol, Endpoint], State]:
+        return ResponseRules(self.table)
+
+    @classmethod
+    def from_rules(cls, states: Iterable[State], initial: State, finals: Iterable[State],
+                   alphabet: Iterable[Endpoint], stack_alphabet: Iterable[StackSymbol],
+                   delta_call: Mapping, delta_return: Mapping, reject: State | None = None) -> Vpa:
+        """The automaton of the rules, complete and well-formed, else a
+        ``VpaParseError``; a rule left out goes to the ``reject`` state."""
+        states, finals, stack_alphabet = map(frozenset, (states, finals, stack_alphabet))
+        if reject is not None and reject in finals:
+            raise VpaParseError(f"reject state {reject!r} is final")
+        table = build_table(states, stack_alphabet, alphabet, delta_call, delta_return, reject)
+        v = cls(states, initial, finals, tuple(alphabet), stack_alphabet, table)
+        _refuse(check_well_formed(v).problems)
+        return v
 
 
 class Configuration:
@@ -145,7 +157,7 @@ class Table(NamedTuple):
     invert them.  For endpoint ``e``, ``request[e][h]`` is the state id
     after a call in state ``h`` and the id of the pushed symbol, and
     ``response[e][g][h]`` the state id after a return that pops ``g``.  A
-    rule the automaton or filter set lacks is ``None``.
+    cell without a rule is ``None``; only a read-back monitor's may be.
     """
 
     states: tuple[State, ...]
@@ -156,30 +168,142 @@ class Table(NamedTuple):
     response: dict[Endpoint, tuple[tuple[int | None, ...], ...]]
 
 
-def build_table(
-    states: Iterable[State],
-    symbols: Iterable[StackSymbol],
-    alphabet: Iterable[Endpoint],
-    calls: Iterable[tuple[tuple[State, Endpoint], tuple[State, StackSymbol]]],
-    returns: Iterable[tuple[tuple[State, StackSymbol, Endpoint], State]],
-) -> Table:
-    """The table of the given rules, in one pass over them.  ``calls`` and
-    ``returns`` yield what ``delta_call.items()`` and
-    ``delta_return.items()`` do; names are numbered in sorted order."""
+def build_table(states: Collection[State], symbols: Collection[StackSymbol],
+                alphabet: Iterable[Endpoint], calls: Mapping, returns: Mapping,
+                reject: State | None = None) -> Table:
+    """The table of the string-keyed rules, each cell starting with the
+    ``reject`` state's rule (or ``None``).  ``VpaParseError`` refuses rules
+    over undeclared names or a reject state, and pushes of the bottom marker."""
     states, symbols = tuple(sorted(states)), tuple(sorted(symbols))
     state_id = {q: i for i, q in enumerate(states)}
     symbol_id = {g: i for i, g in enumerate(symbols)}
-    request = {e: [None] * len(states) for e in alphabet}
-    response = {e: [[None] * len(states) for _ in symbols] for e in alphabet}
-    for (q, e), (q2, g) in calls:
-        request[e][state_id[q]] = (state_id[q2], symbol_id[g])
-    for (q, g, e), q2 in returns:
-        response[e][symbol_id[g]][state_id[q]] = state_id[q2]
+    call_fill = return_fill = None
+    if reject is not None:
+        if reject not in state_id:
+            raise VpaParseError(f"reject state {reject!r} is not declared")
+        if reject not in symbol_id:
+            raise VpaParseError(f"reject state {reject!r} is not in the stack alphabet")
+        call_fill, return_fill = (state_id[reject], symbol_id[reject]), state_id[reject]
+    request = {e: [call_fill] * len(states) for e in alphabet}
+    response = {e: [[return_fill] * len(states) for _ in symbols] for e in alphabet}
+    problems = []
+
+    def unknown(rule: str, q: State, q2: State, e: Endpoint, g: StackSymbol, verb: str):
+        problems.extend(p for bad, p in (
+            (q not in state_id or q2 not in state_id, f"{rule} touches unknown state"),
+            (e not in request, f"{rule} reads unknown endpoint {e!r}"),
+            (g not in symbol_id and g != BOTTOM, f"{rule} {verb} unknown symbol {g!r}")) if bad)
+
+    for (q, e), (q2, g) in calls.items():
+        try:
+            request[e][state_id[q]] = state_id[q2], symbol_id[g]
+        except KeyError:
+            unknown(f"call transition ({q!r}, {e!r})", q, q2, e, g, "pushes")
+        if g == BOTTOM:
+            problems.append(f"call transition ({q!r}, {e!r}) pushes the bottom marker")
+    if reject == BOTTOM and any(call_fill in row for row in request.values()):
+        problems.append(f"a call into reject state {reject!r} pushes the bottom marker")
+    for (q, g, e), q2 in returns.items():
+        try:
+            response[e][symbol_id[g]][state_id[q]] = state_id[q2]
+        except KeyError:
+            unknown(f"return transition ({q!r}, {g!r}, {e!r})", q, q2, e, g, "pops")
+    _refuse(problems)
     return Table(
         states, symbols, state_id, symbol_id,
         {e: tuple(row) for e, row in request.items()},
         {e: tuple(map(tuple, rows)) for e, rows in response.items()},
     )
+
+
+def _refuse(problems: Sequence[str]) -> None:
+    """``VpaParseError`` naming the first three problems, if there are any."""
+    if problems:
+        more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
+        raise VpaParseError(f"ill-formed automaton: {'; '.join(problems[:3])}{more}")
+
+
+class TableRules(Mapping):
+    """Rules read in place from a ``Table`` in sorted key order, without the
+    cells in ``skip``; keys end with the endpoint unless the view has one."""
+
+    __slots__ = ("_t", "_endpoint", "_skip")
+
+    def __init__(self, t: Table, endpoint: Endpoint | None = None, skip: tuple = (None,)):
+        self._t, self._endpoint, self._skip = t, endpoint, skip
+
+    def __getitem__(self, key):
+        if (cell := self._cell(key)) in self._skip:
+            raise KeyError(key)
+        return self._value(cell)
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs())
+
+    def __len__(self):
+        return sum(1 for _ in self._pairs())
+
+    def items(self):
+        return _RuleItems(self)
+
+
+class _RuleItems(ItemsView):
+    """(key, rule) pairs read off the rows in one pass."""
+
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+def _call_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
+    """(from, sym, to, push) for each call cell not in ``skip``, sorted."""
+    states, symbols, alphabet = t.states, t.symbols, sorted(t.request)
+    return [(q, e, states[r[0]], symbols[r[1]]) for h, q in enumerate(states)
+            for e in alphabet if (r := t.request[e][h]) not in skip]
+
+
+def _return_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
+    """(from, pop, sym, to) for each return cell not in ``skip``, sorted."""
+    states, symbols, alphabet = t.states, t.symbols, sorted(t.response)
+    return [(q, g, e, states[r]) for h, q in enumerate(states) for i, g in enumerate(symbols)
+            for e in alphabet if (r := t.response[e][i][h]) not in skip]
+
+
+class RequestRules(TableRules):
+    """Call rules: state -> (state, pushed symbol) over one endpoint."""
+
+    def _cell(self, key):
+        q, e = key if self._endpoint is None else (key, self._endpoint)
+        return self._t.request[e][self._t.state_id[q]]
+
+    def _value(self, cell):
+        return self._t.states[cell[0]], self._t.symbols[cell[1]]
+
+    def _pairs(self):
+        t, skip = self._t, self._skip
+        if self._endpoint is None:
+            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, skip))
+        states, symbols = t.states, t.symbols
+        return ((q, (states[r[0]], symbols[r[1]]))
+                for q, r in zip(states, t.request[self._endpoint]) if r not in skip)
+
+
+class ResponseRules(TableRules):
+    """Return rules: (state, popped symbol) -> state over one endpoint."""
+
+    def _cell(self, key):
+        q, g, e = key if self._endpoint is None else (*key, self._endpoint)
+        return self._t.response[e][self._t.symbol_id[g]][self._t.state_id[q]]
+
+    def _value(self, cell):
+        return self._t.states[cell]
+
+    def _pairs(self):
+        t, skip = self._t, self._skip
+        if self._endpoint is None:
+            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, skip))
+        states, symbols = t.states, t.symbols
+        return (((q, g), states[r]) for q, column in zip(states, zip(*t.response[self._endpoint]))
+                for g, r in zip(symbols, column) if r not in skip)
 
 
 def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Configuration:
@@ -329,9 +453,10 @@ class WellFormedReport:
 
 
 def check_well_formed(v: Vpa) -> WellFormedReport:
-    """Totality of both transition tables, rules only over declared names
-    (states, endpoints, stack symbols), each endpoint declared once, and the
-    no-push-of-bottom rule."""
+    """The declared names (the initial and final states, the bottom marker,
+    each endpoint once, the names the table numbers) and no ``None`` cell;
+    ``build_table`` refuses the rest."""
+    t = v.table
     problems = []
     if v.initial not in v.states:
         problems.append(f"initial state {v.initial!r} not in states")
@@ -342,28 +467,14 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
     for e, n in Counter(v.alphabet).items():
         if n > 1:
             problems.append(f"alphabet names {e!r} more than once")
-    for q, e in filterfalse(v.delta_call.__contains__, product(sorted(v.states), v.alphabet)):
-        problems.append(f"missing call transition ({q!r}, {e!r})")
-    alphabet = set(v.alphabet)
-    for (q, e), (q2, s) in v.delta_call.items():
-        if q not in v.states or q2 not in v.states:
-            problems.append(f"call transition ({q!r}, {e!r}) touches unknown state")
-        if e not in alphabet:
-            problems.append(f"call transition ({q!r}, {e!r}) reads unknown endpoint {e!r}")
-        if s == BOTTOM:
-            problems.append(f"call transition ({q!r}, {e!r}) pushes the bottom marker")
-        elif s not in v.stack_alphabet:
-            problems.append(f"call transition ({q!r}, {e!r}) pushes unknown symbol {s!r}")
-    keys = product(sorted(v.states), sorted(v.stack_alphabet), v.alphabet)
-    for q, s, e in filterfalse(v.delta_return.__contains__, keys):
-        problems.append(f"missing return transition ({q!r}, {s!r}, {e!r})")
-    for (q, s, e), q2 in v.delta_return.items():
-        if q not in v.states or q2 not in v.states:
-            problems.append(f"return transition ({q!r}, {s!r}, {e!r}) touches unknown state")
-        if e not in alphabet:
-            problems.append(f"return transition ({q!r}, {s!r}, {e!r}) reads unknown endpoint {e!r}")
-        if s not in v.stack_alphabet:
-            problems.append(f"return transition ({q!r}, {s!r}, {e!r}) pops unknown symbol {s!r}")
+    names = sorted(v.states), sorted(v.stack_alphabet), list(dict.fromkeys(v.alphabet))
+    if (list(t.states), list(t.symbols), list(t.request)) != names:
+        problems.append("the table does not number the declared names")
+    problems += [f"missing call transition {(q, e)!r}" for h, q in enumerate(t.states)
+                 for e, row in t.request.items() if row[h] is None]
+    problems += [f"missing return transition {(q, g, e)!r}" for h, q in enumerate(t.states)
+                 for i, g in enumerate(t.symbols) for e, rows in t.response.items()
+                 if rows[i][h] is None]
     return WellFormedReport(not problems, tuple(problems))
 
 
@@ -403,23 +514,10 @@ def skipped_cells(t: Table, sink: State | None) -> tuple[tuple, tuple]:
     return (None, (h, t.symbol_id[sink])), (None, h)
 
 
-def _sorted_rows(v: Vpa, sink: State | None) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """Call rows (from, sym, to, push) and return rows (from, pop, sym, to)
-    other than the sink's, read from ``v.table`` in id order with the
-    alphabet sorted: sorted key order, which every writer uses."""
-    t = v.table
-    states, symbols, alphabet = t.states, t.symbols, sorted(t.request)
-    skip_call, skip_return = skipped_cells(t, sink)
-    calls = [(q, e, states[r[0]], symbols[r[1]]) for h, q in enumerate(states)
-             for e in alphabet if (r := t.request[e][h]) not in skip_call]
-    returns = [(q, s, e, states[r]) for h, q in enumerate(states) for g, s in enumerate(symbols)
-               for e in alphabet if (r := t.response[e][g][h]) not in skip_return]
-    return calls, returns
-
-
 def _export_json(v: Vpa) -> str:
     sink = reject_sink(v)
-    calls, returns = _sorted_rows(v, sink)
+    skip_call, skip_return = skipped_cells(v.table, sink)
+    calls, returns = _call_rows(v.table, skip_call), _return_rows(v.table, skip_return)
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -503,22 +601,6 @@ def _strings(doc: dict, field: str) -> list[str]:
     raise VpaParseError(f"{field} must be a list of strings")
 
 
-def fill_reject(
-    states: Collection[State],
-    symbols: Collection[StackSymbol],
-    alphabet: Collection[Endpoint],
-    reject: State,
-    calls: dict[tuple[State, Endpoint], tuple[State, StackSymbol]],
-    returns: dict[tuple[State, StackSymbol, Endpoint], State],
-) -> tuple[dict, dict]:
-    """The rules of a default-reject artifact made complete over the
-    names: every key ``calls`` or ``returns`` lacks gets the reject state's
-    rule (a call goes to ``reject`` pushing it, a return goes to it).  The
-    one fill both readers use."""
-    return (dict.fromkeys(product(states, alphabet), (reject, reject)) | calls,
-            dict.fromkeys(product(states, symbols, alphabet), reject) | returns)
-
-
 def reject_member(doc: dict) -> str | None:
     """The document's ``reject`` member: a string, or ``None`` when it is
     null or absent."""
@@ -544,31 +626,17 @@ def import_vpa(text: str) -> Vpa:
     if not isinstance(doc["initial"], str):
         raise VpaParseError("initial must be a string")
     reject = reject_member(doc)
-    call_rows = string_rows(doc, "delta_call", ("from", "sym", "to", "push"))
-    return_rows = string_rows(doc, "delta_return", ("from", "pop", "sym", "to"))
-    delta_call = {(q, e): (q2, s) for q, e, q2, s in call_rows}
-    delta_return = {(q, s, e): q2 for q, s, e, q2 in return_rows}
-    if len(delta_call) < len(call_rows) or len(delta_return) < len(return_rows):
+    calls = string_rows(doc, "delta_call", ("from", "sym", "to", "push"))
+    returns = string_rows(doc, "delta_return", ("from", "pop", "sym", "to"))
+    delta_call = {(q, e): (q2, s) for q, e, q2, s in calls}
+    delta_return = {(q, s, e): q2 for q, s, e, q2 in returns}
+    if len(delta_call) < len(calls) or len(delta_return) < len(returns):
         raise VpaParseError("a transition key appears more than once")
-    states = frozenset(_strings(doc, "states"))
-    finals = frozenset(_strings(doc, "finals"))
-    alphabet = tuple(_strings(doc, "alphabet"))
-    stack_alphabet = frozenset(_strings(doc, "stack_alphabet"))
-    if reject is not None:
-        if reject not in states:
-            raise VpaParseError(f"reject state {reject!r} is not declared")
-        if reject in finals:
-            raise VpaParseError(f"reject state {reject!r} is final")
-        if reject not in stack_alphabet:
-            raise VpaParseError(f"reject state {reject!r} is not in the stack alphabet")
-        delta_call, delta_return = fill_reject(
-            states, stack_alphabet, alphabet, reject, delta_call, delta_return)
-    v = Vpa(states, doc["initial"], finals, alphabet, stack_alphabet, delta_call, delta_return)
-    problems = check_well_formed(v).problems
-    if problems:
-        more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
-        raise VpaParseError(f"ill-formed automaton: {'; '.join(problems[:3])}{more}")
-    return v
+    return Vpa.from_rules(
+        _strings(doc, "states"), doc["initial"], _strings(doc, "finals"),
+        _strings(doc, "alphabet"), _strings(doc, "stack_alphabet"),
+        delta_call, delta_return, reject,
+    )
 
 
 def _export_dot(v: Vpa) -> str:
@@ -578,8 +646,9 @@ def _export_dot(v: Vpa) -> str:
     names the sink.  Each name is escaped once, a backslash before each
     backslash and each double quote; each edge is one template."""
     sink = reject_sink(v)
-    calls, returns = _sorted_rows(v, sink)
     t = v.table
+    skip_call, skip_return = skipped_cells(t, sink)
+    calls, returns = _call_rows(t, skip_call), _return_rows(t, skip_return)
     esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
            for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]

@@ -37,32 +37,27 @@ def payment_word() -> nw.NestedWord:
     return word_from_str("<P <D <E E> D> <D <E E> D> P>")
 
 
-def complete_with_sink(v: Vpa, sink: str = "sink") -> Vpa:
-    """Fill missing transitions through an explicit non-final sink state.
+def complete_with_sink(states, initial, finals, alphabet, stack_alphabet,
+                       delta_call, delta_return, sink: str = "sink") -> Vpa:
+    """The automaton of the given rules, with every missing transition
+    filled through an explicit non-final sink state.
 
     Hand-drawn automata usually omit reject transitions; this restores the
     deterministic-and-complete form the rest of the toolkit assumes.
     """
-    states = set(v.states) | {sink}
-    stack_alphabet = set(v.stack_alphabet) | {BOTTOM, sink}
-    delta_call = dict(v.delta_call)
-    delta_return = dict(v.delta_return)
+    states = set(states) | {sink}
+    stack_alphabet = set(stack_alphabet) | {BOTTOM, sink}
+    delta_call = dict(delta_call)
+    delta_return = dict(delta_return)
     for q in states:
-        for e in v.alphabet:
+        for e in alphabet:
             delta_call.setdefault((q, e), (sink, sink))
     for q in states:
         for s in stack_alphabet:
-            for e in v.alphabet:
+            for e in alphabet:
                 delta_return.setdefault((q, s, e), sink)
-    return Vpa(
-        frozenset(states),
-        v.initial,
-        v.finals,
-        v.alphabet,
-        frozenset(stack_alphabet),
-        delta_call,
-        delta_return,
-    )
+    return Vpa.from_rules(states, initial, finals, alphabet, stack_alphabet,
+                          delta_call, delta_return)
 
 
 def wide_policy_text(n: int = 3000) -> str:
@@ -82,7 +77,7 @@ def raw_automaton(pol: Policy, alphabet) -> Vpa:
 def two_state_vpa() -> Vpa:
     """Hand-built two-state automaton over one endpoint: q0 --call Appt/q0--> q1,
     q1 --ret Appt, q0--> q0; q0 initial and final.  Sink-completed."""
-    base = Vpa(
+    return complete_with_sink(
         states=frozenset({"q0", "q1"}),
         initial="q0",
         finals=frozenset({"q0"}),
@@ -91,14 +86,13 @@ def two_state_vpa() -> Vpa:
         delta_call={("q0", "Appt"): ("q1", "q0")},
         delta_return={("q1", "q0", "Appt"): "q0"},
     )
-    return complete_with_sink(base)
 
 
 def payment_chain_vpa() -> Vpa:
     """Hand-built chain automaton: start --call P/q_P--> q_P --call D/q_D--> q_D
     --call E/q_DL--> q_DL, with the matching pops walking back.  Start is both
     initial and final.  Sink-completed."""
-    base = Vpa(
+    return complete_with_sink(
         states=frozenset({"start", "q_P", "q_D", "q_DL"}),
         initial="start",
         finals=frozenset({"start"}),
@@ -115,7 +109,6 @@ def payment_chain_vpa() -> Vpa:
             ("q_P", "q_P", "P"): "start",
         },
     )
-    return complete_with_sink(base)
 
 
 def random_tree(rng: random.Random, n_calls: int, alphabet: tuple[str, ...]):
@@ -171,13 +164,14 @@ def cpu_per_symbol(fn, word: nw.NestedWord, repeats: int) -> float:
 
 # -- reference steppers ---------------------------------------------------------
 #
-# The runs step an integer table; these step the string-keyed dicts the table
-# is built from, one configuration object per symbol, as the reference model.
+# The runs step an integer table by id; these look each rule up by name,
+# through the automaton's ``delta_*`` views or a filter spec's rules, one
+# configuration object per symbol, as the reference model.
 
 
 def reference_configurations(v: Vpa, c, symbols):
     """The configuration after each tagged symbol, starting from ``c``,
-    looked up in ``delta_call``/``delta_return``."""
+    looked up by name in ``delta_call``/``delta_return``."""
     q, top, below = c.state, c.top, c.below
     for a in symbols:
         if a.tag == nw.CALL:

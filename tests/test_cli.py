@@ -1,5 +1,6 @@
 """End-to-end command behaviour and exit codes."""
 
+import dataclasses
 import json
 import math
 import time
@@ -274,12 +275,8 @@ class TestEquiv:
 
         def sabotaged(policy, alphabet, policy_id="pol0"):
             art = real(policy, alphabet, policy_id)
-            broken = type(art.vpa)(
-                art.vpa.states, art.vpa.initial,
-                art.vpa.finals | {"rej"},  # accept the reject state
-                art.vpa.alphabet, art.vpa.stack_alphabet,
-                art.vpa.delta_call, art.vpa.delta_return,
-            )
+            # accept the reject state
+            broken = dataclasses.replace(art.vpa, finals=art.vpa.finals | {"rej"})
             return type(art)(
                 art.policy_id, art.policy, broken, art.component_dfas,
                 art.metrics, art.reject_states,

@@ -3,6 +3,7 @@ plus structural invariants and the analytic state bound."""
 
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from treepolicy.policy import (
     Policy,
     parse_policy,
 )
-from treepolicy.vpa import BOTTOM, accepts, check_well_formed, final_configuration
+from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, final_configuration
 
 from conftest import random_rooted_word, raw_automaton, word_from_str
 from test_regex import random_regex
@@ -44,8 +45,8 @@ def small_build():
 
 
 class TestBuild:
-    """The table builder's contract: families never disagree, and the
-    completion sweep alone fills what they leave unwritten."""
+    """The table builder's contract: families never disagree, and
+    ``finish`` alone fills the cells they leave unwritten."""
 
     def test_conflicting_call_write_raises(self):
         b = small_build()
@@ -83,11 +84,38 @@ class TestBuild:
         b.ret("f", "q", "elsewhere", "A", "q")
         b.ret("f", "q", compiler.END, "A", "q")  # END is a state, not pushable
         b.ret("f", "q", BOTTOM, "A", "q")  # the bottom marker is never pushed
-        assert not b.calls and not b.returns
+        # no cell written
+        assert all(cell is None for row in b.request.values() for cell in row)
+        assert all(cell is None for rows in b.response.values() for row in rows for cell in row)
         v = b.finish()
         assert v.delta_call[("q", "A")] == (compiler.REJ, compiler.REJ)
         assert ("q", compiler.END, "A") not in v.delta_return
         assert v.delta_return[("q", BOTTOM, "A")] == compiler.REJ
+
+    def test_embedded_rules_are_written_by_id(self):
+        # a sub-automaton over q, rej and end: q calls A into q; every other
+        # rule goes to rej
+        beg, end, rej = compiler.BEG, compiler.END, compiler.REJ
+        sub = Vpa.from_rules({"q", rej, end}, "q", {end}, ("A", "B"), {BOTTOM, "q", rej},
+                             {("q", "A"): ("q", "q")}, {}, reject=rej)
+        b = small_build()
+        b.copy("c", sub, skip_call=rej, reset=beg)
+        b.calls_like("c", (beg,), sub)
+        v = b.finish()
+        assert v.delta_call[("q", "A")] == v.delta_call[(beg, "A")] == ("q", "q")
+        assert v.delta_call[("q", "B")] == v.delta_call[(end, "B")] == (rej, rej)
+        assert v.delta_return[("q", "q", "A")] == beg  # pops sub's initial state: reset
+        assert v.delta_return[("q", rej, "A")] == rej
+        # copies keep the conflict errors of call and ret
+        b = small_build()
+        b.call("f", "q", "A", rej, rej)
+        with pytest.raises(CompilerInternalError, match="c: call conflict at 'q': "
+                           + re.escape("('rej', 'rej') vs ('q', 'q')")):
+            b.copy("c", sub)
+        b = small_build()
+        b.ret("f", "q", rej, "A", end)
+        with pytest.raises(CompilerInternalError, match="c: return conflict at 'q': end vs rej"):
+            b.copy("c", sub)
 
 
 class TestCallSeq:

@@ -13,7 +13,9 @@ from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.nested_word import IndexedSymbol
 from treepolicy.policy import parse_policy
-from treepolicy.vpa import BOTTOM, Configuration, Vpa, initial_configuration, run, walk
+from treepolicy.vpa import (
+    BOTTOM, Configuration, final_configuration, initial_configuration, run, walk,
+)
 
 from conftest import (
     chain_word,
@@ -351,8 +353,7 @@ class TestMissingRule:
     def test_initial_state_with_only_reject_rules(self):
         # every rule of the initial state goes to the sink, so no written
         # rule names it, and the read-back table does not hold it
-        v = complete_with_sink(Vpa(frozenset({"q"}), "q", frozenset({"q"}), ("A",),
-                                   frozenset({BOTTOM}), {}, {}))
+        v = complete_with_sink({"q"}, "q", {"q"}, ("A",), {BOTTOM}, {}, {})
         specs = monitor.emit_filters(monitor.extract_monitor(v))
         assert [(s.reject, len(s.on_request), len(s.on_response)) for s in specs] == [("sink", 0, 0)]
         m = monitor.monitor_from_filters(
@@ -362,6 +363,26 @@ class TestMissingRule:
         for trace in ("<A A>", "<A <A A> A>", "<A A> <A A>"):
             word = word_from_str(trace)
             assert monitor.dist_run(m, init, word) == run(v, word, init)[-1]
+
+
+class TestBottomMarker:
+    @pytest.mark.parametrize("where", ["rule push", "reject"])
+    def test_read_back_filters_never_push_it(self, where):
+        # filters whose calls push the bottom marker would end <A <B B> A>
+        # away from the central run's state, so reading them back is
+        # refused, as import_vpa refuses such an automaton document
+        doc = parse_policy("alphabet A, B;\nstart {A}: call-seq A B;\n")
+        v = compiler.compile(doc)[0].vpa
+        assert final_configuration(v, word_from_str("<A <B B> A>")).state == compiler.END
+        specs = monitor.emit_filters(monitor.extract_monitor(v))
+        if where == "rule push":
+            specs = [dataclasses.replace(s, on_request={q: (dst, BOTTOM) for q, (dst, _) in
+                                                        s.on_request.items()}) for s in specs]
+        else:
+            specs = [dataclasses.replace(s, reject=BOTTOM) for s in specs]
+        texts = [monitor.filter_spec_to_json(s) for s in specs]
+        with pytest.raises(VpaParseError, match="bottom marker"):
+            monitor.monitor_from_filters(map(monitor.filter_spec_from_json, texts))
 
 
 class TestRepeatedEndpoint:

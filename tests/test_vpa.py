@@ -1,5 +1,6 @@
 """Automaton runs, stack discipline, well-formedness, serialization."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -30,6 +31,7 @@ from treepolicy.vpa import (
 
 from conftest import (
     chain_word,
+    complete_with_sink,
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
@@ -344,8 +346,8 @@ class TestDefaultReject:
 
     def test_no_sink(self):
         # an automaton without a reject sink is written in full, as before
-        v = Vpa(frozenset({"q"}), "q", frozenset({"q"}), ("E",), frozenset({BOTTOM, "q"}),
-                {("q", "E"): ("q", "q")}, {("q", g, "E"): "q" for g in (BOTTOM, "q")})
+        v = Vpa.from_rules({"q"}, "q", {"q"}, ("E",), {BOTTOM, "q"},
+                           {("q", "E"): ("q", "q")}, {("q", g, "E"): "q" for g in (BOTTOM, "q")})
         assert reject_sink(v) is None
         doc = json.loads(export_vpa(v, "json"))
         assert doc["reject"] is None and len(doc["delta_return"]) == 2
@@ -363,10 +365,15 @@ class TestWellFormed:
         v = two_state_vpa()
         delta_call = dict(v.delta_call)
         del delta_call[("q1", "Appt")]
-        broken = type(v)(
-            v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-            delta_call, v.delta_return,
-        )
+        missing = re.escape("missing call transition ('q1', 'Appt')")
+        with pytest.raises(VpaParseError, match=missing):
+            Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
+                           delta_call, v.delta_return)
+        # the same hole in a table, as check_well_formed sees it
+        t = v.table
+        row = list(t.request["Appt"])
+        row[t.state_id["q1"]] = None
+        broken = dataclasses.replace(v, table=t._replace(request={"Appt": tuple(row)}))
         report = check_well_formed(broken)
         assert not report.ok
         assert any("('q1', 'Appt')" in p for p in report.problems)
@@ -377,26 +384,73 @@ class TestWellFormed:
         delta_return = {
             **v.delta_return, ("q1", "q0", "Zed"): "q0", ("q1", "nowhere", "Appt"): "q0",
         }
-        broken = type(v)(
-            v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-            delta_call, delta_return,
-        )
-        problems = check_well_formed(broken).problems
-        assert problems == (
+        with pytest.raises(VpaParseError) as err:
+            Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
+                           delta_call, delta_return)
+        problems = (
             "call transition ('q0', 'Zed') reads unknown endpoint 'Zed'",
             "return transition ('q1', 'q0', 'Zed') reads unknown endpoint 'Zed'",
             "return transition ('q1', 'nowhere', 'Appt') pops unknown symbol 'nowhere'",
         )
+        assert str(err.value) == "ill-formed automaton: " + "; ".join(problems)
 
     def test_bottom_push_reported(self):
         v = two_state_vpa()
         delta_call = dict(v.delta_call)
         delta_call[("q0", "Appt")] = ("q1", BOTTOM)
-        broken = type(v)(
-            v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-            delta_call, v.delta_return,
-        )
-        assert not check_well_formed(broken).ok
+        with pytest.raises(VpaParseError, match="pushes the bottom marker"):
+            Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
+                           delta_call, v.delta_return)
+
+
+class TestOneStore:
+    """The table is the automaton's only rule store; ``delta_call`` and
+    ``delta_return`` are read-only views of it."""
+
+    def test_no_rule_dict_fields(self):
+        names = [f.name for f in dataclasses.fields(Vpa)]
+        assert names == ["states", "initial", "finals", "alphabet", "stack_alphabet", "table"]
+        assert not [n for n in names if n.startswith("delta_")]
+
+    def test_views_are_read_only(self):
+        v = two_state_vpa()
+        with pytest.raises(TypeError):
+            v.delta_call[("q0", "Appt")] = ("sink", "sink")
+        with pytest.raises(TypeError):
+            v.delta_return[("q1", "q0", "Appt")] = "sink"
+        with pytest.raises(TypeError):
+            del v.delta_call[("q0", "Appt")]
+        assert v.delta_call[("q0", "Appt")] == ("q1", "q0")
+        assert v.delta_return[("q1", "q0", "Appt")] == "q0"
+
+    def test_rule_order_does_not_matter(self):
+        v = payment_chain_vpa()
+        calls, returns = list(v.delta_call.items()), list(v.delta_return.items())
+        w = Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
+                           dict(reversed(calls)), dict(reversed(returns)))
+        assert list(w.delta_call.items()) == calls
+        assert w == v and w.table == v.table
+        u = complete_with_sink(
+            {"q0", "q1"}, "q0", {"q0"}, ("Appt",), {BOTTOM, "q0"},
+            {("q0", "Appt"): ("q1", "q0")}, {("q1", "q0", "Appt"): "q0"})
+        assert u == two_state_vpa() and u.table == two_state_vpa().table
+
+    def test_views_hold_the_complete_rules(self):
+        automata = [(label, v) for label, _, v in _both_corpora()] + list(_random_automata())
+        assert len(automata) == 158
+        for label, v in automata:
+            text = export_vpa(v, "json")
+            assert import_vpa(text) == v, label
+            doc = json.loads(text)
+            r = doc["reject"]
+            calls = {(q, e): (r, r) for q in doc["states"] for e in doc["alphabet"]}
+            calls.update(((c["from"], c["sym"]), (c["to"], c["push"])) for c in doc["delta_call"])
+            returns = {(q, g, e): r for q in doc["states"] for g in doc["stack_alphabet"]
+                       for e in doc["alphabet"]}
+            returns.update(((c["from"], c["pop"], c["sym"]), c["to"]) for c in doc["delta_return"])
+            assert dict(v.delta_call) == calls, label
+            assert dict(v.delta_return) == returns, label
+            assert len(v.delta_call) == len(calls) and len(v.delta_return) == len(returns), label
 
 
 class TestSerialization:
@@ -469,10 +523,7 @@ class TestSerialization:
 
     def test_repeated_alphabet_name_rejected(self):
         v = two_state_vpa()
-        repeated = type(v)(
-            v.states, v.initial, v.finals, ("Appt", "Appt"), v.stack_alphabet,
-            v.delta_call, v.delta_return,
-        )
+        repeated = dataclasses.replace(v, alphabet=("Appt", "Appt"))
         assert check_well_formed(repeated).problems == ("alphabet names 'Appt' more than once",)
         doc = json.loads(export_vpa(v, "json"))
         doc["alphabet"] = ["Appt", "Appt"]
@@ -518,8 +569,8 @@ class TestSerialization:
 
     def test_json_export_memory(self):
         # 2,000 endpoints keep the JSON over 1 MB with the reject sink's
-        # rules left out; the peak counts building the automaton's table,
-        # as the compile command's export does
+        # rules left out; the automaton's table is built at compile time,
+        # so the peak counts the export alone
         v = compiler.compile(parse_policy(wide_policy_text(2000)))[0].vpa
         tracemalloc.start()
         try:

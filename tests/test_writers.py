@@ -3,7 +3,7 @@
 Each reference below builds the document the plain way: one dict per rule
 through ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per
 DOT edge, one branch per script rule, leaving out the rules into the reject
-sink found by scanning the automaton's dicts.  The writers must give the
+sink found by scanning the automaton's rules by name.  The writers must give the
 same bytes on hand-built automata and filter specs whose names hold quotes,
 backslashes, control characters and non-ASCII text, and on empty tables.
 """
@@ -160,8 +160,8 @@ def vpas(draw) -> Vpa:
         (q, s, e): draw(state) for q in states for s in stack_alphabet for e in alphabet
     }
     finals = draw(st.lists(state, unique=True))
-    return Vpa(frozenset(states), draw(state), frozenset(finals), tuple(alphabet),
-               frozenset(stack_alphabet), delta_call, delta_return)
+    return Vpa.from_rules(states, draw(state), finals, alphabet, stack_alphabet,
+                          delta_call, delta_return)
 
 
 @st.composite
@@ -215,7 +215,7 @@ def test_empty_tables():
     spec = monitor.FilterSpec("X", {}, {})
     assert monitor.filter_spec_to_json(spec) == reference_filter_json(spec)
     assert monitor.render_filter_script(spec) == reference_script(spec, monitor.STATE_HEADER)
-    v = Vpa(frozenset({"q"}), "q", frozenset(), (), frozenset({BOTTOM}), {}, {})
+    v = Vpa.from_rules({"q"}, "q", (), (), {BOTTOM}, {}, {})
     assert export_vpa(v, "json") == reference_vpa_json(v)
     assert '"delta_call": [],\n  "delta_return": []\n}\n' in export_vpa(v, "json")
 
@@ -236,8 +236,8 @@ def _dot_strings_close(line: str) -> bool:
 
 def test_dot_escapes_backslashes():
     q = "a\\"
-    v = Vpa(frozenset({q}), q, frozenset({q}), ("E",), frozenset({BOTTOM, q}),
-            {(q, "E"): (q, q)}, {(q, g, "E"): q for g in (BOTTOM, q)})
+    v = Vpa.from_rules({q}, q, {q}, ("E",), {BOTTOM, q},
+                       {(q, "E"): (q, q)}, {(q, g, "E"): q for g in (BOTTOM, q)})
     dot = export_vpa(v, "dot")
     assert '  "a\\\\" [shape=doublecircle];' in dot.splitlines()
     assert all(_dot_strings_close(line) for line in dot.splitlines())
