@@ -22,6 +22,17 @@ keeps the states a run from the initial state can reach, the stack symbols
 such a run can push (with the bottom marker), and the cells over them.  The
 result is still complete, and every run is the same.  The constructions
 themselves stay unpruned, so their state counts follow from their parts.
+
+``compile_policy`` compiles over endpoint classes (D'Antoni & Alur,
+"Symbolic Visibly Pushdown Automata", CAV 2014): endpoints that no set the
+policy names tells apart (``policy.endpoint_classes``) have the same
+transitions, so the DFAs, the constructions and the prune pass run over one
+representative per class, its first member.  ``_share_rows`` then expands
+the table to the whole alphabet by sharing rows: every endpoint reads the
+very row objects of its class's representative.  ``to_dfa`` numbers states
+breadth-first in alphabet order, and a representative comes first in its
+class, so the state names are those a compile over every name would give.
+The constructions work over any alphabet; only ``compile_policy`` narrows it.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .policy import (
     Policy,
     PolicyDocument,
     depth,
+    endpoint_classes,
     fanout,
     header_bits,
     start_anchor_regex,
@@ -620,18 +632,22 @@ class CompilationArtifacts:
     policy_id: str
     policy: Policy
     vpa: Vpa
-    component_dfas: dict[str, rx.Dfa]
+    component_dfas: dict[str, rx.Dfa]  # over the endpoint classes' first members
     metrics: Metrics
     reject_states: frozenset[str]  # absorbing states usable for early blocking
 
 
 def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
                    policy_id: str = "pol0") -> CompilationArtifacts:
+    """Compile over one representative per endpoint class, then give every
+    endpoint its representative's rows (``_share_rows``)."""
     alpha = tuple(alphabet)
-    dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), alpha)}
-    inner_vpa, inner_dfas = compile_inner(policy.inner, alpha)
+    classes = endpoint_classes(policy, alpha)
+    reps = tuple(c[0] for c in classes)
+    dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), reps)}
+    inner_vpa, inner_dfas = compile_inner(policy.inner, reps)
     dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
-    vpa = _prune(compile_start(dfas["start"], inner_vpa))
+    vpa = _share_rows(_prune(compile_start(dfas["start"], inner_vpa)), classes, alpha)
     report = check_well_formed(vpa)
     if not report.ok:
         raise CompilerInternalError(
@@ -664,6 +680,18 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
         metrics=metrics,
         reject_states=reject_states & vpa.states,
     )
+
+
+def _share_rows(v: Vpa, classes: Sequence[Sequence[Endpoint]],
+                alphabet: tuple[Endpoint, ...]) -> Vpa:
+    """``v``, built over the classes' first members, over the whole
+    alphabet: each endpoint's request row and response rows are the very
+    objects of its class's first member, keyed in alphabet order."""
+    first = {e: c[0] for c in classes for e in c}
+    t = v.table
+    table = t._replace(request={e: t.request[first[e]] for e in alphabet},
+                       response={e: t.response[first[e]] for e in alphabet})
+    return Vpa(v.states, v.initial, v.finals, alphabet, v.stack_alphabet, table)
 
 
 def compile(doc: PolicyDocument) -> list[CompilationArtifacts]:  # noqa: A001

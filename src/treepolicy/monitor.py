@@ -9,11 +9,12 @@ A ``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
 integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
 does.  ``extract_monitor`` copies no rule: its specs are row views of
 ``Vpa.table``, leaving out the rules equal to the sink's, and its monitor
-steps that table.  A monitor read back from filter specs
-(``monitor_from_filters``) builds its own table with ``vpa.build_table``,
-over the states they name and the sink, each cell starting with the sink's
-rule; ``dist_run`` sends a state they do not name to the sink, as a
-script's fall-through does.  With no ``reject``, a rule missing there
+steps that table.  Endpoints whose rows the table shares (an endpoint
+class of a compiled automaton) share one pair of views.  A monitor read
+back from filter specs (``monitor_from_filters``) builds its own table
+with ``vpa.build_table``, over the states they name and the sink, each
+cell starting with the sink's rule; ``dist_run`` sends a state they do
+not name to the sink, as a script's fall-through does.  With no ``reject``, a rule missing there
 raises ``MissingTransition``, which names it.
 
 Running the specs symbol-locally, with the state carried alongside the
@@ -22,7 +23,10 @@ reproduces the centralized run configuration-for-configuration.  The
 serialized forms list rules in the specs' order, so they are byte-stable:
 ``filter_spec_to_json`` writes through ``vpa.json_document`` the bytes
 ``json.dumps(indent=2, ensure_ascii=False)`` gives for one object per rule,
-and ``render_filter_script`` formats each rule with one template.
+and ``render_filter_script`` formats each rule with one template.  Both
+keep the text of a view's rules on the view (``TableRules.memo``), so the
+specs of a class share it and only the head line naming the endpoint
+differs.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
     BOTTOM, Configuration, RequestRules, ResponseRules, Table, TableRules, Vpa, build_table,
-    json_document, link, load_document, reject_member, reject_sink, skipped_cells, string_rows,
-    walk,
+    json_document, json_member, link, load_document, reject_member, reject_sink, skipped_cells,
+    string_rows, walk,
 )
 
 STATE_HEADER = "x-safetree-state"
@@ -121,8 +125,12 @@ def extract_monitor(v: Vpa) -> DistributedMonitor:
     t = v.table
     sink = reject_sink(v)
     skip_call, skip_return = skipped_cells(t, sink)
-    specs = (FilterSpec(e, RequestRules(t, e, skip_call), ResponseRules(t, e, skip_return), sink)
-             for e in v.alphabet)
+    views, specs = {}, []  # the endpoints sharing their rows share one pair of views
+    for e in v.alphabet:
+        key = id(t.request[e]), id(t.response[e])
+        if key not in views:
+            views[key] = RequestRules(t, e, skip_call), ResponseRules(t, e, skip_return)
+        specs.append(FilterSpec(e, *views[key], sink))
     return DistributedMonitor(specs, t)
 
 
@@ -150,14 +158,29 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
     return DistributedMonitor(specs)
 
 
+def _rendered(rules: Mapping, render, *args) -> str:
+    """``render(rules, *args)``, kept on the rules when they are a table
+    view: the specs of an endpoint class share their views, so a class's
+    text is made once."""
+    if isinstance(rules, TableRules):
+        return rules.memo((render, *args), lambda: render(rules, *args))
+    return render(rules, *args)
+
+
+def _request_member(rules: Mapping) -> str:
+    return json_member("on_request", ("if_state", "then_state", "push_local"),
+                       [(q, dst, push) for q, (dst, push) in rules.items()])
+
+
+def _response_member(rules: Mapping) -> str:
+    return json_member("on_response", ("if_state", "if_local", "then_state"),
+                       [(q, g, dst) for (q, g), dst in rules.items()])
+
+
 def filter_spec_to_json(spec: FilterSpec) -> str:
-    requests = [(q, dst, push) for q, (dst, push) in spec.on_request.items()]
-    responses = [(q, g, dst) for (q, g), dst in spec.on_response.items()]
     head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint, "reject": spec.reject}
-    return json_document(head, {
-        "on_request": (("if_state", "then_state", "push_local"), requests),
-        "on_response": (("if_state", "if_local", "then_state"), responses),
-    })
+    return json_document(head, [_rendered(spec.on_request, _request_member),
+                                _rendered(spec.on_response, _response_member)])
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:
@@ -184,26 +207,32 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     request that is in it there without logging, and unmatched states fall
     through to it; the fall-through logs a violation.
     """
-    on_request = [
-        f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        for q, (dst, push) in spec.on_request.items()
-    ]
-    on_response = [
-        f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
-        for (q, g), dst in spec.on_response.items()
-    ]
-    to_reject = push_reject = ""
-    if (r := spec.reject) is not None:
-        # the sink's own rule, last: a request in it stays there silently
-        on_request.append(f'(state == "{r}") then state = "{r}"; local_stack = "{r}"')
-        on_response.append(f'(state == "{r}") then state = "{r}"')
-        to_reject = f'state = "{r}"; '
-        push_reject = f'{to_reject}local_stack = "{r}"; '
     return "".join([
         f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
-        "callback OnRequest() {\n", _branches(on_request, push_reject, "no call transition"), "}\n",
-        "callback OnResponse() {\n", _branches(on_response, to_reject, "no return transition"), "}\n",
+        _rendered(spec.on_request, _on_request_script, spec.reject),
+        _rendered(spec.on_response, _on_response_script, spec.reject),
     ])
+
+
+def _on_request_script(rules: Mapping, r: str | None) -> str:
+    branches = [f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
+                for q, (dst, push) in rules.items()]
+    push_reject = ""
+    if r is not None:
+        # the sink's own rule, last: a request in it stays there silently
+        branches.append(f'(state == "{r}") then state = "{r}"; local_stack = "{r}"')
+        push_reject = f'state = "{r}"; local_stack = "{r}"; '
+    return f"callback OnRequest() {{\n{_branches(branches, push_reject, 'no call transition')}}}\n"
+
+
+def _on_response_script(rules: Mapping, r: str | None) -> str:
+    branches = [f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
+                for (q, g), dst in rules.items()]
+    to_reject = ""
+    if r is not None:
+        branches.append(f'(state == "{r}") then state = "{r}"')
+        to_reject = f'state = "{r}"; '
+    return f"callback OnResponse() {{\n{_branches(branches, to_reject, 'no return transition')}}}\n"
 
 
 def _branches(rules: list[str], reject: str, violation: str) -> str:

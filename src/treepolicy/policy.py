@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union as TUnion
+from typing import Sequence, Union as TUnion
 
 from . import regex as rx
 from .errors import EpsilonMatchRegex, PolicySyntaxError
@@ -235,6 +235,40 @@ def fanout(p: TUnion[Policy, InnerPolicy]) -> int:
         k = len(p.subpolicies)
         return 1 + max([k] + [fanout(s) for s in p.subpolicies])
     raise TypeError(f"not a policy node: {p!r}")
+
+
+def endpoint_classes(policy: Policy,
+                     alphabet: Sequence[Endpoint]) -> tuple[tuple[Endpoint, ...], ...]:
+    """The alphabet split by membership in every set the policy names: its
+    start set and each symbol, ``{..}`` and ``!..`` of its regexes, nested
+    policies included (``any`` splits nothing).  No regex of the policy
+    and no start-set test tells apart two endpoints of one class.  Classes
+    come in alphabet order, each listing its members in alphabet order;
+    a class's representative is its first member."""
+    sets = {policy.start_set: None}
+    todo: list = [policy.inner]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, CallSeq):
+            todo.append(node.reg)
+        elif isinstance(node, AllPath):
+            todo += (node.reg1, node.reg2)
+        elif isinstance(node, AllChildren):
+            todo += (node.reg, node.child)
+        elif isinstance(node, ExistsChild):
+            todo += (node.reg, *node.subpolicies)
+        elif isinstance(node, (rx.Union, rx.Concat)):
+            todo += (node.left, node.right)
+        elif isinstance(node, rx.Star):
+            todo.append(node.inner)
+        elif isinstance(node, rx.Symbol):
+            sets[frozenset({node.name})] = None
+        elif isinstance(node, (rx.SetLiteral, rx.Complement)):
+            sets[node.members] = None
+    classes: dict[tuple[bool, ...], list[Endpoint]] = {}
+    for e in alphabet:
+        classes.setdefault(tuple(e in s for s in sets), []).append(e)
+    return tuple(map(tuple, classes.values()))
 
 
 def start_anchor_regex(start_set: frozenset[Endpoint]) -> rx.Regex:

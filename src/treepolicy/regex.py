@@ -122,8 +122,14 @@ EPSILON = Epsilon()
 EMPTY = Empty()
 ANY = Any()
 
+# Bound of the desugaring and derivative caches, each: well above what a
+# policy set in use needs (an exhaustive check of one fleet-scale policy
+# keeps about a hundred derivatives, the oracle over nine such policies
+# about 700), so a process that meets policy after policy stays flat.
+CACHE_SIZE = 2048
 
-@functools.lru_cache(maxsize=None)
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _desugar(r: Regex, alphabet: tuple[Endpoint, ...]) -> Regex:
     if isinstance(r, (Symbol, Epsilon, Empty)):
         return r
@@ -176,7 +182,7 @@ def _mk_concat(a: Regex, b: Regex) -> Regex:
     return Concat(a, b)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def derive(r: Regex, s: Endpoint) -> Regex:
     """The Brzozowski derivative of a core regex by one symbol: a regex for
     the words ``w`` with ``s w`` in the language.  Matching a word is one

@@ -20,8 +20,9 @@ automata and configurations are never changed.
 sorted key order, which is the table's id order with the alphabet sorted,
 so no writer sorts rows.  The JSON equals what
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
-rule.  ``json_document`` writes it from row templates, escaping each name
-once, since ``indent`` sends ``json.dumps`` to its pure-Python encoder.
+rule.  ``json_member`` writes each table from a row template, escaping
+each name once, since ``indent`` sends ``json.dumps`` to its pure-Python
+encoder.
 
 Written automata are default-reject: ``reject_sink`` finds the sink, the
 writers leave out every rule equal to its rule and name it as ``reject``,
@@ -158,6 +159,8 @@ class Table(NamedTuple):
     after a call in state ``h`` and the id of the pushed symbol, and
     ``response[e][g][h]`` the state id after a return that pops ``g``.  A
     cell without a rule is ``None``; only a read-back monitor's may be.
+    Endpoints may share rows: a compiled automaton gives every endpoint of
+    a class the very row objects of the class's first member.
     """
 
     states: tuple[State, ...]
@@ -227,10 +230,10 @@ class TableRules(Mapping):
     """Rules read in place from a ``Table`` in sorted key order, without the
     cells in ``skip``; keys end with the endpoint unless the view has one."""
 
-    __slots__ = ("_t", "_endpoint", "_skip")
+    __slots__ = ("_t", "_endpoint", "_skip", "_memo")
 
     def __init__(self, t: Table, endpoint: Endpoint | None = None, skip: tuple = (None,)):
-        self._t, self._endpoint, self._skip = t, endpoint, skip
+        self._t, self._endpoint, self._skip, self._memo = t, endpoint, skip, {}
 
     def __getitem__(self, key):
         if (cell := self._cell(key)) in self._skip:
@@ -241,10 +244,21 @@ class TableRules(Mapping):
         return (key for key, _ in self._pairs())
 
     def __len__(self):
-        return sum(1 for _ in self._pairs())
+        skip = self._skip
+        return self.memo(len, lambda: sum(len(row) - sum(map(row.count, skip))
+                                          for row in self._rows()))
 
     def items(self):
         return _RuleItems(self)
+
+    def memo(self, key, make):
+        """``make()``, made once per key: the rules never change, so what is
+        computed from them is kept here, and specs sharing the view share it."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = make()
+            return value
 
 
 class _RuleItems(ItemsView):
@@ -278,6 +292,10 @@ class RequestRules(TableRules):
     def _value(self, cell):
         return self._t.states[cell[0]], self._t.symbols[cell[1]]
 
+    def _rows(self):
+        request = self._t.request
+        return request.values() if self._endpoint is None else (request[self._endpoint],)
+
     def _pairs(self):
         t, skip = self._t, self._skip
         if self._endpoint is None:
@@ -296,6 +314,12 @@ class ResponseRules(TableRules):
 
     def _value(self, cell):
         return self._t.states[cell]
+
+    def _rows(self):
+        response = self._t.response
+        if self._endpoint is None:
+            return (row for rows in response.values() for row in rows)
+        return response[self._endpoint]
 
     def _pairs(self):
         t, skip = self._t, self._skip
@@ -454,8 +478,8 @@ class WellFormedReport:
 
 def check_well_formed(v: Vpa) -> WellFormedReport:
     """The declared names (the initial and final states, the bottom marker,
-    each endpoint once, the names the table numbers) and no ``None`` cell;
-    ``build_table`` refuses the rest."""
+    each endpoint once, the names the table numbers) and no ``None`` cell,
+    testing each distinct row once; ``build_table`` refuses the rest."""
     t = v.table
     problems = []
     if v.initial not in v.states:
@@ -470,12 +494,26 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
     names = sorted(v.states), sorted(v.stack_alphabet), list(dict.fromkeys(v.alphabet))
     if (list(t.states), list(t.symbols), list(t.request)) != names:
         problems.append("the table does not number the declared names")
+    calls = _holed(t.request, lambda row: None in row)
+    returns = _holed(t.response, lambda rows: any(None in row for row in rows))
     problems += [f"missing call transition {(q, e)!r}" for h, q in enumerate(t.states)
-                 for e, row in t.request.items() if row[h] is None]
+                 for e, row in calls if row[h] is None]
     problems += [f"missing return transition {(q, g, e)!r}" for h, q in enumerate(t.states)
-                 for i, g in enumerate(t.symbols) for e, rows in t.response.items()
-                 if rows[i][h] is None]
+                 for i, g in enumerate(t.symbols) for e, rows in returns if rows[i][h] is None]
     return WellFormedReport(not problems, tuple(problems))
+
+
+def _holed(rows: Mapping[Endpoint, Sequence], has_hole) -> list[tuple[Endpoint, Sequence]]:
+    """The (endpoint, rows) items whose rows ``has_hole``, testing each
+    distinct rows object once: the endpoints of a class share theirs."""
+    found: dict[int, bool] = {}
+    out = []
+    for e, r in rows.items():
+        if (bad := found.get(id(r))) is None:
+            bad = found[id(r)] = has_hole(r)
+        if bad:
+            out.append((e, r))
+    return out
 
 
 # -- serialization -----------------------------------------------------------
@@ -493,14 +531,17 @@ def reject_sink(v: Vpa) -> State | None:
     """The automaton's reject sink, read from ``v.table``: the least
     non-final state ``s`` whose every call rule goes to ``s`` pushing ``s``
     and whose every return rule goes to ``s``; ``None`` if no state is one.
-    Written artifacts leave out the rules that equal the sink's."""
+    Written artifacts leave out the rules that equal the sink's.  Rows
+    that endpoints share are read once."""
     t = v.table
+    requests = {id(row): row for row in t.request.values()}.values()
+    responses = {id(rows): rows for rows in t.response.values()}.values()
     for h, s in enumerate(t.states):
         g = t.symbol_id.get(s)
         if g is None or s in v.finals:
             continue
-        if all(row[h] == (h, g) for row in t.request.values()) and all(
-                rows[h] == h for by_symbol in t.response.values() for rows in by_symbol):
+        if all(row[h] == (h, g) for row in requests) and all(
+                row[h] == h for rows in responses for row in rows):
             return s
     return None
 
@@ -527,38 +568,36 @@ def _export_json(v: Vpa) -> str:
         "stack_alphabet": sorted(v.stack_alphabet),
         "reject": sink,
     }
-    return json_document(head, {
-        "delta_call": (("from", "sym", "to", "push"), calls),
-        "delta_return": (("from", "pop", "sym", "to"), returns),
-    })
+    return json_document(head, [
+        json_member("delta_call", ("from", "sym", "to", "push"), calls),
+        json_member("delta_return", ("from", "pop", "sym", "to"), returns),
+    ])
 
 
 # json.dumps(s, ensure_ascii=False) without building an encoder per string
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def json_document(head: dict, tables: dict[str, tuple]) -> str:
+def json_document(head: dict, members: Iterable[str]) -> str:
     """``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, byte for
-    byte, where ``doc`` is the non-empty ``head`` followed by one member per
-    table.  A table is (keys, rows); its member lists, for each row in the
-    given order, the object mapping the keys to the row's strings.
+    byte, where ``doc`` is the non-empty ``head`` followed by the members
+    ``json_member`` wrote.  Only the head goes through ``json.dumps``."""
+    return "".join([json.dumps(head, indent=2, ensure_ascii=False)[:-2],  # without "\n}"
+                    *members, "\n}\n"])
 
-    Only the head goes through ``json.dumps``.  A table's rows share one
-    template with the quoted keys built in, and each distinct string is
-    quoted once per call, by the encoder ``json.dumps`` uses.
-    """
+
+def json_member(field: str, keys: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
+    """A document member, with its leading comma, listing for each row in
+    the given order the object mapping the keys to the row's strings.  The
+    rows share one template with the quoted keys built in, and each
+    distinct string is quoted once, by the encoder ``json.dumps`` uses."""
+    if not rows:
+        return f",\n  {_json_string(field)}: []"
     quote = cache(_json_string)
-    parts = [json.dumps(head, indent=2, ensure_ascii=False)[:-2]]  # without "\n}"
-    for field, (keys, rows) in tables.items():
-        if not rows:
-            parts.append(f",\n  {_json_string(field)}: []")
-            continue
-        row = "    {\n" + ",\n".join(f"      {_json_string(k)}: %s" for k in keys) + "\n    }"
-        parts.append(f",\n  {_json_string(field)}: [\n")
-        parts.append(",\n".join(map(row.__mod__, zip(*[map(quote, col) for col in zip(*rows)]))))
-        parts.append("\n  ]")
-    parts.append("\n}\n")
-    return "".join(parts)
+    row = "    {\n" + ",\n".join(f"      {_json_string(k)}: %s" for k in keys) + "\n    }"
+    return "".join([f",\n  {_json_string(field)}: [\n",
+                    ",\n".join(map(row.__mod__, zip(*[map(quote, col) for col in zip(*rows)]))),
+                    "\n  ]"])
 
 
 def load_document(text: str, version: int) -> dict:

@@ -12,18 +12,28 @@ from hypothesis import strategies as st
 from treepolicy import compiler, nested_word as nw, oracle, regex as rx
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import CompilerInternalError, EpsilonMatchRegex
+from treepolicy.monitor import extract_monitor
 from treepolicy.policy import (
     AllChildren,
     AllPath,
     CallSeq,
     ExistsChild,
     Policy,
+    depth,
+    endpoint_classes,
+    fanout,
+    header_bits,
     parse_policy,
+    start_anchor_regex,
 )
 from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, final_configuration
 
 from conftest import random_rooted_word, raw_automaton, word_from_str
 from test_regex import random_regex
+
+
+# compile_policy's artifacts, kept for the tests that read the same policies
+compiled = functools.cache(compiler.compile_policy)
 
 
 def assert_matches_oracle(vpa, sat, alphabet, max_calls=5, ctx=""):
@@ -386,7 +396,7 @@ class TestPrune:
     @functools.cache
     def automata(pol, alphabet):
         """The raw and the pruned automaton of a policy."""
-        return raw_automaton(pol, alphabet), compiler.compile_policy(pol, alphabet).vpa
+        return raw_automaton(pol, alphabet), compiled(pol, alphabet).vpa
 
     def assert_same_runs(self, pol, alphabet, words, ctx=""):
         raw, pruned = self.automata(pol, alphabet)
@@ -429,6 +439,114 @@ class TestPrune:
         # 158 states and 41 header bits before pruning
         assert sum(a.metrics.state_count for a in full) == 117
         assert sum(a.metrics.header_bits for a in full) == 35
+
+
+def union_document():
+    """The nine full-corpus policies over the union of their alphabets."""
+    docs = corpus_documents("full").values()
+    alphabet = tuple(dict.fromkeys(x for doc in docs for x in doc.alphabet))
+    return [pol for doc in docs for pol in doc.policies], alphabet
+
+
+def full_alphabet_artifacts(pol, alphabet):
+    """What ``compile_policy`` gives, built over every name of the alphabet:
+    the pruned automaton, its metrics and its reject states."""
+    alpha = tuple(alphabet)
+    anchor = rx.to_dfa(start_anchor_regex(pol.start_set), alpha)
+    inner, dfas = compiler.compile_inner(pol.inner, alpha)
+    vpa = compiler._prune(compiler.compile_start(anchor, inner))
+    n = len(vpa.states)
+    metrics = compiler.Metrics(depth(pol), fanout(pol),
+                               max(d.n_states for d in (anchor, *dfas.values())), n, header_bits(n))
+    reject = frozenset()
+    if isinstance(pol.inner, CallSeq):
+        doomed = compiler._dead_dfa_states(dfas["seq"])
+        reject = frozenset({compiler.REJ, f"in.{compiler.REJ}", *(f"in.a{q}" for q in doomed)})
+    return vpa, metrics, reject & vpa.states
+
+
+class TestEndpointClasses:
+    """``compile_policy`` compiles over one representative per endpoint
+    class and shares its rows with the rest of the class; the result must
+    be what a compile over every name gives."""
+
+    def test_classes_split_by_every_named_set(self):
+        doc = parse_policy(
+            "alphabet A, B, C, D, E, F;\n"
+            "start {B, D, F}: match (A any) all-children (match C all-path (!{C, E})*);\n"
+            "start star: call-seq star;\n")
+        assert endpoint_classes(doc.policies[0], doc.alphabet) == (
+            ("A",), ("B", "D", "F"), ("C",), ("E",))
+        assert endpoint_classes(doc.policies[1], doc.alphabet) == (doc.alphabet,)
+        assert endpoint_classes(doc.policies[0], ("F", "E", "B")) == (("F", "B"), ("E",))
+
+    # classes whose members interleave, so that the representatives' order
+    # decides the DFA's state numbering
+    INTERLEAVED = ("alphabet A, B, C, D;\n"
+                   "start {B}: call-seq {A, C} B star;\n"
+                   "start {B, D}: match ({A, C} B) all-path (!{B, D})*;\n")
+
+    def policies(self):
+        doc = parse_policy(self.INTERLEAVED)
+        yield from ((pol, doc.alphabet) for pol in doc.policies)
+        for variant in ("small", "full"):
+            for doc in corpus_documents(variant).values():
+                yield from ((pol, doc.alphabet) for pol in doc.policies)
+        policies, alphabet = union_document()
+        yield from ((pol, alphabet) for pol in policies)
+        for seed, count in TestPrune.RANDOM_SEEDS.items():
+            rng = random.Random(seed)
+            for _ in range(count):
+                yield random_policy(rng, ("A", "B", "C"), depth_budget=4), ("A", "B", "C")
+
+    def test_compile_equals_full_alphabet_build(self):
+        for pol, alphabet in self.policies():
+            art = compiled(pol, alphabet)
+            assert (art.vpa, art.metrics, art.reject_states) == full_alphabet_artifacts(
+                pol, alphabet), (pol, alphabet)
+            reps = tuple(c[0] for c in endpoint_classes(pol, alphabet))
+            assert all(d.alphabet == reps for d in art.component_dfas.values())
+
+    def test_endpoints_of_a_class_share_rows_and_views(self):
+        for pol, alphabet in self.policies():
+            v = compiled(pol, alphabet).vpa
+            t, mon, classes = v.table, extract_monitor(v), endpoint_classes(pol, alphabet)
+            assert list(t.request) == list(alphabet)
+            for members in classes:
+                rep = members[0]
+                for e in members:
+                    assert t.request[e] is t.request[rep] and t.response[e] is t.response[rep]
+                    assert mon[e].on_request is mon[rep].on_request
+                    assert mon[e].on_response is mon[rep].on_response
+            assert len({id(row) for row in t.request.values()}) == len(classes)
+            assert len({id(rows) for rows in t.response.values()}) == len(classes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_a_word_and_its_image_over_representatives_agree(self, seed):
+        # the premise of compiling over classes, tested on the oracle
+        rng = random.Random(seed)
+        for doc in corpus_documents("full").values():
+            word = random_rooted_word(rng, 12, doc.alphabet)
+            for pol in doc.policies:
+                rep = {e: c[0] for c in endpoint_classes(pol, doc.alphabet) for e in c}
+                image = nw.build_nested_word([
+                    (nw.call if a.tag == nw.CALL else nw.ret)(rep[a.endpoint]) for a in word.symbols])
+                assert oracle.sat_policy(word, pol, doc.alphabet) == oracle.sat_policy(
+                    image, pol, doc.alphabet), (pol, [(a.tag, a.endpoint) for a in word.symbols])
+
+    def test_full_corpus_agrees_with_oracle_over_representatives(self):
+        # every rooted word over one representative per class stands for
+        # all words over the full alphabet that map onto it
+        pairs = 0
+        for name, doc in corpus_documents("full").items():
+            for pol, art in zip(doc.policies, compiler.compile(doc)):
+                reps = [c[0] for c in endpoint_classes(pol, doc.alphabet)]
+                for word in nw.enumerate_rooted(reps, 5):
+                    assert oracle.sat_policy(word, pol, doc.alphabet) == accepts(art.vpa, word), (
+                        name, [(a.tag, a.endpoint) for a in word.symbols])
+                    pairs += 1
+        assert pairs == 98_598
 
 
 def random_match_regex(rng: random.Random, alphabet) -> rx.Regex:

@@ -26,6 +26,7 @@ from conftest import (
     two_state_vpa,
     word_from_str,
 )
+from test_compiler import random_policy
 
 
 class TestExtract:
@@ -193,6 +194,20 @@ class TestFilterSpecs:
                 assert calls[(q, spec.endpoint)] == target
             for (q, g), target in spec.on_response.items():
                 assert returns[(q, g, spec.endpoint)] == target
+
+    def test_rule_counts_equal_the_rules_listed(self):
+        # len counts over the rows, less the skipped cells; iteration lists
+        automata = [a.vpa for variant in ("small", "full")
+                    for doc in corpus_documents(variant).values() for a in compiler.compile(doc)]
+        rng, alpha = random.Random(2024), ("A", "B", "C")
+        automata += [compiler.compile_policy(random_policy(rng, alpha, 4), alpha).vpa
+                     for _ in range(40)]
+        for v in automata:
+            views = [v.delta_call, v.delta_return]
+            for spec in monitor.extract_monitor(v).values():
+                views += [spec.on_request, spec.on_response]
+            for view in views:
+                assert len(view) == sum(1 for _ in view)
 
     def test_reconstruction_is_extensionally_equal(self):
         for doc in corpus_documents("small").values():

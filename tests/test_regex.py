@@ -2,13 +2,19 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepolicy import regex as rx
+from treepolicy import compiler, oracle, regex as rx
+from treepolicy.corpus import CORPUS
 from treepolicy.errors import PolicySyntaxError, UnknownEndpoint
+from treepolicy.policy import parse_policy
+from treepolicy.vpa import accepts
+
+from conftest import random_rooted_word
 
 PDE = ("P", "D", "E")
 
@@ -218,3 +224,27 @@ class TestDesugar:
             assert rx.matches(rx.ANY, (s,), PDE)
         assert not rx.matches(rx.ANY, (), PDE)
         assert not rx.matches(rx.ANY, ("P", "P"), PDE)
+
+
+class TestCaches:
+    def test_bounded_across_policies(self):
+        # a process meeting policy after policy keeps at most CACHE_SIZE
+        # desugared regexes and derivatives: here 50 relabelings of the full
+        # corpus ask for more than that (about 2,500 and 2,800 distinct ones)
+        rx.derive.cache_clear()
+        rx._desugar.cache_clear()
+        rng = random.Random(7)
+        name = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+        for _ in range(50):
+            for entry in CORPUS:
+                head, body = entry.full.split(";", 1)
+                names = parse_policy(entry.full).alphabet
+                perm = dict(zip(names, rng.sample(names, len(names))))
+                doc = parse_policy(head + ";" + name.sub(lambda m: perm.get(m[0], m[0]), body))
+                for pol, art in zip(doc.policies, compiler.compile(doc)):
+                    for _ in range(4):
+                        word = random_rooted_word(rng, 10, doc.alphabet)
+                        assert oracle.sat_policy(word, pol, doc.alphabet) == accepts(art.vpa, word)
+        for cached in (rx.derive, rx._desugar):
+            info = cached.cache_info()
+            assert info.misses > info.maxsize >= info.currsize, info

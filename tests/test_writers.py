@@ -203,6 +203,8 @@ def test_extracted_specs_equal_reference(v, header):
         assert dict(spec.on_response) == {
             (q, g): r for (q, g, a), r in returns.items() if a == e
         }
+        assert (len(spec.on_request), len(spec.on_response)) == (
+            len(dict(spec.on_request)), len(dict(spec.on_response)))
         assert text == reference_filter_json(spec)
         assert monitor.filter_spec_from_json(text) == spec
         assert monitor.render_filter_script(spec, header=header) == reference_script(spec, header)
