@@ -22,6 +22,7 @@ keeps the states a run from the initial state can reach, the stack symbols
 such a run can push (with the bottom marker), and the cells over them.  The
 result is still complete, and every run is the same.  The constructions
 themselves stay unpruned, so their state counts follow from their parts.
+``_doomed_states`` then finds the states that cannot reach a final state.
 
 ``compile_policy`` compiles over endpoint classes (D'Antoni & Alur,
 "Symbolic Visibly Pushdown Automata", CAV 2014): endpoints that no set the
@@ -38,6 +39,7 @@ The constructions work over any alphabet; only ``compile_policy`` narrows it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Sequence
 
 from . import regex as rx
@@ -525,7 +527,7 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     return b.finish()
 
 
-# -- reachability pruning ------------------------------------------------------
+# -- reachability: pruning and doomed states -----------------------------------
 
 
 def _prune(v: Vpa) -> Vpa:
@@ -589,6 +591,31 @@ def _prune(v: Vpa) -> Vpa:
                frozenset(symbol_names), table)
 
 
+def _doomed_states(v: Vpa) -> frozenset[str]:
+    """The states from which no run reaches a final state, whatever the
+    stack: a backward fixpoint from the finals over ``v.table``'s call
+    cells and its return cells that pop a symbol other than the bottom
+    marker, which a rooted word never pops (Alur & Madhusudan, "Visibly
+    Pushdown Languages", STOC 2004).  The set is closed under those cells.
+    Rows that endpoints share are read once."""
+    t = v.table
+    bottom = t.symbol_id[BOTTOM]
+    targets = {tuple(map(itemgetter(0), row))  # each row of target ids, once
+               for row in {id(row): row for row in t.request.values()}.values()}
+    for rows in {id(rows): rows for rows in t.response.values()}.values():
+        targets.update(rows[:bottom], rows[bottom + 1:])
+    sources = [[] for _ in t.states]
+    for h, successors in enumerate(zip(*targets)):
+        for q in set(successors):
+            sources[q].append(h)
+    alive, todo = set(), [t.state_id[q] for q in v.finals]
+    while todo:
+        if (q := todo.pop()) not in alive:
+            alive.add(q)
+            todo += sources[q]
+    return frozenset(q for h, q in enumerate(t.states) if h not in alive)
+
+
 # -- whole-policy compilation ---------------------------------------------------
 
 
@@ -634,7 +661,7 @@ class CompilationArtifacts:
     vpa: Vpa
     component_dfas: dict[str, rx.Dfa]  # over the endpoint classes' first members
     metrics: Metrics
-    reject_states: frozenset[str]  # absorbing states usable for early blocking
+    reject_states: frozenset[str]  # doomed: no final state reachable (``_doomed_states``)
 
 
 def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
@@ -661,24 +688,13 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
         state_count=len(vpa.states),
         header_bits=header_bits(len(vpa.states)),
     )
-    # Only the linear form has absorbing rejection: its DFA advances on calls
-    # and never backtracks, so landing in the reject bookkeeping states or in
-    # a DFA state that cannot reach a final state dooms the word, and a
-    # monitor may block as soon as a call gets there.
-    reject_states: frozenset[str] = frozenset()
-    if isinstance(policy.inner, CallSeq):
-        seq_dfa = dfas["inner.seq"]
-        doomed = _dead_dfa_states(seq_dfa)
-        reject_states = frozenset(
-            {REJ, f"in.{REJ}"} | {f"in.a{q}" for q in doomed}
-        )
     return CompilationArtifacts(
         policy_id=policy_id,
         policy=policy,
         vpa=vpa,
         component_dfas=dfas,
         metrics=metrics,
-        reject_states=reject_states & vpa.states,
+        reject_states=_doomed_states(vpa),
     )
 
 
@@ -699,22 +715,6 @@ def compile(doc: PolicyDocument) -> list[CompilationArtifacts]:  # noqa: A001
         compile_policy(pol, doc.alphabet, policy_id=f"pol{i}")
         for i, pol in enumerate(doc.policies)
     ]
-
-
-def _dead_dfa_states(d: rx.Dfa) -> set[int]:
-    """States from which no final state is reachable."""
-    reverse: dict[int, set[int]] = {q: set() for q in d.states}
-    for (q, _s), t in d.transition.items():
-        reverse[t].add(q)
-    alive = set(d.finals)
-    todo = list(alive)
-    while todo:
-        q = todo.pop()
-        for p in reverse[q]:
-            if p not in alive:
-                alive.add(p)
-                todo.append(p)
-    return set(d.states) - alive
 
 
 def check_state_bound(a: CompilationArtifacts) -> bool:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import getitem, itemgetter
-from typing import Iterable, Sequence
+from operator import contains, getitem, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
@@ -170,9 +170,9 @@ class PolicyFilterSet:
     per direction.  The header is an integer: a state's header
     value is its position in ``table.states``, and a pushed stack symbol's
     id its position in ``table.symbols``.  ``initial``, ``finals`` and
-    ``reject_headers`` are header values; the latter are the absorbing
-    reject states a call may enter in early-block mode, empty when the
-    policy never blocks.
+    ``reject_headers`` are header values; the latter are the doomed states
+    (``CompilationArtifacts.reject_states``), from which no final state is
+    reachable: in early-block mode a call that enters one stops the request.
     """
 
     policy_id: str
@@ -196,8 +196,7 @@ def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
     )
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # "accept" | "violation" | "blocked"
     final_state: str | None = None
     position: int | None = None  # call-order index of the blocked node
@@ -229,11 +228,11 @@ def execute_request(
     On each hop every policy's header drives the endpoint's request row (the
     pushed-symbol id stays hop-local); the unwind applies the response row
     for that id.  In early-block mode a policy whose call transition enters
-    an absorbing reject state stops the request: the offending subtree never
-    executes, open calls unwind normally, so the trace stays rooted.  Open
-    calls wait on an explicit stack, so a call chain of any depth runs.  A
-    request that unrolls to more than ``MAX_REQUEST_NODES`` nodes is a
-    ``ConfigError``.
+    a doomed state, one of its ``reject_headers``, stops the request: the
+    offending subtree never executes, open calls unwind normally, so the
+    trace stays rooted.  Open calls wait on an explicit stack, so a call
+    chain of any depth runs.  A request that unrolls to more than
+    ``MAX_REQUEST_NODES`` nodes is a ``ConfigError``.
     """
     if root not in t.entrypoints:
         raise ConfigError(f"{root!r} is not an entrypoint")
@@ -241,14 +240,10 @@ def execute_request(
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
     for pf in filters:
-        if not all(map(pf.table.request.__contains__, t.services)):
+        if not pf.table.request.keys() >= t._sizes.keys():  # _sizes has every service
             missing = [svc for svc in t.services if svc not in pf.table.request]
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
-    blockers = (
-        [(k, pf.reject_headers) for k, pf in enumerate(filters) if pf.reject_headers]
-        if mode == MODE_EARLY_BLOCK
-        else []
-    )
+    rejects = tuple(pf.reject_headers for pf in filters) if mode == MODE_EARLY_BLOCK else ()
 
     # Per service reached: its call and return symbols, its children, and
     # every policy's request rows and response rows, in filter order.
@@ -266,8 +261,8 @@ def execute_request(
             if hop is None:
                 hop = hops[svc] = (
                     call(svc), ret(svc), t.children(svc),
-                    tuple(pf.table.request[svc] for pf in filters),
-                    tuple(pf.table.response[svc] for pf in filters),
+                    tuple([pf.table.request[svc] for pf in filters]),
+                    tuple([pf.table.response[svc] for pf in filters]),
                 )
             call_symbol, ret_symbol, children, requests, responses = hop
             events.append(call_symbol)
@@ -280,9 +275,9 @@ def execute_request(
                     f"for state {pf.table.states[headers[k]]!r}"
                 )
             headers = tuple(map(_first, rules))
-            for k, stop in blockers:
-                if headers[k] in stop:
-                    blocked_at[filters[k].policy_id] = calls
+            if any(map(contains, rejects, headers)):
+                blocked_at = {pf.policy_id: calls for pf, stop, h in zip(filters, rejects, headers)
+                              if h in stop}
             open_calls.append((ret_symbol, responses, tuple(map(_second, rules)), iter(children)))
         ret_symbol, responses, pushed, children = open_calls[-1]
         svc = None if blocked_at else next(children, None)
@@ -303,16 +298,14 @@ def execute_request(
                 break
 
     word = build_nested_word(events)
-    outcomes = {}
-    for pf, h in zip(filters, headers):
-        if pf.policy_id in blocked_at:
-            outcomes[pf.policy_id] = Outcome("blocked", position=blocked_at[pf.policy_id])
-        else:
-            kind = "accept" if h in pf.finals else "violation"
-            outcomes[pf.policy_id] = Outcome(kind, final_state=pf.table.states[h])
+    outcomes = {
+        pf.policy_id: Outcome("blocked", position=blocked_at[pf.policy_id])
+        if pf.policy_id in blocked_at
+        else Outcome("accept" if h in pf.finals else "violation", pf.table.states[h])
+        for pf, h in zip(filters, headers)
+    }
     # every executed node steps every policy once on the way in, once out
-    transitions = {pf.policy_id: 2 * calls for pf in filters}
-    return RequestResult(word, outcomes, transitions)
+    return RequestResult(word, outcomes, dict.fromkeys(outcomes, 2 * calls))
 
 
 @dataclass

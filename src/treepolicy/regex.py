@@ -133,12 +133,12 @@ CACHE_SIZE = 2048
 def _desugar(r: Regex, alphabet: tuple[Endpoint, ...]) -> Regex:
     if isinstance(r, (Symbol, Epsilon, Empty)):
         return r
-    if isinstance(r, Union):
-        return Union(_desugar(r.left, alphabet), _desugar(r.right, alphabet))
-    if isinstance(r, Concat):
-        return Concat(_desugar(r.left, alphabet), _desugar(r.right, alphabet))
+    if isinstance(r, (Union, Concat)):
+        left, right = _desugar(r.left, alphabet), _desugar(r.right, alphabet)
+        return r if (left, right) == (r.left, r.right) else type(r)(left, right)
     if isinstance(r, Star):
-        return Star(_desugar(r.inner, alphabet))
+        inner = _desugar(r.inner, alphabet)
+        return r if inner == r.inner else Star(inner)
     if isinstance(r, SetLiteral):
         return r
     if isinstance(r, Complement):
@@ -150,7 +150,8 @@ def _desugar(r: Regex, alphabet: tuple[Endpoint, ...]) -> Regex:
 
 def desugar(r: Regex, alphabet: Iterable[Endpoint]) -> Regex:
     """Rewrite sugar nodes into the core syntax over the alphabet: the six
-    classic nodes plus ``SetLiteral`` over concrete names."""
+    classic nodes plus ``SetLiteral`` over concrete names.  A node whose
+    children desugar to equal trees is kept as it is, not copied."""
     return _desugar(r, tuple(alphabet))
 
 

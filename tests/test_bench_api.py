@@ -43,3 +43,17 @@ def test_cheapest_operation_of_each_workload_runs_and_checks(bench):
         w.setup(0)
         op = min(w.round_ops(0), key=lambda o: o.units)
         assert w.check(op, op.run()) is None, name
+
+
+def test_one_mesh_sim_round_runs_and_checks(bench):
+    # The cheapest operation above is always a log-mode request, so the
+    # early-block path runs only here: a whole round, in round order, since
+    # an early-block check compares against the log-mode word before it.
+    _, workloads = bench
+    w = workloads.WORKLOADS["mesh-sim"](7)
+    w.setup(0)
+    ops = w.round_ops(0)
+    assert len(ops) == 36
+    for op in ops:
+        assert w.check(op, op.run()) is None, op.data
+    assert w.counters()["mesh_sim.nodes_skipped_share"] > 0  # some request was blocked

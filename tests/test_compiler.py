@@ -26,7 +26,7 @@ from treepolicy.policy import (
     parse_policy,
     start_anchor_regex,
 )
-from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, final_configuration
+from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, final_configuration, run
 
 from conftest import random_rooted_word, raw_automaton, word_from_str
 from test_regex import random_regex
@@ -450,7 +450,8 @@ def union_document():
 
 def full_alphabet_artifacts(pol, alphabet):
     """What ``compile_policy`` gives, built over every name of the alphabet:
-    the pruned automaton, its metrics and its reject states."""
+    the pruned automaton, its metrics and its reject states, computed on
+    that full-name automaton."""
     alpha = tuple(alphabet)
     anchor = rx.to_dfa(start_anchor_regex(pol.start_set), alpha)
     inner, dfas = compiler.compile_inner(pol.inner, alpha)
@@ -458,11 +459,7 @@ def full_alphabet_artifacts(pol, alphabet):
     n = len(vpa.states)
     metrics = compiler.Metrics(depth(pol), fanout(pol),
                                max(d.n_states for d in (anchor, *dfas.values())), n, header_bits(n))
-    reject = frozenset()
-    if isinstance(pol.inner, CallSeq):
-        doomed = compiler._dead_dfa_states(dfas["seq"])
-        reject = frozenset({compiler.REJ, f"in.{compiler.REJ}", *(f"in.a{q}" for q in doomed)})
-    return vpa, metrics, reject & vpa.states
+    return vpa, metrics, compiler._doomed_states(vpa)
 
 
 class TestEndpointClasses:
@@ -547,6 +544,81 @@ class TestEndpointClasses:
                         name, [(a.tag, a.endpoint) for a in word.symbols])
                     pairs += 1
         assert pairs == 98_598
+
+
+def dead_dfa_states(d: rx.Dfa) -> set[int]:
+    """States of ``d`` from which no final state is reachable."""
+    reverse: dict[int, set[int]] = {q: set() for q in d.states}
+    for (q, _s), t in d.transition.items():
+        reverse[t].add(q)
+    alive = set(d.finals)
+    todo = list(alive)
+    while todo:
+        q = todo.pop()
+        for p in reverse[q]:
+            if p not in alive:
+                alive.add(p)
+                todo.append(p)
+    return set(d.states) - alive
+
+
+def callseq_reject_states(art) -> set[str]:
+    """The reject set of a ``call-seq`` policy by the sequence DFA: its
+    linear run advances on calls and never backtracks, so the reject
+    bookkeeping states and the DFA's dead states are doomed."""
+    dead = dead_dfa_states(art.component_dfas["inner.seq"])
+    return {compiler.REJ, f"in.{compiler.REJ}", *(f"in.a{q}" for q in dead)} & art.vpa.states
+
+
+class TestDoomedStates:
+    """``reject_states`` are the states from which no final state can be
+    reached: a call into one may block a request, for every policy form."""
+
+    def test_no_accepted_word_calls_into_a_reject_state(self):
+        # every small-corpus rooted word of at most five calls
+        accepted = blocked = 0
+        for name, doc in corpus_documents("small").items():
+            arts = compiler.compile(doc)
+            for word in nw.enumerate_rooted(doc.alphabet, 5):
+                after_calls = [i + 1 for i, a in enumerate(word.symbols) if a.tag == nw.CALL]
+                for pol, art in zip(doc.policies, arts):
+                    configurations = run(art.vpa, word)
+                    entered = any(configurations[i].state in art.reject_states for i in after_calls)
+                    if oracle.sat_policy(word, pol, doc.alphabet):
+                        assert not entered, (name, [(a.tag, a.endpoint) for a in word.symbols])
+                        accepted += 1
+                    else:
+                        blocked += entered
+        # of the 46,928 violations, 9,348 reached a reject state at a call
+        # when only call-seq policies had reject states
+        assert (accepted, blocked) == (35_493, 25_794)
+
+    def test_hierarchical_corpus_policies_block(self):
+        for variant in ("small", "full"):
+            hierarchical = [(name, art) for name, doc in corpus_documents(variant).items()
+                            for art in compiler.compile(doc)
+                            if not isinstance(art.policy.inner, CallSeq)]
+            assert len(hierarchical) == 6
+            for name, art in hierarchical:
+                assert compiler.REJ in art.reject_states, (variant, name)
+
+    def test_call_seq_blocking_is_kept(self):
+        callseq = 0
+        for pol, alphabet in TestEndpointClasses().policies():
+            art = compiled(pol, alphabet)
+            if isinstance(pol.inner, CallSeq):
+                assert callseq_reject_states(art) <= art.reject_states, (pol, alphabet)
+                callseq += 1
+        assert callseq == 45  # 1 hand-written, 3 per corpus, 3 in the union, 35 random
+
+    def test_doomed_states_are_closed_under_successors(self):
+        for pol, alphabet in TestEndpointClasses().policies():
+            art = compiled(pol, alphabet)
+            v, doomed = art.vpa, art.reject_states
+            for (q, _e), (dst, _push) in v.delta_call.items():
+                assert q not in doomed or dst in doomed, (pol, q)
+            for (q, g, _e), dst in v.delta_return.items():
+                assert q not in doomed or g == BOTTOM or dst in doomed, (pol, q, g)
 
 
 def random_match_regex(rng: random.Random, alphabet) -> rx.Regex:

@@ -31,6 +31,16 @@ class TestParse:
         assert node == rx.Star(rx.Complement(frozenset({"D"})))
         assert rx.desugar(node, PDE) == rx.Star(rx.SetLiteral(frozenset({"E", "P"})))
 
+    def test_core_syntax_desugars_to_itself(self):
+        rx._desugar.cache_clear()  # else an equal tree desugared earlier comes back
+        node = rx.parse_regex("(P D* + E) P", PDE)
+        assert rx.desugar(node, PDE) is node
+        # only the path down to a sugar node is rebuilt
+        sugared = rx.parse_regex("(E P* + D) !P", PDE)
+        out = rx.desugar(sugared, PDE)
+        assert out == rx.Concat(sugared.left, rx.SetLiteral(frozenset({"D", "E"})))
+        assert out.left is sugared.left
+
     def test_union_precedence(self):
         # union binds loosest: "P D + E" is (P D) + E
         assert rx.parse_regex("P D + E", PDE) == rx.Union(
