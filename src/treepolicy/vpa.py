@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -227,16 +227,23 @@ def _refuse(problems: Sequence[str]) -> None:
 
 
 class TableRules(Mapping):
-    """Rules read in place from a ``Table`` in sorted key order, without the
-    cells in ``skip``; keys end with the endpoint unless the view has one."""
+    """Rules read in place from a ``Table`` in sorted key order.  A view
+    over every endpoint lists each cell that holds a rule, keys ending with
+    the endpoint; a view of one endpoint lists the cells ``cells()`` gives,
+    asked for when they are first needed: sorted state ids for calls and
+    (state id, symbol id) pairs for returns."""
 
-    __slots__ = ("_t", "_endpoint", "_skip", "_memo")
+    __slots__ = ("_t", "_endpoint", "_cells", "_memo")
 
-    def __init__(self, t: Table, endpoint: Endpoint | None = None, skip: tuple = (None,)):
-        self._t, self._endpoint, self._skip, self._memo = t, endpoint, skip, {}
+    def __init__(self, t: Table, endpoint: Endpoint | None = None,
+                 cells: Callable[[], Sequence] = tuple):
+        self._t, self._endpoint, self._cells, self._memo = t, endpoint, cells, {}
 
     def __getitem__(self, key):
-        if (cell := self._cell(key)) in self._skip:
+        e, ids = self._locate(key)
+        if self._endpoint is not None and ids not in self._cells():
+            raise KeyError(key)
+        if (cell := self._cell(e, ids)) is None:
             raise KeyError(key)
         return self._value(cell)
 
@@ -244,9 +251,9 @@ class TableRules(Mapping):
         return (key for key, _ in self._pairs())
 
     def __len__(self):
-        skip = self._skip
-        return self.memo(len, lambda: sum(len(row) - sum(map(row.count, skip))
-                                          for row in self._rows()))
+        if self._endpoint is not None:
+            return len(self._cells())
+        return self.memo(len, lambda: sum(len(row) - row.count(None) for row in self._rows()))
 
     def items(self):
         return _RuleItems(self)
@@ -285,49 +292,51 @@ def _return_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
 class RequestRules(TableRules):
     """Call rules: state -> (state, pushed symbol) over one endpoint."""
 
-    def _cell(self, key):
+    def _locate(self, key):
         q, e = key if self._endpoint is None else (key, self._endpoint)
-        return self._t.request[e][self._t.state_id[q]]
+        return e, self._t.state_id[q]
+
+    def _cell(self, e, h):
+        return self._t.request[e][h]
 
     def _value(self, cell):
         return self._t.states[cell[0]], self._t.symbols[cell[1]]
 
     def _rows(self):
-        request = self._t.request
-        return request.values() if self._endpoint is None else (request[self._endpoint],)
+        return self._t.request.values()
 
     def _pairs(self):
-        t, skip = self._t, self._skip
+        t = self._t
         if self._endpoint is None:
-            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, skip))
-        states, symbols = t.states, t.symbols
-        return ((q, (states[r[0]], symbols[r[1]]))
-                for q, r in zip(states, t.request[self._endpoint]) if r not in skip)
+            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, (None,)))
+        states, symbols, row, cells = t.states, t.symbols, t.request[self._endpoint], self._cells()
+        return ((states[h], (states[r[0]], symbols[r[1]]))
+                for h, r in zip(cells, map(row.__getitem__, cells)))
 
 
 class ResponseRules(TableRules):
     """Return rules: (state, popped symbol) -> state over one endpoint."""
 
-    def _cell(self, key):
+    def _locate(self, key):
         q, g, e = key if self._endpoint is None else (*key, self._endpoint)
-        return self._t.response[e][self._t.symbol_id[g]][self._t.state_id[q]]
+        return e, (self._t.state_id[q], self._t.symbol_id[g])
+
+    def _cell(self, e, ids):
+        h, i = ids
+        return self._t.response[e][i][h]
 
     def _value(self, cell):
         return self._t.states[cell]
 
     def _rows(self):
-        response = self._t.response
-        if self._endpoint is None:
-            return (row for rows in response.values() for row in rows)
-        return response[self._endpoint]
+        return (row for rows in self._t.response.values() for row in rows)
 
     def _pairs(self):
-        t, skip = self._t, self._skip
+        t = self._t
         if self._endpoint is None:
-            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, skip))
-        states, symbols = t.states, t.symbols
-        return (((q, g), states[r]) for q, column in zip(states, zip(*t.response[self._endpoint]))
-                for g, r in zip(symbols, column) if r not in skip)
+            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, (None,)))
+        states, symbols, rows = t.states, t.symbols, t.response[self._endpoint]
+        return (((states[h], symbols[i]), states[rows[i][h]]) for h, i in self._cells())
 
 
 def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Configuration:

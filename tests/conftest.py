@@ -204,3 +204,46 @@ def reference_dist_walk(m, c, symbols):
             q = spec.on_response[key] if key in spec.on_response or sink is None else sink
             top, below = below.top, below.below
     return link(q, top, below)
+
+
+def reference_reached_cells(v: Vpa) -> tuple[set, set]:
+    """The call cells ``(state, endpoint)`` and return cells ``(state,
+    popped, endpoint)`` a rooted word can read, by name and by repeated
+    sweeps to a fixpoint.  ``W[q0]`` holds the states reachable from ``q0``
+    over complete child subtrees; a sweep grows every ``W[q0]`` by one
+    more subtree from each of its states, for every endpoint, and the
+    sweeps stop when one adds nothing."""
+    alphabet = v.alphabet
+    W = {v.delta_call[(v.initial, e)][0]: set() for e in alphabet}
+    changed = True
+    while changed:
+        changed = False
+        for q0 in list(W):
+            if q0 not in W[q0]:
+                W[q0].add(q0)
+                changed = True
+            for q1 in list(W[q0]):
+                for e in alphabet:
+                    q, g = v.delta_call[(q1, e)]
+                    if q not in W:
+                        W[q] = set()
+                        changed = True
+                    for q2 in list(W[q]):
+                        if (after := v.delta_return[(q2, g, e)]) not in W[q0]:
+                            W[q0].add(after)
+                            changed = True
+    sources = {v.initial}.union(*W.values())
+    calls = {(p, e) for p in sources for e in alphabet}
+    returns = {(q1, g, e) for p, e in calls for q0, g in (v.delta_call[(p, e)],) for q1 in W[q0]}
+    return calls, returns
+
+
+def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
+    """The call and return rules filters list: with a reject sink, those at
+    the cells a rooted word can read other than the sink's; without one,
+    every rule."""
+    if sink is None:
+        return dict(v.delta_call), dict(v.delta_return)
+    calls, returns = reference_reached_cells(v)
+    return ({k: v.delta_call[k] for k in calls if v.delta_call[k] != (sink, sink)},
+            {k: v.delta_return[k] for k in returns if v.delta_return[k] != sink})

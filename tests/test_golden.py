@@ -10,7 +10,8 @@ that file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in its change description.
+which prints, per file suffix, how many digests changed, and says so in
+its change description.
 """
 
 from __future__ import annotations
@@ -85,9 +86,29 @@ def test_random_policy_automata_match_golden_digests():
     assert_digests_match(random_policy_digests(), random_keys=True)
 
 
+SUFFIXES = (".filter.json", ".filter.lua", ".metrics.json", ".vpa.json", ".dot")
+
+
+def changed_per_suffix(old: dict[str, str], new: dict[str, str]) -> dict[str, tuple[int, int]]:
+    """``suffix`` -> (digests that differ or are new, digests in ``new``);
+    the random-policy automata count apart from the command files."""
+    counts = {}
+    for key, digest in new.items():
+        kind = "random " if key.startswith("random/") else ""
+        suffix = kind + next(x for x in SUFFIXES if key.endswith(x))
+        changed, seen = counts.get(suffix, (0, 0))
+        counts[suffix] = changed + (old.get(key) != digest), seen + 1
+    return counts
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = artifact_digests(Path(tmp))
     digests.update(random_policy_digests())
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for suffix, (changed, seen) in sorted(changed_per_suffix(old, digests).items()):
+        print(f"{suffix}: {changed} of {seen} digests changed", file=sys.stderr)
+    if gone := len(old.keys() - digests.keys()):
+        print(f"{gone} digests dropped", file=sys.stderr)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

@@ -23,10 +23,13 @@ from conftest import (
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
+    reference_filter_rules,
+    reference_reached_cells,
     two_state_vpa,
     word_from_str,
 )
 from test_compiler import random_policy
+from test_vpa import random_automata
 
 
 class TestExtract:
@@ -180,12 +183,11 @@ class TestFilterSpecs:
         assert specs["P"].on_response[("q_P", "q_P")] == "start"
 
     def test_rule_counts_match_tables(self):
-        # the per-endpoint tables partition the automaton's tables, less
-        # the rules into the reject sink
+        # the per-endpoint tables partition the cells of the automaton's
+        # tables that a rooted word reads, less the rules into the reject sink
         v = payment_chain_vpa()
         specs = monitor.emit_filters(monitor.extract_monitor(v))
-        calls = {k: r for k, r in v.delta_call.items() if r != ("sink", "sink")}
-        returns = {k: r for k, r in v.delta_return.items() if r != "sink"}
+        calls, returns = reference_filter_rules(v, "sink")
         assert sum(len(spec.on_request) for spec in specs) == len(calls) == 3
         assert sum(len(spec.on_response) for spec in specs) == len(returns) == 3
         for spec in specs:
@@ -447,3 +449,80 @@ class TestRenderScript:
         first = [monitor.render_filter_script(s) for s in monitor.emit_filters(mon)]
         second = [monitor.render_filter_script(s) for s in monitor.emit_filters(mon)]
         assert first == second
+
+
+def _automata():
+    """The full-corpus automata and the 140 seeded random policies'."""
+    for name, doc in corpus_documents("full").items():
+        for art in compiler.compile(doc):
+            yield f"full/{name}/{art.policy_id}", art.vpa
+    yield from random_automata()
+
+
+class TestReachedCells:
+    """Filters list the cells a rooted word can read, less the rules into
+    the reject sink, and nothing a rooted word reads is lost."""
+
+    def test_worklist_equals_repeated_sweeps(self):
+        for label, v in _automata():
+            t = v.table
+            rows = [(t.request[e], t.response[e]) for e in v.alphabet]
+            calls, returns = monitor.reached_cells(t.state_id[v.initial], rows)
+            got = ({(t.states[h], e) for h in calls for e in v.alphabet},
+                   {(t.states[h], t.symbols[i], e)
+                    for e, cells in zip(v.alphabet, returns) for h, i in cells})
+            assert got == reference_reached_cells(v), label
+
+    def test_filters_list_exactly_the_read_cells_outside_the_sink(self):
+        for label, v in _automata():
+            specs = monitor.emit_filters(monitor.extract_monitor(v))
+            assert specs[0].reject == "rej", label
+            listed = ({(q, s.endpoint): r for s in specs for q, r in s.on_request.items()},
+                      {(q, g, s.endpoint): r for s in specs for (q, g), r in s.on_response.items()})
+            assert listed == reference_filter_rules(v, "rej"), label
+
+    def test_found_once_when_first_read(self, monkeypatch):
+        # a monitor that only dist_run steps never runs the fixpoint; the
+        # first read of a spec's rules runs it once for every spec
+        calls = []
+        real = monitor.reached_cells
+        monkeypatch.setattr(monitor, "reached_cells", lambda *a: calls.append(a) or real(*a))
+        doc = corpus_documents("full")["data-compliance"]
+        v = compiler.compile(doc)[0].vpa
+        mon = monitor.extract_monitor(v)
+        word = random_rooted_word(random.Random(3), 12, doc.alphabet)
+        assert monitor.dist_run(mon, initial_configuration(v), word) == run(v, word)[-1]
+        assert calls == []
+        texts = [monitor.filter_spec_to_json(s) for s in monitor.emit_filters(mon)]
+        assert len(calls) == 1 and len(texts) == len(doc.alphabet)
+        assert sum(len(s.on_request) + len(s.on_response) for s in mon.values()) == 334
+        assert len(calls) == 1
+
+    def test_read_back_filters_step_like_the_central_run(self):
+        # the written JSON read back; rooted words and their prefixes,
+        # which leave calls pending
+        rng = random.Random(13)
+        words = 0
+        for label, v in _automata():
+            readback = monitor.monitor_from_filters(
+                monitor.filter_spec_from_json(monitor.filter_spec_to_json(s))
+                for s in monitor.emit_filters(monitor.extract_monitor(v)))
+            init = initial_configuration(v)
+            for _ in range(60):
+                word = random_rooted_word(rng, 12, v.alphabet)
+                central = run(v, word, init)
+                assert monitor.dist_run(readback, init, word) == central[-1], label
+                k = rng.randrange(1, len(word.symbols))
+                prefix = nw.build_nested_word([a.symbol for a in word.symbols[:k]])
+                assert monitor.dist_run(readback, init, prefix) == central[k], label
+                words += 1
+        assert words == 60 * 149
+
+    def test_corpus_filters_are_ascii(self):
+        # no filter names the bottom marker or any other non-ASCII name
+        texts = [render(spec) for variant in ("small", "full")
+                 for doc in corpus_documents(variant).values() for art in compiler.compile(doc)
+                 for spec in monitor.emit_filters(monitor.extract_monitor(art.vpa))
+                 for render in (monitor.filter_spec_to_json, monitor.render_filter_script)]
+        assert len(texts) == 2 * 131
+        assert all(text.isascii() for text in texts)

@@ -37,6 +37,8 @@ from conftest import (
     random_rooted_word,
     reference_configurations,
     reference_dist_walk,
+    reference_filter_rules,
+    reference_reached_cells,
     two_state_vpa,
     wide_policy_text,
     word_from_str,
@@ -257,6 +259,24 @@ def _both_corpora():
                 yield f"{variant}/{name}/{art.policy_id}", doc.alphabet, art.vpa
 
 
+def assert_agrees_where_read(v, readback, label):
+    """The read-back table steps every cell a rooted word can read as
+    ``v.table`` does; a state it does not name takes the reject state's
+    rule, as ``dist_run`` sends it there.  Other cells may differ."""
+    rt, reject = readback.table, readback.reject
+    calls, returns = reference_reached_cells(v)
+
+    def state_id(q):
+        return rt.state_id[q if q in rt.state_id else reject]
+
+    for p, e in calls:
+        q, g = rt.request[e][state_id(p)]
+        assert (rt.states[q], rt.symbols[g]) == v.delta_call[(p, e)], (label, p, e)
+    for q, g, e in returns:
+        got = rt.response[e][rt.symbol_id[g]][state_id(q)]
+        assert rt.states[got] == v.delta_return[(q, g, e)], (label, q, g, e)
+
+
 class TestTableWalk:
     """Every run over the integer table against the string-dict reference."""
 
@@ -283,7 +303,7 @@ class TestTableWalk:
         rng = random.Random(seed)
         for label, alphabet, v in _both_corpora():
             readback = self._readback(v)
-            assert readback.table == v.table, label
+            assert_agrees_where_read(v, readback, label)
             init = initial_configuration(v)
             for _ in range(6):
                 events = [a.symbol for a in random_rooted_word(rng, 12, alphabet).symbols]
@@ -306,7 +326,7 @@ class TestTableWalk:
                         go()
 
 
-def _random_automata():
+def random_automata():
     """The 140 seeded random policies the compiler tests draw."""
     for seed, count in RANDOM_SEEDS.items():
         rng = random.Random(seed)
@@ -317,10 +337,11 @@ def _random_automata():
 
 class TestDefaultReject:
     """The written artifacts leave out the rules into the reject sink, and
-    every reader fills them back: the in-memory automaton stays complete."""
+    every reader fills them back: the in-memory automaton stays complete.
+    Filters also leave out the cells no rooted word reads."""
 
     def test_artifacts_fill_back(self):
-        automata = [(label, v) for label, _, v in _both_corpora()] + list(_random_automata())
+        automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
         assert len(automata) == 158
         for label, v in automata:
             sink = reject_sink(v)
@@ -332,8 +353,10 @@ class TestDefaultReject:
                        for spec in monitor.emit_filters(monitor.extract_monitor(v))]
             readback = monitor.monitor_from_filters(
                 monitor.filter_spec_from_json(json.dumps(f)) for f in filters)
-            assert readback.table == v.table, label
-            # no written rule enters the sink; every other cell is written
+            assert_agrees_where_read(v, readback, label)
+            # no written rule enters the sink; the automaton document
+            # writes every other cell, the filters every other cell a
+            # rooted word reads
             calls, returns = doc["delta_call"], doc["delta_return"]
             requests = [r for f in filters for r in f["on_request"]]
             responses = [r for f in filters for r in f["on_response"]]
@@ -341,8 +364,9 @@ class TestDefaultReject:
             assert sink not in {r["then_state"] for r in requests + responses}, label
             explicit_calls = sum(r != (sink, sink) for r in v.delta_call.values())
             explicit_returns = sum(r != sink for r in v.delta_return.values())
-            assert len(calls) == len(requests) == explicit_calls, label
-            assert len(returns) == len(responses) == explicit_returns, label
+            assert len(calls) == explicit_calls and len(returns) == explicit_returns, label
+            listed_calls, listed_returns = reference_filter_rules(v, sink)
+            assert (len(requests), len(responses)) == (len(listed_calls), len(listed_returns)), label
 
     def test_no_sink(self):
         # an automaton without a reject sink is written in full, as before
@@ -436,7 +460,7 @@ class TestOneStore:
         assert u == two_state_vpa() and u.table == two_state_vpa().table
 
     def test_views_hold_the_complete_rules(self):
-        automata = [(label, v) for label, _, v in _both_corpora()] + list(_random_automata())
+        automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
         assert len(automata) == 158
         for label, v in automata:
             text = export_vpa(v, "json")

@@ -3,7 +3,8 @@
 Each reference below builds the document the plain way: one dict per rule
 through ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per
 DOT edge, one branch per script rule, leaving out the rules into the reject
-sink found by scanning the automaton's rules by name.  The writers must give the
+sink found by scanning the automaton's rules by name, and in filters also
+the cells no rooted word reads.  The writers must give the
 same bytes on hand-built automata and filter specs whose names hold quotes,
 backslashes, control characters and non-ASCII text, and on empty tables.
 """
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from treepolicy import monitor
 from treepolicy.vpa import BOTTOM, Vpa, export_vpa, import_vpa
+
+from conftest import reference_filter_rules
 
 NAMES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t/é⊥€𝄞'), st.characters()), max_size=4)
 
@@ -147,19 +150,25 @@ def reference_script(spec: monitor.FilterSpec, header: str) -> str:
 @st.composite
 def vpas(draw) -> Vpa:
     """A deterministic complete automaton over drawn names; the alphabet may
-    be empty, and then both tables are."""
+    be empty, and then both tables are.  Perhaps one drawn state is made a
+    reject sink: non-final, pushed, and kept by each of its rules."""
     states = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     alphabet = draw(st.lists(NAMES, max_size=3, unique=True))
     pushed = draw(st.lists(NAMES.filter(lambda s: s != BOTTOM), min_size=1, max_size=3, unique=True))
+    sink = draw(st.sampled_from([None, *(q for q in states if q != BOTTOM)]))
+    if sink is not None and sink not in pushed:
+        pushed.append(sink)
     stack_alphabet = [BOTTOM, *pushed]
     state = st.sampled_from(states)
     delta_call = {
-        (q, e): (draw(state), draw(st.sampled_from(pushed))) for q in states for e in alphabet
+        (q, e): (sink, sink) if q == sink else (draw(state), draw(st.sampled_from(pushed)))
+        for q in states for e in alphabet
     }
     delta_return = {
-        (q, s, e): draw(state) for q in states for s in stack_alphabet for e in alphabet
+        (q, s, e): sink if q == sink else draw(state)
+        for q in states for s in stack_alphabet for e in alphabet
     }
-    finals = draw(st.lists(state, unique=True))
+    finals = [q for q in draw(st.lists(state, unique=True)) if q != sink]
     return Vpa.from_rules(states, draw(state), finals, alphabet, stack_alphabet,
                           delta_call, delta_return)
 
@@ -195,7 +204,7 @@ def test_extracted_specs_equal_reference(v, header):
     # an extracted spec reads the automaton's table in place
     specs = monitor.emit_filters(monitor.extract_monitor(v))
     texts = [monitor.filter_spec_to_json(s) for s in specs]
-    calls, returns = explicit_rules(v)
+    calls, returns = reference_filter_rules(v, reference_sink(v))
     for spec, text in zip(specs, texts):
         e = spec.endpoint
         assert spec.reject == reference_sink(v)
