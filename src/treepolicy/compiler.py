@@ -17,10 +17,13 @@ family wrote to the reject state, which makes tables complete.
 Sub-automata are embedded by prefix-renaming every state and stack symbol,
 which keeps state spaces disjoint; their rows are then read by id.
 
-``compile_policy`` applies one pass after the constructions, ``_prune``: it
-keeps the states a run from the initial state can reach, the stack symbols
-such a run can push (with the bottom marker), and the cells over them.  The
-result is still complete, and every run is the same.  The constructions
+``compile_policy`` applies one pass after the constructions, ``_prune``:
+the summary fixpoint ``reached_cells`` finds the cells a rooted word can
+read, every other cell takes the reject sink's rule, and the states and
+stack symbols no reached cell names go.  The result is still complete,
+every rooted word runs as before, and the cells outside the sink's rule
+are exactly those a filter lists, so the written automaton and its filters
+agree.  The fixpoint runs here only, once per policy.  The constructions
 themselves stay unpruned, so their state counts follow from their parts.
 ``_doomed_states`` then finds the states that cannot reach a final state.
 
@@ -527,66 +530,92 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     return b.finish()
 
 
-# -- reachability: pruning and doomed states -----------------------------------
+# -- reachability: reached cells, pruning and doomed states --------------------
+
+
+def reached_cells(initial: int, rows: Sequence[tuple[tuple, tuple]]
+                  ) -> tuple[set[int], list[set[tuple[int, int]]]]:
+    """The cells of a table a rooted word can read (Alur & Madhusudan,
+    "Adding Nesting Structure to Words", JACM 2009): the ids of the states
+    a call is made from, and for each (request row, response rows) pair of
+    ``rows`` the (state, popped symbol) ids a return is read at.
+
+    W(q0) is the set of states reachable from q0 over any sequence of
+    complete child subtrees.  The root call is made from the initial state.
+    A call from p that enters q0 and pushes g has its child calls made from
+    the states of W(q0), and its return read at (q1, g) for each q1 in
+    W(q0); the state it returns to joins W of the subtree around p.  A
+    worklist takes each pair (q0, q1 in W(q0)) once, when it is found, and
+    relates it to the callers that entered q0 before; a caller found later
+    relates itself to the pairs taken before it."""
+    requests = [request for request, _ in rows]
+    exits: dict[int, set[int]] = {}  # q0 -> W(q0) found so far
+    done: dict[int, list[int]] = {}  # q0 -> the states of W(q0) taken off the worklist
+    callers: dict[int, set[tuple]] = {}  # q0 -> (q0 around the caller or None, row, pushed)
+    returns = [set() for _ in rows]
+
+    def returned(around, c, g, q1):
+        returns[c].add((q1, g))
+        if around is not None and (q := rows[c][1][g][q1]) not in exits[around]:
+            exits[around].add(q)
+            todo.append((around, q))
+
+    todo = [(None, initial)]  # the root call is made around nothing
+    while todo:
+        around, p = todo.pop()
+        for c, request in enumerate(requests):
+            q0, g = request[p]
+            if q0 not in exits:
+                exits[q0], done[q0], callers[q0] = {q0}, [], set()
+                todo.append((q0, q0))
+            if (caller := (around, c, g)) not in callers[q0]:
+                callers[q0].add(caller)
+                for q1 in done[q0]:
+                    returned(*caller, q1)
+        if around is not None:
+            done[around].append(p)
+            for caller in callers[around]:
+                returned(*caller, p)
+    return {initial}.union(*exits.values()), returns
 
 
 def _prune(v: Vpa) -> Vpa:
-    """The automaton restricted to what a run from the initial state can use.
+    """``v`` restricted to the cells a rooted word can read
+    (``reached_cells``), every other cell taking the reject sink's rule.
 
-    A least fixpoint from the initial state over ``v.table``: a reached
-    state's call cells reach their targets and push their symbols, and its
-    return cells that pop a pushed symbol or the bottom marker reach their
-    targets.  It keeps the reached states, the pushed symbols with the
-    bottom marker, and the cells over them; every such cell leads to kept
-    names, so the result is complete and well-formed, and every run from
-    the initial configuration is the same, configuration for configuration.
-    Each (state, stack symbol) pair is visited once: when the later of the
-    two is taken from its worklist."""
+    It keeps the states calls are made from, the targets of the reached
+    return cells, and ``rej``; the symbols the reached calls push, the
+    bottom marker and ``rej``.  The result is complete and well-formed, and
+    a rooted word, or a prefix of one, reads only reached cells, so its run
+    is the same, configuration for configuration.  So is a forest's: the
+    root's return goes to ``end`` or to ``rej``, whose calls go to ``rej``
+    in both automata."""
     t = v.table
-    requests, responses = tuple(t.request.values()), tuple(t.response.values())
-    states, symbols = [t.state_id[v.initial]], [t.symbol_id[BOTTOM]]
-    reached, pushed = set(states), set(symbols)
-
-    def visit(h: int, g: int):
-        for rows in responses:
-            q = rows[g][h]
-            if q not in reached:
-                reached.add(q)
-                states.append(q)
-
-    i = j = 0  # states[:i] and symbols[:j] are visited against each other
-    while i < len(states) or j < len(symbols):
-        if i < len(states):
-            h = states[i]
-            i += 1
-            for row in requests:
-                q, g = row[h]
-                if q not in reached:
-                    reached.add(q)
-                    states.append(q)
-                if g not in pushed:
-                    pushed.add(g)
-                    symbols.append(g)
-            for g in symbols[:j]:
-                visit(h, g)
-        else:
-            g = symbols[j]
-            j += 1
-            for h in states[:i]:
-                visit(h, g)
-    kept, kept_symbols = sorted(reached), sorted(pushed)  # old ids, in sorted name order
+    rows = [(t.request[e], t.response[e]) for e in v.alphabet]
+    sources, returns = reached_cells(t.state_id[v.initial], rows)
+    states, symbols = {*sources, t.state_id[REJ]}, {t.symbol_id[BOTTOM], t.symbol_id[REJ]}
+    for (request, response), cells in zip(rows, returns):
+        symbols.update(request[h][1] for h in sources)
+        states.update(response[g][h] for h, g in cells)
+    kept, kept_symbols = sorted(states), sorted(symbols)  # old ids, in sorted name order
     new = {h: i for i, h in enumerate(kept)}
     new_symbol = {g: i for i, g in enumerate(kept_symbols)}
+    r = new[t.state_id[REJ]]
+    call_sink = r, new_symbol[t.symbol_id[REJ]]
+    table_request, table_response = {}, {}
+    for e, (request, response), cells in zip(v.alphabet, rows, returns):
+        calls = [call_sink] * len(kept)
+        for h in sources:
+            q, g = request[h]
+            calls[new[h]] = new[q], new_symbol[g]
+        rets = [[r] * len(kept) for _ in kept_symbols]
+        for h, g in cells:
+            rets[new_symbol[g]][new[h]] = new[response[g][h]]
+        table_request[e], table_response[e] = tuple(calls), tuple(map(tuple, rets))
     names = tuple(t.states[h] for h in kept)
     symbol_names = tuple(t.symbols[g] for g in kept_symbols)
-    table = Table(
-        names, symbol_names,
-        {q: i for i, q in enumerate(names)}, {g: i for i, g in enumerate(symbol_names)},
-        {e: tuple([(new[q], new_symbol[g]) for q, g in map(row.__getitem__, kept)])
-         for e, row in t.request.items()},  # rows pass through lists, as in _Build.finish
-        {e: tuple(tuple([*map(new.__getitem__, map(rows[g].__getitem__, kept))])
-                  for g in kept_symbols) for e, rows in t.response.items()},
-    )
+    table = Table(names, symbol_names, {q: i for i, q in enumerate(names)},
+                  {g: i for i, g in enumerate(symbol_names)}, table_request, table_response)
     return Vpa(frozenset(names), v.initial, v.finals & frozenset(names), v.alphabet,
                frozenset(symbol_names), table)
 

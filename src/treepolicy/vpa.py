@@ -24,19 +24,20 @@ rule.  ``json_member`` writes each table from a row template, escaping
 each name once, since ``indent`` sends ``json.dumps`` to its pure-Python
 encoder.
 
-Written automata are default-reject: ``reject_sink`` finds the sink, the
-writers leave out every rule equal to its rule and name it as ``reject``,
-and ``import_vpa`` and read-back monitors start every cell with that
-rule.  Completeness is a property of the automaton in memory, not of files.
+Written automata are default-reject: ``reject_sink`` finds the sink, once
+per automaton (``Vpa.sink`` keeps it), the writers leave out every rule
+equal to its rule and name it as ``reject``, and ``import_vpa`` and
+read-back monitors start every cell with that rule.  Completeness is a
+property of the automaton in memory, not of files.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import MissingTransition, StackUnderflow, VpaParseError
@@ -60,6 +61,12 @@ class Vpa:
     alphabet: tuple[Endpoint, ...]
     stack_alphabet: frozenset[StackSymbol]  # includes BOTTOM
     table: Table
+
+    @cached_property
+    def sink(self) -> State | None:
+        """The reject sink (``reject_sink``), found on first use and kept on
+        the automaton (not a field: equality ignores it)."""
+        return reject_sink(self)
 
     @property
     def delta_call(self) -> Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]:
@@ -227,23 +234,18 @@ def _refuse(problems: Sequence[str]) -> None:
 
 
 class TableRules(Mapping):
-    """Rules read in place from a ``Table`` in sorted key order.  A view
-    over every endpoint lists each cell that holds a rule, keys ending with
-    the endpoint; a view of one endpoint lists the cells ``cells()`` gives,
-    asked for when they are first needed: sorted state ids for calls and
-    (state id, symbol id) pairs for returns."""
+    """Rules read in place from a ``Table`` in sorted key order, without the
+    cells in ``skip`` (``skipped_cells``); keys end with the endpoint unless
+    the view has one.  A view runs no reachability analysis: a compiled
+    table already holds the sink's rule wherever no rooted word reads."""
 
-    __slots__ = ("_t", "_endpoint", "_cells", "_memo")
+    __slots__ = ("_t", "_endpoint", "_skip", "_memo")
 
-    def __init__(self, t: Table, endpoint: Endpoint | None = None,
-                 cells: Callable[[], Sequence] = tuple):
-        self._t, self._endpoint, self._cells, self._memo = t, endpoint, cells, {}
+    def __init__(self, t: Table, endpoint: Endpoint | None = None, skip: tuple = (None,)):
+        self._t, self._endpoint, self._skip, self._memo = t, endpoint, skip, {}
 
     def __getitem__(self, key):
-        e, ids = self._locate(key)
-        if self._endpoint is not None and ids not in self._cells():
-            raise KeyError(key)
-        if (cell := self._cell(e, ids)) is None:
+        if (cell := self._cell(key)) in self._skip:
             raise KeyError(key)
         return self._value(cell)
 
@@ -251,9 +253,9 @@ class TableRules(Mapping):
         return (key for key, _ in self._pairs())
 
     def __len__(self):
-        if self._endpoint is not None:
-            return len(self._cells())
-        return self.memo(len, lambda: sum(len(row) - row.count(None) for row in self._rows()))
+        skip = self._skip
+        return self.memo(len, lambda: sum(len(row) - sum(map(row.count, skip))
+                                          for row in self._rows()))
 
     def items(self):
         return _RuleItems(self)
@@ -292,51 +294,49 @@ def _return_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
 class RequestRules(TableRules):
     """Call rules: state -> (state, pushed symbol) over one endpoint."""
 
-    def _locate(self, key):
+    def _cell(self, key):
         q, e = key if self._endpoint is None else (key, self._endpoint)
-        return e, self._t.state_id[q]
-
-    def _cell(self, e, h):
-        return self._t.request[e][h]
+        return self._t.request[e][self._t.state_id[q]]
 
     def _value(self, cell):
         return self._t.states[cell[0]], self._t.symbols[cell[1]]
 
     def _rows(self):
-        return self._t.request.values()
+        request = self._t.request
+        return request.values() if self._endpoint is None else (request[self._endpoint],)
 
     def _pairs(self):
-        t = self._t
+        t, skip = self._t, self._skip
         if self._endpoint is None:
-            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, (None,)))
-        states, symbols, row, cells = t.states, t.symbols, t.request[self._endpoint], self._cells()
-        return ((states[h], (states[r[0]], symbols[r[1]]))
-                for h, r in zip(cells, map(row.__getitem__, cells)))
+            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, skip))
+        states, symbols = t.states, t.symbols
+        return ((q, (states[r[0]], symbols[r[1]]))
+                for q, r in zip(states, t.request[self._endpoint]) if r not in skip)
 
 
 class ResponseRules(TableRules):
     """Return rules: (state, popped symbol) -> state over one endpoint."""
 
-    def _locate(self, key):
+    def _cell(self, key):
         q, g, e = key if self._endpoint is None else (*key, self._endpoint)
-        return e, (self._t.state_id[q], self._t.symbol_id[g])
-
-    def _cell(self, e, ids):
-        h, i = ids
-        return self._t.response[e][i][h]
+        return self._t.response[e][self._t.symbol_id[g]][self._t.state_id[q]]
 
     def _value(self, cell):
         return self._t.states[cell]
 
     def _rows(self):
-        return (row for rows in self._t.response.values() for row in rows)
+        response = self._t.response
+        if self._endpoint is None:
+            return (row for rows in response.values() for row in rows)
+        return response[self._endpoint]
 
     def _pairs(self):
-        t = self._t
+        t, skip = self._t, self._skip
         if self._endpoint is None:
-            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, (None,)))
-        states, symbols, rows = t.states, t.symbols, t.response[self._endpoint]
-        return (((states[h], symbols[i]), states[rows[i][h]]) for h, i in self._cells())
+            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, skip))
+        states, symbols = t.states, t.symbols
+        return (((q, g), states[r]) for q, column in zip(states, zip(*t.response[self._endpoint]))
+                for g, r in zip(symbols, column) if r not in skip)
 
 
 def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Configuration:
@@ -565,7 +565,7 @@ def skipped_cells(t: Table, sink: State | None) -> tuple[tuple, tuple]:
 
 
 def _export_json(v: Vpa) -> str:
-    sink = reject_sink(v)
+    sink = v.sink
     skip_call, skip_return = skipped_cells(v.table, sink)
     calls, returns = _call_rows(v.table, skip_call), _return_rows(v.table, skip_return)
     head = {
@@ -693,7 +693,7 @@ def _export_dot(v: Vpa) -> str:
     The rules into the reject sink are not drawn; the graph's ``comment``
     names the sink.  Each name is escaped once, a backslash before each
     backslash and each double quote; each edge is one template."""
-    sink = reject_sink(v)
+    sink = v.sink
     t = v.table
     skip_call, skip_return = skipped_cells(t, sink)
     calls, returns = _call_rows(t, skip_call), _return_rows(t, skip_return)

@@ -239,11 +239,8 @@ def reference_reached_cells(v: Vpa) -> tuple[set, set]:
 
 
 def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
-    """The call and return rules filters list: with a reject sink, those at
-    the cells a rooted word can read other than the sink's; without one,
-    every rule."""
-    if sink is None:
-        return dict(v.delta_call), dict(v.delta_return)
+    """The call and return rules a compiled automaton's artifacts list:
+    those at the cells a rooted word can read other than the sink's."""
     calls, returns = reference_reached_cells(v)
     return ({k: v.delta_call[k] for k in calls if v.delta_call[k] != (sink, sink)},
             {k: v.delta_return[k] for k in returns if v.delta_return[k] != sink})

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from treepolicy import cli, compiler, mesh_sim, monitor
+from treepolicy import cli, compiler, mesh_sim, monitor, vpa
 from treepolicy.errors import CompilerInternalError
 from treepolicy import nested_word as nw
 from treepolicy.corpus import CORPUS
@@ -425,6 +425,24 @@ class TestEmitFilters:
                      for field in ("on_request", "on_response")
                      for r in json.loads(f.read_text(encoding="utf-8"))[field]]
             assert p["rules"] == len(rules) > 0
+
+
+class TestRejectSink:
+    def test_found_once_per_automaton(self, tmp_path, monkeypatch, capsys):
+        # compile writes JSON and DOT, emit-filters and check extract the
+        # filters: each command scans each automaton for its sink once
+        scanned = []
+        real = vpa.reject_sink
+        monkeypatch.setattr(vpa, "reject_sink", lambda v: scanned.append(id(v)) or real(v))
+        src = tmp_path / "two.stp"
+        src.write_text(POLICY + "start {F}: call-seq F P;\n", encoding="utf-8")
+        for argv in (["compile", str(src), str(tmp_path / "out")],
+                     ["emit-filters", str(src), str(tmp_path / "filters")],
+                     ["check", str(src), trace_file(tmp_path, GOOD_TRACE)]):
+            scanned.clear()
+            assert cli.main(argv) in (0, 1), argv
+            assert len(scanned) == len(set(scanned)) == 2, argv
+        capsys.readouterr()
 
 
 class TestExitCodes:

@@ -26,7 +26,7 @@ from treepolicy.policy import (
     parse_policy,
     start_anchor_regex,
 )
-from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, final_configuration, run
+from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, run
 
 from conftest import random_rooted_word, raw_automaton, word_from_str
 from test_regex import random_regex
@@ -386,9 +386,16 @@ class TestRandomPolicySoundness:
                 assert want == got, (i, pol, [(a.tag, a.endpoint) for a in word.symbols])
 
 
+def forests(rng: random.Random, words, n: int) -> list[nw.NestedWord]:
+    """``n`` concatenations of two or three of the rooted ``words``."""
+    return [nw.build_nested_word([a.symbol for w in rng.choices(words, k=rng.randint(2, 3))
+                                  for a in w.symbols]) for _ in range(n)]
+
+
 class TestPrune:
-    """``compile_policy`` prunes what no run from the initial state can use:
-    every run must reach the same configuration as on the raw automaton."""
+    """``compile_policy`` keeps only the cells a rooted word can read: every
+    rooted word and every forest of them must run through the same
+    configurations as on the raw automaton."""
 
     RANDOM_SEEDS = {2024: 100, 555: 40}  # the seeds and counts drawn above
 
@@ -402,22 +409,25 @@ class TestPrune:
         raw, pruned = self.automata(pol, alphabet)
         assert pruned.states <= raw.states and pruned.stack_alphabet <= raw.stack_alphabet
         for word in words:
-            assert final_configuration(pruned, word) == final_configuration(raw, word), (
+            assert run(pruned, word) == run(raw, word), (
                 ctx, pol, [(a.tag, a.endpoint) for a in word.symbols])
 
     def test_runs_unchanged_on_small_words(self):
+        # every rooted word up to the size, and 30 forests of them per policy
+        picks = random.Random(7)
         for variant, max_calls in (("small", 4), ("full", 3)):
             for name, doc in corpus_documents(variant).items():
                 words = list(nw.enumerate_rooted(doc.alphabet, max_calls))
                 for pol in doc.policies:
-                    self.assert_same_runs(pol, doc.alphabet, words, (variant, name))
+                    self.assert_same_runs(pol, doc.alphabet, words + forests(picks, words, 30),
+                                          (variant, name))
         alpha = ("A", "B", "C")
         words = list(nw.enumerate_rooted(alpha, 4))
         for seed, count in self.RANDOM_SEEDS.items():
             rng = random.Random(seed)
             for i in range(count):
                 pol = random_policy(rng, alpha, depth_budget=4)
-                self.assert_same_runs(pol, alpha, words, (seed, i))
+                self.assert_same_runs(pol, alpha, words + forests(picks, words, 30), (seed, i))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -425,8 +435,9 @@ class TestPrune:
         rng = random.Random(seed)
         for name, doc in corpus_documents("full").items():
             word = random_rooted_word(rng, 20, doc.alphabet)
+            forest = forests(rng, [word, random_rooted_word(rng, 8, doc.alphabet)], 1)
             for pol in doc.policies:
-                self.assert_same_runs(pol, doc.alphabet, [word], name)
+                self.assert_same_runs(pol, doc.alphabet, [word, *forest], name)
 
     def test_fresh_anchor_initial_state_is_dropped(self):
         for variant in ("small", "full"):
@@ -436,8 +447,10 @@ class TestPrune:
                     assert fresh in raw_automaton(pol, doc.alphabet).states
                     assert fresh not in art.vpa.states, (variant, name)
         full = [a for doc in corpus_documents("full").values() for a in compiler.compile(doc)]
-        # 158 states and 41 header bits before pruning
-        assert sum(a.metrics.state_count for a in full) == 117
+        # 158 states and 41 header bits before pruning; 117 states and 35
+        # bits when the prune kept every cell over the reached states and
+        # pushed symbols, not only the cells a rooted word reads
+        assert sum(a.metrics.state_count for a in full) == 105
         assert sum(a.metrics.header_bits for a in full) == 35
 
 

@@ -23,13 +23,15 @@ from conftest import (
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
+    raw_automaton,
     reference_filter_rules,
     reference_reached_cells,
     two_state_vpa,
     word_from_str,
 )
 from test_compiler import random_policy
-from test_vpa import random_automata
+from test_golden import RANDOM_ALPHABET
+from test_vpa import random_automata, random_policies
 
 
 class TestExtract:
@@ -183,11 +185,12 @@ class TestFilterSpecs:
         assert specs["P"].on_response[("q_P", "q_P")] == "start"
 
     def test_rule_counts_match_tables(self):
-        # the per-endpoint tables partition the cells of the automaton's
-        # tables that a rooted word reads, less the rules into the reject sink
+        # the per-endpoint tables partition the automaton's tables, less
+        # the rules into the reject sink
         v = payment_chain_vpa()
         specs = monitor.emit_filters(monitor.extract_monitor(v))
-        calls, returns = reference_filter_rules(v, "sink")
+        calls = {k: r for k, r in v.delta_call.items() if r != ("sink", "sink")}
+        returns = {k: r for k, r in v.delta_return.items() if r != "sink"}
         assert sum(len(spec.on_request) for spec in specs) == len(calls) == 3
         assert sum(len(spec.on_response) for spec in specs) == len(returns) == 3
         for spec in specs:
@@ -459,15 +462,26 @@ def _automata():
     yield from random_automata()
 
 
+def _raw_automata():
+    """The automata of ``_automata``'s policies before the prune pass."""
+    for name, doc in corpus_documents("full").items():
+        for i, pol in enumerate(doc.policies):
+            yield f"raw/full/{name}/pol{i}", raw_automaton(pol, doc.alphabet)
+    for label, pol in random_policies():
+        yield f"raw/{label}", raw_automaton(pol, RANDOM_ALPHABET)
+
+
 class TestReachedCells:
     """Filters list the cells a rooted word can read, less the rules into
     the reject sink, and nothing a rooted word reads is lost."""
 
     def test_worklist_equals_repeated_sweeps(self):
-        for label, v in _automata():
+        # on the compiled automata and on the raw constructions the compiler
+        # runs the fixpoint on
+        for label, v in (*_automata(), *_raw_automata()):
             t = v.table
             rows = [(t.request[e], t.response[e]) for e in v.alphabet]
-            calls, returns = monitor.reached_cells(t.state_id[v.initial], rows)
+            calls, returns = compiler.reached_cells(t.state_id[v.initial], rows)
             got = ({(t.states[h], e) for h in calls for e in v.alphabet},
                    {(t.states[h], t.symbols[i], e)
                     for e, cells in zip(v.alphabet, returns) for h, i in cells})
@@ -481,22 +495,22 @@ class TestReachedCells:
                       {(q, g, s.endpoint): r for s in specs for (q, g), r in s.on_response.items()})
             assert listed == reference_filter_rules(v, "rej"), label
 
-    def test_found_once_when_first_read(self, monkeypatch):
-        # a monitor that only dist_run steps never runs the fixpoint; the
-        # first read of a spec's rules runs it once for every spec
+    def test_found_once_per_compile(self, monkeypatch):
+        # compile_policy runs the fixpoint once; extracting, stepping and
+        # writing the filters run none
         calls = []
-        real = monitor.reached_cells
-        monkeypatch.setattr(monitor, "reached_cells", lambda *a: calls.append(a) or real(*a))
+        real = compiler.reached_cells
+        monkeypatch.setattr(compiler, "reached_cells", lambda *a: calls.append(a) or real(*a))
         doc = corpus_documents("full")["data-compliance"]
         v = compiler.compile(doc)[0].vpa
+        assert len(calls) == 1 and len(doc.policies) == 1
         mon = monitor.extract_monitor(v)
         word = random_rooted_word(random.Random(3), 12, doc.alphabet)
         assert monitor.dist_run(mon, initial_configuration(v), word) == run(v, word)[-1]
-        assert calls == []
         texts = [monitor.filter_spec_to_json(s) for s in monitor.emit_filters(mon)]
-        assert len(calls) == 1 and len(texts) == len(doc.alphabet)
+        assert len(texts) == len(doc.alphabet)
         assert sum(len(s.on_request) + len(s.on_response) for s in mon.values()) == 334
-        assert len(calls) == 1
+        assert len(calls) == 1 and not hasattr(monitor, "reached_cells")
 
     def test_read_back_filters_step_like_the_central_run(self):
         # the written JSON read back; rooted words and their prefixes,

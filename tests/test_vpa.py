@@ -38,7 +38,6 @@ from conftest import (
     reference_configurations,
     reference_dist_walk,
     reference_filter_rules,
-    reference_reached_cells,
     two_state_vpa,
     wide_policy_text,
     word_from_str,
@@ -259,24 +258,6 @@ def _both_corpora():
                 yield f"{variant}/{name}/{art.policy_id}", doc.alphabet, art.vpa
 
 
-def assert_agrees_where_read(v, readback, label):
-    """The read-back table steps every cell a rooted word can read as
-    ``v.table`` does; a state it does not name takes the reject state's
-    rule, as ``dist_run`` sends it there.  Other cells may differ."""
-    rt, reject = readback.table, readback.reject
-    calls, returns = reference_reached_cells(v)
-
-    def state_id(q):
-        return rt.state_id[q if q in rt.state_id else reject]
-
-    for p, e in calls:
-        q, g = rt.request[e][state_id(p)]
-        assert (rt.states[q], rt.symbols[g]) == v.delta_call[(p, e)], (label, p, e)
-    for q, g, e in returns:
-        got = rt.response[e][rt.symbol_id[g]][state_id(q)]
-        assert rt.states[got] == v.delta_return[(q, g, e)], (label, q, g, e)
-
-
 class TestTableWalk:
     """Every run over the integer table against the string-dict reference."""
 
@@ -303,7 +284,7 @@ class TestTableWalk:
         rng = random.Random(seed)
         for label, alphabet, v in _both_corpora():
             readback = self._readback(v)
-            assert_agrees_where_read(v, readback, label)
+            assert readback.table == v.table, label
             init = initial_configuration(v)
             for _ in range(6):
                 events = [a.symbol for a in random_rooted_word(rng, 12, alphabet).symbols]
@@ -326,19 +307,26 @@ class TestTableWalk:
                         go()
 
 
-def random_automata():
+def random_policies():
     """The 140 seeded random policies the compiler tests draw."""
     for seed, count in RANDOM_SEEDS.items():
         rng = random.Random(seed)
         for i in range(count):
-            pol = random_policy(rng, RANDOM_ALPHABET, depth_budget=4)
-            yield f"random/{seed}/{i}", compiler.compile_policy(pol, RANDOM_ALPHABET).vpa
+            yield f"random/{seed}/{i}", random_policy(rng, RANDOM_ALPHABET, depth_budget=4)
+
+
+def random_automata():
+    """The automata of ``random_policies``."""
+    for label, pol in random_policies():
+        yield label, compiler.compile_policy(pol, RANDOM_ALPHABET).vpa
 
 
 class TestDefaultReject:
     """The written artifacts leave out the rules into the reject sink, and
     every reader fills them back: the in-memory automaton stays complete.
-    Filters also leave out the cells no rooted word reads."""
+    A compiled automaton holds the sink's rule at every cell no rooted word
+    reads, so its artifacts list exactly the cells a rooted word reads
+    outside the sink's rule."""
 
     def test_artifacts_fill_back(self):
         automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
@@ -353,10 +341,8 @@ class TestDefaultReject:
                        for spec in monitor.emit_filters(monitor.extract_monitor(v))]
             readback = monitor.monitor_from_filters(
                 monitor.filter_spec_from_json(json.dumps(f)) for f in filters)
-            assert_agrees_where_read(v, readback, label)
-            # no written rule enters the sink; the automaton document
-            # writes every other cell, the filters every other cell a
-            # rooted word reads
+            assert readback.table == v.table, label
+            # no written rule enters the sink; every other cell is written
             calls, returns = doc["delta_call"], doc["delta_return"]
             requests = [r for f in filters for r in f["on_request"]]
             responses = [r for f in filters for r in f["on_response"]]
@@ -367,6 +353,17 @@ class TestDefaultReject:
             assert len(calls) == explicit_calls and len(returns) == explicit_returns, label
             listed_calls, listed_returns = reference_filter_rules(v, sink)
             assert (len(requests), len(responses)) == (len(listed_calls), len(listed_returns)), label
+
+    def test_documents_list_the_read_cells(self):
+        # the automaton document lists the rules filters list (TestReachedCells):
+        # those at the cells a rooted word can read, outside the sink's rule
+        automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
+        assert len(automata) == 158
+        for label, v in automata:
+            doc = json.loads(export_vpa(v, "json"))
+            written = ({(r["from"], r["sym"]): (r["to"], r["push"]) for r in doc["delta_call"]},
+                       {(r["from"], r["pop"], r["sym"]): r["to"] for r in doc["delta_return"]})
+            assert written == reference_filter_rules(v, "rej"), label
 
     def test_no_sink(self):
         # an automaton without a reject sink is written in full, as before
