@@ -7,18 +7,22 @@ that policy's integer transition table, ``Vpa.table``, which the central
 and distributed runs step and extracted ``FilterSpec``s read, and which
 ``build_filter_set`` stores as it is.  The header is an integer, the
 state's position in ``Table.states``.  On the way in, the endpoint's
-request row maps it to the next header and the id of the pushed stack
-symbol, which stays at the hop; on the way out, the response row for that
-id maps it again.  The emitted trace is the request's rooted well-matched
-word, so centralized and denotational verdicts can be replayed against the
-monitored outcome.
+hop row (``PolicyFilterSet.hops``) maps it to the next header and the
+response row of the pushed stack symbol, which stays at the hop; on the way
+out, that response row maps it again.  The emitted trace is the request's
+rooted well-matched word, so centralized and denotational verdicts can be
+replayed against the monitored outcome.
 
-Each request owns its header values and hop-local storage; policies are
-monitored independently, one header per policy.  Call graphs and requests
-are walked with explicit stacks, so a call chain of any depth runs.  A
-topology unrolls exponentially in its depth, so ``execute_request`` refuses
-every request that unrolls to more than ``MAX_REQUEST_NODES`` nodes, and
-``run_workload`` checks each entrypoint before anything runs.
+What a topology fixes is computed once per topology and set of filters: a
+plan holding each service's call and return symbols, its children and every
+policy's hop row, made after checking that every policy has filters for
+every service.  Each request owns its header values and hop-local storage;
+policies are monitored independently, one header per policy, and every hop
+steps every header again.  Call graphs and requests are walked with
+explicit stacks, so a call chain of any depth runs.  A topology unrolls
+exponentially in its depth, so ``execute_request`` refuses every request
+that unrolls to more than ``MAX_REQUEST_NODES`` nodes, and ``run_workload``
+checks each entrypoint before anything runs.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import contains, getitem, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from operator import contains, getitem, is_, itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .nested_word import Endpoint, NestedWord, TaggedSymbol, build_nested_word, call, ret
+from .nested_word import Endpoint, IndexedSymbol, NestedWord, _indexed, call, ret, trusted_word
 from .vpa import Table
 
 MODE_LOG = "log"
@@ -42,15 +47,20 @@ MAX_REQUEST_NODES = 1_000_000  # per request
 
 @dataclass(frozen=True)
 class Topology:
-    """A call script.  Construction walks the call graph once, refusing a
-    cycle and counting the nodes a request to each service unrolls to; the
-    counts are not a field, so equality and ``repr`` ignore them."""
+    """A call script.  Construction copies ``behavior`` into a read-only
+    mapping of tuples, so later edits to the caller's dict or lists change
+    nothing here, and walks the call graph once, refusing a cycle and
+    counting the nodes a request to each service unrolls to.  The counts
+    and the request plan (``_plan``) are not fields, so equality and
+    ``repr`` ignore them."""
 
     services: tuple[Endpoint, ...]
-    behavior: dict[Endpoint, tuple[Endpoint, ...]]
+    behavior: Mapping[Endpoint, tuple[Endpoint, ...]]
     entrypoints: tuple[Endpoint, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "behavior", MappingProxyType(
+            {svc: tuple(children) for svc, children in self.behavior.items()}))
         known = set(self.services)
         for svc, children in self.behavior.items():
             if svc not in known:
@@ -84,6 +94,7 @@ class Topology:
                     open_path.remove(svc)
                     path.pop()
         object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_plan", None)
 
     def children(self, svc: Endpoint) -> tuple[Endpoint, ...]:
         return self.behavior.get(svc, ())
@@ -166,13 +177,21 @@ class PolicyFilterSet:
     """Everything a sidecar fleet needs to monitor one policy.
 
     ``table`` is the automaton's own integer table (``Vpa.table``), whose
-    rows each extracted ``FilterSpec`` reads, so a hop is one row lookup
-    per direction.  The header is an integer: a state's header
-    value is its position in ``table.states``, and a pushed stack symbol's
-    id its position in ``table.symbols``.  ``initial``, ``finals`` and
-    ``reject_headers`` are header values; the latter are the doomed states
-    (``CompilationArtifacts.reject_states``), from which no final state is
-    reachable: in early-block mode a call that enters one stops the request.
+    rows each extracted ``FilterSpec`` reads.  The header is an integer: a
+    state's header value is its position in ``table.states``, and a pushed
+    stack symbol's id its position in ``table.symbols``.  ``initial``,
+    ``finals`` and ``reject_headers`` are header values; the latter are the
+    doomed states (``CompilationArtifacts.reject_states``), from which no
+    final state is reachable: in early-block mode a call that enters one
+    stops the request.
+
+    ``hops`` is made from ``table`` on construction, so a copy with another
+    table (``dataclasses.replace``) has its own.  For endpoint ``e``,
+    ``hops[e][h]`` is the next header after a call in state ``h``, the
+    response row of the pushed symbol and the pushed symbol's id, or
+    ``None`` where the request cell is ``None``.  A hop is thus one lookup
+    per direction.  Endpoints whose request and response rows are the same
+    objects (an endpoint class) share one hop row.
     """
 
     policy_id: str
@@ -180,11 +199,28 @@ class PolicyFilterSet:
     finals: frozenset[int]
     reject_headers: frozenset[int]
     table: Table
+    hops: dict[Endpoint, tuple[tuple[int, tuple, int] | None, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.table
+        made: dict[tuple[int, int], tuple] = {}
+        hops = {}
+        for e, request in t.request.items():
+            response = t.response[e]
+            key = id(request), id(response)
+            row = made.get(key)
+            if row is None:
+                row = made[key] = tuple(
+                    None if cell is None else (cell[0], response[cell[1]], cell[1])
+                    for cell in request)
+            hops[e] = row
+        object.__setattr__(self, "hops", hops)
 
 
 def build_filter_set(artifact: CompilationArtifacts) -> PolicyFilterSet:
-    """The policy's filters: the automaton's table, stored as it is, and
-    its initial, final and reject states as header values."""
+    """The policy's filters: the automaton's table, stored as it is, its
+    hop rows, and its initial, final and reject states as header values."""
     vpa = artifact.vpa
     t = vpa.table
     return PolicyFilterSet(
@@ -217,6 +253,28 @@ _first = itemgetter(0)
 _second = itemgetter(1)
 
 
+def _check_coverage(t: Topology, filters: Sequence[PolicyFilterSet]):
+    for pf in filters:
+        if not pf.hops.keys() >= t._sizes.keys():  # _sizes has every service
+            missing = [svc for svc in t.services if svc not in pf.hops]
+            raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
+
+
+def _plan(t: Topology, filters: Sequence[PolicyFilterSet]) -> dict[Endpoint, tuple]:
+    """Per service: its call and return symbols, its children and every
+    policy's hop row, in filter order.  The plan is kept on the topology
+    with the filter sets it was made for, which it holds, so that no other
+    object can take their identity; other filter sets get a new plan."""
+    made = t._plan
+    if made is not None and len(made[0]) == len(filters) and all(map(is_, made[0], filters)):
+        return made[1]
+    _check_coverage(t, filters)
+    plan = {svc: (call(svc), ret(svc), t.children(svc), tuple([pf.hops[svc] for pf in filters]))
+            for svc in t.services}
+    object.__setattr__(t, "_plan", (tuple(filters), plan))
+    return plan
+
+
 def execute_request(
     t: Topology,
     root: Endpoint,
@@ -225,79 +283,79 @@ def execute_request(
 ) -> RequestResult:
     """Synchronous depth-first execution of the root's call script.
 
-    On each hop every policy's header drives the endpoint's request row (the
-    pushed-symbol id stays hop-local); the unwind applies the response row
-    for that id.  In early-block mode a policy whose call transition enters
-    a doomed state, one of its ``reject_headers``, stops the request: the
-    offending subtree never executes, open calls unwind normally, so the
-    trace stays rooted.  Open calls wait on an explicit stack, so a call
-    chain of any depth runs.  A request that unrolls to more than
-    ``MAX_REQUEST_NODES`` nodes is a ``ConfigError``.
+    On each hop every policy's header picks its cell of the endpoint's hop
+    row: the next header, and the response row of the pushed symbol, which
+    stays hop-local; the unwind maps the header through that response row.
+    The topology's plan (``_plan``) is made on the first request with these
+    filter sets; each request still steps every header at every hop.  In
+    early-block mode a policy whose call transition enters a doomed state,
+    one of its ``reject_headers``, stops the request: the offending subtree
+    never executes, open calls unwind normally, so the trace stays rooted.
+    Open calls wait on an explicit stack, so a call chain of any depth runs,
+    and the word's symbols and matching are filled on the way.  A request
+    that unrolls to more than ``MAX_REQUEST_NODES`` nodes is a
+    ``ConfigError``.
     """
     if root not in t.entrypoints:
         raise ConfigError(f"{root!r} is not an entrypoint")
     _check_request_size(t, root)
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
-    for pf in filters:
-        if not pf.table.request.keys() >= t._sizes.keys():  # _sizes has every service
-            missing = [svc for svc in t.services if svc not in pf.table.request]
-            raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
+    plan = _plan(t, filters)
     rejects = tuple(pf.reject_headers for pf in filters) if mode == MODE_EARLY_BLOCK else ()
 
-    # Per service reached: its call and return symbols, its children, and
-    # every policy's request rows and response rows, in filter order.
-    hops: dict[Endpoint, tuple] = {}
-    events: list[TaggedSymbol] = []
+    symbols: list[IndexedSymbol] = []
+    partner: list[int] = []  # 0 until the call's return is placed
     headers = tuple(pf.initial for pf in filters)
     blocked_at: dict[str, int] = {}
     calls = 0
-    open_calls: list[tuple] = []  # (return symbol, response rows, pushed ids, children left)
+    # (return symbol, response rows, hop cells, call position, children left)
+    open_calls: list[tuple] = []
     svc: Endpoint | None = root
     while True:
         if svc is not None:
             calls += 1
-            hop = hops.get(svc)
-            if hop is None:
-                hop = hops[svc] = (
-                    call(svc), ret(svc), t.children(svc),
-                    tuple([pf.table.request[svc] for pf in filters]),
-                    tuple([pf.table.response[svc] for pf in filters]),
-                )
-            call_symbol, ret_symbol, children, requests, responses = hop
-            events.append(call_symbol)
-            rules = tuple(map(getitem, requests, headers))
-            if None in rules:
-                k = rules.index(None)
+            call_symbol, ret_symbol, children, rows = plan[svc]
+            at = len(symbols) + 1
+            symbols.append(_indexed(call_symbol, at))
+            partner.append(0)
+            cells = tuple(map(getitem, rows, headers))
+            try:
+                after = tuple(map(_first, cells))
+            except TypeError:  # a None cell: no request rule
+                k = cells.index(None)
                 pf = filters[k]
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_request rule at {svc!r} "
                     f"for state {pf.table.states[headers[k]]!r}"
-                )
-            headers = tuple(map(_first, rules))
+                ) from None
+            headers = after
             if any(map(contains, rejects, headers)):
                 blocked_at = {pf.policy_id: calls for pf, stop, h in zip(filters, rejects, headers)
                               if h in stop}
-            open_calls.append((ret_symbol, responses, tuple(map(_second, rules)), iter(children)))
-        ret_symbol, responses, pushed, children = open_calls[-1]
+            open_calls.append((ret_symbol, tuple(map(_second, cells)), cells, at, iter(children)))
+        ret_symbol, responses, cells, at, children = open_calls[-1]
         svc = None if blocked_at else next(children, None)
         if svc is None:
             open_calls.pop()
-            events.append(ret_symbol)
-            after = tuple(map(getitem, map(getitem, responses, pushed), headers))
+            pos = len(symbols) + 1
+            symbols.append(_indexed(ret_symbol, pos))
+            partner[at - 1] = pos
+            partner.append(at)
+            after = tuple(map(getitem, responses, headers))
             if None in after:
                 k = after.index(None)
                 pf = filters[k]
                 raise ConfigError(
                     f"policy {pf.policy_id}: no on_response rule at {ret_symbol.endpoint!r} "
                     f"for state {pf.table.states[headers[k]]!r} "
-                    f"/ local {pf.table.symbols[pushed[k]]!r}"
+                    f"/ local {pf.table.symbols[cells[k][2]]!r}"
                 )
             headers = after
             if not open_calls:
                 break
 
-    word = build_nested_word(events)
+    word = trusted_word(tuple(symbols), partner)
     outcomes = {
         pf.policy_id: Outcome("blocked", position=blocked_at[pf.policy_id])
         if pf.policy_id in blocked_at
@@ -349,6 +407,7 @@ def run_workload(
     for root in t.entrypoints:
         _check_request_size(t, root)
     filters = [build_filter_set(a) for a in artifacts]
+    _plan(t, filters)
     report = SimReport()
     report.per_policy = {
         pf.policy_id: {"transitions": 0, "violations": 0, "blocks": 0} for pf in filters

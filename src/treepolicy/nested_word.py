@@ -70,10 +70,10 @@ def ret(endpoint: Endpoint) -> TaggedSymbol:
 class IndexedSymbol:
     """A tagged symbol at a 1-based position within a word.
 
-    ``build_nested_word`` and ``enumerate_rooted`` make these through
-    ``_indexed``, which fills the slots without the dataclass ``__init__``
-    and its index check: a word has one per event, and the positions they
-    assign start at 1.
+    ``build_nested_word``, ``enumerate_rooted`` and the mesh simulator make
+    these through ``_indexed``, which fills the slots without the dataclass
+    ``__init__`` and its index check: a word has one per event, and the
+    positions they assign start at 1.
     """
 
     symbol: TaggedSymbol
@@ -454,6 +454,14 @@ def _rooted_word(symbols: tuple[IndexedSymbol, ...]) -> NestedWord:
             i = open_calls.pop()
             partner[i - 1] = pos
             partner[pos - 1] = i
+    return trusted_word(symbols, partner)
+
+
+def trusted_word(symbols: tuple[IndexedSymbol, ...], partner: Sequence[int]) -> NestedWord:
+    """The nested word of ``symbols`` with the partner array ``partner``,
+    built without ``NestedWord``'s checks.  The caller vouches for both: the
+    symbols' positions run from 1 without a gap, and ``partner`` is their
+    matching, as a stack pass over the same symbols would fill it."""
     w = _new(NestedWord)
     _set_symbols(w, symbols)
     _set_matching(w, MatchingRelation(1, partner))

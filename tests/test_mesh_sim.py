@@ -6,12 +6,14 @@ import json
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from treepolicy import compiler, mesh_sim, oracle
 from treepolicy.corpus import CORPUS
 from treepolicy.errors import ConfigError
+from treepolicy.nested_word import build_nested_word
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import accepts, final_configuration, run
 
@@ -92,6 +94,19 @@ class TestTopology:
     def test_json_round_trip(self):
         text = mesh_sim.topology_to_json(HOSPITAL)
         assert mesh_sim.topology_from_json(text) == HOSPITAL
+
+    def test_behavior_edits_after_construction_change_nothing(self):
+        behavior = {"F": ("P",), "P": ["D", "D"], "D": ("E",), "E": ()}
+        topo = mesh_sim.Topology(HOSPITAL.services, behavior, HOSPITAL.entrypoints)
+        behavior["P"].append("D")
+        behavior["D"] = ()
+        assert topo == HOSPITAL and topo.node_count("F") == 6
+        filters = [mesh_sim.build_filter_set(artifacts_for(LOGGING_POLICY)[0])]
+        res = mesh_sim.execute_request(topo, "F", filters)
+        assert res.word.call_sequence() == ("F", "P", "D", "E", "D", "E")
+        assert res.outcomes["pol0"].kind == "accept"
+        with pytest.raises(TypeError):
+            topo.behavior["E"] = ("F",)
 
     def test_deep_chain_checks_and_counts(self):
         topo = chain_topology(20_000)
@@ -177,6 +192,8 @@ class TestExecuteRequest:
         # the word the request emitted, in both modes
         alphabet, arts = union_corpus
         filters = [mesh_sim.build_filter_set(a) for a in arts]
+        # one hop row per endpoint class (31 in all), not one per endpoint
+        assert sum(len({id(row) for row in pf.hops.values()}) for pf in filters) == 31
         rng = random.Random(2024)
         blocked = 0
         for _ in range(40):
@@ -186,6 +203,10 @@ class TestExecuteRequest:
             early = mesh_sim.execute_request(topo, root, filters, mode=mesh_sim.MODE_EARLY_BLOCK)
             assert len(log.word) == 2 * topo.node_count(root)
             for res in (log, early):
+                # the word filled as the request ran is the one its events make
+                rebuilt = build_nested_word([a.symbol for a in res.word.symbols])
+                assert res.word == rebuilt
+                assert res.word.matching.partner == rebuilt.matching.partner
                 for art in arts:
                     out = res.outcomes[art.policy_id]
                     assert res.transitions[art.policy_id] == len(res.word)  # 2 x nodes
@@ -250,6 +271,26 @@ class TestWorkload:
         }
         assert json.loads(report.to_json())["per_policy"] == report.per_policy
 
+    def test_fixed_cost_paid_once(self, monkeypatch):
+        # a workload makes each service's call and return symbols once and
+        # checks filter coverage once, not once per request
+        counts = Counter()
+
+        def counting(name):
+            fn = getattr(mesh_sim, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for name in ("call", "ret", "_check_coverage"):
+            monkeypatch.setattr(mesh_sim, name, counting(name))
+        report = mesh_sim.run_workload(HOSPITAL, 50, artifacts_for(LOGGING_POLICY))
+        assert report.requests_total == 50 and report.transitions_total == 50 * 12
+        assert counts == {"call": 4, "ret": 4, "_check_coverage": 1}
+
     def test_zero_requests(self):
         arts = artifacts_for(LOGGING_POLICY)
         report = mesh_sim.run_workload(HOSPITAL, 0, arts)
@@ -291,6 +332,7 @@ class TestWorkload:
             if collecting:
                 gc.enable()
         assert len({id(row) for row in filters.table.request.values()}) == 2
+        assert len({id(row) for row in filters.hops.values()}) == 2
         assert report.nodes_per_tree == 20_000 and not report.violations
         assert report.per_policy == {"pol0": {"transitions": 40_000, "violations": 0, "blocks": 0}}
         # measured: 1.7 MB to compile and build the filters, 13.7 MB with the run
