@@ -120,7 +120,7 @@ def cmd_oracle(args) -> int:
 def cmd_equiv(args) -> int:
     doc = _load_document(args.policy_file)
     alphabet = doc.alphabet
-    if args.alphabet:
+    if args.alphabet is not None:
         chosen = tuple(s.strip() for s in args.alphabet.split(","))
         unknown = sorted(set(chosen) - set(doc.alphabet))
         if unknown:

@@ -101,29 +101,6 @@ def _frag(d: rx.Dfa, tag: str) -> _DfaFrag:
     )
 
 
-def _frag_fresh_initial(d: rx.Dfa, tag: str) -> _DfaFrag:
-    """Like ``_frag`` but with a duplicated, non-reentrant initial state.
-
-    The start construction resumes the anchor DFA when a checked subtree
-    returns, guarded by "the popped state is not the initial one"; giving
-    the DFA an initial state that is never re-entered (and hence never
-    pushed) keeps that guard vacuous instead of wrong.  No run enters it,
-    so ``compile_policy``'s prune pass drops it from the output.
-    """
-    base = _frag(d, tag)
-    init = f"{tag}init"
-    delta = dict(base.delta)
-    for s in d.alphabet:
-        delta[(init, s)] = base.delta[(base.initial, s)]
-    return _DfaFrag(
-        (init,) + base.states,
-        init,
-        base.finals,
-        (init,) + base.nonfinals,
-        delta,
-    )
-
-
 class _Build:
     """Accumulates transition families into the cells of one ``Table``, each
     ``None`` until written, with conflict detection.
@@ -468,7 +445,7 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     are fused away.
     """
     alpha = anchor.alphabet
-    a1 = _frag_fresh_initial(anchor, "a")
+    a1 = _frag(anchor, "a")
     inn = _rename_vpa(inner, "in.")
     ibeg = inn.initial
     iend = _single_final(inn)
@@ -515,14 +492,15 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
                 if inner_accepting_return(q, s):
                     b.ret("r1", q, BEG, s, END)
 
-    # r2: anchor backtracking, and resuming the anchor when an S subtree
-    # completes successfully.
+    # r2: anchor backtracking, and resuming the anchor from the popped state
+    # (the initial one included: a deeper call from it pushes it) when an S
+    # subtree completes successfully.
     for s in alpha:
         for q in a1.nonfinals:
             for g in a1.nonfinals:
                 b.ret("r2", q, g, s, g)
         for g in a1.nonfinals:
-            if g != a1.initial and a1.delta[(g, s)] in a1.finals:
+            if a1.delta[(g, s)] in a1.finals:
                 for q in imid:
                     if inner_accepting_return(q, s):
                         b.ret("r2", q, g, s, g)

@@ -3,14 +3,16 @@
 A synchronous request/response trace is a sequence of tagged call/return
 events.  Matching each call with its return turns the flat sequence into a
 nested word: the linear view of an ordered service tree.  This module holds
-the word representation, the matching relation, the tree-shaped derived sets
-(paths, children, subtrees) that policy semantics are defined over, and a
-deterministic enumerator of all rooted well-matched words up to a size bound.
+the word representation, the matching relation, the JSONL trace format and
+a deterministic enumerator of all rooted well-matched words up to a size
+bound.  The tree-shaped derived sets that policy semantics are defined over
+(paths, children, subtrees as sub-words) are test references, kept in
+``tests/reference.py``; the oracle reads them in place.
 
 The matching is stored once, as a partner array: each position holds the
 index of the symbol it is matched with, or +inf/-inf when it is a pending
-call or an orphan return.  Predicates, slices and tree views all read that
-array, so a slice copies its window and a tree view is one pass.
+call or an orphan return.  The predicates and every reader of a word read
+that array.
 
 The enumerator builds tree sizes' event tuples from the smaller sizes' and
 turns each tuple into a word directly: positions share one indexed symbol
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IndexOutOfRange, MalformedTrace, NotRooted
+from .errors import MalformedTrace
 
 Endpoint = str
 
@@ -118,8 +120,7 @@ class MatchingRelation:
     For the symbol at index ``first + k``, ``partner[k]`` is the index of its
     matched return (for a call) or of its matched call (for a return); a
     pending call holds +inf and an orphan return -inf.  So a call's partner
-    lies after it and a return's before it; ``pairs`` lists each call with
-    its partner and each orphan return as ``(-inf, index)``.
+    lies after it and a return's before it.
     """
 
     __slots__ = ("first", "partner")
@@ -127,24 +128,6 @@ class MatchingRelation:
     def __init__(self, first: int, partner: Sequence[float]):
         self.first = first
         self.partner = tuple(partner)
-
-    @property
-    def pairs(self) -> frozenset[tuple[float, float]]:
-        out = set()
-        for i, j in enumerate(self.partner, start=self.first):
-            if j > i:
-                out.add((i, j))
-            elif j == NEG_INF:
-                out.add((NEG_INF, i))
-        return frozenset(out)
-
-    def return_of(self, call_index: int) -> float:
-        """Index of the matched return, or +inf when pending."""
-        return self.partner[call_index - self.first]
-
-    def call_of(self, ret_index: int) -> float:
-        """Index of the matched call, or -inf when orphaned."""
-        return self.partner[ret_index - self.first]
 
     def __eq__(self, other):
         return (
@@ -157,15 +140,15 @@ class MatchingRelation:
         return hash((self.first, self.partner))
 
     def __repr__(self):
-        body = ", ".join(f"({i},{j})" for i, j in sorted(self.pairs))
-        return f"MatchingRelation({{{body}}})"
+        return f"MatchingRelation({self.first}, {self.partner})"
 
 
 class NestedWord:
     """A word of consecutively indexed call/return symbols plus its matching.
 
-    Slices keep their original indices so that the matching restriction can
-    be read off literally; ``first_index`` is therefore not always 1.
+    A word need not start at index 1: a slice of a word keeps its indices,
+    so that the matching restriction can be read off literally, and the
+    oracle reads such slices as they are.
     """
 
     __slots__ = ("symbols", "matching")
@@ -209,13 +192,6 @@ class NestedWord:
         )
         return f"NestedWord({body!r}, {self.matching!r})"
 
-    def calls(self) -> tuple[IndexedSymbol, ...]:
-        return tuple(a for a in self.symbols if a.is_call)
-
-    def call_sequence(self) -> tuple[Endpoint, ...]:
-        """Endpoints of all call symbols in index order (depth-first order)."""
-        return tuple(a.endpoint for a in self.symbols if a.is_call)
-
     # -- predicates -------------------------------------------------------
 
     def is_well_matched(self) -> bool:
@@ -225,81 +201,9 @@ class NestedWord:
     def is_rooted(self) -> bool:
         return self.is_well_matched() and self.matching.partner[0] == self.last_index
 
-    def _require_rooted(self):
-        if not self.is_rooted():
-            raise NotRooted("operation requires a rooted well-matched word")
-
-    # -- slicing ----------------------------------------------------------
-
-    def sub_word(self, i: int, i2: int) -> "NestedWord":
-        """The sub-nested word over indices ``i..i2`` (inclusive).
-
-        The matching is restricted in three clauses: pairs inside the window
-        are kept; calls whose return falls outside become pending (+inf);
-        returns whose call falls outside become orphaned (-inf).
-        """
-        if not (self.first_index <= i < i2 <= self.last_index):
-            raise IndexOutOfRange(f"bad slice [{i}, {i2}]")
-        lo, hi = i - self.first_index, i2 - self.first_index + 1
-        partner = [
-            j if i <= j <= i2 else POS_INF if j > i2 else NEG_INF
-            for j in self.matching.partner[lo:hi]
-        ]
-        return NestedWord(self.symbols[lo:hi], MatchingRelation(i, partner))
-
-    # -- tree structure ---------------------------------------------------
-    #
-    # The path to a call a_m is the chain of calls at or before a_m whose
-    # matched return lies after it: on a rooted word, the calls still open
-    # when a_m is read, a_m included.
-
-    def seq(self) -> tuple[Path, ...]:
-        """All root-to-call paths, ordered by terminal call index."""
-        self._require_rooted()
-        out = []
-        open_paths: list[Path] = [()]
-        for a in self.symbols:
-            if a.is_call:
-                path = open_paths[-1] + (a,)
-                open_paths.append(path)
-                out.append(path)
-            else:
-                open_paths.pop()
-        return tuple(out)
-
-    def seq_leaf(self) -> tuple[Path, ...]:
-        """The subset of ``seq`` whose terminal call is a leaf (its return
-        is the immediately following symbol)."""
-        return_of = self.matching.return_of
-        return tuple(p for p in self.seq() if return_of(p[-1].index) == p[-1].index + 1)
-
-    def children(self) -> tuple[IndexedSymbol, ...]:
-        """Calls that are direct children of the root, in call order: the
-        first follows the root, and each next one follows the return of the
-        one before."""
-        self._require_rooted()
-        return_of = self.matching.return_of
-        out = []
-        nxt = self.first_index + 1
-        for a in self.symbols[1:-1]:
-            if a.index == nxt:
-                out.append(a)
-                nxt = return_of(nxt) + 1
-        return tuple(out)
-
-    def subtrees(self) -> tuple["NestedWord", ...]:
-        """Rooted slices under each child of the root, in child order."""
-        return_of = self.matching.return_of
-        return tuple(self.sub_word(c.index, return_of(c.index)) for c in self.children())
-
 
 _set_symbols = NestedWord.symbols.__set__
 _set_matching = NestedWord.matching.__set__
-
-
-def calls_projection(path: Path) -> tuple[Endpoint, ...]:
-    """Drop tags and indices, keeping the endpoint of every call in the path."""
-    return tuple(a.endpoint for a in path)
 
 
 def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
@@ -377,28 +281,6 @@ def parse_trace(text: str) -> list[TaggedSymbol]:
 
 
 # -- enumeration ----------------------------------------------------------
-
-# A labeled ordered tree is (label, (child, ...)); rooted well-matched words
-# are exactly the serializations of these trees.
-_Tree = tuple[Endpoint, tuple]
-
-
-def tree_to_events(tree: _Tree) -> list[TaggedSymbol]:
-    """The tree's call/return events, depth first; open calls wait on a
-    stack, so any depth serializes."""
-    label, children = tree
-    events = [call(label)]
-    open_calls = [(label, iter(children))]
-    while open_calls:
-        label, children = open_calls[-1]
-        child = next(children, None)
-        if child is None:
-            open_calls.pop()
-            events.append(ret(label))
-        else:
-            events.append(call(child[0]))
-            open_calls.append((child[0], iter(child[1])))
-    return events
 
 
 def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[NestedWord]:

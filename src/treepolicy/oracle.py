@@ -14,7 +14,8 @@ projection, taken from its parent's by one symbol (Owens, Reppy & Turon,
 "Regular-expression derivatives re-examined", JFP 2009).  A call whose
 derivative is empty or already nullable ends its path, so its subtree is
 skipped.  The tests pin this module to the literal definitions over
-``seq``, ``seq_leaf`` and ``subtrees``, which they keep as references.
+slices (paths, leaf paths and child subtrees as sub-words), which
+``tests/reference.py`` keeps.
 """
 
 from __future__ import annotations

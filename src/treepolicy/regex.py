@@ -457,13 +457,6 @@ class Dfa:
         return range(self.n_states)
 
 
-def dfa_accepts(d: Dfa, word: Sequence[Endpoint]) -> bool:
-    state = d.initial
-    for s in word:
-        state = d.transition[(state, s)]
-    return state in d.finals
-
-
 class _Nfa:
     """Thompson construction scratchpad: eps edges plus labeled edges."""
 

@@ -1,4 +1,5 @@
-"""Shared helpers: reference words, hand-built automata, random trees."""
+"""Shared helpers: fixture words, hand-built automata, random trees.  The
+reference definitions the tests compare against are in ``reference.py``."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import time
 import pytest
 
 from treepolicy import compiler, nested_word as nw, regex as rx
-from treepolicy.errors import StackUnderflow
 from treepolicy.policy import Policy, start_anchor_regex
-from treepolicy.vpa import BOTTOM, Vpa, link
+from treepolicy.vpa import BOTTOM, Vpa
+
+from reference import tree_to_events
 
 
 def events_from_str(text: str) -> list[nw.TaggedSymbol]:
@@ -128,7 +130,7 @@ def random_tree(rng: random.Random, n_calls: int, alphabet: tuple[str, ...]):
 
 def random_rooted_word(rng: random.Random, max_calls: int, alphabet: tuple[str, ...]) -> nw.NestedWord:
     tree = random_tree(rng, rng.randint(1, max_calls), alphabet)
-    return nw.build_nested_word(nw.tree_to_events(tree))
+    return nw.build_nested_word(tree_to_events(tree))
 
 
 def chain_word(depth: int, alphabet, seed: int = 0, closed: bool = True) -> nw.NestedWord:
@@ -160,87 +162,3 @@ def cpu_per_symbol(fn, word: nw.NestedWord, repeats: int) -> float:
         if collecting:
             gc.enable()
     return best / len(word)
-
-
-# -- reference steppers ---------------------------------------------------------
-#
-# The runs step an integer table by id; these look each rule up by name,
-# through the automaton's ``delta_*`` views or a filter spec's rules, one
-# configuration object per symbol, as the reference model.
-
-
-def reference_configurations(v: Vpa, c, symbols):
-    """The configuration after each tagged symbol, starting from ``c``,
-    looked up by name in ``delta_call``/``delta_return``."""
-    q, top, below = c.state, c.top, c.below
-    for a in symbols:
-        if a.tag == nw.CALL:
-            below = c
-            q, top = v.delta_call[(q, a.endpoint)]
-        elif below is None:
-            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
-        else:
-            q = v.delta_return[(q, top, a.endpoint)]
-            top, below = below.top, below.below
-        c = link(q, top, below)
-        yield c
-
-
-def reference_dist_walk(m, c, symbols):
-    """The configuration after the tagged symbols, starting from ``c``,
-    looked up in each endpoint's filter spec; a rule the spec lacks goes to
-    its reject state, if it names one."""
-    q, top, below = c.state, c.top, c.below
-    for a in symbols:
-        spec = m[a.endpoint]
-        sink = spec.reject
-        if a.tag == nw.CALL:
-            below = link(q, top, below)
-            q, top = spec.on_request[q] if q in spec.on_request or sink is None else (sink, sink)
-        elif below is None:
-            raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
-        else:
-            key = (q, top)
-            q = spec.on_response[key] if key in spec.on_response or sink is None else sink
-            top, below = below.top, below.below
-    return link(q, top, below)
-
-
-def reference_reached_cells(v: Vpa) -> tuple[set, set]:
-    """The call cells ``(state, endpoint)`` and return cells ``(state,
-    popped, endpoint)`` a rooted word can read, by name and by repeated
-    sweeps to a fixpoint.  ``W[q0]`` holds the states reachable from ``q0``
-    over complete child subtrees; a sweep grows every ``W[q0]`` by one
-    more subtree from each of its states, for every endpoint, and the
-    sweeps stop when one adds nothing."""
-    alphabet = v.alphabet
-    W = {v.delta_call[(v.initial, e)][0]: set() for e in alphabet}
-    changed = True
-    while changed:
-        changed = False
-        for q0 in list(W):
-            if q0 not in W[q0]:
-                W[q0].add(q0)
-                changed = True
-            for q1 in list(W[q0]):
-                for e in alphabet:
-                    q, g = v.delta_call[(q1, e)]
-                    if q not in W:
-                        W[q] = set()
-                        changed = True
-                    for q2 in list(W[q]):
-                        if (after := v.delta_return[(q2, g, e)]) not in W[q0]:
-                            W[q0].add(after)
-                            changed = True
-    sources = {v.initial}.union(*W.values())
-    calls = {(p, e) for p in sources for e in alphabet}
-    returns = {(q1, g, e) for p, e in calls for q0, g in (v.delta_call[(p, e)],) for q1 in W[q0]}
-    return calls, returns
-
-
-def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
-    """The call and return rules a compiled automaton's artifacts list:
-    those at the cells a rooted word can read other than the sink's."""
-    calls, returns = reference_reached_cells(v)
-    return ({k: v.delta_call[k] for k in calls if v.delta_call[k] != (sink, sink)},
-            {k: v.delta_return[k] for k in returns if v.delta_return[k] != sink})

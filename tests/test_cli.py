@@ -251,9 +251,11 @@ class TestEquiv:
         assert capsys.readouterr().out == ""
 
     def test_repeated_alphabet_name_is_usage_error(self, policy_file, capsys):
-        assert cli.main(["equiv", policy_file, "--alphabet", "P,P", "--max-calls", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "repeated" in captured.err
+        # an empty selection is one empty name, not the whole alphabet
+        for names, message in (("P,P", "repeated"), ("", "alphabet: ['']")):
+            assert cli.main(["equiv", policy_file, "--alphabet", names, "--max-calls", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
 
     def test_builds_no_monitor(self, policy_file, capsys, monkeypatch):
         # the oracle is the check; a monitor extracted from the automaton

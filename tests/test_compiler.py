@@ -29,6 +29,7 @@ from treepolicy.policy import (
 from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, run
 
 from conftest import random_rooted_word, raw_automaton, word_from_str
+from reference import callseq_reject_states
 from test_regex import random_regex
 
 
@@ -152,7 +153,8 @@ class TestCallSeq:
             reg = random_regex(rng, alpha, depth=3)
             v = compiler.compile_callseq(rx.to_dfa(reg, alpha))
             assert check_well_formed(v).ok
-            sat = lambda word: rx.matches(reg, word.call_sequence(), alpha)
+            sat = lambda word: rx.matches(
+                reg, tuple(a.endpoint for a in word.symbols if a.is_call), alpha)
             assert_matches_oracle(v, sat, alpha, max_calls=5, ctx=f"callseq #{i}")
 
 
@@ -439,15 +441,21 @@ class TestPrune:
             for pol in doc.policies:
                 self.assert_same_runs(pol, doc.alphabet, [word, *forest], name)
 
-    def test_fresh_anchor_initial_state_is_dropped(self):
+    def test_anchor_states_are_the_anchor_dfas_nonfinal_states(self):
+        # besides its own markers and the inner automaton's states, the start
+        # construction has the anchor DFA's non-final states and no other:
+        # none exists only for the prune to drop
         for variant in ("small", "full"):
             for name, doc in corpus_documents(variant).items():
                 for pol, art in zip(doc.policies, compiler.compile(doc)):
-                    fresh = compiler._frag_fresh_initial(art.component_dfas["start"], "a").initial
-                    assert fresh in raw_automaton(pol, doc.alphabet).states
-                    assert fresh not in art.vpa.states, (variant, name)
+                    d = art.component_dfas["start"]
+                    raw = raw_automaton(pol, doc.alphabet).states
+                    inner = {q for q in raw if q.startswith("in.")}
+                    anchor = raw - inner - {compiler.BEG, compiler.END, compiler.REJ}
+                    assert anchor == {f"a{q}" for q in d.states if q not in d.finals}, (
+                        variant, name)
         full = [a for doc in corpus_documents("full").values() for a in compiler.compile(doc)]
-        # 158 states and 41 header bits before pruning; 117 states and 35
+        # 149 states and 38 header bits before pruning; 117 states and 35
         # bits when the prune kept every cell over the reached states and
         # pushed symbols, not only the cells a rooted word reads
         assert sum(a.metrics.state_count for a in full) == 105
@@ -557,30 +565,6 @@ class TestEndpointClasses:
                         name, [(a.tag, a.endpoint) for a in word.symbols])
                     pairs += 1
         assert pairs == 98_598
-
-
-def dead_dfa_states(d: rx.Dfa) -> set[int]:
-    """States of ``d`` from which no final state is reachable."""
-    reverse: dict[int, set[int]] = {q: set() for q in d.states}
-    for (q, _s), t in d.transition.items():
-        reverse[t].add(q)
-    alive = set(d.finals)
-    todo = list(alive)
-    while todo:
-        q = todo.pop()
-        for p in reverse[q]:
-            if p not in alive:
-                alive.add(p)
-                todo.append(p)
-    return set(d.states) - alive
-
-
-def callseq_reject_states(art) -> set[str]:
-    """The reject set of a ``call-seq`` policy by the sequence DFA: its
-    linear run advances on calls and never backtracks, so the reject
-    bookkeeping states and the DFA's dead states are doomed."""
-    dead = dead_dfa_states(art.component_dfas["inner.seq"])
-    return {compiler.REJ, f"in.{compiler.REJ}", *(f"in.a{q}" for q in dead)} & art.vpa.states
 
 
 class TestDoomedStates:

@@ -22,6 +22,7 @@ from treepolicy.errors import TreePolicyError, VpaParseError
 from treepolicy.vpa import export_vpa, import_vpa, initial_configuration
 
 from conftest import payment_chain_vpa, two_state_vpa, word_from_str
+from reference import tree_to_events
 
 NAMES = ("A", "B", "C")
 # tokens an edit may splice into a document: punctuation, keywords and a
@@ -129,7 +130,7 @@ def traces(draw, names):
     def tree(i):
         return (labels[i], tuple(tree(c) for c in children[i]))
 
-    lines = nw.serialize_trace(nw.tree_to_events(tree(0))).splitlines()
+    lines = nw.serialize_trace(tree_to_events(tree(0))).splitlines()
     for op, at, bad in draw(_maybe(
         st.tuples(st.sampled_from(["drop", "repeat", "swap", "replace"]),
                   st.integers(0, 100), st.sampled_from(BAD_LINES))

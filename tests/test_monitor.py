@@ -24,11 +24,10 @@ from conftest import (
     payment_chain_vpa,
     random_rooted_word,
     raw_automaton,
-    reference_filter_rules,
-    reference_reached_cells,
     two_state_vpa,
     word_from_str,
 )
+from reference import reference_filter_rules, reference_reached_cells
 from test_compiler import random_policy
 from test_golden import RANDOM_ALPHABET
 from test_vpa import random_automata, random_policies

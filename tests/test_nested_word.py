@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from treepolicy import nested_word as nw
 from treepolicy.errors import IndexOutOfRange, MalformedTrace, NotRooted
 
+import reference as ref
 from conftest import random_rooted_word, word_from_str
 
 
@@ -22,14 +23,18 @@ def indices(path):
     return [a.index for a in path]
 
 
+def n_calls(w):
+    return sum(a.is_call for a in w.symbols)
+
+
 class TestBuild:
     def test_single_pair(self):
         n = nw.build_nested_word([nw.call("P"), nw.ret("P")])
-        assert n.matching.pairs == frozenset({(1, 2)})
+        assert ref.pairs(n) == frozenset({(1, 2)})
         assert [a.index for a in n.symbols] == [1, 2]
 
     def test_payment_word_matching(self, payment_word):
-        assert payment_word.matching.pairs == frozenset(
+        assert ref.pairs(payment_word) == frozenset(
             {(1, 10), (2, 5), (3, 4), (6, 9), (7, 8)}
         )
 
@@ -39,7 +44,7 @@ class TestBuild:
 
     def test_pending_and_orphans(self):
         n = nw.build_nested_word([nw.ret("A"), nw.call("B")])
-        assert n.matching.pairs == frozenset({(-math.inf, 1), (2, math.inf)})
+        assert ref.pairs(n) == frozenset({(-math.inf, 1), (2, math.inf)})
 
     def test_empty_trace(self):
         with pytest.raises(MalformedTrace):
@@ -101,32 +106,32 @@ class TestPredicates:
 
     def test_tree_ops_require_rooted(self):
         n = word_from_str("<A A> <B B>")
-        for op in (n.seq, n.seq_leaf, n.children, n.subtrees):
+        for op in (ref.seq, ref.seq_leaf, ref.children, ref.subtrees):
             with pytest.raises(NotRooted):
-                op()
+                op(n)
 
 
 class TestSubWord:
     def test_first_subtree_slice(self, payment_word):
-        sub = payment_word.sub_word(2, 5)
+        sub = ref.sub_word(payment_word, 2, 5)
         assert [a.index for a in sub.symbols] == [2, 3, 4, 5]
-        assert sub.matching.pairs == frozenset({(2, 5), (3, 4)})
+        assert ref.pairs(sub) == frozenset({(2, 5), (3, 4)})
 
     def test_identity_slice(self, payment_word):
-        assert payment_word.sub_word(1, 10) == payment_word
+        assert ref.sub_word(payment_word, 1, 10) == payment_word
 
     def test_dangling_slice(self, payment_word):
         # indices 3..6: pair (3,4) interior; a5 loses its call; a6 loses its return
-        sub = payment_word.sub_word(3, 6)
-        assert sub.matching.pairs == frozenset(
+        sub = ref.sub_word(payment_word, 3, 6)
+        assert ref.pairs(sub) == frozenset(
             {(3, 4), (-math.inf, 5), (6, math.inf)}
         )
 
     def test_bad_range(self, payment_word):
         with pytest.raises(IndexOutOfRange):
-            payment_word.sub_word(0, 3)
+            ref.sub_word(payment_word, 0, 3)
         with pytest.raises(IndexOutOfRange):
-            payment_word.sub_word(5, 5)
+            ref.sub_word(payment_word, 5, 5)
 
     def test_slice_against_bruteforce_restriction(self):
         rng = random.Random(42)
@@ -135,41 +140,41 @@ class TestSubWord:
             lo, hi = n.first_index, n.last_index
             i = rng.randint(lo, hi - 1)
             j = rng.randint(i + 1, hi)
-            sub = n.sub_word(i, j)
+            sub = ref.sub_word(n, i, j)
             expect = set()
-            for p, q in n.matching.pairs:
+            for p, q in ref.pairs(n):
                 if i <= p and q <= j:
                     expect.add((p, q))
                 elif i <= p <= j < q:
                     expect.add((p, math.inf))
                 elif p < i <= q <= j:
                     expect.add((-math.inf, q))
-            assert sub.matching.pairs == frozenset(expect)
+            assert ref.pairs(sub) == frozenset(expect)
 
 
 class TestPaths:
     def test_payment_word_paths(self, payment_word):
-        got = {tuple(indices(p)) for p in payment_word.seq()}
+        got = {tuple(indices(p)) for p in ref.seq(payment_word)}
         # the four branching paths plus the trivial root path
         assert got == {(1,), (1, 2), (1, 2, 3), (1, 6), (1, 6, 7)}
 
     def test_single_pair_paths(self):
         n = word_from_str("<A A>")
-        assert [indices(p) for p in n.seq()] == [[1]]
+        assert [indices(p) for p in ref.seq(n)] == [[1]]
 
     def test_binary_tree_paths(self):
         n = word_from_str("<A <A A> <A A> A>")
-        lengths = sorted(len(p) for p in n.seq())
+        lengths = sorted(len(p) for p in ref.seq(n))
         assert lengths == [1, 2, 2]
 
     def test_payment_leaf_paths(self, payment_word):
-        got = {tuple(endpoints(p)) for p in payment_word.seq_leaf()}
+        got = {tuple(endpoints(p)) for p in ref.seq_leaf(payment_word)}
         assert got == {("P", "D", "E")}
-        assert {tuple(indices(p)) for p in payment_word.seq_leaf()} == {(1, 2, 3), (1, 6, 7)}
+        assert {tuple(indices(p)) for p in ref.seq_leaf(payment_word)} == {(1, 2, 3), (1, 6, 7)}
 
     def test_chain_leaf_path(self):
         n = word_from_str("<A <B <C C> B> A>")
-        leaf_paths = n.seq_leaf()
+        leaf_paths = ref.seq_leaf(n)
         assert len(leaf_paths) == 1
         assert endpoints(leaf_paths[0]) == ["A", "B", "C"]
 
@@ -177,11 +182,11 @@ class TestPaths:
         rng = random.Random(3)
         for _ in range(100):
             n = random_rooted_word(rng, 7, ("A", "B"))
-            paths = set(n.seq())
-            leaf_paths = n.seq_leaf()
+            paths = set(ref.seq(n))
+            leaf_paths = ref.seq_leaf(n)
             leaf_calls = [
                 a for a in n.symbols
-                if a.is_call and n.matching.return_of(a.index) == a.index + 1
+                if a.is_call and ref.return_of(n, a.index) == a.index + 1
             ]
             assert len(leaf_paths) == len(leaf_calls)
             assert set(leaf_paths) <= paths
@@ -189,27 +194,27 @@ class TestPaths:
 
 class TestChildrenSubtrees:
     def test_payment_children(self, payment_word):
-        assert [a.index for a in payment_word.children()] == [2, 6]
+        assert [a.index for a in ref.children(payment_word)] == [2, 6]
 
     def test_single_pair_children(self):
-        assert word_from_str("<A A>").children() == ()
+        assert ref.children(word_from_str("<A A>")) == ()
 
     def test_slice_children(self, payment_word):
-        sub = payment_word.sub_word(2, 5)
-        assert [a.index for a in sub.children()] == [3]
+        sub = ref.sub_word(payment_word, 2, 5)
+        assert [a.index for a in ref.children(sub)] == [3]
 
     def test_payment_subtrees(self, payment_word):
-        subs = payment_word.subtrees()
+        subs = ref.subtrees(payment_word)
         assert [s.first_index for s in subs] == [2, 6]
-        assert subs[0] == payment_word.sub_word(2, 5)
-        assert subs[1] == payment_word.sub_word(6, 9)
+        assert subs[0] == ref.sub_word(payment_word, 2, 5)
+        assert subs[1] == ref.sub_word(payment_word, 6, 9)
 
     def test_subtrees_rooted_and_partition(self):
         rng = random.Random(11)
         for _ in range(150):
             n = random_rooted_word(rng, 8, ("A", "B", "C"))
             covered = []
-            for sub in n.subtrees():
+            for sub in ref.subtrees(n):
                 assert sub.is_rooted()
                 covered.extend(range(sub.first_index, sub.last_index + 1))
             assert sorted(covered) == list(range(n.first_index + 1, n.last_index))
@@ -236,26 +241,26 @@ def words_and_subtrees(rng, count):
     while todo:
         n = todo.pop()
         yield n
-        todo.extend(n.subtrees())
+        todo.extend(ref.subtrees(n))
 
 
 class TestTreeViewsAgainstDefinitions:
     def test_views_match_definitions(self):
         for n in words_and_subtrees(random.Random(2024), 150):
             pairs = bruteforce_pairs(n)
-            assert n.matching.pairs == frozenset(pairs)
+            assert ref.pairs(n) == frozenset(pairs)
             ret = dict(pairs)
             for i, j in pairs:
-                assert n.matching.return_of(i) == j and n.matching.call_of(j) == i
+                assert ref.return_of(n, i) == j and ref.call_of(n, j) == i
             # the definition: the path to a_m is the calls at or before a_m
             # whose return lies after it
             calls = [a for a in n.symbols if a.is_call]
             paths = tuple(
                 tuple(a for a in calls if a.index <= m.index < ret[a.index]) for m in calls
             )
-            assert n.seq() == paths
-            assert n.seq_leaf() == tuple(p for p in paths if ret[p[-1].index] == p[-1].index + 1)
-            assert n.children() == tuple(p[-1] for p in paths if len(p) == 2)
+            assert ref.seq(n) == paths
+            assert ref.seq_leaf(n) == tuple(p for p in paths if ret[p[-1].index] == p[-1].index + 1)
+            assert ref.children(n) == tuple(p[-1] for p in paths if len(p) == 2)
 
     def test_equal_windows_have_equal_relations(self):
         rng = random.Random(7)
@@ -263,41 +268,41 @@ class TestTreeViewsAgainstDefinitions:
             n = random_rooted_word(rng, 10, ("A", "B", "C"))
             i = rng.randint(n.first_index, n.last_index - 1)
             j = rng.randint(i + 1, n.last_index)
-            a, b = n.sub_word(i, j), n.sub_word(i, j)
+            a, b = ref.sub_word(n, i, j), ref.sub_word(n, i, j)
             assert a.matching == b.matching and hash(a.matching) == hash(b.matching)
             assert a == b and hash(a) == hash(b)
             i2 = rng.randint(n.first_index, n.last_index - 1)
-            other = n.sub_word(i2, rng.randint(i2 + 1, n.last_index)).matching
-            assert (other == a.matching) == (other.pairs == a.matching.pairs)
-            for t in n.subtrees():
-                again = n.sub_word(t.first_index, t.last_index)
+            other = ref.sub_word(n, i2, rng.randint(i2 + 1, n.last_index))
+            assert (other.matching == a.matching) == (ref.pairs(other) == ref.pairs(a))
+            for t in ref.subtrees(n):
+                again = ref.sub_word(n, t.first_index, t.last_index)
                 assert again.matching == t.matching and hash(again.matching) == hash(t.matching)
         # two windows of pending calls alike in all but where they start
         chain = word_from_str("<A <A <A A> A> A>")
-        assert chain.sub_word(1, 2).matching != chain.sub_word(2, 3).matching
+        assert ref.sub_word(chain, 1, 2).matching != ref.sub_word(chain, 2, 3).matching
 
 
 class TestCallsProjection:
     def test_payment_projection(self, payment_word):
-        path = payment_word.seq()[2]
-        assert nw.calls_projection(path) == ("P", "D", "E")
+        path = ref.seq(payment_word)[2]
+        assert tuple(a.endpoint for a in path) == ("P", "D", "E")
 
     def test_single_call(self):
         n = word_from_str("<A A>")
-        assert nw.calls_projection(n.seq()[0]) == ("A",)
+        assert tuple(a.endpoint for a in ref.seq(n)[0]) == ("A",)
 
     def test_length_preserved(self, payment_word):
-        for p in payment_word.seq():
-            assert len(nw.calls_projection(p)) == len(p)
+        for p in ref.seq(payment_word):
+            assert len(tuple(a.endpoint for a in p)) == len(p)
 
 
 class TestEnumeration:
     def test_exactly_two_calls_one_label(self):
-        words = [w for w in nw.enumerate_rooted(("A",), 2) if len(w.calls()) == 2]
+        words = [w for w in nw.enumerate_rooted(("A",), 2) if n_calls(w) == 2]
         assert len(words) == 1
 
     def test_exactly_three_calls_two_labels(self):
-        words = [w for w in nw.enumerate_rooted(("A", "B"), 3) if len(w.calls()) == 3]
+        words = [w for w in nw.enumerate_rooted(("A", "B"), 3) if n_calls(w) == 3]
         assert len(words) == 16
 
     def test_single_call(self):
@@ -314,8 +319,8 @@ class TestEnumeration:
         by_calls = {}
         for w in seen:
             assert w.is_rooted()
-            by_calls.setdefault(len(w.calls()), 0)
-            by_calls[len(w.calls())] += 1
+            by_calls.setdefault(n_calls(w), 0)
+            by_calls[n_calls(w)] += 1
         for c in range(1, 6):
             catalan = math.comb(2 * (c - 1), c - 1) // c
             assert by_calls[c] == catalan * m**c
@@ -327,7 +332,7 @@ class TestEnumeration:
             tree = ("A", (tree,))
         inner = [nw.call("B"), nw.ret("B")]
         outer = depth - 1
-        assert nw.tree_to_events(tree) == [nw.call("A")] * outer + inner + [nw.ret("A")] * outer
+        assert ref.tree_to_events(tree) == [nw.call("A")] * outer + inner + [nw.ret("A")] * outer
 
     def test_deterministic_order(self):
         first = [w for w in nw.enumerate_rooted(("A", "B"), 4)]
@@ -335,35 +340,11 @@ class TestEnumeration:
         assert first == second
 
 
-def _reference_forests(n_nodes, alphabet):
-    if n_nodes == 0:
-        yield ()
-        return
-    for first_size in range(1, n_nodes + 1):
-        for first in _reference_trees(first_size, alphabet):
-            for rest in _reference_forests(n_nodes - first_size, alphabet):
-                yield (first,) + rest
-
-
-def _reference_trees(n_nodes, alphabet):
-    for label in alphabet:
-        for children in _reference_forests(n_nodes - 1, alphabet):
-            yield (label, children)
-
-
-def reference_enumerate_rooted(alphabet, max_calls):
-    """The enumerator as recursive tree generators, each tree serialized
-    and rebuilt through ``build_nested_word``'s checks."""
-    for n in range(1, max_calls + 1):
-        for tree in _reference_trees(n, alphabet):
-            yield nw.build_nested_word(nw.tree_to_events(tree))
-
-
 @pytest.mark.parametrize("labels", ["A", "AB", "ABC"])
 def test_enumeration_equals_recursive_reference(labels):
     for max_calls in range(1, 6):
         got = list(nw.enumerate_rooted(tuple(labels), max_calls))
-        want = list(reference_enumerate_rooted(tuple(labels), max_calls))
+        want = list(ref.reference_enumerate_rooted(tuple(labels), max_calls))
         assert got == want
         assert [w.matching.partner for w in got] == [w.matching.partner for w in want]
 

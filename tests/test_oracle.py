@@ -13,9 +13,10 @@ from treepolicy import oracle
 from treepolicy import regex as rx
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import NotRooted
-from treepolicy.policy import AllChildren, AllPath, CallSeq, parse_policy, start_anchor_regex
+from treepolicy.policy import AllPath, parse_policy
 
 from conftest import random_rooted_word, word_from_str
+from reference import reference_all_path, reference_first_match, reference_sat_policy, subtrees
 from test_compiler import random_policy
 
 PDE = ("P", "D", "E")
@@ -36,7 +37,7 @@ def policy_of(text):
 class TestFirstMatch:
     def test_shortest_match_excludes_extensions(self, payment_word):
         got = oracle.first_match(payment_word, reg("P D*"), PDE)
-        assert [nw.calls_projection(p) for p in got] == [("P",)]
+        assert [tuple(a.endpoint for a in p) for p in got] == [("P",)]
 
     def test_empty_regex(self, payment_word):
         assert oracle.first_match(payment_word, rx.EMPTY, PDE) == ()
@@ -215,82 +216,11 @@ class TestProperties:
 
 # -- the path walks against the literal definitions ------------------------
 
-
-def reference_first_match(n, reg, alphabet):
-    """``first_match`` read off its definition: each path of ``seq`` whose
-    call projection matches, with no matching non-empty proper prefix."""
-    out = []
-    for path in n.seq():
-        word = nw.calls_projection(path)
-        if not rx.matches(reg, word, alphabet):
-            continue
-        if any(rx.matches(reg, word[:j], alphabet) for j in range(1, len(word))):
-            continue
-        out.append(path)
-    return tuple(out)
-
-
-def matched_subtree(n, path):
-    """The slice rooted at the path's terminal call."""
-    a = path[-1]
-    return n.sub_word(a.index, int(n.matching.return_of(a.index)))
-
-
-def reference_all_path(n, p, alphabet):
-    """All-path read off its definition: under some first match, every
-    leaf path of every child subtree matches ``reg2``."""
-    return any(
-        all(
-            rx.matches(p.reg2, nw.calls_projection(leaf_path), alphabet)
-            for t in matched_subtree(n, path).subtrees()
-            for leaf_path in t.seq_leaf()
-        )
-        for path in reference_first_match(n, p.reg1, alphabet)
-    )
-
-
-def reference_sat_inner(n, p, alphabet):
-    """An inner policy on a rooted slice: each first match's subtree is
-    sliced out, and its children are the slices of ``subtrees``."""
-    if isinstance(p, CallSeq):
-        return rx.matches(p.reg, n.call_sequence(), alphabet)
-    if isinstance(p, AllPath):
-        return reference_all_path(n, p, alphabet)
-    children = [
-        matched_subtree(n, path).subtrees() for path in reference_first_match(n, p.reg, alphabet)
-    ]
-    if isinstance(p, AllChildren):
-        return any(all(reference_sat_inner(t, p.child, alphabet) for t in ts) for ts in children)
-    return any(reference_ordered_selection(ts, p.subpolicies, alphabet) for ts in children)
-
-
-def reference_ordered_selection(subtrees, subpolicies, alphabet):
-    """Can the subpolicies take distinct subtrees in left-to-right order?
-    Tried by backtracking over every choice."""
-    if not subpolicies:
-        return True
-    return any(
-        reference_sat_inner(t, subpolicies[0], alphabet)
-        and reference_ordered_selection(subtrees[i + 1 :], subpolicies[1:], alphabet)
-        for i, t in enumerate(subtrees)
-    )
-
-
-def reference_sat_policy(n, pol, alphabet):
-    """``sat_policy`` read off its definition over slices: every
-    start-anchored first match's subtree satisfies the inner policy."""
-    anchor = start_anchor_regex(pol.start_set)
-    return all(
-        reference_sat_inner(matched_subtree(n, path), pol.inner, alphabet)
-        for path in reference_first_match(n, anchor, alphabet)
-    )
-
-
 ABC = ("A", "B", "C")
 # every rooted word of <= 4 calls, and the child subtrees of each: slices
 # whose first index is not 1
 WALKED_WORDS = [
-    w for word in nw.enumerate_rooted(ABC, 4) for w in (word, *word.subtrees())
+    w for word in nw.enumerate_rooted(ABC, 4) for w in (word, *subtrees(word))
 ]
 
 _names = st.frozensets(st.sampled_from(ABC))
@@ -330,7 +260,7 @@ def test_path_walks_equal_literal_definitions(reg1, reg2):
 # ignores the first index overrun into that sibling
 LATE_SLICES = [
     t for word in nw.enumerate_rooted(("A", "B"), 5)
-    for t in word.subtrees() if t.first_index >= 3
+    for t in subtrees(word) if t.first_index >= 3
 ]
 
 

@@ -35,13 +35,11 @@ from conftest import (
     cpu_per_symbol,
     payment_chain_vpa,
     random_rooted_word,
-    reference_configurations,
-    reference_dist_walk,
-    reference_filter_rules,
     two_state_vpa,
     wide_policy_text,
     word_from_str,
 )
+from reference import call_of, reference_configurations, reference_dist_walk, reference_filter_rules
 from test_compiler import random_policy
 from test_golden import RANDOM_ALPHABET, RANDOM_SEEDS
 
@@ -108,7 +106,7 @@ class TestRun:
             # the symbol popped at each return is the one its matched call pushed
             for a in n.symbols:
                 if not a.is_call:
-                    i = int(n.matching.call_of(a.index))
+                    i = int(call_of(n, a.index))
                     pushed = configs[i].stack[-1]
                     popped = configs[a.index - 1].stack[-1]
                     assert pushed == popped

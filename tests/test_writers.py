@@ -1,14 +1,13 @@
 """The templated artifact writers against the straightforward ones.
 
-Each reference below builds the document the plain way: one dict per rule
-through ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per
-DOT edge, one branch per script rule, leaving out the rules into the reject
-sink found by scanning the automaton's rules by name.  The writers must give the
-same bytes on hand-built automata and filter specs whose names hold quotes,
-backslashes, control characters and non-ASCII text, and on empty tables.
+Each reference writer in ``reference.py`` builds the document the plain way:
+one dict per rule through ``json.dumps(indent=2, ensure_ascii=False)``, one
+quoted label per DOT edge, one branch per script rule, leaving out the rules
+into the reject sink found by scanning the automaton's rules by name.  The
+writers must give the same bytes on hand-built automata and filter specs
+whose names hold quotes, backslashes, control characters and non-ASCII text,
+and on empty tables.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,132 +15,16 @@ from hypothesis import strategies as st
 from treepolicy import monitor
 from treepolicy.vpa import BOTTOM, Vpa, export_vpa, import_vpa
 
+from reference import (
+    explicit_rules,
+    reference_dot,
+    reference_filter_json,
+    reference_script,
+    reference_sink,
+    reference_vpa_json,
+)
+
 NAMES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t/é⊥€𝄞'), st.characters()), max_size=4)
-
-
-def reference_sink(v: Vpa):
-    """The least non-final state whose every rule stays in it, a call
-    pushing its name, or ``None``."""
-    for s in sorted(v.states - v.finals):
-        if s in v.stack_alphabet and all(
-            v.delta_call[(s, e)] == (s, s)
-            and all(v.delta_return[(s, g, e)] == s for g in v.stack_alphabet)
-            for e in v.alphabet
-        ):
-            return s
-    return None
-
-
-def explicit_rules(v: Vpa) -> tuple[dict, dict]:
-    """The call and return rules other than the reject sink's."""
-    sink = reference_sink(v)
-    return (
-        {k: r for k, r in v.delta_call.items() if sink is None or r != (sink, sink)},
-        {k: r for k, r in v.delta_return.items() if sink is None or r != sink},
-    )
-
-
-def reference_vpa_json(v: Vpa) -> str:
-    calls, returns = explicit_rules(v)
-    doc = {
-        "version": 1,
-        "alphabet": list(v.alphabet),
-        "states": sorted(v.states),
-        "initial": v.initial,
-        "finals": sorted(v.finals),
-        "stack_alphabet": sorted(v.stack_alphabet),
-        "reject": reference_sink(v),
-        "delta_call": [
-            {"from": q, "sym": e, "to": q2, "push": s}
-            for (q, e), (q2, s) in sorted(calls.items())
-        ],
-        "delta_return": [
-            {"from": q, "pop": s, "sym": e, "to": q2}
-            for (q, s, e), q2 in sorted(returns.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def reference_filter_json(spec: monitor.FilterSpec) -> str:
-    doc = {
-        "version": 1,
-        "endpoint": spec.endpoint,
-        "reject": spec.reject,
-        "on_request": [
-            {"if_state": q, "then_state": dst, "push_local": push}
-            for q, (dst, push) in sorted(spec.on_request.items())
-        ],
-        "on_response": [
-            {"if_state": q, "if_local": local, "then_state": dst}
-            for (q, local), dst in sorted(spec.on_response.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def reference_dot(v: Vpa) -> str:
-    lines = ["digraph vpa {", "  rankdir=LR;"]
-    lines.append("  __start [shape=point];")
-    for q in sorted(v.states):
-        shape = "doublecircle" if q in v.finals else "circle"
-        lines.append(f"  {_dot_quote(q)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_quote(v.initial)};")
-    if (sink := reference_sink(v)) is not None:
-        lines.append(f"  comment={_dot_quote('every rule not drawn goes to ' + sink)};")
-    calls, returns = explicit_rules(v)
-    for (q, e), (q2, s) in sorted(calls.items()):
-        label = f"call {e} / {s}"
-        lines.append(f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}];")
-    for (q, s, e), q2 in sorted(returns.items()):
-        label = f"ret {e}, {s}"
-        lines.append(
-            f"  {_dot_quote(q)} -> {_dot_quote(q2)} [label={_dot_quote(label)}, style=dashed];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def reference_script(spec: monitor.FilterSpec, header: str) -> str:
-    to_reject = push_reject = ""
-    requests = sorted(spec.on_request.items())
-    responses = [(f'state == "{q}" && local_stack == "{local}"', dst)
-                 for (q, local), dst in sorted(spec.on_response.items())]
-    if spec.reject is not None:
-        r = spec.reject
-        to_reject = f'state = "{r}"; '
-        push_reject = to_reject + f'local_stack = "{r}"; '
-        # the sink keeps a request in it: its branch comes after the rules
-        requests.append((r, (r, r)))
-        responses.append((f'state == "{r}"', r))
-    lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
-    lines.append("callback OnRequest() {")
-    kw = "if"
-    for q, (dst, push) in requests:
-        lines.append(
-            f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        )
-        kw = "elseif"
-    if kw == "if":
-        lines.append(f'  {push_reject}log_violation("no call transition")')
-    else:
-        lines.append(f'  else {push_reject}log_violation("no call transition")')
-    lines.append("}")
-    lines.append("callback OnResponse() {")
-    kw = "if"
-    for condition, dst in responses:
-        lines.append(f'  {kw} ({condition}) then state = "{dst}"')
-        kw = "elseif"
-    if kw == "if":
-        lines.append(f'  {to_reject}log_violation("no return transition")')
-    else:
-        lines.append(f'  else {to_reject}log_violation("no return transition")')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 @st.composite
