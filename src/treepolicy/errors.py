@@ -14,10 +14,6 @@ class NotRooted(TreePolicyError):
     """A tree operation was applied to a word that is not rooted well-matched."""
 
 
-class IndexOutOfRange(TreePolicyError):
-    """A slice index falls outside the word's index range."""
-
-
 class PolicySyntaxError(TreePolicyError):
     """Concrete-syntax error in a policy or regex source text."""
 

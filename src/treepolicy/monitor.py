@@ -150,7 +150,7 @@ def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Confi
     t = m.table
     if m.reject is not None and init.state not in t.state_id:
         init = link(m.reject, init.top, init.below)
-    return walk(t, init, n.symbols)
+    return walk(t, init, n)
 
 
 # -- filter specifications ----------------------------------------------------

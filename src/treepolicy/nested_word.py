@@ -14,13 +14,23 @@ index of the symbol it is matched with, or +inf/-inf when it is a pending
 call or an orphan return.  The predicates and every reader of a word read
 that array.
 
-The enumerator builds tree sizes' event tuples from the smaller sizes' and
-turns each tuple into a word directly: positions share one indexed symbol
-per (event, position), and the partner array is filled in one stack pass.
-Its caches live only as long as one enumeration.
+A word also carries a coding (``Coding``), which is what automaton runs
+step: its distinct endpoints, and one small int per symbol that names an
+endpoint and says call or return.  ``build_nested_word`` and
+``enumerate_rooted`` fill it as they build the word; any other word
+(``NestedWord(...)``, the mesh simulator's ``trusted_word``) is coded on
+its first run, by ``NestedWord.code``.
 
-All values are immutable after construction and safe to share between
-concurrent tasks.
+The enumerator builds tree sizes' event tuples from the smaller sizes' and
+turns each tuple into a word directly.  The events are codes, so each
+tuple is its word's code list; positions share one indexed symbol per
+(code, position), and the partner array is filled in one stack pass.  Its
+caches live only as long as one enumeration.
+
+All values are immutable after construction, but for a word's coding,
+which is made at most once from the word's own symbols; two tasks that
+code one word at the same time store equal codings.  So words too are
+safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import getitem
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, getitem, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MalformedTrace
 
@@ -143,15 +153,36 @@ class MatchingRelation:
         return f"MatchingRelation({self.first}, {self.partner})"
 
 
+# A word's coding: (endpoints, codes, rows).  With K endpoints, the code of
+# a call to endpoints[k] is k and that of a return from it K + k.  ``rows``
+# is ``itemgetter(*endpoints)``: one C call maps a per-endpoint table to
+# the word's rows, so ``rows(request) + rows(response)`` is indexed by code.
+Coding = tuple[tuple[Endpoint, ...], Sequence[int], Callable[[dict], tuple]]
+
+
+def _coder(endpoints: Iterable[Endpoint]) -> tuple[tuple[Endpoint, ...], dict[Endpoint, int],
+                                                   dict[Endpoint, int]]:
+    """A coding's endpoints, the distinct ones in first-seen order, and each
+    one's call and return code.  A lone endpoint is listed twice, so that
+    their ``itemgetter`` returns a tuple."""
+    names = tuple(dict.fromkeys(endpoints))
+    calls = {e: k for k, e in enumerate(names)}
+    if len(names) == 1:
+        names *= 2
+    return names, calls, {e: k + len(names) for e, k in calls.items()}
+
+
 class NestedWord:
     """A word of consecutively indexed call/return symbols plus its matching.
 
     A word need not start at index 1: a slice of a word keeps its indices,
     so that the matching restriction can be read off literally, and the
-    oracle reads such slices as they are.
+    oracle reads such slices as they are.  ``coding`` is the word's
+    ``Coding``, or ``None`` until ``code`` makes it; equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("symbols", "matching")
+    __slots__ = ("symbols", "matching", "coding")
 
     def __init__(self, symbols: Sequence[IndexedSymbol], matching: MatchingRelation):
         symbols = tuple(symbols)
@@ -162,6 +193,15 @@ class NestedWord:
                 raise ValueError("indices must be consecutive")
         self.symbols = symbols
         self.matching = matching
+        self.coding = None
+
+    def code(self) -> Coding:
+        """The word's coding, made from its symbols and kept on the word."""
+        events = [a.symbol for a in self.symbols]
+        names, calls, returns = _coder(map(_endpoint, events))
+        codes = [(calls if ev.tag == CALL else returns)[ev.endpoint] for ev in events]
+        self.coding = names, codes, itemgetter(*names)
+        return self.coding
 
     # -- basic shape ------------------------------------------------------
 
@@ -204,6 +244,8 @@ class NestedWord:
 
 _set_symbols = NestedWord.symbols.__set__
 _set_matching = NestedWord.matching.__set__
+_set_coding = NestedWord.coding.__set__
+_endpoint = attrgetter("endpoint")
 
 
 def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
@@ -212,29 +254,36 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
     A return must match the innermost open call; a differing endpoint is a
     hard error (synchronous request/response nesting leaves no other
     reading).  Unmatched calls pair with +inf, orphan returns with -inf.
+    The word comes coded: the loop that places each symbol appends its code.
     """
     if not events:
         raise MalformedTrace("empty trace")
+    names, call_code, return_code = _coder(map(_endpoint, events))
     partner: list[float] = []
     open_calls: list[tuple[int, Endpoint]] = []
     symbols = []
+    codes = []
     for pos, ev in enumerate(events, start=1):
         symbols.append(_indexed(ev, pos))
+        e = ev.endpoint
         if ev.tag == CALL:
-            open_calls.append((pos, ev.endpoint))
+            codes.append(call_code[e])
+            open_calls.append((pos, e))
             partner.append(POS_INF)
-        elif open_calls:
+            continue
+        codes.append(return_code[e])
+        if open_calls:
             i, ep = open_calls.pop()
-            if ep != ev.endpoint:
+            if ep != e:
                 raise MalformedTrace(
-                    f"return from {ev.endpoint!r} at position {pos} does not close "
+                    f"return from {e!r} at position {pos} does not close "
                     f"the open call to {ep!r} at position {i}"
                 )
             partner[i - 1] = pos
             partner.append(i)
         else:
             partner.append(NEG_INF)
-    return NestedWord(symbols, MatchingRelation(1, partner))
+    return trusted_word(tuple(symbols), partner, (names, codes, itemgetter(*names)))
 
 
 # -- trace file format ----------------------------------------------------
@@ -291,18 +340,22 @@ def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[N
     a forest is a first tree followed by a smaller forest, so each size's
     event tuples are built by concatenating the smaller sizes'.  Sizes up
     to ``max_calls - 2`` are built once and kept; the two largest stream,
-    since keeping them would hold a share of the output in memory.  The
-    words share one ``IndexedSymbol`` per (event, position), and their
-    partner arrays are filled in one stack pass, without
-    ``build_nested_word``'s checks: a serialized tree is rooted and well
-    matched by construction.
+    since keeping them would hold a share of the output in memory.  An
+    event is a code of the alphabet's coding, so an event tuple is its
+    word's code list.  The words share the coding's endpoints and one
+    ``IndexedSymbol`` per (code, position), and their partner arrays are
+    filled in one stack pass, without ``build_nested_word``'s checks: a
+    serialized tree is rooted and well matched by construction.
     """
     alpha = tuple(alphabet)
     if not alpha or max_calls < 1:
         raise ValueError("need a non-empty alphabet and max_calls >= 1")
-    brackets = [(call(e), ret(e)) for e in alpha]
-    indexed = [{ev: _indexed(ev, pos) for pair in brackets for ev in pair}
-               for pos in range(1, 2 * max_calls + 1)]
+    names, call_code, return_code = _coder(alpha)
+    first_return = len(names)
+    brackets = [(call_code[e], return_code[e]) for e in alpha]
+    symbol_of = [*map(call, names), *map(ret, names)]  # by code
+    indexed = [[_indexed(s, pos) for s in symbol_of] for pos in range(1, 2 * max_calls + 1)]
+    rows = itemgetter(*names)
     trees: list[list[tuple]] = [[]]  # trees[k]: event tuples of the k-call trees
     forests: list[list[tuple]] = [[()]]  # forests[k]: the same for k-call forests
 
@@ -321,30 +374,29 @@ def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[N
         if n < max_calls - 1:
             trees.append(list(tree_events(n)))
             forests.append(list(forest_events(n)))
-        for events in tree_events(n):
-            yield _rooted_word(tuple(map(getitem, indexed, events)))
+        for codes in tree_events(n):
+            partner = [0] * len(codes)
+            open_calls = []
+            for pos, c in enumerate(codes, start=1):
+                if c < first_return:
+                    open_calls.append(pos)
+                else:
+                    i = open_calls.pop()
+                    partner[i - 1] = pos
+                    partner[pos - 1] = i
+            yield trusted_word(tuple(map(getitem, indexed, codes)), partner, (names, codes, rows))
 
 
-def _rooted_word(symbols: tuple[IndexedSymbol, ...]) -> NestedWord:
-    """The nested word of a serialized tree's symbols, positions from 1."""
-    partner = [0] * len(symbols)
-    open_calls = []
-    for pos, a in enumerate(symbols, start=1):
-        if a.symbol.tag == CALL:
-            open_calls.append(pos)
-        else:
-            i = open_calls.pop()
-            partner[i - 1] = pos
-            partner[pos - 1] = i
-    return trusted_word(symbols, partner)
-
-
-def trusted_word(symbols: tuple[IndexedSymbol, ...], partner: Sequence[int]) -> NestedWord:
+def trusted_word(symbols: tuple[IndexedSymbol, ...], partner: Sequence[int],
+                 coding: Coding | None = None) -> NestedWord:
     """The nested word of ``symbols`` with the partner array ``partner``,
     built without ``NestedWord``'s checks.  The caller vouches for both: the
     symbols' positions run from 1 without a gap, and ``partner`` is their
-    matching, as a stack pass over the same symbols would fill it."""
+    matching, as a stack pass over the same symbols would fill it.  So it
+    does for ``coding``, if it gives one; else the word is coded on its
+    first run."""
     w = _new(NestedWord)
     _set_symbols(w, symbols)
     _set_matching(w, MatchingRelation(1, partner))
+    _set_coding(w, coding)
     return w

@@ -24,6 +24,7 @@ syntax.  ``match`` regexes must not accept the empty string.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union as TUnion
@@ -271,9 +272,12 @@ def endpoint_classes(policy: Policy,
     return tuple(map(tuple, classes.values()))
 
 
+@functools.lru_cache(maxsize=rx.CACHE_SIZE)
 def start_anchor_regex(start_set: frozenset[Endpoint]) -> rx.Regex:
     """Paths ending at a start endpoint with no earlier start endpoint:
-    the shortest-match targets of ``any* S``."""
+    the shortest-match targets of ``any* S``.  One tree per start set, so
+    the oracle, which asks for it on every word, meets the regex caches'
+    entry for it by identity rather than comparing a fresh tree."""
     return rx.Concat(rx.Star(rx.ANY), rx.SetLiteral(frozenset(start_set)))
 
 

@@ -12,8 +12,9 @@ names in sorted order.  ``delta_call`` and ``delta_return`` are read-only
 views of it, the row views filter specs hold.  ``Vpa.from_rules`` is the
 checked constructor from string-keyed rules, through ``build_table``.  The
 unchecked ``walk`` steps the table for ``final_configuration``, ``run``
-and ``dist_run``; the checked ``steps`` names the fault a walk hit and
-builds the items of a ``Run``.  Configurations share their stacks, and
+and ``dist_run``, reading a word's integer codes (see ``nested_word``),
+not its symbol objects; the checked ``steps`` names the fault a walk hit
+and builds the items of a ``Run``.  Configurations share their stacks, and
 automata and configurations are never changed.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
@@ -339,32 +340,41 @@ class ResponseRules(TableRules):
                 for g, r in zip(symbols, column) if r not in skip)
 
 
-def walk(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Configuration:
-    """The configuration after the symbols, starting from ``c``.
+def walk(t: Table, c: Configuration, word: NestedWord) -> Configuration:
+    """The configuration after the word, starting from ``c``.
 
-    The state and the top stack symbol stay ints and the stack below the
-    top a list of ints, so a step builds nothing: a call pushes the top and
-    reads the request row, a return reads the response row and pops.  The
-    configuration is converted on entry and rebuilt on exit.  The loop
-    checks nothing; a lookup that fails, or a missing rule's ``None``
-    reaching the next lookup, sends the walk to ``steps``, whose checked
-    replay names the fault.
+    The walk steps the word's codes (``NestedWord.coding``; a word built
+    without one is coded here, once).  It first resolves the word's rows,
+    one C call per table, into one tuple indexed by code: a call's request
+    row, then a return's response rows.  The state and the top stack
+    symbol stay ints and the stack below the top a list of ints, so a step
+    builds nothing: a call pushes the top and reads its row, a return
+    reads its row and pops.  The configuration is converted on entry and
+    rebuilt on exit.  The loop checks nothing; a lookup that fails, or a
+    missing rule's ``None`` reaching the next lookup, sends the walk to
+    ``steps``, whose checked replay over the symbols names the fault.  The
+    replay's last configuration is the result when there is no fault: an
+    enumerated word's coding lists the whole alphabet, which a table may
+    not cover.
     """
-    request, response = t.request, t.response
+    names, codes, rows_of = word.coding or word.code()
+    k = len(names)  # calls are coded below k
     try:
+        rows = rows_of(t.request) + rows_of(t.response)
         q, top, below = _enter(t, c)
-        for a in symbols:
-            s = a.symbol
-            if s.tag == CALL:
-                below.append(top)
-                q, top = request[s.endpoint][q]
+        push, pop = below.append, below.pop
+        for a in codes:
+            if a < k:
+                push(top)
+                q, top = rows[a][q]
             else:
-                q, top = response[s.endpoint][top][q], below.pop()
+                q, top = rows[a][top][q], pop()
         return _leave(t, q, top, below)
     except (KeyError, IndexError, TypeError):
-        for _ in steps(t, c, symbols):
+        last = c
+        for last in steps(t, c, word.symbols):
             pass
-        raise
+        return last
 
 
 def _enter(t: Table, c: Configuration) -> tuple[int, int, list[int]]:
@@ -422,7 +432,7 @@ def steps(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Itera
 def final_configuration(v: Vpa, n: NestedWord, init: Configuration | None = None) -> Configuration:
     """The last configuration of ``run``.  Memory is linear in the nesting
     depth, not in the length of the word."""
-    return walk(v.table, init if init is not None else initial_configuration(v), n.symbols)
+    return walk(v.table, init if init is not None else initial_configuration(v), n)
 
 
 def accepts(v: Vpa, n: NestedWord) -> bool:
@@ -437,7 +447,7 @@ def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> "Run":
     """
     c = init if init is not None else initial_configuration(v)
     t = v.table
-    return Run(t, c, n.symbols, walk(t, c, n.symbols))
+    return Run(t, c, n.symbols, walk(t, c, n))
 
 
 class Run(Sequence):

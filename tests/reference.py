@@ -21,7 +21,7 @@ import json
 from treepolicy import compiler, monitor
 from treepolicy import nested_word as nw
 from treepolicy import regex as rx
-from treepolicy.errors import IndexOutOfRange, NotRooted, StackUnderflow
+from treepolicy.errors import NotRooted, StackUnderflow, TreePolicyError
 from treepolicy.policy import AllChildren, AllPath, CallSeq, start_anchor_regex
 from treepolicy.vpa import Vpa, link
 
@@ -44,6 +44,10 @@ def pairs(w: nw.NestedWord) -> frozenset[tuple[float, float]]:
     m = w.matching
     return frozenset((i, j) if j > i else (nw.NEG_INF, i)
                      for i, j in enumerate(m.partner, start=m.first) if j > i or j == nw.NEG_INF)
+
+
+class IndexOutOfRange(TreePolicyError):
+    """A slice index falls outside the word's index range."""
 
 
 def sub_word(w: nw.NestedWord, i: int, i2: int) -> nw.NestedWord:

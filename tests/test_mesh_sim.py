@@ -205,6 +205,7 @@ class TestExecuteRequest:
             early = mesh_sim.execute_request(topo, root, filters, mode=mesh_sim.MODE_EARLY_BLOCK)
             assert len(log.word) == 2 * topo.node_count(root)
             for res in (log, early):
+                assert res.word.coding is None  # a request pays for no codes
                 # the word filled as the request ran is the one its events make
                 rebuilt = build_nested_word([a.symbol for a in res.word.symbols])
                 assert res.word == rebuilt

@@ -11,7 +11,6 @@ import pytest
 from treepolicy import compiler, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
-from treepolicy.nested_word import IndexedSymbol
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import (
     BOTTOM, Configuration, final_configuration, initial_configuration, run, walk,
@@ -98,16 +97,16 @@ class TestDistributedRun:
         mon = monitor.extract_monitor(v)
         n = word_from_str("<Appt Appt>")
         init = Configuration("q0", (BOTTOM,))
-        c1 = walk(mon.table, init, (IndexedSymbol(nw.call("Appt"), 1),))
+        c1 = walk(mon.table, init, nw.build_nested_word([nw.call("Appt")]))
         assert c1 == Configuration("q1", (BOTTOM, "q0"))
-        c2 = walk(mon.table, c1, (IndexedSymbol(nw.ret("Appt"), 1),))
+        c2 = walk(mon.table, c1, nw.build_nested_word([nw.ret("Appt")]))
         assert c2 == Configuration("q0", (BOTTOM,))
         assert monitor.dist_run(mon, init, n) == init
 
     def test_underflow(self):
         mon = monitor.extract_monitor(two_state_vpa())
         with pytest.raises(StackUnderflow):
-            walk(mon.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.ret("Appt"), 1),))
+            walk(mon.table, Configuration("q0", (BOTTOM,)), nw.build_nested_word([nw.ret("Appt")]))
 
     def test_step_equals_central_step_pointwise(self):
         rng = random.Random(13)
@@ -120,8 +119,8 @@ class TestDistributedRun:
                 n = random_rooted_word(rng, 10, doc.alphabet)
                 c = initial_configuration(v)
                 for a in n.symbols:
-                    central = walk(v.table, c, (IndexedSymbol(a.symbol, 1),))
-                    dist = walk(mon.table, c, (IndexedSymbol(a.symbol, 1),))
+                    central = walk(v.table, c, nw.build_nested_word([a.symbol]))
+                    dist = walk(mon.table, c, nw.build_nested_word([a.symbol]))
                     assert central == dist
                     c = central
 
@@ -339,7 +338,7 @@ class TestMissingRule:
         assert isinstance(err.value, TreePolicyError)
         c = monitor.dist_run(m, init, word_from_str("<P <D"))
         with pytest.raises(MissingTransition, match=re.escape(message)):
-            walk(m.table, c, (IndexedSymbol(nw.ret("D"), 1),))
+            walk(m.table, c, nw.build_nested_word([nw.ret("D")]))
 
     @pytest.mark.parametrize("field,rule", [
         ("on_request", {"if_state": "q_P"}),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepolicy import nested_word as nw
-from treepolicy.errors import IndexOutOfRange, MalformedTrace, NotRooted
+from treepolicy.errors import MalformedTrace, NotRooted
 
 import reference as ref
 from conftest import random_rooted_word, word_from_str
@@ -128,9 +128,9 @@ class TestSubWord:
         )
 
     def test_bad_range(self, payment_word):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ref.IndexOutOfRange):
             ref.sub_word(payment_word, 0, 3)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ref.IndexOutOfRange):
             ref.sub_word(payment_word, 5, 5)
 
     def test_slice_against_bruteforce_restriction(self):

@@ -9,16 +9,16 @@ import tracemalloc
 
 import pytest
 
-from treepolicy import compiler, monitor, nested_word as nw
+from treepolicy import compiler, mesh_sim, monitor, nested_word as nw
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import StackUnderflow, VpaParseError
-from treepolicy.nested_word import IndexedSymbol
+from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import (
     BOTTOM,
     Configuration,
     Vpa,
     accepts,
+    build_table,
     check_well_formed,
     export_vpa,
     final_configuration,
@@ -26,6 +26,7 @@ from treepolicy.vpa import (
     initial_configuration,
     reject_sink,
     run,
+    steps,
     walk,
 )
 
@@ -39,31 +40,34 @@ from conftest import (
     wide_policy_text,
     word_from_str,
 )
+import reference as ref
 from reference import call_of, reference_configurations, reference_dist_walk, reference_filter_rules
 from test_compiler import random_policy
 from test_golden import RANDOM_ALPHABET, RANDOM_SEEDS
+from test_mesh_sim import random_topology
 
 
 class TestStep:
     def test_two_state_push(self):
         v = two_state_vpa()
-        c = walk(v.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.call("Appt"), 1),))
+        c = walk(v.table, Configuration("q0", (BOTTOM,)), nw.build_nested_word([nw.call("Appt")]))
         assert c == Configuration("q1", (BOTTOM, "q0"))
 
     def test_two_state_pop(self):
         v = two_state_vpa()
-        c = walk(v.table, Configuration("q1", (BOTTOM, "q0")), (IndexedSymbol(nw.ret("Appt"), 1),))
+        pop = nw.build_nested_word([nw.ret("Appt")])
+        c = walk(v.table, Configuration("q1", (BOTTOM, "q0")), pop)
         assert c == Configuration("q0", (BOTTOM,))
 
     def test_chain_push(self):
         v = payment_chain_vpa()
-        c = walk(v.table, Configuration("start", (BOTTOM,)), (IndexedSymbol(nw.call("P"), 1),))
+        c = walk(v.table, Configuration("start", (BOTTOM,)), nw.build_nested_word([nw.call("P")]))
         assert c == Configuration("q_P", (BOTTOM, "q_P"))
 
     def test_underflow(self):
         v = two_state_vpa()
         with pytest.raises(StackUnderflow):
-            walk(v.table, Configuration("q0", (BOTTOM,)), (IndexedSymbol(nw.ret("Appt"), 1),))
+            walk(v.table, Configuration("q0", (BOTTOM,)), nw.build_nested_word([nw.ret("Appt")]))
 
 
 class TestRun:
@@ -274,8 +278,8 @@ class TestTableWalk:
         assert monitor.dist_run(readback, init, word) == want[-1]
         assert reference_dist_walk(readback, init, events) == want[-1]
         for c, a, after in zip(want, events, want[1:]):
-            assert walk(v.table, c, (IndexedSymbol(a, 1),)) == after
-            assert walk(readback.table, c, (IndexedSymbol(a, 1),)) == after
+            assert walk(v.table, c, nw.build_nested_word([a])) == after
+            assert walk(readback.table, c, nw.build_nested_word([a])) == after
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_corpora_agree_with_the_reference(self, seed):
@@ -303,6 +307,89 @@ class TestTableWalk:
                 ):
                     with pytest.raises(StackUnderflow):
                         go()
+
+
+class TestCodedWalk:
+    """``walk`` steps a word's codes and ends where the checked ``steps``
+    over the word's symbols ends, or raises the fault ``steps`` names,
+    whichever builder made the word and whichever table it steps."""
+
+    @staticmethod
+    def _agree(t, c, word):
+        try:
+            want = [c, *steps(t, c, word.symbols)][-1]
+        except TreePolicyError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                walk(t, c, word)
+        else:
+            assert walk(t, c, word) == want
+
+    @staticmethod
+    def _words(rng, art, alphabet):
+        """Words over the alphabet from each builder: ``build_nested_word``,
+        ``enumerate_rooted``, a mesh-sim request in both modes, and
+        ``NestedWord(...)``, the last with pending calls or orphan returns
+        too."""
+        words = [random_rooted_word(rng, 10, alphabet) for _ in range(2)]
+        words += rng.sample(list(nw.enumerate_rooted(alphabet, 2)), 3)
+        topo = random_topology(rng, alphabet, max_nodes=30)
+        filters = [mesh_sim.build_filter_set(art)]
+        for mode in (mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK):
+            words.append(mesh_sim.execute_request(topo, topo.entrypoints[0], filters, mode=mode).word)
+        w = words[0]
+        i = rng.randrange(1, len(w))
+        words += [nw.NestedWord(w.symbols, w.matching), ref.sub_word(w, i, rng.randint(i + 1, len(w)))]
+        return words
+
+    def test_walk_equals_the_checked_steps(self):
+        rng = random.Random(25)
+        arts = [(doc.alphabet, a) for variant in ("small", "full")
+                for doc in corpus_documents(variant).values() for a in compiler.compile(doc)]
+        arts += [(RANDOM_ALPHABET, compiler.compile_policy(pol, RANDOM_ALPHABET))
+                 for _, pol in random_policies()]
+        assert len(arts) == 158
+        coded = 0
+        for alphabet, art in arts:
+            v = art.vpa
+            readback = TestTableWalk._readback(v)
+            init = initial_configuration(v)
+            for word in self._words(rng, art, alphabet):
+                coded += word.coding is not None
+                # from the initial configuration and from one with open calls
+                opened = final_configuration(v, random_rooted_word(rng, 4, alphabet), init)
+                opened = final_configuration(v, nw.build_nested_word([nw.call(alphabet[0])]), opened)
+                for t in (v.table, readback.table):
+                    self._agree(t, init, word)
+                    self._agree(t, opened, word)
+                assert word.coding is not None
+        # built and enumerated words come coded, the others are coded on their first walk
+        assert coded == 5 * len(arts)
+
+    def test_faults_keep_their_messages(self):
+        def kinds(text):
+            w = word_from_str(text)
+            return [w, nw.NestedWord(w.symbols, w.matching)] + [
+                x for x in nw.enumerate_rooted(("A", "Z"), 2) if x == w]
+
+        t = build_table({"q0", "q1"}, {BOTTOM, "q0"}, ("A",), {("q0", "A"): ("q1", "q0")}, {})
+        init = Configuration("q0", (BOTTOM,))
+        cases = [
+            ("<A <Z Z> A>", MissingTransition, "no rules for endpoint 'Z'"),
+            ("<A A>", MissingTransition, "no return rule at 'A' for state 'q1' / popped 'q0'"),
+            ("<A <A A> A>", MissingTransition, "no call rule at 'A' for state 'q1'"),
+            ("A>", StackUnderflow, "return from 'A' with empty stack in state 'q0'"),
+        ]
+        for text, fault, message in cases:
+            words = kinds(text)
+            assert len(words) == (2 if text == "A>" else 3)
+            for word in words:
+                with pytest.raises(fault, match=re.escape(message)):
+                    walk(t, init, word)
+        # an enumerated word's coding lists the whole alphabet; the table
+        # lacks Z, which only the words that read Z run into
+        v = two_state_vpa()
+        for word in nw.enumerate_rooted(("Appt", "Z"), 2):
+            self._agree(v.table, initial_configuration(v), word)
 
 
 def random_policies():
