@@ -1,49 +1,55 @@
 """Compile policies into deterministic, complete visibly pushdown automata.
 
 Each policy form has its own construction.  The three hierarchical forms
-(all-path, all-children, exists-child) share one match search,
-``_match_search``: simulate the match regex's DFA on call symbols while
-pushing the pre-call DFA state, so that return symbols can backtrack the
-simulation and retry other branches; once the shortest match is found, the
-construction hands the subtree to its inner check (a second DFA for
-leaf-path constraints, or embedded sub-automata), and the search records
-the verdict in absorbing satisfied/rejected bookkeeping states.
+(all-path, all-children, exists-child) share one match search, ``_Search``:
+simulate the match regex's DFA on call symbols while pushing the pre-call
+DFA state, so that return symbols can backtrack the simulation and retry
+other branches; once the shortest match is found, the construction hands
+the subtree to its inner check (a second DFA for leaf-path constraints, or
+embedded sub-automata), and the search records the verdict in absorbing
+satisfied/rejected bookkeeping states.
 
-Each construction writes the cells of its ``vpa.Table`` family by family.
-Families state behaviour and must never disagree on a cell (a disagreement
-is a compiler bug and raises).  ``_Build.finish`` alone sends every cell no
-family wrote to the reject state, which makes tables complete.
+A construction writes no table: it states its cells as functions of its
+parts (``Construction``).  ``call(e, q)`` is the call cell of state ``q`` at
+endpoint ``e`` and ``ret(e, g, q)`` the return cell that pops ``g``; both
+are total over the declared ``states`` and ``symbols``, and a cell that no
+transition family names holds the reject state's rule.  A sub-automaton is
+embedded under a name prefix (``c.``, ``c1.``, ``in.``), which keeps state
+spaces disjoint, and a cell of an embedded state is the sub-construction's
+cell, renamed, so no sub-automaton is ever written out.
 
-Sub-automata are embedded by prefix-renaming every state and stack symbol,
-which keeps state spaces disjoint; their rows are then read by id.
-
-``compile_policy`` applies one pass after the constructions, ``_prune``:
-the summary fixpoint ``reached_cells`` finds the cells a rooted word can
-read, every other cell takes the reject sink's rule, and the states and
-stack symbols no reached cell names go.  The result is still complete,
-every rooted word runs as before, and the cells outside the sink's rule
-are exactly those a filter lists, so the written automaton and its filters
-agree.  The fixpoint runs here only, once per policy.  The constructions
-themselves stay unpruned, so their state counts follow from their parts.
-``_doomed_states`` then finds the states that cannot reach a final state.
+``build`` gives a construction its table.  It runs the summary fixpoint
+``reached_cells`` from the initial state and reads each cell through a
+lookup that computes it on first read and keeps it, so the cells computed
+are those a rooted word can read.  It names the states they reach, and
+``rej``, in sorted order, with the symbols the reached calls push, and every
+other cell takes the reject sink's rule.  The result is complete, every
+rooted word (and forest of them) runs as on the construction's dense
+table, and the cells outside the sink's rule are exactly those a filter
+lists, so the written automaton and its filters agree.  The fixpoint runs
+once per policy.  Declared state counts follow from the parts, as the
+analytic bound assumes.  ``_doomed_states`` then finds the states that
+cannot reach a final state.
 
 ``compile_policy`` compiles over endpoint classes (D'Antoni & Alur,
 "Symbolic Visibly Pushdown Automata", CAV 2014): endpoints that no set the
 policy names tells apart (``policy.endpoint_classes``) have the same
-transitions, so the DFAs, the constructions and the prune pass run over one
+transitions, so the DFAs, the constructions and the build run over one
 representative per class, its first member.  ``_share_rows`` then expands
 the table to the whole alphabet by sharing rows: every endpoint reads the
 very row objects of its class's representative.  ``to_dfa`` numbers states
 breadth-first in alphabet order, and a representative comes first in its
 class, so the state names are those a compile over every name would give.
-The constructions work over any alphabet; only ``compile_policy`` narrows it.
+The constructions work over any alphabet; only ``compile_policy`` narrows
+it.  A document builds each distinct (regex, alphabet) DFA once (``_dfa``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Collection, Sequence
+from typing import Sequence
 
 from . import regex as rx
 from .errors import CompilerInternalError, EpsilonMatchRegex
@@ -80,129 +86,19 @@ def _aug(state: str) -> str:
 class _DfaFrag:
     """A minimal DFA relabeled with string state names for embedding."""
 
-    states: tuple[str, ...]
+    states: frozenset[str]
     initial: str
     finals: frozenset[str]
-    nonfinals: tuple[str, ...]
+    nonfinals: frozenset[str]
     delta: dict[tuple[str, Endpoint], str]
 
 
 def _frag(d: rx.Dfa, tag: str) -> _DfaFrag:
     name = {q: f"{tag}{q}" for q in d.states}
-    states = tuple(name[q] for q in d.states)
     finals = frozenset(name[q] for q in d.finals)
     delta = {(name[q], s): name[t] for (q, s), t in d.transition.items()}
-    return _DfaFrag(
-        states,
-        name[d.initial],
-        finals,
-        tuple(q for q in states if q not in finals),
-        delta,
-    )
-
-
-class _Build:
-    """Accumulates transition families into the cells of one ``Table``, each
-    ``None`` until written, with conflict detection.
-
-    Families must agree wherever they overlap.  Tuples whose source state
-    or stack symbol falls outside the automaton are silently dropped (the
-    source rules quantify over larger sets); destinations must always land
-    inside.  ``finish`` sends every cell no family wrote to the reject
-    state; it is the only place a default reject rule comes from.
-    """
-
-    def __init__(self, states: set[str], initial: str, final: str, reject: str,
-                 alphabet: Sequence[Endpoint], gamma: set[str]):
-        self.initial, self.final, self.reject = initial, final, reject
-        self.alphabet, self.gamma = tuple(alphabet), gamma  # gamma: pushable symbols, not BOTTOM
-        self.states, self.symbols = tuple(sorted(states)), tuple(sorted({*gamma, BOTTOM}))
-        self.state_id = {q: i for i, q in enumerate(self.states)}
-        self.symbol_id = {g: i for i, g in enumerate(self.symbols)}
-        self.request = {e: [None] * len(states) for e in self.alphabet}
-        self.response = {e: [[None] * len(states) for _ in self.symbols] for e in self.alphabet}
-
-    def call(self, family: str, src: str, sym: str, dst: str, push: str):
-        if (h := self.state_id.get(src)) is not None:
-            assert dst in self.state_id, f"{family}: call target {dst!r} unknown"
-            assert push in self.gamma, f"{family}: pushes undeclared symbol {push!r}"
-            self._write(family, self.request[sym], h, (self.state_id[dst], self.symbol_id[push]))
-
-    def ret(self, family: str, src: str, pop: str, sym: str, dst: str):
-        if (h := self.state_id.get(src)) is not None and pop in self.gamma:
-            assert dst in self.state_id, f"{family}: return target {dst!r} unknown"
-            self._write(family, self.response[sym][self.symbol_id[pop]], h, self.state_id[dst])
-
-    def copy(self, family: str, v: Vpa, skip_call=None, skip_return=None, reset=None):
-        """``call`` and ``ret`` for the embedded ``v``'s rules, read by id,
-        but those from ``skip_call`` and ``skip_return``; with ``reset``, a
-        return popping ``v``'s initial state into a non-final one goes there."""
-        t = v.table
-        ids = [self.state_id.get(q) for q in t.states]
-        pushed = [self.symbol_id[g] if g in self.gamma else None for g in t.symbols]
-        resets = [k if q in v.finals else self.state_id.get(reset) for q, k in zip(t.states, ids)]
-        for e, row in t.request.items():
-            for h, (q, g) in enumerate(row):
-                if ids[h] is not None and t.states[h] != skip_call:
-                    assert ids[q] is not None and pushed[g] is not None, family
-                    self._write(family, self.request[e], ids[h], (ids[q], pushed[g]))
-        for e, rows in t.response.items():
-            for g, row in enumerate(rows):
-                targets = resets if reset and t.symbols[g] == v.initial else ids
-                for h, q in enumerate(row):
-                    if ids[h] is not None and pushed[g] is not None and t.states[h] != skip_return:
-                        assert targets[q] is not None, family
-                        self._write(family, self.response[e][pushed[g]], ids[h], targets[q])
-
-    def calls_like(self, family: str, sources: Collection[str], v: Vpa):
-        """Each of ``sources`` calls as the embedded ``v``'s initial state."""
-        for s in self.alphabet:
-            dst, push = v.delta_call[(v.initial, s)]
-            for q in sources:
-                self.call(family, q, s, dst, push)
-
-    def _write(self, family: str, row: list, h: int, cell):
-        """Write ``cell`` into ``row[h]``, which must be unwritten or hold it."""
-        if row[h] is None:
-            row[h] = cell
-        elif row[h] != cell:  # a return cell is a state, a call cell a state and a push
-            kind, name = ("return", self.states.__getitem__) if type(cell) is int else (
-                "call", lambda c: (self.states[c[0]], self.symbols[c[1]]))
-            raise CompilerInternalError(
-                f"{family}: {kind} conflict at {self.states[h]!r}: {name(row[h])} vs {name(cell)}")
-
-    def finish(self) -> Vpa:
-        """Send the unwritten cells to the reject state and freeze."""
-        assert self.reject in self.gamma
-        r = self.state_id[self.reject]  # fill.get(cell, cell): the reject rule for None
-        call_fill, return_fill = {None: (r, self.symbol_id[self.reject])}, {None: r}
-        # Rows pass through a list: a tuple built from a list is allocated at its size, so
-        # the interpreter reuses freed tuples instead of parking one per freed row.
-        table = Table(
-            self.states, self.symbols, self.state_id, self.symbol_id,
-            {e: tuple([*map(call_fill.get, row, row)]) for e, row in self.request.items()},
-            {e: tuple(tuple([*map(return_fill.get, row, row)]) for row in rows)
-             for e, rows in self.response.items()},
-        )
-        return Vpa(frozenset(self.states), self.initial, frozenset({self.final}), self.alphabet,
-                   frozenset(self.symbols), table)
-
-
-def _rename_vpa(v: Vpa, prefix: str) -> Vpa:
-    # Only the name tuples change: prefixed, ASCII names keep their order.
-    t = v.table
-    states = tuple(prefix + q for q in t.states)
-    symbols = tuple(g if g == BOTTOM else prefix + g for g in t.symbols)
-    table = t._replace(states=states, symbols=symbols,
-                       state_id={q: i for i, q in enumerate(states)},
-                       symbol_id={g: i for i, g in enumerate(symbols)})
-    return Vpa(frozenset(states), prefix + v.initial, frozenset(prefix + q for q in v.finals),
-               v.alphabet, frozenset(symbols), table)
-
-
-def _single_final(v: Vpa) -> str:
-    assert len(v.finals) == 1
-    return next(iter(v.finals))
+    states = frozenset(name.values())
+    return _DfaFrag(states, name[d.initial], finals, states - finals, delta)
 
 
 def _require_no_epsilon(d: rx.Dfa):
@@ -210,38 +106,73 @@ def _require_no_epsilon(d: rx.Dfa):
         raise EpsilonMatchRegex("match regex must not accept the empty string")
 
 
+def _embed(prefix: str, names) -> frozenset[str]:
+    """The prefixed names, but the bottom marker, which is never pushed."""
+    return frozenset(prefix + x for x in names if x != BOTTOM)
+
+
+class Construction:
+    """An automaton stated cell by cell over its parts.
+
+    ``call(e, q)`` is the state after a call to ``e`` in state ``q`` and the
+    symbol it pushes; ``ret(e, g, q)`` the state after a return from ``e``
+    in state ``q`` that pops ``g``.  Both are total over the declared
+    ``states`` and ``symbols`` (the stack symbols, the bottom marker among
+    them) and hold the reject state's rule wherever no family of
+    transitions names the cell.  Every construction starts in ``beg``,
+    accepts in ``end`` alone and rejects in ``rej``, whose calls push it."""
+
+    alphabet: tuple[Endpoint, ...]
+    states: frozenset[str]  # declared, as cached properties; the build reads neither
+    symbols: frozenset[str]
+
+
 # -- linear sequence construction --------------------------------------------
 
 
-def compile_callseq(d: rx.Dfa) -> Vpa:
+class _CallSeq(Construction):
     """Run the regex DFA over call symbols only; returns keep the state.
     The root's return (recognized by its begin-marker stack symbol) accepts
     iff the DFA sits in a final state."""
-    alpha = d.alphabet
-    a1 = _frag(d, "a")
-    states = {BEG, END, REJ, *a1.states}
-    gamma = set(states)  # the whole state set doubles as the stack alphabet
-    b = _Build(states, BEG, END, REJ, alpha, gamma)
 
-    for s in alpha:
-        b.call("c-sim", BEG, s, a1.delta[(a1.initial, s)], BEG)
-        for q in a1.states:
-            b.call("c-sim", q, s, a1.delta[(q, s)], q)
+    def __init__(self, d: rx.Dfa):
+        self.alphabet, self.a1 = d.alphabet, _frag(d, "a")
 
-    for s in alpha:
-        for f in a1.finals:
-            b.ret("r-accept", f, BEG, s, END)
-        for q in a1.states:
-            for g in a1.states:
-                b.ret("r-skip", q, g, s, q)
+    def call(self, e, q):
+        # c-sim: each state pushes itself, the root call the begin marker
+        a1 = self.a1
+        if q == BEG:
+            return a1.delta[(a1.initial, e)], BEG
+        if q in a1.states:
+            return a1.delta[(q, e)], q
+        return REJ, REJ
 
-    return b.finish()
+    def ret(self, e, g, q):
+        a1 = self.a1
+        if q in a1.states:
+            if g == BEG:  # r-accept
+                return END if q in a1.finals else REJ
+            if g in a1.states:  # r-skip
+                return q
+        return REJ
+
+    @cached_property
+    def states(self):
+        return frozenset({BEG, END, REJ, *self.a1.states})
+
+    @cached_property
+    def symbols(self):
+        return self.states | {BOTTOM}  # the whole state set doubles as the stack alphabet
+
+
+def compile_callseq(d: rx.Dfa) -> Construction:
+    return _CallSeq(d)
 
 
 # -- the match search shared by the hierarchical forms ----------------------
 
 
-def _match_search(b: _Build, a1: _DfaFrag, done: str):
+class _Search(Construction):
     """The families all-path, all-children and exists-child share: search
     for the shortest root path whose calls A1 (the match DFA) accepts,
     pushing pre-call A1 states so that returns backtrack the search, and
@@ -249,190 +180,217 @@ def _match_search(b: _Build, a1: _DfaFrag, done: str):
     completes accepted.  Its return pops the A1 state ``g`` below the
     matched node: if A1 steps from ``g`` to a final state on the returned
     endpoint, that node was the match and the policy is satisfied;
-    otherwise the search resumes in ``g``."""
-    for s in b.alphabet:
-        # c1: simulate A1 while searching for the matched path.
-        b.call("c1", BEG, s, a1.delta[(a1.initial, s)], BEG)
-        for q in a1.nonfinals:
-            b.call("c1", q, s, a1.delta[(q, s)], q)
-        # c3: absorbing bookkeeping states.
-        b.call("c3", SAT, s, SAT, SAT)
-        b.call("c3", REJ, s, REJ, REJ)
-        b.call("c3", END, s, REJ, REJ)
-        for g in a1.nonfinals:
-            # r-back: backtrack A1; a rejected subtree resumes the search.
-            for q in (REJ, *a1.nonfinals):
-                b.ret("r-back", q, g, s, g)
-            # r-done: the matched subtree completed accepted.
-            b.ret("r-done", done, g, s, SAT if a1.delta[(g, s)] in a1.finals else g)
-        for g in b.gamma - {BEG}:
-            b.ret("r-sat", SAT, g, s, SAT)
-        # r-root: acceptance at the root's return.
-        b.ret("r-root", SAT, BEG, s, END)
-        b.ret("r-root", done, BEG, s, END)
+    otherwise the search resumes in ``g``.  With ``leaf`` (all-path and
+    all-children), a matched node without children satisfies the match, at
+    the root too, and a root return while still searching keeps its A1
+    state, which does not accept.  A subclass states the cells of the
+    matched subtree, ``inside_call`` and ``inside_ret``."""
 
+    leaf = True
 
-def _leaf_match(b: _Build, a1: _DfaFrag):
-    """All-path and all-children: a matched node without children satisfies
-    the match, at the root too; a root return while still searching keeps
-    its A1 state, which does not accept."""
-    for s in b.alphabet:
-        for f in a1.finals:
-            for g in a1.nonfinals:
-                b.ret("r-leaf", f, g, s, SAT)
-            b.ret("r-leaf", f, BEG, s, END)
-        for q in a1.nonfinals:
-            b.ret("r-leaf", q, BEG, s, q)
+    def __init__(self, d: rx.Dfa, done: str):
+        _require_no_epsilon(d)
+        self.alphabet, self.a1, self.done = d.alphabet, _frag(d, "a"), done
+
+    def call(self, e, q):
+        a1 = self.a1
+        if q == BEG:  # c1: simulate A1 while searching for the matched path
+            return a1.delta[(a1.initial, e)], BEG
+        if q in a1.nonfinals:
+            return a1.delta[(q, e)], q
+        if q == SAT:  # c3: absorbing bookkeeping states
+            return SAT, SAT
+        if q == REJ or q == END:
+            return REJ, REJ
+        return self.inside_call(e, q)
+
+    def ret(self, e, g, q):
+        a1 = self.a1
+        if q in a1.nonfinals or q == REJ:
+            if g in a1.nonfinals:  # r-back: backtrack A1; a rejected subtree resumes the search
+                return g
+            return q if g == BEG and self.leaf and q != REJ else REJ  # r-leaf
+        if q == SAT:  # r-sat, r-root
+            return END if g == BEG else REJ if g == BOTTOM else SAT
+        if q in a1.finals:  # r-leaf; without it, backtracking out of the matched node
+            if g in a1.nonfinals:
+                return SAT if self.leaf else g
+            return END if g == BEG and self.leaf else REJ
+        if q == self.done:
+            if g in a1.nonfinals:  # r-done: the matched subtree completed accepted
+                return SAT if a1.delta[(g, e)] in a1.finals else g
+            if g == BEG:  # r-root
+                return END
+        return self.inside_ret(e, g, q)
+
+    @cached_property
+    def states(self):
+        return frozenset({BEG, END, SAT, REJ, *self.a1.states})
+
+    @cached_property
+    def symbols(self):
+        return frozenset({BEG, SAT, REJ, BOTTOM, *self.a1.nonfinals})
 
 
 # -- all-path construction ----------------------------------------------------
 
 
-def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Vpa:
+class _AllPath(_Search):
     """Find the shortest path matching the first regex (its DFA d1 is A1,
     pushing pre-call states for backtracking), then check every leaf path
     of the matched subtree against the second (d2 is A2, with augmented
     copies of A2 states used as resume points after each completed child).
     The matched subtree is done in A2's augmented initial state."""
-    _require_no_epsilon(d1)
-    alpha = d1.alphabet
-    a1 = _frag(d1, "a")
-    a2 = _frag(d2, "b")
-    augs = {q: _aug(q) for q in a2.states}
-    done = augs[a2.initial]
 
-    states = {BEG, END, SAT, REJ, *a1.states, *a2.states, *augs.values()}
-    gamma = {BEG, SAT, REJ, *a1.nonfinals, *augs.values()}
-    b = _Build(states, BEG, END, REJ, alpha, gamma)
-    _match_search(b, a1, done)
-    _leaf_match(b, a1)
+    def __init__(self, d1: rx.Dfa, d2: rx.Dfa):
+        self.a2 = a2 = _frag(d2, "b")
+        self.base = {_aug(q): q for q in a2.states}  # an augmented state's A2 state
+        super().__init__(d1, _aug(a2.initial))
 
-    # c2: simulate A2 inside the matched subtree, pushing augmented states.
-    for s in alpha:
-        for f in a1.finals:
-            b.call("c2", f, s, a2.delta[(a2.initial, s)], augs[a2.initial])
-        for q in a2.states:
-            b.call("c2", q, s, a2.delta[(q, s)], augs[q])
-            b.call("c2", augs[q], s, a2.delta[(q, s)], augs[q])
+    def inside_call(self, e, q):
+        # c2: simulate A2 inside the matched subtree, pushing augmented states
+        b = self.a2.initial if q in self.a1.finals else self.base.get(q, q)
+        return self.a2.delta[(b, e)], _aug(b)
 
-    # r3: backtrack A2 within the matched subtree: a child returns to the
-    # augmented state its parent pushed if A2 accepted its leaf path or the
-    # child was itself resumed; popping an A1 state in any state but done
-    # resumes the search.
-    for s in alpha:
-        for g in augs.values():
-            for q in (*a2.finals, *augs.values()):
-                b.ret("r3", q, g, s, g)
-        for g in a1.nonfinals:
-            for q in (*a2.states, *augs.values()):
-                if q != done:
-                    b.ret("r3", q, g, s, g)
+    def inside_ret(self, e, g, q):
+        # r3: backtrack A2 within the matched subtree: a child returns to the
+        # augmented state its parent pushed if A2 accepted its leaf path or
+        # the child was itself resumed; popping an A1 state in any state but
+        # done resumes the search
+        if g in self.base:
+            return g if q in self.a2.finals or q in self.base else REJ
+        if g in self.a1.nonfinals and (q in self.a2.states or q in self.base):
+            return g
+        return REJ
 
-    return b.finish()
+    @cached_property
+    def states(self):
+        return super().states | self.a2.states | self.base.keys()
+
+    @cached_property
+    def symbols(self):
+        return super().symbols | self.base.keys()
+
+
+def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Construction:
+    return _AllPath(d1, d2)
 
 
 # -- all-children construction ------------------------------------------------
 
 
-def compile_allchildren(d: rx.Dfa, child: Vpa) -> Vpa:
+class _AllChildren(_Search):
     """Find the shortest path matching d, then run the child automaton on
     every child subtree of the matched node, restarting it from its initial
     behaviour each time it accepts; one failing subtree rejects.  The
     subtree is done in the child's final state."""
-    _require_no_epsilon(d)
-    alpha = d.alphabet
-    a1 = _frag(d, "a")
-    c = _rename_vpa(child, "c.")
-    cbeg = c.initial
-    cend = _single_final(c)
-    cgamma = c.stack_alphabet - {BOTTOM}
 
-    states = {BEG, END, SAT, REJ, *c.states, *a1.states}
-    gamma = set(cgamma) | {BEG, SAT, REJ, *a1.nonfinals}
-    b = _Build(states, BEG, END, REJ, alpha, gamma)
-    _match_search(b, a1, cend)
-    _leaf_match(b, a1)
+    def __init__(self, d: rx.Dfa, child: Construction):
+        self.child = child
+        super().__init__(d, "c." + END)
 
-    # c2/r1: child transitions, except that a child subtree completing in a
-    # non-accepting child state rejects (recognized by the child's begin
-    # marker on the stack); the matched node and the child's accept state
-    # both behave like the child's initial state on calls.
-    b.copy("c2/r1", c, skip_call=cend, skip_return=cend, reset=REJ)
-    b.calls_like("c2", (*a1.finals, cend), c)
+    def inside_call(self, e, q):
+        # c2: the child's transitions; the matched node and the child's
+        # accept state both behave like the child's initial state on calls
+        x = BEG if q == self.done or q in self.a1.finals else q[2:]
+        dst, push = self.child.call(e, x)
+        return "c." + dst, "c." + push
 
-    # r2: A1 backtracking out of an unfinished child.
-    for s in alpha:
-        for g in a1.nonfinals:
-            for q in c.states - {cend}:
-                b.ret("r2", q, g, s, g)
+    def inside_ret(self, e, g, q):
+        if q != self.done and q.startswith("c."):
+            if g in self.a1.nonfinals:  # r2: A1 backtracking out of an unfinished child
+                return g
+            if g.startswith("c."):
+                # r1: a child subtree completing in a non-accepting child state
+                # rejects (recognized by the child's begin marker on the stack)
+                t = self.child.ret(e, g[2:], q[2:])
+                return REJ if g == "c." + BEG and t != END else "c." + t
+        return REJ
 
-    return b.finish()
+    @cached_property
+    def states(self):
+        return super().states | _embed("c.", self.child.states)
+
+    @cached_property
+    def symbols(self):
+        return super().symbols | _embed("c.", self.child.symbols)
+
+
+def compile_allchildren(d: rx.Dfa, child: Construction) -> Construction:
+    return _AllChildren(d, child)
 
 
 # -- exists-child construction ------------------------------------------------
 
 
-def compile_exists(d: rx.Dfa, subpolicies: Sequence[Vpa]) -> Vpa:
+class _Exists(_Search):
     """Find the shortest path matching d, then thread the sub-automata
     over the matched node's child subtrees: each accepted subtree advances
     to the next sub-automaton, each rejected subtree retries the current
     one on the following sibling.  The subtree is done in the last
-    sub-automaton's final state."""
-    _require_no_epsilon(d)
-    assert subpolicies, "exists-child needs at least one subpolicy"
-    alpha = d.alphabet
-    a1 = _frag(d, "a")
-    subs = [_rename_vpa(v, f"c{i + 1}.") for i, v in enumerate(subpolicies)]
-    k = len(subs)
-    begs = [v.initial for v in subs]
-    ends = [_single_final(v) for v in subs]
-    gammas = [v.stack_alphabet - {BOTTOM} for v in subs]
-    all_sub_states = set().union(*(v.states for v in subs))
+    sub-automaton's final state; once it is, the run coasts in the exists
+    marker."""
 
-    states = {BEG, END, REJ, EXISTS, SAT, *a1.states, *all_sub_states}
-    gamma = {BEG, REJ, EXISTS, SAT, *a1.nonfinals}.union(*gammas)
-    b = _Build(states, BEG, END, REJ, alpha, gamma)
-    _match_search(b, a1, ends[k - 1])
+    leaf = False
 
-    # c1: the matched node hands over to the first sub-automaton.
-    b.calls_like("c1", a1.finals, subs[0])
+    def __init__(self, d: rx.Dfa, subpolicies: Sequence[Construction]):
+        assert subpolicies, "exists-child needs at least one subpolicy"
+        self.subs = {f"c{i}": v for i, v in enumerate(subpolicies, start=1)}
+        self.next = dict(zip(self.subs, list(self.subs)[1:]))
+        super().__init__(d, f"c{len(subpolicies)}.{END}")
 
-    # c2/r1: sub-automata transitions with retry: a subtree failing the
-    # current sub-policy resets to that sub-policy's initial state; an
-    # accept state behaves like the next sub-automaton's initial state.
-    for i, v in enumerate(subs):
-        b.copy("c2/r1", v, skip_call=ends[i], reset=begs[i])
-        if i + 1 < k:
-            b.calls_like("c2", (ends[i],), subs[i + 1])
+    def inside_call(self, e, q):
+        if q == EXISTS or q == self.done:  # c3
+            return EXISTS, EXISTS
+        if q in self.a1.finals:  # c1: the matched node hands over to the first sub-automaton
+            head, x = "c1", BEG
+        else:
+            # c2: sub-automata transitions; an accept state behaves like the
+            # next sub-automaton's initial state
+            head, _, x = q.partition(".")
+            if x == END:
+                head, x = self.next[head], BEG
+        dst, push = self.subs[head].call(e, x)
+        return f"{head}.{dst}", f"{head}.{push}"
 
-    # c3: once all k subtrees are found the run coasts in the exists marker.
-    for s in alpha:
-        b.call("c3", ends[k - 1], s, EXISTS, EXISTS)
-        b.call("c3", EXISTS, s, EXISTS, EXISTS)
+    def inside_ret(self, e, g, q):
+        a1 = self.a1
+        if q == EXISTS:  # r3: the exists marker, like the done state, satisfies the match
+            if g in a1.nonfinals:
+                return SAT if a1.delta[(g, e)] in a1.finals else REJ
+            return END if g == BEG else REJ if g == BOTTOM else EXISTS
+        head, dot, x = q.partition(".")
+        if not dot:
+            return REJ
+        if g in a1.nonfinals:  # r2: A1 backtracking out of the sub-automata
+            return g
+        sub, _, y = g.partition(".")
+        if sub != head:
+            return REJ
+        # r1: a subtree failing the current sub-policy resets to that
+        # sub-policy's initial state
+        t = self.subs[head].ret(e, y, x)
+        return f"{head}.{BEG if y == BEG and t != END else t}"
 
-    # r2: A1 backtracking out of the sub-automata and out of the matched node.
-    backtracking = (*(all_sub_states - {ends[k - 1]}), *a1.finals)
-    for s in alpha:
-        for g in a1.nonfinals:
-            for q in backtracking:
-                b.ret("r2", q, g, s, g)
+    @cached_property
+    def states(self):
+        return super().states.union({EXISTS}, *(_embed(h + ".", v.states)
+                                                for h, v in self.subs.items()))
 
-    # r3: the exists marker, like the done state, satisfies the match.
-    for s in alpha:
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] in a1.finals:
-                b.ret("r3", EXISTS, g, s, SAT)
-        for g in gamma - set(a1.nonfinals) - {BEG}:
-            b.ret("r3", EXISTS, g, s, EXISTS)
-        b.ret("r3", EXISTS, BEG, s, END)
+    @cached_property
+    def symbols(self):
+        return super().symbols.union({EXISTS}, *(_embed(h + ".", v.symbols)
+                                                 for h, v in self.subs.items()))
 
-    return b.finish()
+
+def compile_exists(d: rx.Dfa, subpolicies: Sequence[Construction]) -> Construction:
+    return _Exists(d, subpolicies)
 
 
 # -- start construction --------------------------------------------------------
 
 
-def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
+class _Start(Construction):
     """Anchor the inner automaton at first-encounter start endpoints.
 
     The anchor DFA (that of ``start_anchor_regex``) recognizes paths ending
@@ -444,79 +402,79 @@ def compile_start(anchor: rx.Dfa, inner: Vpa) -> Vpa:
     anchor DFA's final states and the inner automaton's initial/final states
     are fused away.
     """
-    alpha = anchor.alphabet
-    a1 = _frag(anchor, "a")
-    inn = _rename_vpa(inner, "in.")
-    ibeg = inn.initial
-    iend = _single_final(inn)
-    imid = inn.states - {ibeg} - inn.finals
 
-    states = {BEG, END, REJ, *a1.nonfinals, *imid}
-    gamma = states - {END}
-    b = _Build(states, BEG, END, REJ, alpha, gamma)
+    def __init__(self, anchor: rx.Dfa, inner: Construction):
+        self.alphabet, self.a1, self.inner = anchor.alphabet, _frag(anchor, "a"), inner
 
-    def inner_initial_call(s: Endpoint) -> tuple[str, str]:
-        dst, push = inn.delta_call[(ibeg, s)]
-        assert push == ibeg, "inner automaton must push its begin marker first"
-        return dst, push
-
-    def inner_accepting_return(q: str, s: Endpoint) -> bool:
-        return inn.delta_return[(q, ibeg, s)] == iend
-
-    # c1: simulate the anchor DFA; on reaching an S endpoint, enter the
-    # inner automaton instead.  The root call steps the anchor from its
-    # initial state and pushes the begin marker; a deeper call pushes its
-    # source state.
-    sources = ((a1.initial, BEG), *((q, q) for q in a1.nonfinals))
-    for s in alpha:
-        for q, src in sources:
-            t = a1.delta[(q, s)]
+    def call(self, e, q):
+        a1 = self.a1
+        if q == BEG or q in a1.nonfinals:
+            # c1: simulate the anchor DFA; on reaching an S endpoint, enter the
+            # inner automaton instead.  The root call steps the anchor from
+            # its initial state and pushes the begin marker; a deeper call
+            # pushes its source state.
+            t = a1.delta[(a1.initial if q == BEG else q, e)]
             if t in a1.finals:
-                t, _ = inner_initial_call(s)
-            b.call("c1", src, s, t, src)
+                t, push = self.inner.call(e, BEG)
+                assert push == BEG, "inner automaton must push its begin marker first"
+                t = "in." + t
+            return t, q
+        if q.startswith("in."):  # c2: inner transitions between its middle states
+            dst, push = self.inner.call(e, q[3:])
+            return "in." + dst, "in." + push
+        return REJ, REJ
 
-    # c2/r3: inner transitions between its middle states (``_Build`` drops
-    # those from the fused initial and final states).
-    b.copy("c2/r3", inn)
-    for s in alpha:
-        b.call("c-rej", REJ, s, REJ, REJ)
-
-    # r1: acceptance at the root's return (anchor still scanning, or the
-    # root itself was the S node and its subtree satisfied the inner check).
-    for s in alpha:
-        t = a1.delta[(a1.initial, s)]
-        if t not in a1.finals:
-            b.ret("r1", t, BEG, s, END)
+    def ret(self, e, g, q):
+        a1 = self.a1
+        if q in a1.nonfinals:
+            if g in a1.nonfinals:  # r2: anchor backtracking
+                return g
+            # r1: acceptance at the root's return, the anchor still scanning
+            return END if g == BEG and q == a1.delta[(a1.initial, e)] else REJ
+        if not q.startswith("in."):
+            return REJ
+        if g.startswith("in."):  # r3: inner returns between its middle states
+            return "in." + self.inner.ret(e, g[3:], q[3:])
+        # r1/r2: the S subtree completed; it accepts if the inner automaton
+        # would, at the root, or else resuming the anchor from the popped
+        # state (the initial one included: a deeper call from it pushes it)
+        if g == BEG:
+            t, anchor = END, a1.delta[(a1.initial, e)]
+        elif g in a1.nonfinals:
+            t, anchor = g, a1.delta[(g, e)]
         else:
-            for q in imid:
-                if inner_accepting_return(q, s):
-                    b.ret("r1", q, BEG, s, END)
+            return REJ
+        return t if anchor in a1.finals and self.inner.ret(e, BEG, q[3:]) == END else REJ
 
-    # r2: anchor backtracking, and resuming the anchor from the popped state
-    # (the initial one included: a deeper call from it pushes it) when an S
-    # subtree completes successfully.
-    for s in alpha:
-        for q in a1.nonfinals:
-            for g in a1.nonfinals:
-                b.ret("r2", q, g, s, g)
-        for g in a1.nonfinals:
-            if a1.delta[(g, s)] in a1.finals:
-                for q in imid:
-                    if inner_accepting_return(q, s):
-                        b.ret("r2", q, g, s, g)
+    @cached_property
+    def states(self):
+        return frozenset({BEG, END, REJ, *self.a1.nonfinals}) | _embed(
+            "in.", self.inner.states - {BEG, END})
 
-    return b.finish()
+    @cached_property
+    def symbols(self):
+        # the symbols some call pushes: no call here pushes the inner
+        # automaton's begin marker, since the entering call pushes the
+        # anchor's state, and none pushes its final state
+        return frozenset({BEG, REJ, BOTTOM, *self.a1.nonfinals}) | _embed(
+            "in.", self.inner.symbols - {BEG, END})
 
 
-# -- reachability: reached cells, pruning and doomed states --------------------
+def compile_start(anchor: rx.Dfa, inner: Construction) -> Construction:
+    return _Start(anchor, inner)
 
 
-def reached_cells(initial: int, rows: Sequence[tuple[tuple, tuple]]
-                  ) -> tuple[set[int], list[set[tuple[int, int]]]]:
+# -- reachability: reached cells, the build and doomed states ------------------
+
+
+def reached_cells(initial, rows: Sequence[tuple]) -> tuple[set, list[set[tuple]]]:
     """The cells of a table a rooted word can read (Alur & Madhusudan,
-    "Adding Nesting Structure to Words", JACM 2009): the ids of the states
-    a call is made from, and for each (request row, response rows) pair of
-    ``rows`` the (state, popped symbol) ids a return is read at.
+    "Adding Nesting Structure to Words", JACM 2009): the states a call is
+    made from, and for each (request row, response rows) pair of ``rows``
+    the (state, popped symbol) pairs a return is read at.  A request row
+    maps a state to its target and pushed symbol, and response rows map a
+    popped symbol to a row of targets: a table's rows read by id, or
+    ``build``'s lookups read by name, each cell read when it is reached.
 
     W(q0) is the set of states reachable from q0 over any sequence of
     complete child subtrees.  The root call is made from the initial state.
@@ -527,9 +485,9 @@ def reached_cells(initial: int, rows: Sequence[tuple[tuple, tuple]]
     relates it to the callers that entered q0 before; a caller found later
     relates itself to the pairs taken before it."""
     requests = [request for request, _ in rows]
-    exits: dict[int, set[int]] = {}  # q0 -> W(q0) found so far
-    done: dict[int, list[int]] = {}  # q0 -> the states of W(q0) taken off the worklist
-    callers: dict[int, set[tuple]] = {}  # q0 -> (q0 around the caller or None, row, pushed)
+    exits: dict = {}  # q0 -> W(q0) found so far
+    done: dict = {}  # q0 -> the states of W(q0) taken off the worklist
+    callers: dict = {}  # q0 -> (q0 around the caller or None, row, pushed)
     returns = [set() for _ in rows]
 
     def returned(around, c, g, q1):
@@ -557,44 +515,56 @@ def reached_cells(initial: int, rows: Sequence[tuple[tuple, tuple]]
     return {initial}.union(*exits.values()), returns
 
 
-def _prune(v: Vpa) -> Vpa:
-    """``v`` restricted to the cells a rooted word can read
+class _Cells(dict):
+    """A row of cells, each computed by ``cell`` on first read and kept."""
+
+    __slots__ = ("cell",)
+
+    def __init__(self, cell):
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, key):
+        value = self[key] = self.cell(key)
+        return value
+
+
+def build(c: Construction) -> Vpa:
+    """The automaton of ``c`` restricted to the cells a rooted word can read
     (``reached_cells``), every other cell taking the reject sink's rule.
 
-    It keeps the states calls are made from, the targets of the reached
-    return cells, and ``rej``; the symbols the reached calls push, the
-    bottom marker and ``rej``.  The result is complete and well-formed, and
-    a rooted word, or a prefix of one, reads only reached cells, so its run
-    is the same, configuration for configuration.  So is a forest's: the
-    root's return goes to ``end`` or to ``rej``, whose calls go to ``rej``
-    in both automata."""
-    t = v.table
-    rows = [(t.request[e], t.response[e]) for e in v.alphabet]
-    sources, returns = reached_cells(t.state_id[v.initial], rows)
-    states, symbols = {*sources, t.state_id[REJ]}, {t.symbol_id[BOTTOM], t.symbol_id[REJ]}
+    Only the reached cells are computed, each once.  The automaton keeps
+    the states calls are made from, the targets of the reached return
+    cells, and ``rej``; the symbols the reached calls push, the bottom
+    marker and ``rej``; ids number them in sorted name order.  It is
+    complete and well-formed, and a rooted word, or a prefix of one, reads
+    only reached cells, so it runs through the configurations it has over
+    every cell of ``c``.  So does a forest: the root's return goes to
+    ``end`` or to ``rej``, whose calls go to ``rej`` in both."""
+    rows = [(_Cells(partial(c.call, e)), _Cells(lambda g, e=e: _Cells(partial(c.ret, e, g))))
+            for e in c.alphabet]
+    sources, returns = reached_cells(BEG, rows)
+    states, symbols = {*sources, REJ}, {BOTTOM, REJ}
     for (request, response), cells in zip(rows, returns):
         symbols.update(request[h][1] for h in sources)
         states.update(response[g][h] for h, g in cells)
-    kept, kept_symbols = sorted(states), sorted(symbols)  # old ids, in sorted name order
-    new = {h: i for i, h in enumerate(kept)}
-    new_symbol = {g: i for i, g in enumerate(kept_symbols)}
-    r = new[t.state_id[REJ]]
-    call_sink = r, new_symbol[t.symbol_id[REJ]]
+    names, symbol_names = tuple(sorted(states)), tuple(sorted(symbols))
+    state_id = {q: i for i, q in enumerate(names)}
+    symbol_id = {g: i for i, g in enumerate(symbol_names)}
+    r = state_id[REJ]
+    call_sink = r, symbol_id[REJ]
     table_request, table_response = {}, {}
-    for e, (request, response), cells in zip(v.alphabet, rows, returns):
-        calls = [call_sink] * len(kept)
+    for e, (request, response), cells in zip(c.alphabet, rows, returns):
+        calls = [call_sink] * len(names)
         for h in sources:
             q, g = request[h]
-            calls[new[h]] = new[q], new_symbol[g]
-        rets = [[r] * len(kept) for _ in kept_symbols]
+            calls[state_id[h]] = state_id[q], symbol_id[g]
+        rets = [[r] * len(names) for _ in symbol_names]
         for h, g in cells:
-            rets[new_symbol[g]][new[h]] = new[response[g][h]]
+            rets[symbol_id[g]][state_id[h]] = state_id[response[g][h]]
         table_request[e], table_response[e] = tuple(calls), tuple(map(tuple, rets))
-    names = tuple(t.states[h] for h in kept)
-    symbol_names = tuple(t.symbols[g] for g in kept_symbols)
-    table = Table(names, symbol_names, {q: i for i, q in enumerate(names)},
-                  {g: i for i, g in enumerate(symbol_names)}, table_request, table_response)
-    return Vpa(frozenset(names), v.initial, v.finals & frozenset(names), v.alphabet,
+    table = Table(names, symbol_names, state_id, symbol_id, table_request, table_response)
+    return Vpa(frozenset(names), BEG, frozenset({END}) & states, c.alphabet,
                frozenset(symbol_names), table)
 
 
@@ -626,29 +596,41 @@ def _doomed_states(v: Vpa) -> frozenset[str]:
 # -- whole-policy compilation ---------------------------------------------------
 
 
-def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]) -> tuple[Vpa, dict[str, rx.Dfa]]:
-    """Compile an inner policy bottom-up; returns the automaton and the
+# Bounded like the regex caches, but lower than rx.CACHE_SIZE: holding 2,048
+# DFAs, and the regexes keying them, raised a long compile loop's peak RSS by
+# 3.5 MB, and 128 hold several documents' worth.
+@lru_cache(maxsize=128)
+def _dfa(r: rx.Regex, alphabet: tuple[Endpoint, ...]) -> rx.Dfa:
+    """``rx.to_dfa``, built once per distinct (regex, alphabet) pair: the
+    policies of a document repeat their regexes.  Callers share the DFA
+    and never change it."""
+    return rx.to_dfa(r, alphabet)
+
+
+def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]
+                  ) -> tuple[Construction, dict[str, rx.Dfa]]:
+    """Compile an inner policy bottom-up; returns the construction and the
     component DFAs keyed by their position in the policy tree."""
     alpha = tuple(alphabet)
     if isinstance(inner, CallSeq):
-        d = rx.to_dfa(inner.reg, alpha)
+        d = _dfa(inner.reg, alpha)
         return compile_callseq(d), {"seq": d}
     if isinstance(inner, AllPath):
-        d1, d2 = rx.to_dfa(inner.reg1, alpha), rx.to_dfa(inner.reg2, alpha)
+        d1, d2 = _dfa(inner.reg1, alpha), _dfa(inner.reg2, alpha)
         return compile_allpath(d1, d2), {"match": d1, "leaves": d2}
     if isinstance(inner, AllChildren):
-        child_vpa, child_dfas = compile_inner(inner.child, alpha)
-        dfas = {"match": rx.to_dfa(inner.reg, alpha)}
+        child, child_dfas = compile_inner(inner.child, alpha)
+        dfas = {"match": _dfa(inner.reg, alpha)}
         dfas.update({f"child.{k}": d for k, d in child_dfas.items()})
-        return compile_allchildren(dfas["match"], child_vpa), dfas
+        return compile_allchildren(dfas["match"], child), dfas
     if isinstance(inner, ExistsChild):
-        sub_vpas = []
-        dfas = {"match": rx.to_dfa(inner.reg, alpha)}
+        subs = []
+        dfas = {"match": _dfa(inner.reg, alpha)}
         for i, sub in enumerate(inner.subpolicies, start=1):
             v, sub_dfas = compile_inner(sub, alpha)
-            sub_vpas.append(v)
+            subs.append(v)
             dfas.update({f"sub{i}.{k}": d for k, d in sub_dfas.items()})
-        return compile_exists(dfas["match"], sub_vpas), dfas
+        return compile_exists(dfas["match"], subs), dfas
     raise TypeError(f"not an inner policy: {inner!r}")
 
 
@@ -678,10 +660,10 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
     alpha = tuple(alphabet)
     classes = endpoint_classes(policy, alpha)
     reps = tuple(c[0] for c in classes)
-    dfas = {"start": rx.to_dfa(start_anchor_regex(policy.start_set), reps)}
-    inner_vpa, inner_dfas = compile_inner(policy.inner, reps)
+    dfas = {"start": _dfa(start_anchor_regex(policy.start_set), reps)}
+    inner, inner_dfas = compile_inner(policy.inner, reps)
     dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
-    vpa = _share_rows(_prune(compile_start(dfas["start"], inner_vpa)), classes, alpha)
+    vpa = _share_rows(build(compile_start(dfas["start"], inner)), classes, alpha)
     report = check_well_formed(vpa)
     if not report.ok:
         raise CompilerInternalError(

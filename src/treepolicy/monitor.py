@@ -10,7 +10,7 @@ integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
 does.  ``extract_monitor`` copies no rule and runs no analysis: its specs
 are row views of ``Vpa.table``, leaving out the rules equal to the sink's,
 and its monitor steps that table.  A compiled automaton holds no cell
-outside the sink's rule that a rooted word cannot read (``compiler._prune``),
+outside the sink's rule that a rooted word cannot read (``compiler.build``),
 so its filters list exactly the non-sink cells a rooted request can read.
 Endpoints whose rows the table shares (an endpoint class of a compiled
 automaton) share one pair of views.  A monitor read back from filter specs
@@ -25,12 +25,12 @@ Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
 reproduces the centralized run configuration-for-configuration.  The
 serialized forms list rules in the specs' order, so they are byte-stable:
-``filter_spec_to_json`` writes through ``vpa.json_document`` the bytes
-``json.dumps(indent=2, ensure_ascii=False)`` gives for one object per rule,
-and ``render_filter_script`` formats each rule with one template.  Both
-keep the text of a view's rules on the view (``TableRules.memo``), so the
-specs of a class share it and only the head line naming the endpoint
-differs.
+``filter_spec_to_json`` writes the bytes ``json.dumps(indent=2,
+ensure_ascii=False)`` gives for one object per rule, its head from one
+template, and ``render_filter_script`` formats each rule with one
+template.  Both keep the text of a view's rules on the view
+(``TableRules.memo``), so the specs of a class share it and only the head
+line naming the endpoint differs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
     BOTTOM, Configuration, RequestRules, ResponseRules, Table, TableRules, Vpa, build_table,
-    json_document, json_member, link, load_document, reject_member, skipped_cells,
+    json_member, json_string, link, load_document, reject_member, skipped_cells,
     string_rows, walk,
 )
 
@@ -184,10 +184,16 @@ def _response_member(rules: Mapping) -> str:
                        [(q, g, dst) for (q, g), dst in rules.items()])
 
 
+# What json.dumps(head, indent=2, ensure_ascii=False) writes for a filter's
+# three head members, without the closing "\n}"
+_FILTER_HEAD = f'{{\n  "version": {FILTER_SCHEMA_VERSION},\n  "endpoint": %s,\n  "reject": %s'
+
+
 def filter_spec_to_json(spec: FilterSpec) -> str:
-    head = {"version": FILTER_SCHEMA_VERSION, "endpoint": spec.endpoint, "reject": spec.reject}
-    return json_document(head, [_rendered(spec.on_request, _request_member),
-                                _rendered(spec.on_response, _response_member)])
+    reject = "null" if spec.reject is None else json_string(spec.reject)
+    return "".join([_FILTER_HEAD % (json_string(spec.endpoint), reject),
+                    _rendered(spec.on_request, _request_member),
+                    _rendered(spec.on_response, _response_member), "\n}\n"])
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:

@@ -18,8 +18,9 @@ and builds the items of a ``Run``.  Configurations share their stacks, and
 automata and configurations are never changed.
 
 ``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
-sorted key order, which is the table's id order with the alphabet sorted,
-so no writer sorts rows.  The JSON equals what
+sorted key order, which is the table's id order with the alphabet sorted.
+Both writers list ``Vpa.rules``, which reads each distinct row once and is
+kept on the automaton.  The JSON equals what
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
 rule.  ``json_member`` writes each table from a row template, escaping
 each name once, since ``indent`` sends ``json.dumps`` to its pure-Python
@@ -68,6 +69,14 @@ class Vpa:
         """The reject sink (``reject_sink``), found on first use and kept on
         the automaton (not a field: equality ignores it)."""
         return reject_sink(self)
+
+    @cached_property
+    def rules(self) -> tuple[list[tuple[str, str, str, str]], list[tuple[str, str, str, str]]]:
+        """The rules the writers list, made on first use and kept like
+        ``sink``: (from, sym, to, push) for each call rule and (from, pop,
+        sym, to) for each return rule, sorted, but the sink's."""
+        skip_call, skip_return = skipped_cells(self.table, self.sink)
+        return _call_rows(self.table, skip_call), _return_rows(self.table, skip_return)
 
     @property
     def delta_call(self) -> Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]:
@@ -279,17 +288,24 @@ class _RuleItems(ItemsView):
 
 
 def _call_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
-    """(from, sym, to, push) for each call cell not in ``skip``, sorted."""
-    states, symbols, alphabet = t.states, t.symbols, sorted(t.request)
-    return [(q, e, states[r[0]], symbols[r[1]]) for h, q in enumerate(states)
-            for e in alphabet if (r := t.request[e][h]) not in skip]
+    """(from, sym, to, push) for each call cell not in ``skip``, sorted.
+    Each distinct row is read once: the endpoints of a class share theirs."""
+    states, symbols = t.states, t.symbols
+    kept = {key: [(h, r) for h, r in enumerate(row) if r not in skip]
+            for key, row in {id(row): row for row in t.request.values()}.items()}
+    return [(states[h], e, states[r[0]], symbols[r[1]]) for h, e, r in
+            sorted((h, e, r) for e, row in t.request.items() for h, r in kept[id(row)])]
 
 
 def _return_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
-    """(from, pop, sym, to) for each return cell not in ``skip``, sorted."""
-    states, symbols, alphabet = t.states, t.symbols, sorted(t.response)
-    return [(q, g, e, states[r]) for h, q in enumerate(states) for i, g in enumerate(symbols)
-            for e in alphabet if (r := t.response[e][i][h]) not in skip]
+    """(from, pop, sym, to) for each return cell not in ``skip``, sorted.
+    Each distinct row is read once: the endpoints of a class share theirs."""
+    states, symbols = t.states, t.symbols
+    kept = {key: [(h, i, r) for i, row in enumerate(rows) for h, r in enumerate(row)
+                  if r not in skip]
+            for key, rows in {id(rows): rows for rows in t.response.values()}.items()}
+    return [(states[h], symbols[i], e, states[r]) for h, i, e, r in
+            sorted((h, i, e, r) for e, rows in t.response.items() for h, i, r in kept[id(rows)])]
 
 
 class RequestRules(TableRules):
@@ -517,8 +533,9 @@ def check_well_formed(v: Vpa) -> WellFormedReport:
     returns = _holed(t.response, lambda rows: any(None in row for row in rows))
     problems += [f"missing call transition {(q, e)!r}" for h, q in enumerate(t.states)
                  for e, row in calls if row[h] is None]
-    problems += [f"missing return transition {(q, g, e)!r}" for h, q in enumerate(t.states)
-                 for i, g in enumerate(t.symbols) for e, rows in returns if rows[i][h] is None]
+    if returns:  # else the states x symbols loop would find nothing
+        problems += [f"missing return transition {(q, g, e)!r}" for h, q in enumerate(t.states)
+                     for i, g in enumerate(t.symbols) for e, rows in returns if rows[i][h] is None]
     return WellFormedReport(not problems, tuple(problems))
 
 
@@ -575,9 +592,7 @@ def skipped_cells(t: Table, sink: State | None) -> tuple[tuple, tuple]:
 
 
 def _export_json(v: Vpa) -> str:
-    sink = v.sink
-    skip_call, skip_return = skipped_cells(v.table, sink)
-    calls, returns = _call_rows(v.table, skip_call), _return_rows(v.table, skip_return)
+    calls, returns = v.rules
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -585,7 +600,7 @@ def _export_json(v: Vpa) -> str:
         "initial": v.initial,
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
-        "reject": sink,
+        "reject": v.sink,
     }
     return json_document(head, [
         json_member("delta_call", ("from", "sym", "to", "push"), calls),
@@ -594,7 +609,7 @@ def _export_json(v: Vpa) -> str:
 
 
 # json.dumps(s, ensure_ascii=False) without building an encoder per string
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
+json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def json_document(head: dict, members: Iterable[str]) -> str:
@@ -611,10 +626,10 @@ def json_member(field: str, keys: tuple[str, ...], rows: Sequence[tuple[str, ...
     rows share one template with the quoted keys built in, and each
     distinct string is quoted once, by the encoder ``json.dumps`` uses."""
     if not rows:
-        return f",\n  {_json_string(field)}: []"
-    quote = cache(_json_string)
-    row = "    {\n" + ",\n".join(f"      {_json_string(k)}: %s" for k in keys) + "\n    }"
-    return "".join([f",\n  {_json_string(field)}: [\n",
+        return f",\n  {json_string(field)}: []"
+    quote = cache(json_string)
+    row = "    {\n" + ",\n".join(f"      {json_string(k)}: %s" for k in keys) + "\n    }"
+    return "".join([f",\n  {json_string(field)}: [\n",
                     ",\n".join(map(row.__mod__, zip(*[map(quote, col) for col in zip(*rows)]))),
                     "\n  ]"])
 
@@ -703,10 +718,8 @@ def _export_dot(v: Vpa) -> str:
     The rules into the reject sink are not drawn; the graph's ``comment``
     names the sink.  Each name is escaped once, a backslash before each
     backslash and each double quote; each edge is one template."""
-    sink = v.sink
-    t = v.table
-    skip_call, skip_return = skipped_cells(t, sink)
-    calls, returns = _call_rows(t, skip_call), _return_rows(t, skip_return)
+    sink, t = v.sink, v.table
+    calls, returns = v.rules
     esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
            for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]

@@ -13,7 +13,7 @@ from treepolicy import compiler, nested_word as nw, regex as rx
 from treepolicy.policy import Policy, start_anchor_regex
 from treepolicy.vpa import BOTTOM, Vpa
 
-from reference import tree_to_events
+from reference import dense_automaton, tree_to_events
 
 
 def events_from_str(text: str) -> list[nw.TaggedSymbol]:
@@ -68,12 +68,17 @@ def wide_policy_text(n: int = 3000) -> str:
     return f"alphabet {', '.join(names)};\nstart {{S0}}: call-seq star;\n"
 
 
-def raw_automaton(pol: Policy, alphabet) -> Vpa:
-    """The automaton ``compile_policy`` builds before its prune pass: the
-    inner automaton anchored at the start set by ``compile_start``."""
+def raw_construction(pol: Policy, alphabet) -> compiler.Construction:
+    """The construction ``compile_policy`` builds from, over every name:
+    the inner construction anchored at the start set by ``compile_start``."""
     alpha = tuple(alphabet)
     inner, _ = compiler.compile_inner(pol.inner, alpha)
     return compiler.compile_start(rx.to_dfa(start_anchor_regex(pol.start_set), alpha), inner)
+
+
+def raw_automaton(pol: Policy, alphabet) -> Vpa:
+    """Every declared cell of ``raw_construction``, evaluated."""
+    return dense_automaton(raw_construction(pol, alphabet))
 
 
 def two_state_vpa() -> Vpa:

@@ -23,7 +23,7 @@ from treepolicy import nested_word as nw
 from treepolicy import regex as rx
 from treepolicy.errors import NotRooted, StackUnderflow, TreePolicyError
 from treepolicy.policy import AllChildren, AllPath, CallSeq, start_anchor_regex
-from treepolicy.vpa import Vpa, link
+from treepolicy.vpa import BOTTOM, Vpa, link
 
 # -- nested words: the matching, sub-words and the tree views ------------------
 
@@ -344,6 +344,28 @@ def reference_reached_cells(v: Vpa) -> tuple[set, set]:
     calls = {(p, e) for p in sources for e in alphabet}
     returns = {(q1, g, e) for p, e in calls for q0, g in (v.delta_call[(p, e)],) for q1 in W[q0]}
     return calls, returns
+
+
+def dense_automaton(c: compiler.Construction) -> Vpa:
+    """The construction with every declared cell evaluated: the automaton
+    it states, before the build leaves out the cells no rooted word reads."""
+    calls = {(q, e): c.call(e, q) for q in c.states for e in c.alphabet}
+    returns = {(q, g, e): c.ret(e, g, q) for q in c.states for g in c.symbols for e in c.alphabet}
+    return Vpa.from_rules(c.states, compiler.BEG, {compiler.END}, c.alphabet, c.symbols,
+                          calls, returns)
+
+
+def reference_build(v: Vpa) -> Vpa:
+    """``v`` restricted to the cells a rooted word can read: the states
+    those cells name and ``rej``, the symbols their calls push, the bottom
+    marker and ``rej``, with every other cell going to ``rej``."""
+    calls, returns = reference_reached_cells(v)
+    rej = compiler.REJ
+    states = {rej, *(q for q, _ in calls), *(v.delta_return[k] for k in returns)}
+    symbols = {rej, BOTTOM, *(v.delta_call[k][1] for k in calls)}
+    return Vpa.from_rules(states, v.initial, v.finals & states, v.alphabet, symbols,
+                          {k: v.delta_call[k] for k in calls},
+                          {k: v.delta_return[k] for k in returns}, reject=rej)
 
 
 def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:

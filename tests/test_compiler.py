@@ -2,8 +2,11 @@
 plus structural invariants and the analytic state bound."""
 
 import functools
+import gc
+import itertools
 import random
-import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from treepolicy import compiler, nested_word as nw, oracle, regex as rx
 from treepolicy.corpus import corpus_documents
-from treepolicy.errors import CompilerInternalError, EpsilonMatchRegex
+from treepolicy.errors import EpsilonMatchRegex
 from treepolicy.monitor import extract_monitor
 from treepolicy.policy import (
     AllChildren,
@@ -26,10 +29,12 @@ from treepolicy.policy import (
     parse_policy,
     start_anchor_regex,
 )
-from treepolicy.vpa import BOTTOM, Vpa, accepts, check_well_formed, run
+from treepolicy.vpa import BOTTOM, accepts, check_well_formed, run
 
-from conftest import random_rooted_word, raw_automaton, word_from_str
-from reference import callseq_reject_states
+from conftest import random_rooted_word, raw_automaton, raw_construction, word_from_str
+from reference import (
+    callseq_reject_states, dense_automaton, reference_build, reference_reached_cells,
+)
 from test_regex import random_regex
 
 
@@ -48,110 +53,165 @@ def inner_of(text):
     return parse_policy(text).policies[0].inner
 
 
-def small_build():
-    """A two-symbol table builder: states beg/end/rej/q, pushable beg/rej/q."""
-    states = {compiler.BEG, compiler.END, compiler.REJ, "q"}
-    gamma = {compiler.BEG, compiler.REJ, "q"}
-    return compiler._Build(states, compiler.BEG, compiler.END, compiler.REJ, ("A", "B"), gamma)
+def counting(c):
+    """``c``, its ``call`` and ``ret`` recording each cell they compute."""
+    computed = []
+    call, ret = c.call, c.ret
+    c.call = lambda e, q: computed.append((q, e)) or call(e, q)
+    c.ret = lambda e, g, q: computed.append((q, g, e)) or ret(e, g, q)
+    return c, computed
 
 
 class TestBuild:
-    """The table builder's contract: families never disagree, and
-    ``finish`` alone fills the cells they leave unwritten."""
-
-    def test_conflicting_call_write_raises(self):
-        b = small_build()
-        b.call("f1", "q", "A", "q", "q")
-        b.call("f2", "q", "A", "q", "q")  # agreeing rewrite is fine
-        with pytest.raises(CompilerInternalError, match="f3: call conflict"):
-            b.call("f3", "q", "A", compiler.END, "q")
-
-    def test_conflicting_return_write_raises(self):
-        b = small_build()
-        b.ret("f1", "q", compiler.BEG, "A", compiler.END)
-        b.ret("f2", "q", compiler.BEG, "A", compiler.END)
-        with pytest.raises(CompilerInternalError, match="f3: return conflict"):
-            b.ret("f3", "q", compiler.BEG, "A", compiler.REJ)
+    """``build``'s contract: it computes the cells a rooted word can read,
+    each once and no other, and gives every other cell the reject sink's
+    rule."""
 
     def test_unwritten_keys_complete_to_reject(self):
-        b = small_build()
-        b.call("f", compiler.BEG, "A", "q", compiler.BEG)
-        b.ret("f", "q", compiler.BEG, "A", compiler.END)
-        v = b.finish()
-        rej = compiler.REJ
-        assert v.delta_call[(compiler.BEG, "A")] == ("q", compiler.BEG)
-        assert v.delta_return[("q", compiler.BEG, "A")] == compiler.END
-        assert v.delta_call[(compiler.BEG, "B")] == (rej, rej)
-        assert v.delta_call[(compiler.END, "A")] == (rej, rej)
-        assert v.delta_return[("q", compiler.BEG, "B")] == rej
-        assert v.delta_return[("q", BOTTOM, "A")] == rej
-        assert len(v.delta_call) == 4 * 2
-        assert len(v.delta_return) == 4 * 4 * 2  # pushable symbols plus BOTTOM
-
-    def test_undeclared_source_or_pop_is_dropped(self):
-        b = small_build()
-        b.call("f", "elsewhere", "A", "q", "q")
-        b.ret("f", "elsewhere", "q", "A", "q")
-        b.ret("f", "q", "elsewhere", "A", "q")
-        b.ret("f", "q", compiler.END, "A", "q")  # END is a state, not pushable
-        b.ret("f", "q", BOTTOM, "A", "q")  # the bottom marker is never pushed
-        # no cell written
-        assert all(cell is None for row in b.request.values() for cell in row)
-        assert all(cell is None for rows in b.response.values() for row in rows for cell in row)
-        v = b.finish()
-        assert v.delta_call[("q", "A")] == (compiler.REJ, compiler.REJ)
-        assert ("q", compiler.END, "A") not in v.delta_return
-        assert v.delta_return[("q", BOTTOM, "A")] == compiler.REJ
-
-    def test_embedded_rules_are_written_by_id(self):
-        # a sub-automaton over q, rej and end: q calls A into q; every other
-        # rule goes to rej
+        # call-seq of A over A, B: the DFA's initial state a0 is never entered,
+        # since beg steps the DFA from it
+        alpha = ("A", "B")
+        c = compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), alpha))
+        v = compiler.build(c)
         beg, end, rej = compiler.BEG, compiler.END, compiler.REJ
-        sub = Vpa.from_rules({"q", rej, end}, "q", {end}, ("A", "B"), {BOTTOM, "q", rej},
-                             {("q", "A"): ("q", "q")}, {}, reject=rej)
-        b = small_build()
-        b.copy("c", sub, skip_call=rej, reset=beg)
-        b.calls_like("c", (beg,), sub)
-        v = b.finish()
-        assert v.delta_call[("q", "A")] == v.delta_call[(beg, "A")] == ("q", "q")
-        assert v.delta_call[("q", "B")] == v.delta_call[(end, "B")] == (rej, rej)
-        assert v.delta_return[("q", "q", "A")] == beg  # pops sub's initial state: reset
-        assert v.delta_return[("q", rej, "A")] == rej
-        # copies keep the conflict errors of call and ret
-        b = small_build()
-        b.call("f", "q", "A", rej, rej)
-        with pytest.raises(CompilerInternalError, match="c: call conflict at 'q': "
-                           + re.escape("('rej', 'rej') vs ('q', 'q')")):
-            b.copy("c", sub)
-        b = small_build()
-        b.ret("f", "q", rej, "A", end)
-        with pytest.raises(CompilerInternalError, match="c: return conflict at 'q': end vs rej"):
-            b.copy("c", sub)
+        assert c.states == {beg, end, rej, "a0", "a1", "a2"}
+        assert v.states == {beg, end, rej, "a1", "a2"}
+        assert v.stack_alphabet == {BOTTOM, beg, rej, "a1", "a2"}
+        assert v.delta_call[(beg, "A")] == ("a1", beg)
+        assert v.delta_return[("a1", beg, "A")] == end
+        assert v.delta_return[("a2", beg, "A")] == rej
+        # read by no rooted word: the sink's rule
+        assert v.delta_call[(end, "A")] == (rej, rej)
+        assert v.delta_return[("a1", rej, "B")] == rej
+        assert v.delta_return[("a1", BOTTOM, "A")] == rej
+        assert len(v.delta_call) == 5 * 2 and len(v.delta_return) == 5 * 5 * 2
+        assert accepts(v, word_from_str("<A A>")) and not accepts(v, word_from_str("<B B>"))
+
+    def test_only_reached_cells_are_computed(self):
+        for pol, alphabet in TestEndpointClasses().policies():
+            c, computed = counting(raw_construction(pol, alphabet))
+            compiler.build(c)
+            dense = dense_automaton(raw_construction(pol, alphabet))
+            calls, returns = reference_reached_cells(dense)
+            assert len(computed) == len(set(computed)), pol
+            assert set(computed) == calls | returns, pol
+
+    def test_build_equals_the_dense_cells_it_reaches(self):
+        # the build over every name, and compile_policy's over the classes
+        for pol, alphabet in TestEndpointClasses().policies():
+            want = reference_build(dense_automaton(raw_construction(pol, alphabet)))
+            assert compiler.build(raw_construction(pol, alphabet)) == want, pol
+            assert compiled(pol, alphabet).vpa == want, pol
+
+    def test_embedded_cells_are_the_sub_constructions(self):
+        # an embedded state's cells are its sub-construction's, renamed, but
+        # that its final state calls as the next initial state, and a return
+        # popping the begin marker into a state other than the final one
+        # resets: all-children rejects, exists-child retries the sub-policy
+        beg, end = compiler.BEG, compiler.END
+        alpha = ("T", "O", "L")
+        d = rx.to_dfa(rx.parse_regex("T", alpha), alpha)
+        subs = [compiler.compile_inner(inner_of(f"alphabet T, O, L;\nstart {{T}}: {text};\n"),
+                                       alpha)[0]
+                for text in ("match (O) all-children (match (L) all-path (eps))",
+                             "match (L) all-path (star)")]
+        # (construction, [(prefix, sub, reset, next prefix, returns from the final state)])
+        cases = [(compiler.compile_allchildren(d, subs[0]),
+                  [("c.", subs[0], compiler.REJ, "c.", False)]),
+                 (compiler.compile_exists(d, subs),
+                  [("c1.", subs[0], "c1.beg", "c2.", True),
+                   ("c2.", subs[1], "c2.beg", None, True)])]
+        for c, embedded in cases:
+            for prefix, sub, reset, after, from_end in embedded:
+                assert {prefix + q for q in sub.states} <= c.states
+                assert {prefix + g for g in sub.symbols - {BOTTOM}} <= c.symbols
+                for e, q in itertools.product(alpha, sub.states):
+                    dst, push = sub.call(e, q)
+                    if q != end:
+                        assert c.call(e, prefix + q) == (prefix + dst, prefix + push)
+                    elif after is not None:
+                        assert c.call(e, prefix + q) == c.call(e, after + beg)
+                    for g in sub.symbols - {BOTTOM} if q != end or from_end else ():
+                        t = sub.ret(e, g, q)
+                        want = prefix + t if g != beg or t == end else reset
+                        assert c.ret(e, prefix + g, prefix + q) == want, (prefix, q, g, e)
+
+
+def nested_exists_document(k: int, names=("A", "B", "C")) -> str:
+    """``P = match (star B) all-path (star)`` with P replaced ``k`` times by
+    ``match (A) exists-child (P) then (P)``, under ``start {A}``: the states
+    double with each level, and the cells of a dense table quadruple."""
+    a, b, c = names
+    p = f"match (star {b}) all-path (star)"
+    for _ in range(k):
+        p = f"match ({a}) exists-child ({p}) then ({p})"
+    return f"alphabet {a}, {b}, {c};\nstart {{{a}}}: {p};\n"
+
+
+class TestNestedExists:
+    """A small document whose dense table is large: the build's cost must
+    follow the states it keeps, not the dense table's cells."""
+
+    def test_cells_computed_grow_linearly_in_the_states(self):
+        ratios = []
+        for k in range(3, 7):
+            pol = parse_policy(nested_exists_document(k)).policies[0]
+            c, computed = counting(raw_construction(pol, ("A", "B", "C")))
+            v = compiler.build(c)
+            assert v == compiler.compile_policy(pol, ("A", "B", "C")).vpa
+            ratios.append(len(computed) / len(v.states))
+        # 92, 188, 380 and 764 states; 551 to 4,527 cells computed, against
+        # 15,180 to 1,024,524 return cells in the dense pruned tables
+        assert max(ratios) < 6.5 and max(ratios) <= 1.1 * min(ratios), ratios
+
+    def test_six_levels_compile_small_and_fast(self):
+        # each compile reads fresh names, so that it builds its own DFAs
+        docs = [parse_policy(nested_exists_document(6, (f"A{i}", f"B{i}", f"C{i}")))
+                for i in range(4)]
+        best = float("inf")
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for doc in docs[:3]:
+                t0 = time.process_time()
+                art = compiler.compile(doc)[0]
+                best = min(best, time.process_time() - t0)
+        finally:
+            if collecting:
+                gc.enable()
+        assert art.metrics.state_count == 764
+        assert best < 0.2, best  # 1.28 s when every dense cell was written
+        tracemalloc.start()
+        try:
+            compiler.compile(docs[3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34e6, peak  # 68.7 MB when every dense cell was written
 
 
 class TestCallSeq:
     def test_singleton_sequence(self):
-        v = compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), ("A",)))
+        v = compiler.build(compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), ("A",))))
         assert accepts(v, word_from_str("<A A>"))
         assert not accepts(v, word_from_str("<A <A A> A>"))
 
     def test_accepts_payment_sequence(self, payment_word):
         reg = rx.parse_regex("P star D star", ("P", "D", "E"))
-        v = compiler.compile_callseq(rx.to_dfa(reg, ("P", "D", "E")))
+        v = compiler.build(compiler.compile_callseq(rx.to_dfa(reg, ("P", "D", "E"))))
         assert accepts(v, payment_word)
 
     def test_state_count(self):
         reg = rx.parse_regex("A B*", ("A", "B"))
         d = rx.to_dfa(reg, ("A", "B"))
-        v = compiler.compile_callseq(d)
-        assert len(v.states) == d.n_states + 3
+        assert len(compiler.compile_callseq(d).states) == d.n_states + 3
 
     def test_exhaustive_oracle_agreement(self):
         rng = random.Random(101)
         alpha = ("A", "B")
         for i in range(20):
             reg = random_regex(rng, alpha, depth=3)
-            v = compiler.compile_callseq(rx.to_dfa(reg, alpha))
+            v = compiler.build(compiler.compile_callseq(rx.to_dfa(reg, alpha)))
             assert check_well_formed(v).ok
             sat = lambda word: rx.matches(
                 reg, tuple(a.endpoint for a in word.symbols if a.is_call), alpha)
@@ -169,11 +229,13 @@ class TestAllPath:
         alpha = ("P", "D", "E")
         reg1 = rx.parse_regex("P {D}", alpha)
         reg2 = rx.parse_regex("{E} star", alpha)
-        v = compiler.compile_allpath(rx.to_dfa(reg1, alpha), rx.to_dfa(reg2, alpha))
+        d1, d2 = rx.to_dfa(reg1, alpha), rx.to_dfa(reg2, alpha)
+        v = compiler.build(compiler.compile_allpath(d1, d2))
         assert accepts(v, payment_word)
 
     def test_vacuous_single_pair(self):
-        v = compiler.compile_allpath(rx.to_dfa(rx.Symbol("A"), ("A",)), rx.to_dfa(rx.EMPTY, ("A",)))
+        v = compiler.build(compiler.compile_allpath(rx.to_dfa(rx.Symbol("A"), ("A",)),
+                                                    rx.to_dfa(rx.EMPTY, ("A",))))
         assert accepts(v, word_from_str("<A A>"))
 
     @pytest.mark.parametrize(
@@ -190,7 +252,7 @@ class TestAllPath:
     def test_exhaustive_oracle_agreement(self, reg1, reg2):
         alpha = ("A", "B", "C")
         r1, r2 = rx.parse_regex(reg1, alpha), rx.parse_regex(reg2, alpha)
-        v = compiler.compile_allpath(rx.to_dfa(r1, alpha), rx.to_dfa(r2, alpha))
+        v = compiler.build(compiler.compile_allpath(rx.to_dfa(r1, alpha), rx.to_dfa(r2, alpha)))
         assert check_well_formed(v).ok
         p = AllPath(r1, r2)
         sat = lambda w: oracle.sat_hierarchical(w, p, alpha)
@@ -202,8 +264,7 @@ class TestAllChildren:
 
     def _compile(self, text):
         inner = inner_of(text)
-        vpa, _ = compiler.compile_inner(inner, self.ALPHA)
-        return inner, vpa
+        return inner, compiler.build(compiler.compile_inner(inner, self.ALPHA)[0])
 
     def test_resource_pricing_shape(self):
         inner, v = self._compile(
@@ -239,8 +300,7 @@ class TestExistsChild:
 
     def _compile(self, text):
         inner = inner_of(text)
-        vpa, _ = compiler.compile_inner(inner, self.ALPHA)
-        return inner, vpa
+        return inner, compiler.build(compiler.compile_inner(inner, self.ALPHA)[0])
 
     def test_compliance_ordering(self):
         inner, v = self._compile(
@@ -351,6 +411,7 @@ class TestCompileDocument:
 
 class TestStateBound:
     def test_base_cases(self):
+        # the constructions' declared states
         alpha = ("A", "B")
         reg = rx.parse_regex("A B*", alpha)
         d = rx.to_dfa(reg, alpha)
@@ -358,7 +419,7 @@ class TestStateBound:
         assert len(seq.states) == d.n_states + 3 <= 2 * (d.n_states + 5)
         r2 = rx.parse_regex("star", alpha)
         d2 = rx.to_dfa(r2, alpha)
-        ap = compiler.compile_allpath(d, d2)
+        ap = compiler.compile_allpath(d, d2)  # a2 and aug(a2) states besides the search's
         assert len(ap.states) == d.n_states + 2 * d2.n_states + 4
         assert len(ap.states) <= 3 * (max(d.n_states, d2.n_states) + 5)
 
@@ -395,16 +456,16 @@ def forests(rng: random.Random, words, n: int) -> list[nw.NestedWord]:
 
 
 class TestPrune:
-    """``compile_policy`` keeps only the cells a rooted word can read: every
-    rooted word and every forest of them must run through the same
-    configurations as on the raw automaton."""
+    """``compile_policy`` builds only the cells a rooted word can read:
+    every rooted word and every forest of them must run through the same
+    configurations as on the construction's every cell."""
 
     RANDOM_SEEDS = {2024: 100, 555: 40}  # the seeds and counts drawn above
 
     @staticmethod
     @functools.cache
     def automata(pol, alphabet):
-        """The raw and the pruned automaton of a policy."""
+        """The dense and the built automaton of a policy."""
         return raw_automaton(pol, alphabet), compiled(pol, alphabet).vpa
 
     def assert_same_runs(self, pol, alphabet, words, ctx=""):
@@ -449,7 +510,7 @@ class TestPrune:
             for name, doc in corpus_documents(variant).items():
                 for pol, art in zip(doc.policies, compiler.compile(doc)):
                     d = art.component_dfas["start"]
-                    raw = raw_automaton(pol, doc.alphabet).states
+                    raw = raw_construction(pol, doc.alphabet).states
                     inner = {q for q in raw if q.startswith("in.")}
                     anchor = raw - inner - {compiler.BEG, compiler.END, compiler.REJ}
                     assert anchor == {f"a{q}" for q in d.states if q not in d.finals}, (
@@ -457,7 +518,8 @@ class TestPrune:
         full = [a for doc in corpus_documents("full").values() for a in compiler.compile(doc)]
         # 149 states and 38 header bits before pruning; 117 states and 35
         # bits when the prune kept every cell over the reached states and
-        # pushed symbols, not only the cells a rooted word reads
+        # pushed symbols, not only the cells a rooted word reads; the same
+        # when the build computed only those
         assert sum(a.metrics.state_count for a in full) == 105
         assert sum(a.metrics.header_bits for a in full) == 35
 
@@ -471,12 +533,12 @@ def union_document():
 
 def full_alphabet_artifacts(pol, alphabet):
     """What ``compile_policy`` gives, built over every name of the alphabet:
-    the pruned automaton, its metrics and its reject states, computed on
+    the built automaton, its metrics and its reject states, computed on
     that full-name automaton."""
     alpha = tuple(alphabet)
     anchor = rx.to_dfa(start_anchor_regex(pol.start_set), alpha)
     inner, dfas = compiler.compile_inner(pol.inner, alpha)
-    vpa = compiler._prune(compiler.compile_start(anchor, inner))
+    vpa = compiler.build(compiler.compile_start(anchor, inner))
     n = len(vpa.states)
     metrics = compiler.Metrics(depth(pol), fanout(pol),
                                max(d.n_states for d in (anchor, *dfas.values())), n, header_bits(n))

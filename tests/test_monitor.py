@@ -461,7 +461,8 @@ def _automata():
 
 
 def _raw_automata():
-    """The automata of ``_automata``'s policies before the prune pass."""
+    """The automata of ``_automata``'s policies with every declared cell of
+    their constructions, before the build leaves out the unreached ones."""
     for name, doc in corpus_documents("full").items():
         for i, pol in enumerate(doc.policies):
             yield f"raw/full/{name}/pol{i}", raw_automaton(pol, doc.alphabet)
@@ -474,8 +475,7 @@ class TestReachedCells:
     the reject sink, and nothing a rooted word reads is lost."""
 
     def test_worklist_equals_repeated_sweeps(self):
-        # on the compiled automata and on the raw constructions the compiler
-        # runs the fixpoint on
+        # on the compiled automata and on the constructions' dense tables
         for label, v in (*_automata(), *_raw_automata()):
             t = v.table
             rows = [(t.request[e], t.response[e]) for e in v.alphabet]
