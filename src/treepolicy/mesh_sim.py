@@ -14,12 +14,15 @@ rooted well-matched word, so centralized and denotational verdicts can be
 replayed against the monitored outcome.
 
 What a topology fixes is computed once per topology and set of filters: a
-plan holding each service's call and return symbols, its children and every
-policy's hop row, made after checking that every policy has filters for
-every service.  Each request owns its header values and hop-local storage;
-policies are monitored independently, one header per policy, and every hop
-steps every header again.  Call graphs and requests are walked with
-explicit stacks, so a call chain of any depth runs.  A topology unrolls
+plan holding one coding over the topology's services (see ``nested_word``),
+and each service's call and return code, its children and every policy's
+hop row, made after checking that every policy has filters for every
+service.  A request's word is that coding, the codes the request appends
+and its partner array; it builds no symbol objects.  Each request owns its
+header values and hop-local storage; policies are monitored independently,
+one header per policy, and every hop steps every header again.  Call
+graphs and requests are walked with explicit stacks, so a call chain of
+any depth runs.  A topology unrolls
 exponentially in its depth, so ``execute_request`` refuses every request
 that unrolls to more than ``MAX_REQUEST_NODES`` nodes, and ``run_workload``
 checks each entrypoint before anything runs.
@@ -32,11 +35,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import contains, getitem, is_, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
 from .errors import ConfigError
-from .nested_word import Endpoint, IndexedSymbol, NestedWord, _indexed, call, ret, trusted_word
+from .nested_word import Endpoint, MatchingRelation, NestedWord, coder
 from .vpa import Table
 
 MODE_LOG = "log"
@@ -260,19 +263,24 @@ def _check_coverage(t: Topology, filters: Sequence[PolicyFilterSet]):
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
 
 
-def _plan(t: Topology, filters: Sequence[PolicyFilterSet]) -> dict[Endpoint, tuple]:
-    """Per service: its call and return symbols, its children and every
-    policy's hop row, in filter order.  The plan is kept on the topology
-    with the filter sets it was made for, which it holds, so that no other
-    object can take their identity; other filter sets get a new plan."""
+def _plan(t: Topology, filters: Sequence[PolicyFilterSet]) -> tuple[dict[Endpoint, tuple],
+                                                                     tuple[Endpoint, ...], Callable]:
+    """Per service: its call and return code, its children and every
+    policy's hop row, in filter order; and the coding's endpoints and rows
+    getter, one coding over ``t.services``.  The plan is kept on the
+    topology with the filter sets it was made for, which it holds, so that
+    no other object can take their identity; other filter sets get a new
+    plan."""
     made = t._plan
     if made is not None and len(made[0]) == len(filters) and all(map(is_, made[0], filters)):
         return made[1]
     _check_coverage(t, filters)
-    plan = {svc: (call(svc), ret(svc), t.children(svc), tuple([pf.hops[svc] for pf in filters]))
+    names, rows, call_code, return_code = coder(t.services)
+    plan = {svc: (call_code[svc], return_code[svc], t.children(svc),
+                  tuple([pf.hops[svc] for pf in filters]))
             for svc in t.services}
-    object.__setattr__(t, "_plan", (tuple(filters), plan))
-    return plan
+    object.__setattr__(t, "_plan", (tuple(filters), (plan, names, rows)))
+    return plan, names, rows
 
 
 def execute_request(
@@ -292,7 +300,7 @@ def execute_request(
     one of its ``reject_headers``, stops the request: the offending subtree
     never executes, open calls unwind normally, so the trace stays rooted.
     Open calls wait on an explicit stack, so a call chain of any depth runs,
-    and the word's symbols and matching are filled on the way.  A request
+    and the word's codes and matching are filled on the way.  A request
     that unrolls to more than ``MAX_REQUEST_NODES`` nodes is a
     ``ConfigError``.
     """
@@ -301,23 +309,23 @@ def execute_request(
     _check_request_size(t, root)
     if mode not in (MODE_LOG, MODE_EARLY_BLOCK):
         raise ValueError(f"unknown mode {mode!r}")
-    plan = _plan(t, filters)
+    plan, names, rows_of = _plan(t, filters)
     rejects = tuple(pf.reject_headers for pf in filters) if mode == MODE_EARLY_BLOCK else ()
 
-    symbols: list[IndexedSymbol] = []
+    codes: list[int] = []
     partner: list[int] = []  # 0 until the call's return is placed
     headers = tuple(pf.initial for pf in filters)
     blocked_at: dict[str, int] = {}
     calls = 0
-    # (return symbol, response rows, hop cells, call position, children left)
+    # (return code, response rows, hop cells, call position, children left)
     open_calls: list[tuple] = []
     svc: Endpoint | None = root
     while True:
         if svc is not None:
             calls += 1
-            call_symbol, ret_symbol, children, rows = plan[svc]
-            at = len(symbols) + 1
-            symbols.append(_indexed(call_symbol, at))
+            call_code, return_code, children, rows = plan[svc]
+            at = len(codes) + 1
+            codes.append(call_code)
             partner.append(0)
             cells = tuple(map(getitem, rows, headers))
             try:
@@ -333,13 +341,13 @@ def execute_request(
             if any(map(contains, rejects, headers)):
                 blocked_at = {pf.policy_id: calls for pf, stop, h in zip(filters, rejects, headers)
                               if h in stop}
-            open_calls.append((ret_symbol, tuple(map(_second, cells)), cells, at, iter(children)))
-        ret_symbol, responses, cells, at, children = open_calls[-1]
+            open_calls.append((return_code, tuple(map(_second, cells)), cells, at, iter(children)))
+        return_code, responses, cells, at, children = open_calls[-1]
         svc = None if blocked_at else next(children, None)
         if svc is None:
             open_calls.pop()
-            pos = len(symbols) + 1
-            symbols.append(_indexed(ret_symbol, pos))
+            pos = len(codes) + 1
+            codes.append(return_code)
             partner[at - 1] = pos
             partner.append(at)
             after = tuple(map(getitem, responses, headers))
@@ -347,7 +355,8 @@ def execute_request(
                 k = after.index(None)
                 pf = filters[k]
                 raise ConfigError(
-                    f"policy {pf.policy_id}: no on_response rule at {ret_symbol.endpoint!r} "
+                    f"policy {pf.policy_id}: no on_response rule at "
+                    f"{names[return_code - len(names)]!r} "
                     f"for state {pf.table.states[headers[k]]!r} "
                     f"/ local {pf.table.symbols[cells[k][2]]!r}"
                 )
@@ -355,7 +364,7 @@ def execute_request(
             if not open_calls:
                 break
 
-    word = trusted_word(tuple(symbols), partner)
+    word = NestedWord((names, codes, rows_of), MatchingRelation(1, partner))
     outcomes = {
         pf.policy_id: Outcome("blocked", position=blocked_at[pf.policy_id])
         if pf.policy_id in blocked_at

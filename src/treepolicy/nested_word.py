@@ -9,28 +9,27 @@ bound.  The tree-shaped derived sets that policy semantics are defined over
 (paths, children, subtrees as sub-words) are test references, kept in
 ``tests/reference.py``; the oracle reads them in place.
 
-The matching is stored once, as a partner array: each position holds the
-index of the symbol it is matched with, or +inf/-inf when it is a pending
-call or an orphan return.  The predicates and every reader of a word read
-that array.
-
-A word also carries a coding (``Coding``), which is what automaton runs
-step: its distinct endpoints, and one small int per symbol that names an
-endpoint and says call or return.  ``build_nested_word`` and
-``enumerate_rooted`` fill it as they build the word; any other word
-(``NestedWord(...)``, the mesh simulator's ``trusted_word``) is coded on
-its first run, by ``NestedWord.code``.
+A word is its coding and its matching (Alur & Madhusudan, "Adding Nesting
+Structure to Words", JACM 2009).  The coding (``Coding``) lists the word's
+endpoints and holds one small int per symbol that names an endpoint and
+says call or return; automaton runs and the oracle step these codes.  The
+matching is stored once, as a partner array: each position holds the index
+of the symbol it is matched with, or +inf/-inf when it is a pending call or
+an orphan return.  ``build_nested_word``, ``enumerate_rooted`` and the mesh
+simulator fill only these two.  A word's ``symbols``, one ``IndexedSymbol``
+per event, are made from the codes the first time they are read, and kept:
+the checked replay that names a run's fault reads them, and so do the
+tests.
 
 The enumerator builds tree sizes' event tuples from the smaller sizes' and
 turns each tuple into a word directly.  The events are codes, so each
-tuple is its word's code list; positions share one indexed symbol per
-(code, position), and the partner array is filled in one stack pass.  Its
-caches live only as long as one enumeration.
+tuple is its word's code list, and the partner array is filled in one stack
+pass.  Its caches live only as long as one enumeration.
 
-All values are immutable after construction, but for a word's coding,
-which is made at most once from the word's own symbols; two tasks that
-code one word at the same time store equal codings.  So words too are
-safe to share between concurrent tasks.
+All values are immutable after construction, but for a word's symbols,
+which are made at most once from the word's own codes; two tasks that read
+them at the same time store equal tuples.  So words too are safe to share
+between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter, getitem, itemgetter
+from itertools import count
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MalformedTrace
@@ -80,13 +80,7 @@ def ret(endpoint: Endpoint) -> TaggedSymbol:
 
 @dataclass(frozen=True, slots=True)
 class IndexedSymbol:
-    """A tagged symbol at a 1-based position within a word.
-
-    ``build_nested_word``, ``enumerate_rooted`` and the mesh simulator make
-    these through ``_indexed``, which fills the slots without the dataclass
-    ``__init__`` and its index check: a word has one per event, and the
-    positions they assign start at 1.
-    """
+    """A tagged symbol at a 1-based position within a word."""
 
     symbol: TaggedSymbol
     index: int
@@ -106,18 +100,6 @@ class IndexedSymbol:
     @property
     def is_call(self) -> bool:
         return self.symbol.tag == CALL
-
-
-_new = object.__new__
-_set_symbol = IndexedSymbol.symbol.__set__
-_set_index = IndexedSymbol.index.__set__
-
-
-def _indexed(symbol: TaggedSymbol, index: int) -> IndexedSymbol:
-    a = _new(IndexedSymbol)
-    _set_symbol(a, symbol)
-    _set_index(a, index)
-    return a
 
 
 # A path is a chain of call symbols from the root down to one call.
@@ -160,76 +142,85 @@ class MatchingRelation:
 Coding = tuple[tuple[Endpoint, ...], Sequence[int], Callable[[dict], tuple]]
 
 
-def _coder(endpoints: Iterable[Endpoint]) -> tuple[tuple[Endpoint, ...], dict[Endpoint, int],
-                                                   dict[Endpoint, int]]:
-    """A coding's endpoints, the distinct ones in first-seen order, and each
-    one's call and return code.  A lone endpoint is listed twice, so that
-    their ``itemgetter`` returns a tuple."""
+def coder(endpoints: Iterable[Endpoint]) -> tuple[tuple[Endpoint, ...], Callable[[dict], tuple],
+                                                  dict[Endpoint, int], dict[Endpoint, int]]:
+    """A coding's endpoints, the distinct ones in first-seen order, its
+    rows getter, and each endpoint's call and return code.  A lone endpoint
+    is listed twice, so that the rows getter returns a tuple."""
     names = tuple(dict.fromkeys(endpoints))
     calls = {e: k for k, e in enumerate(names)}
     if len(names) == 1:
         names *= 2
-    return names, calls, {e: k + len(names) for e, k in calls.items()}
+    return names, itemgetter(*names), calls, {e: k + len(names) for e, k in calls.items()}
+
+
+def _events_by_code(names: tuple[Endpoint, ...]) -> list[TaggedSymbol]:
+    return [*map(call, names), *map(ret, names)]
 
 
 class NestedWord:
     """A word of consecutively indexed call/return symbols plus its matching.
 
-    A word need not start at index 1: a slice of a word keeps its indices,
-    so that the matching restriction can be read off literally, and the
-    oracle reads such slices as they are.  ``coding`` is the word's
-    ``Coding``, or ``None`` until ``code`` makes it; equality and hashing
-    ignore it.
+    The word is ``coding`` (its ``Coding``: endpoints, one code per symbol,
+    rows getter) and ``matching``.  The builders vouch for both: the codes
+    are the coding's, and the partner array is their matching, as a stack
+    pass over the same symbols fills it.  A word need not start at index 1:
+    a slice of a word keeps its indices, so that the matching restriction
+    can be read off literally, and the oracle reads such slices as they
+    are.  Equality and hashing compare the events, not the codes, so words
+    coded in different endpoint orders are equal when their events are.
     """
 
-    __slots__ = ("symbols", "matching", "coding")
+    __slots__ = ("coding", "matching", "_symbols")
 
-    def __init__(self, symbols: Sequence[IndexedSymbol], matching: MatchingRelation):
-        symbols = tuple(symbols)
-        if not symbols:
-            raise ValueError("empty nested word")
-        for a, b in zip(symbols, symbols[1:]):
-            if b.index != a.index + 1:
-                raise ValueError("indices must be consecutive")
-        self.symbols = symbols
+    def __init__(self, coding: Coding, matching: MatchingRelation):
+        self.coding = coding
         self.matching = matching
-        self.coding = None
+        self._symbols = None
 
-    def code(self) -> Coding:
-        """The word's coding, made from its symbols and kept on the word."""
-        events = [a.symbol for a in self.symbols]
-        names, calls, returns = _coder(map(_endpoint, events))
-        codes = [(calls if ev.tag == CALL else returns)[ev.endpoint] for ev in events]
-        self.coding = names, codes, itemgetter(*names)
-        return self.coding
+    @property
+    def symbols(self) -> tuple[IndexedSymbol, ...]:
+        """The word's events at their positions, made from the codes on
+        the first read and kept."""
+        if self._symbols is None:
+            names, codes, _ = self.coding
+            events = map(_events_by_code(names).__getitem__, codes)
+            self._symbols = tuple(map(IndexedSymbol, events, count(self.matching.first)))
+        return self._symbols
 
     # -- basic shape ------------------------------------------------------
 
     @property
     def first_index(self) -> int:
-        return self.symbols[0].index
+        return self.matching.first
 
     @property
     def last_index(self) -> int:
-        return self.symbols[-1].index
+        return self.matching.first + len(self.coding[1]) - 1
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.coding[1])
+
+    def _endpoints(self) -> tuple[Endpoint, ...]:
+        """The endpoint of each symbol; with the partner array, which tells
+        calls (partner after) from returns (partner before), the events."""
+        names, codes, _ = self.coding
+        return tuple(map((names + names).__getitem__, codes))
 
     def __eq__(self, other):
         return (
             isinstance(other, NestedWord)
-            and self.symbols == other.symbols
             and self.matching == other.matching
+            and self._endpoints() == other._endpoints()
         )
 
     def __hash__(self):
-        return hash((self.symbols, self.matching))
+        return hash((self.matching, self._endpoints()))
 
     def __repr__(self):
-        body = " ".join(
-            ("<" + s.endpoint if s.is_call else s.endpoint + ">") for s in self.symbols
-        )
+        names, codes, _ = self.coding
+        k = len(names)
+        body = " ".join("<" + names[c] if c < k else names[c - k] + ">" for c in codes)
         return f"NestedWord({body!r}, {self.matching!r})"
 
     # -- predicates -------------------------------------------------------
@@ -242,9 +233,6 @@ class NestedWord:
         return self.is_well_matched() and self.matching.partner[0] == self.last_index
 
 
-_set_symbols = NestedWord.symbols.__set__
-_set_matching = NestedWord.matching.__set__
-_set_coding = NestedWord.coding.__set__
 _endpoint = attrgetter("endpoint")
 
 
@@ -254,17 +242,15 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
     A return must match the innermost open call; a differing endpoint is a
     hard error (synchronous request/response nesting leaves no other
     reading).  Unmatched calls pair with +inf, orphan returns with -inf.
-    The word comes coded: the loop that places each symbol appends its code.
+    The loop that places each symbol appends its code.
     """
     if not events:
         raise MalformedTrace("empty trace")
-    names, call_code, return_code = _coder(map(_endpoint, events))
+    names, rows, call_code, return_code = coder(map(_endpoint, events))
     partner: list[float] = []
     open_calls: list[tuple[int, Endpoint]] = []
-    symbols = []
     codes = []
     for pos, ev in enumerate(events, start=1):
-        symbols.append(_indexed(ev, pos))
         e = ev.endpoint
         if ev.tag == CALL:
             codes.append(call_code[e])
@@ -283,7 +269,7 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
             partner.append(i)
         else:
             partner.append(NEG_INF)
-    return trusted_word(tuple(symbols), partner, (names, codes, itemgetter(*names)))
+    return NestedWord((names, codes, rows), MatchingRelation(1, partner))
 
 
 # -- trace file format ----------------------------------------------------
@@ -294,7 +280,8 @@ def build_nested_word(events: Sequence[TaggedSymbol]) -> NestedWord:
 
 def serialize_trace(word_or_events: NestedWord | Sequence[TaggedSymbol]) -> str:
     if isinstance(word_or_events, NestedWord):
-        events: Iterable[TaggedSymbol] = (a.symbol for a in word_or_events.symbols)
+        names, codes, _ = word_or_events.coding
+        events: Iterable[TaggedSymbol] = map(_events_by_code(names).__getitem__, codes)
     else:
         events = word_or_events
     lines = [json.dumps({"tag": ev.tag, "endpoint": ev.endpoint}) for ev in events]
@@ -342,20 +329,17 @@ def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[N
     to ``max_calls - 2`` are built once and kept; the two largest stream,
     since keeping them would hold a share of the output in memory.  An
     event is a code of the alphabet's coding, so an event tuple is its
-    word's code list.  The words share the coding's endpoints and one
-    ``IndexedSymbol`` per (code, position), and their partner arrays are
-    filled in one stack pass, without ``build_nested_word``'s checks: a
-    serialized tree is rooted and well matched by construction.
+    word's code list, and the words share the coding's endpoints.  Their
+    partner arrays are filled in one stack pass, without
+    ``build_nested_word``'s checks: a serialized tree is rooted and well
+    matched by construction.
     """
     alpha = tuple(alphabet)
     if not alpha or max_calls < 1:
         raise ValueError("need a non-empty alphabet and max_calls >= 1")
-    names, call_code, return_code = _coder(alpha)
+    names, rows, call_code, return_code = coder(alpha)
     first_return = len(names)
     brackets = [(call_code[e], return_code[e]) for e in alpha]
-    symbol_of = [*map(call, names), *map(ret, names)]  # by code
-    indexed = [[_indexed(s, pos) for s in symbol_of] for pos in range(1, 2 * max_calls + 1)]
-    rows = itemgetter(*names)
     trees: list[list[tuple]] = [[]]  # trees[k]: event tuples of the k-call trees
     forests: list[list[tuple]] = [[()]]  # forests[k]: the same for k-call forests
 
@@ -384,19 +368,4 @@ def enumerate_rooted(alphabet: Iterable[Endpoint], max_calls: int) -> Iterator[N
                     i = open_calls.pop()
                     partner[i - 1] = pos
                     partner[pos - 1] = i
-            yield trusted_word(tuple(map(getitem, indexed, codes)), partner, (names, codes, rows))
-
-
-def trusted_word(symbols: tuple[IndexedSymbol, ...], partner: Sequence[int],
-                 coding: Coding | None = None) -> NestedWord:
-    """The nested word of ``symbols`` with the partner array ``partner``,
-    built without ``NestedWord``'s checks.  The caller vouches for both: the
-    symbols' positions run from 1 without a gap, and ``partner`` is their
-    matching, as a stack pass over the same symbols would fill it.  So it
-    does for ``coding``, if it gives one; else the word is coded on its
-    first run."""
-    w = _new(NestedWord)
-    _set_symbols(w, symbols)
-    _set_matching(w, MatchingRelation(1, partner))
-    _set_coding(w, coding)
-    return w
+            yield NestedWord((names, codes, rows), MatchingRelation(1, partner))

@@ -5,9 +5,9 @@ Two independent evaluation routes are kept deliberately separate:
 * ``to_dfa`` runs the compiler pipeline (Thompson NFA, subset construction,
   Hopcroft minimization, completion with a dead state) and feeds the
   automaton constructions;
-* ``matches`` decides membership directly on the syntax tree with Brzozowski
-  derivatives and serves as the reference route for the denotational
-  semantics and for differential tests.
+* ``derive`` decides membership directly on the syntax tree with Brzozowski
+  derivatives, one call per symbol, and serves as the reference route for
+  the denotational semantics (``oracle``) and for differential tests.
 
 Sugar nodes (``any``, set literals, complements) desugar against the declared
 alphabet before either route runs: each becomes one ``SetLiteral`` over
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable
 
 from .errors import PolicySyntaxError, UnknownEndpoint
 from .nested_word import Endpoint
@@ -204,16 +204,6 @@ def derive(r: Regex, s: Endpoint) -> Regex:
     if isinstance(r, Star):
         return _mk_concat(derive(r.inner, s), r)
     raise TypeError(f"derivative needs a core regex, got {r!r}")
-
-
-def matches(r: Regex, word: Sequence[Endpoint], alphabet: Iterable[Endpoint]) -> bool:
-    """Membership by repeated derivation; independent of the DFA pipeline."""
-    state = desugar(r, alphabet)
-    for s in word:
-        state = derive(state, s)
-        if isinstance(state, Empty):
-            return False
-    return state.nullable
 
 
 # -- parsing ----------------------------------------------------------------

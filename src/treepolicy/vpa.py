@@ -43,7 +43,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import MissingTransition, StackUnderflow, VpaParseError
-from .nested_word import CALL, Endpoint, IndexedSymbol, NestedWord
+from .nested_word import Endpoint, IndexedSymbol, NestedWord
 
 BOTTOM = "⊥"
 
@@ -359,21 +359,21 @@ class ResponseRules(TableRules):
 def walk(t: Table, c: Configuration, word: NestedWord) -> Configuration:
     """The configuration after the word, starting from ``c``.
 
-    The walk steps the word's codes (``NestedWord.coding``; a word built
-    without one is coded here, once).  It first resolves the word's rows,
-    one C call per table, into one tuple indexed by code: a call's request
-    row, then a return's response rows.  The state and the top stack
-    symbol stay ints and the stack below the top a list of ints, so a step
-    builds nothing: a call pushes the top and reads its row, a return
-    reads its row and pops.  The configuration is converted on entry and
-    rebuilt on exit.  The loop checks nothing; a lookup that fails, or a
-    missing rule's ``None`` reaching the next lookup, sends the walk to
-    ``steps``, whose checked replay over the symbols names the fault.  The
-    replay's last configuration is the result when there is no fault: an
-    enumerated word's coding lists the whole alphabet, which a table may
-    not cover.
+    The walk steps the word's codes (``NestedWord.coding``).  It first
+    resolves the word's rows, one C call per table, into one tuple indexed
+    by code: a call's request row, then a return's response rows.  The
+    state and the top stack symbol stay ints and the stack below the top a
+    list of ints, so a step builds nothing: a call pushes the top and reads
+    its row, a return reads its row and pops.  The configuration is
+    converted on entry and rebuilt on exit.  The loop checks nothing; a
+    lookup that fails, or a missing rule's ``None`` reaching the next
+    lookup, sends the walk to ``steps``, whose checked replay over the
+    word's symbols names the fault.  The replay's last configuration is the
+    result when there is no fault: an enumerated word's coding lists the
+    whole alphabet, and a request's the topology's services, which a table
+    may not cover.
     """
-    names, codes, rows_of = word.coding or word.code()
+    names, codes, rows_of = word.coding
     k = len(names)  # calls are coded below k
     try:
         rows = rows_of(t.request) + rows_of(t.response)
@@ -427,7 +427,7 @@ def steps(t: Table, c: Configuration, symbols: Sequence[IndexedSymbol]) -> Itera
         e = a.symbol.endpoint
         if e not in request:
             raise MissingTransition(f"no rules for endpoint {e!r}")
-        if a.symbol.tag == CALL:
+        if a.is_call:
             if request[e][q] is None:
                 raise MissingTransition(f"no call rule at {e!r} for state {states[q]!r}")
             below.append(top)
@@ -458,12 +458,13 @@ def accepts(v: Vpa, n: NestedWord) -> bool:
 def run(v: Vpa, n: NestedWord, init: Configuration | None = None) -> "Run":
     """The configuration sequence, starting from ``init`` (length |n|+1).
 
-    The walk happens here, so the last configuration is ready; the others
-    are built the first time one of them is read.
+    The walk happens here, so the last configuration is ready; the others,
+    and the word's symbols they step, are built the first time one of them
+    is read.
     """
     c = init if init is not None else initial_configuration(v)
     t = v.table
-    return Run(t, c, n.symbols, walk(t, c, n))
+    return Run(t, c, n, walk(t, c, n))
 
 
 class Run(Sequence):
@@ -474,17 +475,17 @@ class Run(Sequence):
     configurations.
     """
 
-    __slots__ = ("_table", "_init", "_symbols", "_last", "_items")
+    __slots__ = ("_table", "_init", "_word", "_last", "_items")
     __hash__ = None
 
-    def __init__(self, t: Table, init: Configuration, symbols: Sequence[IndexedSymbol], last: Configuration):
-        self._table, self._init, self._symbols, self._last, self._items = t, init, symbols, last, None
+    def __init__(self, t: Table, init: Configuration, word: NestedWord, last: Configuration):
+        self._table, self._init, self._word, self._last, self._items = t, init, word, last, None
 
     def __len__(self) -> int:
-        return len(self._symbols) + 1
+        return len(self._word) + 1
 
     def __getitem__(self, i):
-        if i == -1 or i == len(self._symbols):
+        if i == -1 or i == len(self._word):
             return self._last
         return self._configurations()[i]
 
@@ -501,7 +502,7 @@ class Run(Sequence):
 
     def _configurations(self) -> list[Configuration]:
         if self._items is None:
-            self._items = [self._init, *steps(self._table, self._init, self._symbols)]
+            self._items = [self._init, *steps(self._table, self._init, self._word.symbols)]
         return self._items
 
 

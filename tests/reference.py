@@ -25,6 +25,19 @@ from treepolicy.errors import NotRooted, StackUnderflow, TreePolicyError
 from treepolicy.policy import AllChildren, AllPath, CallSeq, start_anchor_regex
 from treepolicy.vpa import BOTTOM, Vpa, link
 
+# -- regex membership ----------------------------------------------------------
+
+
+def matches(r: rx.Regex, word, alphabet) -> bool:
+    """Membership by repeated derivation; independent of the DFA pipeline."""
+    state = rx.desugar(r, alphabet)
+    for s in word:
+        state = rx.derive(state, s)
+        if isinstance(state, rx.Empty):
+            return False
+    return state.nullable
+
+
 # -- nested words: the matching, sub-words and the tree views ------------------
 
 
@@ -65,7 +78,18 @@ def sub_word(w: nw.NestedWord, i: int, i2: int) -> nw.NestedWord:
         j if i <= j <= i2 else nw.POS_INF if j > i2 else nw.NEG_INF
         for j in w.matching.partner[lo:hi]
     ]
-    return nw.NestedWord(w.symbols[lo:hi], nw.MatchingRelation(i, partner))
+    names, codes, rows = w.coding
+    return nw.NestedWord((names, codes[lo:hi], rows), nw.MatchingRelation(i, partner))
+
+
+def recode(w: nw.NestedWord, endpoints) -> nw.NestedWord:
+    """The same word coded over ``endpoints``, which hold the word's own in
+    any order."""
+    names, codes, _ = w.coding
+    k = len(names)
+    new_names, rows, call_code, return_code = nw.coder(endpoints)
+    codes = [call_code[names[c]] if c < k else return_code[names[c - k]] for c in codes]
+    return nw.NestedWord((new_names, codes, rows), w.matching)
 
 
 def _require_rooted(w: nw.NestedWord):
@@ -178,9 +202,9 @@ def reference_first_match(n, reg, alphabet):
     out = []
     for path in seq(n):
         word = tuple(a.endpoint for a in path)
-        if not rx.matches(reg, word, alphabet):
+        if not matches(reg, word, alphabet):
             continue
-        if any(rx.matches(reg, word[:j], alphabet) for j in range(1, len(word))):
+        if any(matches(reg, word[:j], alphabet) for j in range(1, len(word))):
             continue
         out.append(path)
     return tuple(out)
@@ -191,7 +215,7 @@ def reference_all_path(n, p, alphabet):
     leaf path of every child subtree matches ``reg2``."""
     return any(
         all(
-            rx.matches(p.reg2, tuple(a.endpoint for a in leaf_path), alphabet)
+            matches(p.reg2, tuple(a.endpoint for a in leaf_path), alphabet)
             for t in subtrees(subtree(n, path[-1].index))
             for leaf_path in seq_leaf(t)
         )
@@ -203,7 +227,7 @@ def reference_sat_inner(n, p, alphabet):
     """An inner policy on a rooted slice: each first match's subtree is
     sliced out, and its children are the slices of ``subtrees``."""
     if isinstance(p, CallSeq):
-        return rx.matches(p.reg, tuple(a.endpoint for a in n.symbols if a.is_call), alphabet)
+        return matches(p.reg, tuple(a.endpoint for a in n.symbols if a.is_call), alphabet)
     if isinstance(p, AllPath):
         return reference_all_path(n, p, alphabet)
     kids = [

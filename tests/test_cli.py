@@ -1,9 +1,11 @@
 """End-to-end command behaviour and exit codes."""
 
 import dataclasses
+import gc
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -152,6 +154,49 @@ class TestCheck:
         )
         assert cli.main(["check", policy_file, "-"]) == 0
         capsys.readouterr()
+
+    def test_flat_trace_memory_per_event(self, tmp_path, capsys, monkeypatch):
+        # one root with 10,000 leaf children against the full-corpus
+        # ab-testing document, under tracemalloc.  The whole command peaks
+        # while parsing, when the file's text and its split lines are held
+        # together: 136-139 B per event (measured).  From the parse's return
+        # on (the word, compiling and both runs) it peaks at 62-65 B per
+        # event; a word that also held an IndexedSymbol per event peaked
+        # there at 129 B.
+        text = next(e.full for e in CORPUS if e.name == "ab-testing")
+        alpha = parse_policy(text).alphabet
+        events = [nw.call("Beta")]
+        for i in range(10_000):
+            events += (nw.call(alpha[i % len(alpha)]), nw.ret(alpha[i % len(alpha)]))
+        events.append(nw.ret("Beta"))
+        policy, trace = tmp_path / "ab.stp", tmp_path / "flat.jsonl"
+        policy.write_text(text, encoding="utf-8")
+        trace.write_text(nw.serialize_trace(events), encoding="utf-8")
+        n = len(events)
+        del events
+        parse, parsed = cli.parse_trace, []
+
+        def parse_then_reset(text):
+            out = parse(text)
+            parsed.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(cli, "parse_trace", parse_then_reset)
+        collecting = gc.isenabled()
+        gc.disable()  # a collection would walk every object the test process holds
+        tracemalloc.start()
+        try:
+            code = cli.main(["check", str(policy), str(trace)])
+            after_parse = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert code == 1  # the leaves reach DbV1 under Beta
+        assert json.loads(capsys.readouterr().out)["accepted"] == {"pol0": False}
+        whole = max(parsed[0], after_parse)
+        assert whole / n < 170 and after_parse / n < 90, (whole / n, after_parse / n)
 
 
 class TestOracleCmd:

@@ -205,7 +205,9 @@ class TestExecuteRequest:
             early = mesh_sim.execute_request(topo, root, filters, mode=mesh_sim.MODE_EARLY_BLOCK)
             assert len(log.word) == 2 * topo.node_count(root)
             for res in (log, early):
-                assert res.word.coding is None  # a request pays for no codes
+                # the request's word is coded over the plan's coding and
+                # builds no symbols
+                assert res.word.coding[0] == topo.services and res.word._symbols is None
                 # the word filled as the request ran is the one its events make
                 rebuilt = build_nested_word([a.symbol for a in res.word.symbols])
                 assert res.word == rebuilt
@@ -275,8 +277,8 @@ class TestWorkload:
         assert json.loads(report.to_json())["per_policy"] == report.per_policy
 
     def test_fixed_cost_paid_once(self, monkeypatch):
-        # a workload makes each service's call and return symbols once and
-        # checks filter coverage once, not once per request
+        # a workload codes its topology's services once and checks filter
+        # coverage once, not once per request
         counts = Counter()
 
         def counting(name):
@@ -288,11 +290,11 @@ class TestWorkload:
 
             return counted
 
-        for name in ("call", "ret", "_check_coverage"):
+        for name in ("coder", "_check_coverage"):
             monkeypatch.setattr(mesh_sim, name, counting(name))
         report = mesh_sim.run_workload(HOSPITAL, 50, artifacts_for(LOGGING_POLICY))
         assert report.requests_total == 50 and report.transitions_total == 50 * 12
-        assert counts == {"call": 4, "ret": 4, "_check_coverage": 1}
+        assert counts == {"coder": 1, "_check_coverage": 1}
 
     def test_zero_requests(self):
         arts = artifacts_for(LOGGING_POLICY)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepolicy import nested_word as nw
+from treepolicy import compiler, mesh_sim, nested_word as nw
+from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MalformedTrace, NotRooted
 
 import reference as ref
 from conftest import random_rooted_word, word_from_str
+from test_mesh_sim import random_topology
 
 
 def endpoints(path):
@@ -347,6 +349,74 @@ def test_enumeration_equals_recursive_reference(labels):
         want = list(ref.reference_enumerate_rooted(tuple(labels), max_calls))
         assert got == want
         assert [w.matching.partner for w in got] == [w.matching.partner for w in want]
+
+
+class TestCodedWords:
+    """A word is its codes and its partner array.  Its symbols, made from the
+    codes on their first read, are the events it was built from, and its
+    equality and hash do not depend on the order its coding lists its
+    endpoints in."""
+
+    @staticmethod
+    def _words(rng):
+        """Words from every builder over both corpora: ``build_nested_word``,
+        ``enumerate_rooted``, requests in both modes, and slices of each."""
+        words = []
+        for variant in ("small", "full"):
+            for doc in corpus_documents(variant).values():
+                alphabet = doc.alphabet
+                words += [random_rooted_word(rng, 10, alphabet) for _ in range(3)]
+                words += rng.sample(list(nw.enumerate_rooted(alphabet[:3], 3)), 4)
+                topo = random_topology(rng, alphabet, max_nodes=40)
+                filters = [mesh_sim.build_filter_set(compiler.compile(doc)[0])]
+                for mode in (mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK):
+                    words.append(mesh_sim.execute_request(
+                        topo, topo.entrypoints[0], filters, mode=mode).word)
+        for w in list(words):
+            i = rng.randrange(1, len(w))
+            words.append(ref.sub_word(w, i, rng.randint(i + 1, len(w))))
+        return words
+
+    def test_symbols_rebuild_the_word(self):
+        rng = random.Random(27)
+        words = self._words(rng)
+        assert len(words) == 2 * 18 * 9
+        for w in words:
+            events = [a.symbol for a in w.symbols]
+            assert [a.index for a in w.symbols] == list(range(w.first_index, w.last_index + 1))
+            assert len(events) == len(w)
+            rebuilt = nw.build_nested_word(events)
+            # a slice keeps its indices; the same events from 1 shift them
+            shift = w.first_index - 1
+            assert rebuilt.matching.partner == tuple(
+                j if math.isinf(j) else j - shift for j in w.matching.partner)
+            if not shift:
+                assert rebuilt == w and hash(rebuilt) == hash(w) and repr(rebuilt) == repr(w)
+            assert nw.serialize_trace(w) == nw.serialize_trace(events)
+
+    def test_equality_ignores_the_endpoint_order(self):
+        rng = random.Random(28)
+        words = self._words(rng)
+        changed = 0
+        for w in words:
+            other = ref.recode(w, ("Unused", *reversed(w.coding[0])))
+            changed += list(other.coding[1]) != list(w.coding[1])
+            assert other == w and hash(other) == hash(w) and repr(other) == repr(w)
+            assert other.symbols == w.symbols
+        assert changed > len(words) // 2
+        assert word_from_str("<A A>") != word_from_str("<B B>")
+        assert word_from_str("<A <B B> A>") != word_from_str("<A <A A> A>")
+        assert word_from_str("<A A>") != word_from_str("A> <A")
+
+    def test_enumerated_equals_built_in_first_seen_order(self):
+        alphabet = ("C", "A", "B")  # enumerated words are coded in this order
+        recoded = 0
+        for w in nw.enumerate_rooted(alphabet, 3):
+            built = nw.build_nested_word([a.symbol for a in w.symbols])
+            assert built == w and hash(built) == hash(w)
+            assert built.matching.partner == w.matching.partner
+            recoded += built.coding[0] != w.coding[0]
+        assert recoded
 
 
 class TestTraceFormat:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from treepolicy import compiler, mesh_sim, monitor, nested_word as nw
+from treepolicy import compiler, mesh_sim, monitor, nested_word as nw, oracle
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.policy import parse_policy
@@ -327,9 +327,9 @@ class TestCodedWalk:
     @staticmethod
     def _words(rng, art, alphabet):
         """Words over the alphabet from each builder: ``build_nested_word``,
-        ``enumerate_rooted``, a mesh-sim request in both modes, and
-        ``NestedWord(...)``, the last with pending calls or orphan returns
-        too."""
+        ``enumerate_rooted``, a mesh-sim request in both modes, a word
+        coded over the alphabet reversed, and a slice, the last with
+        pending calls or orphan returns too."""
         words = [random_rooted_word(rng, 10, alphabet) for _ in range(2)]
         words += rng.sample(list(nw.enumerate_rooted(alphabet, 2)), 3)
         topo = random_topology(rng, alphabet, max_nodes=30)
@@ -338,7 +338,7 @@ class TestCodedWalk:
             words.append(mesh_sim.execute_request(topo, topo.entrypoints[0], filters, mode=mode).word)
         w = words[0]
         i = rng.randrange(1, len(w))
-        words += [nw.NestedWord(w.symbols, w.matching), ref.sub_word(w, i, rng.randint(i + 1, len(w)))]
+        words += [ref.recode(w, alphabet[::-1]), ref.sub_word(w, i, rng.randint(i + 1, len(w)))]
         return words
 
     def test_walk_equals_the_checked_steps(self):
@@ -348,38 +348,43 @@ class TestCodedWalk:
         arts += [(RANDOM_ALPHABET, compiler.compile_policy(pol, RANDOM_ALPHABET))
                  for _, pol in random_policies()]
         assert len(arts) == 158
-        coded = 0
         for alphabet, art in arts:
             v = art.vpa
             readback = TestTableWalk._readback(v)
             init = initial_configuration(v)
             for word in self._words(rng, art, alphabet):
-                coded += word.coding is not None
+                # every builder fills codes and partners only
+                assert word._symbols is None
                 # from the initial configuration and from one with open calls
                 opened = final_configuration(v, random_rooted_word(rng, 4, alphabet), init)
                 opened = final_configuration(v, nw.build_nested_word([nw.call(alphabet[0])]), opened)
                 for t in (v.table, readback.table):
                     self._agree(t, init, word)
                     self._agree(t, opened, word)
-                assert word.coding is not None
-        # built and enumerated words come coded, the others are coded on their first walk
-        assert coded == 5 * len(arts)
+
+    # a table over A alone, with one call rule, and the faults its walks meet
+    FAULTS = [
+        ("<A <Z Z> A>", MissingTransition, "no rules for endpoint 'Z'"),
+        ("<A A>", MissingTransition, "no return rule at 'A' for state 'q1' / popped 'q0'"),
+        ("<A <A A> A>", MissingTransition, "no call rule at 'A' for state 'q1'"),
+        ("A>", StackUnderflow, "return from 'A' with empty stack in state 'q0'"),
+    ]
+
+    @staticmethod
+    def _faulty_table():
+        t = build_table({"q0", "q1"}, {BOTTOM, "q0"}, ("A",), {("q0", "A"): ("q1", "q0")}, {})
+        return t, Configuration("q0", (BOTTOM,))
 
     def test_faults_keep_their_messages(self):
         def kinds(text):
             w = word_from_str(text)
-            return [w, nw.NestedWord(w.symbols, w.matching)] + [
+            # recoded over an endpoint the table lacks, the walk's rows fail
+            # at once, and the replay still names the word's own fault
+            return [w, ref.recode(w, ("Y", "Z", "A"))] + [
                 x for x in nw.enumerate_rooted(("A", "Z"), 2) if x == w]
 
-        t = build_table({"q0", "q1"}, {BOTTOM, "q0"}, ("A",), {("q0", "A"): ("q1", "q0")}, {})
-        init = Configuration("q0", (BOTTOM,))
-        cases = [
-            ("<A <Z Z> A>", MissingTransition, "no rules for endpoint 'Z'"),
-            ("<A A>", MissingTransition, "no return rule at 'A' for state 'q1' / popped 'q0'"),
-            ("<A <A A> A>", MissingTransition, "no call rule at 'A' for state 'q1'"),
-            ("A>", StackUnderflow, "return from 'A' with empty stack in state 'q0'"),
-        ]
-        for text, fault, message in cases:
+        t, init = self._faulty_table()
+        for text, fault, message in self.FAULTS:
             words = kinds(text)
             assert len(words) == (2 if text == "A>" else 3)
             for word in words:
@@ -390,6 +395,37 @@ class TestCodedWalk:
         v = two_state_vpa()
         for word in nw.enumerate_rooted(("Appt", "Z"), 2):
             self._agree(v.table, initial_configuration(v), word)
+
+    def test_fast_paths_build_no_symbols(self):
+        # a word's symbols are made on their first read; no run, no
+        # rootedness check, no oracle verdict and no request reads them
+        rng = random.Random(27)
+        for variant in ("small", "full"):
+            for doc in corpus_documents(variant).values():
+                art = compiler.compile(doc)[0]
+                v, alphabet = art.vpa, doc.alphabet
+                readback = TestTableWalk._readback(v)
+                init = initial_configuration(v)
+                topo = random_topology(rng, alphabet, max_nodes=30)
+                filters = [mesh_sim.build_filter_set(art)]
+                words = [random_rooted_word(rng, 8, alphabet), *nw.enumerate_rooted(alphabet[:2], 2)]
+                for mode in (mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK):
+                    words.append(mesh_sim.execute_request(
+                        topo, topo.entrypoints[0], filters, mode=mode).word)
+                for word in words:
+                    assert len(word) >= 2 and word.is_rooted()
+                    last = run(v, word)[-1]
+                    assert last == final_configuration(v, word) == monitor.dist_run(readback, init, word)
+                    oracle.sat_policy(word, doc.policies[0], alphabet)
+                    assert word._symbols is None
+        # a fault sends the walk to the checked replay, which reads the
+        # symbols to name it
+        t, init = self._faulty_table()
+        for text, fault, message in self.FAULTS:
+            word = word_from_str(text)
+            with pytest.raises(fault, match=re.escape(message)):
+                walk(t, init, word)
+            assert word._symbols is not None
 
 
 def random_policies():
