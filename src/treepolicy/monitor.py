@@ -3,17 +3,18 @@
 A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
 of an endpoint holds its call rules as ``on_request`` (state -> state and
 pushed symbol) and its return rules as ``on_response`` (state and popped
-symbol -> state), read-only and in sorted key order, and names the
-automaton's reject sink as ``reject``: a rule the spec lacks goes there.
-A ``DistributedMonitor`` is the read-only endpoint -> spec mapping plus the
-integer table ``dist_run`` walks with ``vpa.walk``, as the centralized run
-does.  ``extract_monitor`` copies no rule and runs no analysis: its specs
-are row views of ``Vpa.table``, leaving out the rules equal to the sink's,
-and its monitor steps that table.  A compiled automaton holds no cell
-outside the sink's rule that a rooted word cannot read (``compiler.build``),
-so its filters list exactly the non-sink cells a rooted request can read.
-Endpoints whose rows the table shares (an endpoint class of a compiled
-automaton) share one pair of views.  A monitor read back from filter specs
+symbol -> state), each a read-only ``vpa.Rules`` in sorted key order, and
+names the automaton's reject sink as ``reject``: a rule the spec lacks goes
+there.  A ``DistributedMonitor`` is the read-only endpoint -> spec mapping
+plus the integer table ``dist_run`` walks with ``vpa.walk``, as the
+centralized run does.  ``extract_monitor`` copies no rule and runs no
+analysis: its specs hold the automaton's own listing (``Vpa.rules``), which
+leaves out the rules equal to the sink's, and its monitor steps the
+automaton's table.  A compiled automaton holds no cell outside the sink's
+rule that a rooted word cannot read (``compiler.build``), so its filters
+list exactly the non-sink cells a rooted request can read.  Endpoints
+whose rows the table shares (an endpoint class of a compiled automaton)
+share one pair of ``Rules``.  A monitor read back from filter specs
 (``monitor_from_filters``) builds its own table with ``vpa.build_table``,
 over the states they name and the sink, each cell starting with the sink's
 rule; for a compiled automaton that is the automaton's table.  ``dist_run``
@@ -28,8 +29,8 @@ serialized forms list rules in the specs' order, so they are byte-stable:
 ``filter_spec_to_json`` writes the bytes ``json.dumps(indent=2,
 ensure_ascii=False)`` gives for one object per rule, its head from one
 template, and ``render_filter_script`` formats each rule with one
-template.  Both keep the text of a view's rules on the view
-(``TableRules.memo``), so the specs of a class share it and only the head
+template.  Both keep the text of a spec's rules on its ``Rules``
+(``Rules.rendered``), so the specs of a class share it and only the head
 line naming the endpoint differs.
 """
 
@@ -37,14 +38,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
-    BOTTOM, Configuration, RequestRules, ResponseRules, Table, TableRules, Vpa, build_table,
-    json_member, json_string, link, load_document, reject_member, skipped_cells,
-    string_rows, walk,
+    BOTTOM, Configuration, Rules, Table, Vpa, build_table, json_member, json_string, link,
+    load_document, reject_member, string_rows, walk,
 )
 
 STATE_HEADER = "x-safetree-state"
@@ -56,10 +55,10 @@ class FilterSpec:
     """Call/return transitions of one endpoint; a rule it lacks goes to the
     ``reject`` state (a call also pushes it), or is missing when ``reject``
     is ``None``.  A spec extracted from a compiled automaton lists exactly
-    the non-sink cells a rooted request can read at its endpoint.  Rules
-    read from a table are kept as they are; any other mapping is copied
-    once, sorted, so no edit through or behind a spec can leave a monitor's
-    table behind."""
+    the non-sink cells a rooted request can read at its endpoint.  Its
+    rules are ``Rules``: a ``Rules`` given is kept, and any other mapping is
+    copied once, sorted, so no edit through or behind a spec can leave a
+    monitor's table behind."""
 
     endpoint: Endpoint
     on_request: Mapping[str, tuple[str, str]]  # state -> (state, pushed symbol)
@@ -68,8 +67,8 @@ class FilterSpec:
 
     def __post_init__(self):
         for name in ("on_request", "on_response"):
-            if not isinstance(rules := getattr(self, name), TableRules):
-                object.__setattr__(self, name, MappingProxyType(dict(sorted(rules.items()))))
+            if not isinstance(rules := getattr(self, name), Rules):
+                object.__setattr__(self, name, Rules(dict(sorted(rules.items()))))
 
 
 class DistributedMonitor(Mapping):
@@ -127,18 +126,11 @@ def _spec_table(m: DistributedMonitor) -> Table:
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
-    """The automaton's per-endpoint specs, read in place from its table,
-    each leaving out the rules into the reject sink (``Vpa.sink``).  For a
-    compiled automaton the cells left are those a rooted word can read."""
-    t, sink = v.table, v.sink
-    skip_call, skip_return = skipped_cells(t, sink)
-    views, specs = {}, []  # the endpoints sharing their rows share one pair of views
-    for e in v.alphabet:
-        key = id(t.request[e]), id(t.response[e])
-        if key not in views:
-            views[key] = RequestRules(t, e, skip_call), ResponseRules(t, e, skip_return)
-        specs.append(FilterSpec(e, *views[key], sink))
-    return DistributedMonitor(specs, t)
+    """The automaton's per-endpoint specs, holding its listing
+    (``Vpa.rules``), which leaves out the rules into the reject sink
+    (``Vpa.sink``).  For a compiled automaton the cells left are those a
+    rooted word can read."""
+    return DistributedMonitor((FilterSpec(e, *v.rules[e], v.sink) for e in v.alphabet), v.table)
 
 
 def dist_run(m: DistributedMonitor, init: Configuration, n: NestedWord) -> Configuration:
@@ -165,15 +157,6 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
     return DistributedMonitor(specs)
 
 
-def _rendered(rules: Mapping, render, *args) -> str:
-    """``render(rules, *args)``, kept on the rules when they are a table
-    view: the specs of an endpoint class share their views, so a class's
-    text is made once."""
-    if isinstance(rules, TableRules):
-        return rules.memo((render, *args), lambda: render(rules, *args))
-    return render(rules, *args)
-
-
 def _request_member(rules: Mapping) -> str:
     return json_member("on_request", ("if_state", "then_state", "push_local"),
                        [(q, dst, push) for q, (dst, push) in rules.items()])
@@ -192,8 +175,8 @@ _FILTER_HEAD = f'{{\n  "version": {FILTER_SCHEMA_VERSION},\n  "endpoint": %s,\n 
 def filter_spec_to_json(spec: FilterSpec) -> str:
     reject = "null" if spec.reject is None else json_string(spec.reject)
     return "".join([_FILTER_HEAD % (json_string(spec.endpoint), reject),
-                    _rendered(spec.on_request, _request_member),
-                    _rendered(spec.on_response, _response_member), "\n}\n"])
+                    spec.on_request.rendered(_request_member),
+                    spec.on_response.rendered(_response_member), "\n}\n"])
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:
@@ -225,8 +208,8 @@ def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     """
     return "".join([
         f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
-        _rendered(spec.on_request, _on_request_script, spec.reject),
-        _rendered(spec.on_response, _on_response_script, spec.reject),
+        spec.on_request.rendered(_on_request_script, spec.reject),
+        spec.on_response.rendered(_on_response_script, spec.reject),
     ])
 
 

@@ -8,19 +8,21 @@ the bottom marker on the stack raises ``StackUnderflow`` (impossible on
 rooted well-matched input).
 
 ``Vpa.table`` is an automaton's one rule store (see ``Table``): ids number
-names in sorted order.  ``delta_call`` and ``delta_return`` are read-only
-views of it, the row views filter specs hold.  ``Vpa.from_rules`` is the
-checked constructor from string-keyed rules, through ``build_table``.  The
-unchecked ``walk`` steps the table for ``final_configuration``, ``run``
-and ``dist_run``, reading a word's integer codes (see ``nested_word``),
-not its symbol objects; the checked ``steps`` names the fault a walk hit
-and builds the items of a ``Run``.  Configurations share their stacks, and
-automata and configurations are never changed.
+names in sorted order.  ``Vpa.from_rules`` is the checked constructor from
+string-keyed rules, through ``build_table``.  The unchecked ``walk`` steps
+the table for ``final_configuration``, ``run`` and ``dist_run``, reading a
+word's integer codes (see ``nested_word``), not its symbol objects; the
+checked ``steps`` names the fault a walk hit and builds the items of a
+``Run``.  Configurations share their stacks, and automata and
+configurations are never changed.
 
-``export_vpa`` writes JSON or Graphviz DOT, byte-stable: rules appear in
-sorted key order, which is the table's id order with the alphabet sorted.
-Both writers list ``Vpa.rules``, which reads each distinct row once and is
-kept on the automaton.  The JSON equals what
+``Vpa.rules`` is the one place rules are read out of a table: for each
+endpoint, its call rules and its return rules as two read-only ``Rules``
+mappings in sorted key order.  It reads each distinct pair of rows once,
+the endpoints of a class share the pair, and the automaton keeps it.
+Filter specs hold these mappings (``monitor.extract_monitor``), and
+``export_vpa`` lists them, writing JSON or Graphviz DOT, byte-stable:
+rules appear in sorted key order.  The JSON equals what
 ``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
 rule.  ``json_member`` writes each table from a row template, escaping
 each name once, since ``indent`` sends ``json.dumps`` to its pure-Python
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -71,20 +73,29 @@ class Vpa:
         return reject_sink(self)
 
     @cached_property
-    def rules(self) -> tuple[list[tuple[str, str, str, str]], list[tuple[str, str, str, str]]]:
-        """The rules the writers list, made on first use and kept like
-        ``sink``: (from, sym, to, push) for each call rule and (from, pop,
-        sym, to) for each return rule, sorted, but the sink's."""
-        skip_call, skip_return = skipped_cells(self.table, self.sink)
-        return _call_rows(self.table, skip_call), _return_rows(self.table, skip_return)
-
-    @property
-    def delta_call(self) -> Mapping[tuple[State, Endpoint], tuple[State, StackSymbol]]:
-        return RequestRules(self.table)
-
-    @property
-    def delta_return(self) -> Mapping[tuple[State, StackSymbol, Endpoint], State]:
-        return ResponseRules(self.table)
+    def rules(self) -> dict[Endpoint, tuple[Rules, Rules]]:
+        """Each endpoint's call rules (state -> (state, pushed symbol)) and
+        return rules ((state, popped symbol) -> state), but the sink's: the
+        one listing of the table, made on first use and kept like ``sink``.
+        Each distinct pair of rows is read once; the endpoints sharing it
+        share its pair of ``Rules``."""
+        t, sink = self.table, self.sink
+        states, symbols = t.states, t.symbols
+        skip_call = skip_return = (None,)
+        if sink is not None:
+            h = t.state_id[sink]
+            skip_call, skip_return = (None, (h, t.symbol_id[sink])), (None, h)
+        classes, rules = {}, {}
+        for e in self.alphabet:
+            request, response = t.request[e], t.response[e]
+            if (key := (id(request), id(response))) not in classes:
+                classes[key] = (
+                    Rules({q: (states[r[0]], symbols[r[1]])
+                           for q, r in zip(states, request) if r not in skip_call}),
+                    Rules({(q, g): states[r] for q, column in zip(states, zip(*response))
+                           for g, r in zip(symbols, column) if r not in skip_return}))
+            rules[e] = classes[key]
+        return rules
 
     @classmethod
     def from_rules(cls, states: Iterable[State], initial: State, finals: Iterable[State],
@@ -243,117 +254,34 @@ def _refuse(problems: Sequence[str]) -> None:
         raise VpaParseError(f"ill-formed automaton: {'; '.join(problems[:3])}{more}")
 
 
-class TableRules(Mapping):
-    """Rules read in place from a ``Table`` in sorted key order, without the
-    cells in ``skip`` (``skipped_cells``); keys end with the endpoint unless
-    the view has one.  A view runs no reachability analysis: a compiled
-    table already holds the sink's rule wherever no rooted word reads."""
+class Rules(Mapping):
+    """One endpoint's rules, read-only, in sorted key order, over the dict
+    given, which nothing else may hold.  ``rendered`` keeps the text made
+    from them, so the filter specs sharing them render it once."""
 
-    __slots__ = ("_t", "_endpoint", "_skip", "_memo")
+    __slots__ = ("_rules", "_text")
 
-    def __init__(self, t: Table, endpoint: Endpoint | None = None, skip: tuple = (None,)):
-        self._t, self._endpoint, self._skip, self._memo = t, endpoint, skip, {}
+    def __init__(self, rules: dict):
+        self._rules, self._text = rules, {}
 
     def __getitem__(self, key):
-        if (cell := self._cell(key)) in self._skip:
-            raise KeyError(key)
-        return self._value(cell)
+        return self._rules[key]
 
     def __iter__(self):
-        return (key for key, _ in self._pairs())
+        return iter(self._rules)
 
     def __len__(self):
-        skip = self._skip
-        return self.memo(len, lambda: sum(len(row) - sum(map(row.count, skip))
-                                          for row in self._rows()))
+        return len(self._rules)
 
     def items(self):
-        return _RuleItems(self)
+        return self._rules.items()
 
-    def memo(self, key, make):
-        """``make()``, made once per key: the rules never change, so what is
-        computed from them is kept here, and specs sharing the view share it."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = make()
-            return value
-
-
-class _RuleItems(ItemsView):
-    """(key, rule) pairs read off the rows in one pass."""
-
-    def __iter__(self):
-        return self._mapping._pairs()
-
-
-def _call_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
-    """(from, sym, to, push) for each call cell not in ``skip``, sorted.
-    Each distinct row is read once: the endpoints of a class share theirs."""
-    states, symbols = t.states, t.symbols
-    kept = {key: [(h, r) for h, r in enumerate(row) if r not in skip]
-            for key, row in {id(row): row for row in t.request.values()}.items()}
-    return [(states[h], e, states[r[0]], symbols[r[1]]) for h, e, r in
-            sorted((h, e, r) for e, row in t.request.items() for h, r in kept[id(row)])]
-
-
-def _return_rows(t: Table, skip: tuple) -> list[tuple[str, str, str, str]]:
-    """(from, pop, sym, to) for each return cell not in ``skip``, sorted.
-    Each distinct row is read once: the endpoints of a class share theirs."""
-    states, symbols = t.states, t.symbols
-    kept = {key: [(h, i, r) for i, row in enumerate(rows) for h, r in enumerate(row)
-                  if r not in skip]
-            for key, rows in {id(rows): rows for rows in t.response.values()}.items()}
-    return [(states[h], symbols[i], e, states[r]) for h, i, e, r in
-            sorted((h, i, e, r) for e, rows in t.response.items() for h, i, r in kept[id(rows)])]
-
-
-class RequestRules(TableRules):
-    """Call rules: state -> (state, pushed symbol) over one endpoint."""
-
-    def _cell(self, key):
-        q, e = key if self._endpoint is None else (key, self._endpoint)
-        return self._t.request[e][self._t.state_id[q]]
-
-    def _value(self, cell):
-        return self._t.states[cell[0]], self._t.symbols[cell[1]]
-
-    def _rows(self):
-        request = self._t.request
-        return request.values() if self._endpoint is None else (request[self._endpoint],)
-
-    def _pairs(self):
-        t, skip = self._t, self._skip
-        if self._endpoint is None:
-            return (((q, e), (q2, g)) for q, e, q2, g in _call_rows(t, skip))
-        states, symbols = t.states, t.symbols
-        return ((q, (states[r[0]], symbols[r[1]]))
-                for q, r in zip(states, t.request[self._endpoint]) if r not in skip)
-
-
-class ResponseRules(TableRules):
-    """Return rules: (state, popped symbol) -> state over one endpoint."""
-
-    def _cell(self, key):
-        q, g, e = key if self._endpoint is None else (*key, self._endpoint)
-        return self._t.response[e][self._t.symbol_id[g]][self._t.state_id[q]]
-
-    def _value(self, cell):
-        return self._t.states[cell]
-
-    def _rows(self):
-        response = self._t.response
-        if self._endpoint is None:
-            return (row for rows in response.values() for row in rows)
-        return response[self._endpoint]
-
-    def _pairs(self):
-        t, skip = self._t, self._skip
-        if self._endpoint is None:
-            return (((q, g, e), q2) for q, g, e, q2 in _return_rows(t, skip))
-        states, symbols = t.states, t.symbols
-        return (((q, g), states[r]) for q, column in zip(states, zip(*t.response[self._endpoint]))
-                for g, r in zip(symbols, column) if r not in skip)
+    def rendered(self, render, *args) -> str:
+        """``render(self, *args)``, made once per arguments and kept."""
+        key = render, *args
+        if key not in self._text:
+            self._text[key] = render(self, *args)
+        return self._text[key]
 
 
 def walk(t: Table, c: Configuration, word: NestedWord) -> Configuration:
@@ -583,17 +511,16 @@ def reject_sink(v: Vpa) -> State | None:
     return None
 
 
-def skipped_cells(t: Table, sink: State | None) -> tuple[tuple, tuple]:
-    """The request and response cell values a writer leaves out: a missing
-    rule's ``None`` and, with a sink, the sink's rule."""
-    if sink is None:
-        return (None,), (None,)
-    h = t.state_id[sink]
-    return (None, (h, t.symbol_id[sink])), (None, h)
+def _listing(v: Vpa) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """(from, sym, to, push) for each call rule and (from, pop, sym, to)
+    for each return rule of ``Vpa.rules``, sorted."""
+    rules = v.rules.items()
+    return (sorted((q, e, *rule) for e, (calls, _) in rules for q, rule in calls.items()),
+            sorted((q, g, e, dst) for e, (_, returns) in rules for (q, g), dst in returns.items()))
 
 
 def _export_json(v: Vpa) -> str:
-    calls, returns = v.rules
+    calls, returns = _listing(v)
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -720,7 +647,7 @@ def _export_dot(v: Vpa) -> str:
     names the sink.  Each name is escaped once, a backslash before each
     backslash and each double quote; each edge is one template."""
     sink, t = v.sink, v.table
-    calls, returns = v.rules
+    calls, returns = _listing(v)
     esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
            for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]

@@ -297,22 +297,48 @@ def callseq_reject_states(art) -> set[str]:
 # -- steppers ------------------------------------------------------------------
 #
 # The runs step an integer table by id; these look each rule up by name,
-# through the automaton's ``delta_*`` views or a filter spec's rules, one
-# configuration object per symbol.
+# in the rule dicts read off the table below or in a filter spec's rules,
+# one configuration object per symbol.
+
+
+def delta_call(v: Vpa) -> dict:
+    """Every call rule by name, (state, endpoint) -> (state, pushed
+    symbol), in sorted key order; a cell without a rule is left out."""
+    t = v.table
+    calls = {}
+    for e, row in t.request.items():
+        for h, cell in enumerate(row):
+            if cell is not None:
+                calls[(t.states[h], e)] = (t.states[cell[0]], t.symbols[cell[1]])
+    return dict(sorted(calls.items()))
+
+
+def delta_return(v: Vpa) -> dict:
+    """Every return rule by name, (state, popped symbol, endpoint) ->
+    state, in sorted key order; a cell without a rule is left out."""
+    t = v.table
+    returns = {}
+    for e, rows in t.response.items():
+        for i, row in enumerate(rows):
+            for h, cell in enumerate(row):
+                if cell is not None:
+                    returns[(t.states[h], t.symbols[i], e)] = t.states[cell]
+    return dict(sorted(returns.items()))
 
 
 def reference_configurations(v: Vpa, c, symbols):
     """The configuration after each tagged symbol, starting from ``c``,
     looked up by name in ``delta_call``/``delta_return``."""
+    calls, returns = delta_call(v), delta_return(v)
     q, top, below = c.state, c.top, c.below
     for a in symbols:
         if a.tag == nw.CALL:
             below = c
-            q, top = v.delta_call[(q, a.endpoint)]
+            q, top = calls[(q, a.endpoint)]
         elif below is None:
             raise StackUnderflow(f"return from {a.endpoint!r} with empty stack in state {q!r}")
         else:
-            q = v.delta_return[(q, top, a.endpoint)]
+            q = returns[(q, top, a.endpoint)]
             top, below = below.top, below.below
         c = link(q, top, below)
         yield c
@@ -345,8 +371,8 @@ def reference_reached_cells(v: Vpa) -> tuple[set, set]:
     over complete child subtrees; a sweep grows every ``W[q0]`` by one
     more subtree from each of its states, for every endpoint, and the
     sweeps stop when one adds nothing."""
-    alphabet = v.alphabet
-    W = {v.delta_call[(v.initial, e)][0]: set() for e in alphabet}
+    alphabet, delta, delta_ret = v.alphabet, delta_call(v), delta_return(v)
+    W = {delta[(v.initial, e)][0]: set() for e in alphabet}
     changed = True
     while changed:
         changed = False
@@ -356,17 +382,17 @@ def reference_reached_cells(v: Vpa) -> tuple[set, set]:
                 changed = True
             for q1 in list(W[q0]):
                 for e in alphabet:
-                    q, g = v.delta_call[(q1, e)]
+                    q, g = delta[(q1, e)]
                     if q not in W:
                         W[q] = set()
                         changed = True
                     for q2 in list(W[q]):
-                        if (after := v.delta_return[(q2, g, e)]) not in W[q0]:
+                        if (after := delta_ret[(q2, g, e)]) not in W[q0]:
                             W[q0].add(after)
                             changed = True
     sources = {v.initial}.union(*W.values())
     calls = {(p, e) for p in sources for e in alphabet}
-    returns = {(q1, g, e) for p, e in calls for q0, g in (v.delta_call[(p, e)],) for q1 in W[q0]}
+    returns = {(q1, g, e) for p, e in calls for q0, g in (delta[(p, e)],) for q1 in W[q0]}
     return calls, returns
 
 
@@ -384,20 +410,22 @@ def reference_build(v: Vpa) -> Vpa:
     those cells name and ``rej``, the symbols their calls push, the bottom
     marker and ``rej``, with every other cell going to ``rej``."""
     calls, returns = reference_reached_cells(v)
+    delta, delta_ret = delta_call(v), delta_return(v)
     rej = compiler.REJ
-    states = {rej, *(q for q, _ in calls), *(v.delta_return[k] for k in returns)}
-    symbols = {rej, BOTTOM, *(v.delta_call[k][1] for k in calls)}
+    states = {rej, *(q for q, _ in calls), *(delta_ret[k] for k in returns)}
+    symbols = {rej, BOTTOM, *(delta[k][1] for k in calls)}
     return Vpa.from_rules(states, v.initial, v.finals & states, v.alphabet, symbols,
-                          {k: v.delta_call[k] for k in calls},
-                          {k: v.delta_return[k] for k in returns}, reject=rej)
+                          {k: delta[k] for k in calls},
+                          {k: delta_ret[k] for k in returns}, reject=rej)
 
 
 def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
     """The call and return rules a compiled automaton's artifacts list:
     those at the cells a rooted word can read other than the sink's."""
     calls, returns = reference_reached_cells(v)
-    return ({k: v.delta_call[k] for k in calls if v.delta_call[k] != (sink, sink)},
-            {k: v.delta_return[k] for k in returns if v.delta_return[k] != sink})
+    delta, delta_ret = delta_call(v), delta_return(v)
+    return ({k: delta[k] for k in calls if delta[k] != (sink, sink)},
+            {k: delta_ret[k] for k in returns if delta_ret[k] != sink})
 
 
 # -- writers -------------------------------------------------------------------
@@ -411,10 +439,11 @@ def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
 def reference_sink(v: Vpa):
     """The least non-final state whose every rule stays in it, a call
     pushing its name, or ``None``."""
+    delta, delta_ret = delta_call(v), delta_return(v)
     for s in sorted(v.states - v.finals):
         if s in v.stack_alphabet and all(
-            v.delta_call[(s, e)] == (s, s)
-            and all(v.delta_return[(s, g, e)] == s for g in v.stack_alphabet)
+            delta[(s, e)] == (s, s)
+            and all(delta_ret[(s, g, e)] == s for g in v.stack_alphabet)
             for e in v.alphabet
         ):
             return s
@@ -425,8 +454,8 @@ def explicit_rules(v: Vpa) -> tuple[dict, dict]:
     """The call and return rules other than the reject sink's."""
     sink = reference_sink(v)
     return (
-        {k: r for k, r in v.delta_call.items() if sink is None or r != (sink, sink)},
-        {k: r for k, r in v.delta_return.items() if sink is None or r != sink},
+        {k: r for k, r in delta_call(v).items() if sink is None or r != (sink, sink)},
+        {k: r for k, r in delta_return(v).items() if sink is None or r != sink},
     )
 
 

@@ -32,6 +32,7 @@ from treepolicy.policy import (
 from treepolicy.vpa import BOTTOM, accepts, check_well_formed, run
 
 from conftest import random_rooted_word, raw_automaton, raw_construction, word_from_str
+import reference as ref
 from reference import (
     callseq_reject_states, dense_automaton, matches, reference_build, reference_reached_cells,
 )
@@ -77,14 +78,14 @@ class TestBuild:
         assert c.states == {beg, end, rej, "a0", "a1", "a2"}
         assert v.states == {beg, end, rej, "a1", "a2"}
         assert v.stack_alphabet == {BOTTOM, beg, rej, "a1", "a2"}
-        assert v.delta_call[(beg, "A")] == ("a1", beg)
-        assert v.delta_return[("a1", beg, "A")] == end
-        assert v.delta_return[("a2", beg, "A")] == rej
+        assert ref.delta_call(v)[(beg, "A")] == ("a1", beg)
+        assert ref.delta_return(v)[("a1", beg, "A")] == end
+        assert ref.delta_return(v)[("a2", beg, "A")] == rej
         # read by no rooted word: the sink's rule
-        assert v.delta_call[(end, "A")] == (rej, rej)
-        assert v.delta_return[("a1", rej, "B")] == rej
-        assert v.delta_return[("a1", BOTTOM, "A")] == rej
-        assert len(v.delta_call) == 5 * 2 and len(v.delta_return) == 5 * 5 * 2
+        assert ref.delta_call(v)[(end, "A")] == (rej, rej)
+        assert ref.delta_return(v)[("a1", rej, "B")] == rej
+        assert ref.delta_return(v)[("a1", BOTTOM, "A")] == rej
+        assert len(ref.delta_call(v)) == 5 * 2 and len(ref.delta_return(v)) == 5 * 5 * 2
         assert accepts(v, word_from_str("<A A>")) and not accepts(v, word_from_str("<B B>"))
 
     def test_only_reached_cells_are_computed(self):
@@ -393,10 +394,11 @@ class TestCompileDocument:
         for name, doc in corpus_documents("small").items():
             for art in compiler.compile(doc):
                 v = art.vpa
+                delta_call = ref.delta_call(v)
                 absorbing = {q for q in v.states if q.endswith("rej")}
                 for q in absorbing:
                     for e in v.alphabet:
-                        dst, _ = v.delta_call[(q, e)]
+                        dst, _ = delta_call[(q, e)]
                         assert dst in absorbing, (name, q, e)
 
     def test_component_dfas_positions(self):
@@ -587,7 +589,7 @@ class TestEndpointClasses:
             reps = tuple(c[0] for c in endpoint_classes(pol, alphabet))
             assert all(d.alphabet == reps for d in art.component_dfas.values())
 
-    def test_endpoints_of_a_class_share_rows_and_views(self):
+    def test_endpoints_of_a_class_share_rows_and_rules(self):
         for pol, alphabet in self.policies():
             v = compiled(pol, alphabet).vpa
             t, mon, classes = v.table, extract_monitor(v), endpoint_classes(pol, alphabet)
@@ -674,9 +676,9 @@ class TestDoomedStates:
         for pol, alphabet in TestEndpointClasses().policies():
             art = compiled(pol, alphabet)
             v, doomed = art.vpa, art.reject_states
-            for (q, _e), (dst, _push) in v.delta_call.items():
+            for (q, _e), (dst, _push) in ref.delta_call(v).items():
                 assert q not in doomed or dst in doomed, (pol, q)
-            for (q, g, _e), dst in v.delta_return.items():
+            for (q, g, _e), dst in ref.delta_return(v).items():
                 assert q not in doomed or g == BOTTOM or dst in doomed, (pol, q, g)
 
 

@@ -13,7 +13,7 @@ from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import (
-    BOTTOM, Configuration, final_configuration, initial_configuration, run, walk,
+    BOTTOM, Configuration, Rules, final_configuration, initial_configuration, run, walk,
 )
 
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     two_state_vpa,
     word_from_str,
 )
+import reference as ref
 from reference import reference_filter_rules, reference_reached_cells
 from test_compiler import random_policy
 from test_golden import RANDOM_ALPHABET
@@ -48,10 +49,12 @@ class TestExtract:
 
     def test_specs_are_read_only(self):
         # the monitor steps a table built from the specs once, so a spec
-        # that could change would leave the table behind
+        # that could change would leave the table behind; extracted and
+        # read-back specs hold one type of rules
         extracted = monitor.extract_monitor(payment_chain_vpa())["P"]
         readback = monitor.filter_spec_from_json(monitor.filter_spec_to_json(extracted))
         for spec in (extracted, readback):
+            assert type(spec.on_request) is type(spec.on_response) is Rules
             with pytest.raises(TypeError):
                 spec.on_request["start"] = ("sink", "sink")
             with pytest.raises(TypeError):
@@ -187,8 +190,8 @@ class TestFilterSpecs:
         # the rules into the reject sink
         v = payment_chain_vpa()
         specs = monitor.emit_filters(monitor.extract_monitor(v))
-        calls = {k: r for k, r in v.delta_call.items() if r != ("sink", "sink")}
-        returns = {k: r for k, r in v.delta_return.items() if r != "sink"}
+        calls = {k: r for k, r in ref.delta_call(v).items() if r != ("sink", "sink")}
+        returns = {k: r for k, r in ref.delta_return(v).items() if r != "sink"}
         assert sum(len(spec.on_request) for spec in specs) == len(calls) == 3
         assert sum(len(spec.on_response) for spec in specs) == len(returns) == 3
         for spec in specs:
@@ -199,18 +202,19 @@ class TestFilterSpecs:
                 assert returns[(q, g, spec.endpoint)] == target
 
     def test_rule_counts_equal_the_rules_listed(self):
-        # len counts over the rows, less the skipped cells; iteration lists
+        # len counts the rules iteration lists, in the reference's dicts
+        # and in each spec's ``Rules``
         automata = [a.vpa for variant in ("small", "full")
                     for doc in corpus_documents(variant).values() for a in compiler.compile(doc)]
         rng, alpha = random.Random(2024), ("A", "B", "C")
         automata += [compiler.compile_policy(random_policy(rng, alpha, 4), alpha).vpa
                      for _ in range(40)]
         for v in automata:
-            views = [v.delta_call, v.delta_return]
+            listings = [ref.delta_call(v), ref.delta_return(v)]
             for spec in monitor.extract_monitor(v).values():
-                views += [spec.on_request, spec.on_response]
-            for view in views:
-                assert len(view) == sum(1 for _ in view)
+                listings += [spec.on_request, spec.on_response]
+            for rules in listings:
+                assert len(rules) == sum(1 for _ in rules)
 
     def test_reconstruction_is_extensionally_equal(self):
         for doc in corpus_documents("small").values():

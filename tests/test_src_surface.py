@@ -6,9 +6,11 @@ definitions the tests compare against live in ``tests/reference.py``.
 A use names one definition.  A module-level function is used through a bare
 name in its own module that no enclosing function binds, an import of it,
 or an attribute of its own module (``rx.to_dfa``).  A method is used
-through any attribute of its name, or a string holding it (``getattr``),
-since the object's class is not known.  A same-named method, local
-variable or string does not keep a module-level function alive."""
+through any attribute of its name, since the object's class is not known,
+or a string constant passed where a call takes an attribute name
+(``getattr(x, "size")``, ``operator.attrgetter("a.b")``).  A same-named
+method, local variable or string does not keep a module-level function
+alive, and a string anywhere else (a JSON key) keeps no method alive."""
 
 import ast
 from pathlib import Path
@@ -58,6 +60,23 @@ def _module_aliases(tree: ast.Module, package: str) -> dict[str, str]:
     return aliases
 
 
+# The calls that take attribute names, with the position of the argument
+# naming one (``None``: every argument names one)
+_ATTRIBUTE_NAME_ARGUMENT = {"getattr": 1, "setattr": 1, "hasattr": 1, "delattr": 1,
+                            "attrgetter": None, "methodcaller": 0}
+
+
+def _attribute_names(call: ast.Call) -> list[str]:
+    """The string constants a call passes as attribute names."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    if name not in _ATTRIBUTE_NAME_ARGUMENT:
+        return []
+    i = _ATTRIBUTE_NAME_ARGUMENT[name]
+    args = call.args if i is None else call.args[i:i + 1]
+    return [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _SCOPES = (*_FUNCTIONS, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -88,9 +107,8 @@ def _uses(node: ast.AST, module: str, aliases: dict[str, str], package: str,
     if isinstance(node, ast.ImportFrom) and node.module:
         source = node.module if node.level else node.module.removeprefix(package + ".")
         return [("fn", source, a.name) for a in node.names]
-    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-            and all(part.isidentifier() for part in node.value.split(".")):
-        return [("method", part) for part in node.value.split(".")]
+    if isinstance(node, ast.Call):
+        return [("method", part) for name in _attribute_names(node) for part in name.split(".")]
     return []
 
 
@@ -202,12 +220,28 @@ def test_a_same_named_method_variable_or_string_keeps_no_function_alive():
         "mesh": ast.parse(
             "from . import words as wd\nfrom .words import subtree\n\n"
             "class Topology:\n    def children(self):\n        return self.children\n\n"
+            "    def delta_call(self):\n        return {}\n\n"
             "def plan(t):\n"
             "    seq = 'seq'\n    first = t.first\n"
-            "    return t.children(), seq, first, wd.subtree, wd.walk\n"),
+            "    doc = {'delta_call': []}\n"
+            "    return t.children(), seq, first, wd.subtree, wd.walk, doc\n"),
     }
     bench = ast.parse("from pkg import mesh\nmesh.plan(None)\n")
     # ``children`` is a method's name and a local variable's, ``seq`` a
     # string and local variables' in both modules, ``first`` an attribute
-    # of something other than its module
-    assert unused_defs(package, {"bench": bench}, name="pkg") == {"children", "seq", "first"}
+    # of something other than its module, ``delta_call`` a JSON key
+    assert unused_defs(package, {"bench": bench}, name="pkg") == {
+        "children", "seq", "first", "delta_call"}
+
+
+def test_an_attribute_name_string_keeps_a_method_alive():
+    tree = ast.parse(
+        "import operator\nfrom operator import attrgetter\n\n"
+        "class Shape:\n"
+        + "".join(f"    def {m}(self):\n        return 0\n\n"
+                  for m in ("area", "size", "grow", "width", "height", "label"))
+        + "def measure(s):\n"
+        "    return (getattr(s, 'area')(), hasattr(s, 'size'), operator.methodcaller('grow'),\n"
+        "            attrgetter('width.height')(s), getattr(s, 'x', 'label'))\n")
+    # a default value is not an attribute name
+    assert unused_defs({"shapes": tree}, entry_points={"measure"}) == {"label"}

@@ -9,13 +9,14 @@ import tracemalloc
 
 import pytest
 
-from treepolicy import compiler, mesh_sim, monitor, nested_word as nw, oracle
+from treepolicy import compiler, mesh_sim, monitor, nested_word as nw, oracle, vpa
 from treepolicy.corpus import corpus_documents
 from treepolicy.errors import MissingTransition, StackUnderflow, TreePolicyError, VpaParseError
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import (
     BOTTOM,
     Configuration,
+    Rules,
     Vpa,
     accepts,
     build_table,
@@ -469,8 +470,8 @@ class TestDefaultReject:
             responses = [r for f in filters for r in f["on_response"]]
             assert sink not in {r["to"] for r in calls + returns}, label
             assert sink not in {r["then_state"] for r in requests + responses}, label
-            explicit_calls = sum(r != (sink, sink) for r in v.delta_call.values())
-            explicit_returns = sum(r != sink for r in v.delta_return.values())
+            explicit_calls = sum(r != (sink, sink) for r in ref.delta_call(v).values())
+            explicit_returns = sum(r != sink for r in ref.delta_return(v).values())
             assert len(calls) == explicit_calls and len(returns) == explicit_returns, label
             listed_calls, listed_returns = reference_filter_rules(v, sink)
             assert (len(requests), len(responses)) == (len(listed_calls), len(listed_returns)), label
@@ -505,12 +506,12 @@ class TestWellFormed:
 
     def test_missing_call_reported(self):
         v = two_state_vpa()
-        delta_call = dict(v.delta_call)
+        delta_call = dict(ref.delta_call(v))
         del delta_call[("q1", "Appt")]
         missing = re.escape("missing call transition ('q1', 'Appt')")
         with pytest.raises(VpaParseError, match=missing):
             Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-                           delta_call, v.delta_return)
+                           delta_call, ref.delta_return(v))
         # the same hole in a table, as check_well_formed sees it
         t = v.table
         row = list(t.request["Appt"])
@@ -522,9 +523,9 @@ class TestWellFormed:
 
     def test_rules_outside_the_alphabets_reported(self):
         v = two_state_vpa()
-        delta_call = {**v.delta_call, ("q0", "Zed"): ("q1", "q0")}
+        delta_call = {**ref.delta_call(v), ("q0", "Zed"): ("q1", "q0")}
         delta_return = {
-            **v.delta_return, ("q1", "q0", "Zed"): "q0", ("q1", "nowhere", "Appt"): "q0",
+            **ref.delta_return(v), ("q1", "q0", "Zed"): "q0", ("q1", "nowhere", "Appt"): "q0",
         }
         with pytest.raises(VpaParseError) as err:
             Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
@@ -538,46 +539,72 @@ class TestWellFormed:
 
     def test_bottom_push_reported(self):
         v = two_state_vpa()
-        delta_call = dict(v.delta_call)
+        delta_call = dict(ref.delta_call(v))
         delta_call[("q0", "Appt")] = ("q1", BOTTOM)
         with pytest.raises(VpaParseError, match="pushes the bottom marker"):
             Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-                           delta_call, v.delta_return)
+                           delta_call, ref.delta_return(v))
 
 
 class TestOneStore:
-    """The table is the automaton's only rule store; ``delta_call`` and
-    ``delta_return`` are read-only views of it."""
+    """The table is the automaton's only rule store; ``Vpa.rules`` is the
+    one listing of it, which filter specs and writers share."""
 
     def test_no_rule_dict_fields(self):
         names = [f.name for f in dataclasses.fields(Vpa)]
         assert names == ["states", "initial", "finals", "alphabet", "stack_alphabet", "table"]
         assert not [n for n in names if n.startswith("delta_")]
 
-    def test_views_are_read_only(self):
-        v = two_state_vpa()
-        with pytest.raises(TypeError):
-            v.delta_call[("q0", "Appt")] = ("sink", "sink")
-        with pytest.raises(TypeError):
-            v.delta_return[("q1", "q0", "Appt")] = "sink"
-        with pytest.raises(TypeError):
-            del v.delta_call[("q0", "Appt")]
-        assert v.delta_call[("q0", "Appt")] == ("q1", "q0")
-        assert v.delta_return[("q1", "q0", "Appt")] == "q0"
-
     def test_rule_order_does_not_matter(self):
         v = payment_chain_vpa()
-        calls, returns = list(v.delta_call.items()), list(v.delta_return.items())
+        calls, returns = list(ref.delta_call(v).items()), list(ref.delta_return(v).items())
         w = Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
                            dict(reversed(calls)), dict(reversed(returns)))
-        assert list(w.delta_call.items()) == calls
+        assert list(ref.delta_call(w).items()) == calls
         assert w == v and w.table == v.table
         u = complete_with_sink(
             {"q0", "q1"}, "q0", {"q0"}, ("Appt",), {BOTTOM, "q0"},
             {("q0", "Appt"): ("q1", "q0")}, {("q1", "q0", "Appt"): "q0"})
         assert u == two_state_vpa() and u.table == two_state_vpa().table
 
-    def test_views_hold_the_complete_rules(self):
+    def test_listing_made_once_and_held_by_every_spec_of_a_class(self, monkeypatch):
+        # compiling, writing JSON and DOT, extracting the filters and
+        # writing each one's JSON and script read the table's rules once:
+        # one pair of ``Rules`` per distinct pair of rows, which every spec
+        # of that endpoint class holds
+        made = []
+
+        class Counted(Rules):
+            def __init__(self, rules):
+                made.append(self)
+                super().__init__(rules)
+
+        monkeypatch.setattr(vpa, "Rules", Counted)
+        compilations = [(f"{variant}/{name}", lambda doc=doc: compiler.compile(doc))
+                        for variant in ("small", "full")
+                        for name, doc in corpus_documents(variant).items()]
+        compilations += [(label, lambda pol=pol: [compiler.compile_policy(pol, RANDOM_ALPHABET)])
+                         for label, pol in random_policies()]
+        automata = 0
+        for label, compile_ in compilations:
+            made.clear()
+            listed = []
+            for art in compile_():
+                v, automata = art.vpa, automata + 1
+                export_vpa(v, "json"), export_vpa(v, "dot")
+                for spec in monitor.emit_filters(monitor.extract_monitor(v)):
+                    monitor.filter_spec_to_json(spec), monitor.render_filter_script(spec)
+                    request, response = v.rules[spec.endpoint]
+                    assert spec.on_request is request and spec.on_response is response, label
+                t = v.table
+                classes = {(id(t.request[e]), id(t.response[e])) for e in v.alphabet}
+                pairs = {id(pair): pair for pair in v.rules.values()}.values()
+                assert len(pairs) == len(classes), label
+                listed += [r for pair in pairs for r in pair]
+            assert sorted(map(id, made)) == sorted(map(id, listed)), label
+        assert automata == 158
+
+    def test_json_lists_the_complete_rules(self):
         automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
         assert len(automata) == 158
         for label, v in automata:
@@ -590,9 +617,10 @@ class TestOneStore:
             returns = {(q, g, e): r for q in doc["states"] for g in doc["stack_alphabet"]
                        for e in doc["alphabet"]}
             returns.update(((c["from"], c["pop"], c["sym"]), c["to"]) for c in doc["delta_return"])
-            assert dict(v.delta_call) == calls, label
-            assert dict(v.delta_return) == returns, label
-            assert len(v.delta_call) == len(calls) and len(v.delta_return) == len(returns), label
+            assert dict(ref.delta_call(v)) == calls, label
+            assert dict(ref.delta_return(v)) == returns, label
+            assert (len(ref.delta_call(v)) == len(calls)
+                    and len(ref.delta_return(v)) == len(returns)), label
 
 
 class TestSerialization:
@@ -704,9 +732,9 @@ class TestSerialization:
         if reject is not None:
             doc["reject"] = reject
         doc["delta_call"] = [{"from": q, "sym": e, "to": q2, "push": g}
-                             for (q, e), (q2, g) in sorted(v.delta_call.items())]
+                             for (q, e), (q2, g) in sorted(ref.delta_call(v).items())]
         doc["delta_return"] = [{"from": q, "pop": g, "sym": e, "to": q2}
-                               for (q, g, e), q2 in sorted(v.delta_return.items())]
+                               for (q, g, e), q2 in sorted(ref.delta_return(v).items())]
         assert import_vpa(json.dumps(doc)) == v
 
     def test_json_export_memory(self):
