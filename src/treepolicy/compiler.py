@@ -21,15 +21,16 @@ cell, renamed, so no sub-automaton is ever written out.
 ``build`` gives a construction its table.  It runs the summary fixpoint
 ``reached_cells`` from the initial state and reads each cell through a
 lookup that computes it on first read and keeps it, so the cells computed
-are those a rooted word can read.  It names the states they reach, and
-``rej``, in sorted order, with the symbols the reached calls push, and every
-other cell takes the reject sink's rule.  The result is complete, every
-rooted word (and forest of them) runs as on the construction's dense
-table, and the cells outside the sink's rule are exactly those a filter
-lists, so the written automaton and its filters agree.  The fixpoint runs
-once per policy.  Declared state counts follow from the parts, as the
-analytic bound assumes.  ``_doomed_states`` then finds the states that
-cannot reach a final state.
+are those a rooted word can read.  It hands them, as string-keyed rules,
+to ``Vpa.from_rules`` with ``rej`` as the declared reject state, so every
+other cell takes ``rej``'s rule and ``vpa.build_table`` is the one table
+builder; a rule it refuses is a ``CompilerInternalError``.  The result is
+complete, every rooted word (and forest of them) runs as on the
+construction's dense table, and the cells outside the reject state's rule
+are exactly those a filter lists, so the written automaton and its
+filters agree.  The fixpoint runs once per policy.  Declared state counts
+follow from the parts, as the analytic bound assumes.  ``_doomed_states``
+then finds the states that cannot reach a final state.
 
 ``compile_policy`` compiles over endpoint classes (D'Antoni & Alur,
 "Symbolic Visibly Pushdown Automata", CAV 2014): endpoints that no set the
@@ -52,7 +53,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from . import regex as rx
-from .errors import CompilerInternalError, EpsilonMatchRegex
+from .errors import CompilerInternalError, EpsilonMatchRegex, VpaParseError
 from .nested_word import Endpoint
 from .policy import (
     AllChildren,
@@ -68,7 +69,7 @@ from .policy import (
     header_bits,
     start_anchor_regex,
 )
-from .vpa import BOTTOM, Table, Vpa, check_well_formed
+from .vpa import BOTTOM, Vpa
 
 # Conventional role names within one construction; embedding renames them.
 BEG = "beg"
@@ -130,7 +131,7 @@ class Construction:
 # -- linear sequence construction --------------------------------------------
 
 
-class _CallSeq(Construction):
+class SeqConstruction(Construction):
     """Run the regex DFA over call symbols only; returns keep the state.
     The root's return (recognized by its begin-marker stack symbol) accepts
     iff the DFA sits in a final state."""
@@ -163,10 +164,6 @@ class _CallSeq(Construction):
     @cached_property
     def symbols(self):
         return self.states | {BOTTOM}  # the whole state set doubles as the stack alphabet
-
-
-def compile_callseq(d: rx.Dfa) -> Construction:
-    return _CallSeq(d)
 
 
 # -- the match search shared by the hierarchical forms ----------------------
@@ -235,7 +232,7 @@ class _Search(Construction):
 # -- all-path construction ----------------------------------------------------
 
 
-class _AllPath(_Search):
+class AllPathConstruction(_Search):
     """Find the shortest path matching the first regex (its DFA d1 is A1,
     pushing pre-call states for backtracking), then check every leaf path
     of the matched subtree against the second (d2 is A2, with augmented
@@ -272,14 +269,10 @@ class _AllPath(_Search):
         return super().symbols | self.base.keys()
 
 
-def compile_allpath(d1: rx.Dfa, d2: rx.Dfa) -> Construction:
-    return _AllPath(d1, d2)
-
-
 # -- all-children construction ------------------------------------------------
 
 
-class _AllChildren(_Search):
+class AllChildrenConstruction(_Search):
     """Find the shortest path matching d, then run the child automaton on
     every child subtree of the matched node, restarting it from its initial
     behaviour each time it accepts; one failing subtree rejects.  The
@@ -316,14 +309,10 @@ class _AllChildren(_Search):
         return super().symbols | _embed("c.", self.child.symbols)
 
 
-def compile_allchildren(d: rx.Dfa, child: Construction) -> Construction:
-    return _AllChildren(d, child)
-
-
 # -- exists-child construction ------------------------------------------------
 
 
-class _Exists(_Search):
+class ExistsConstruction(_Search):
     """Find the shortest path matching d, then thread the sub-automata
     over the matched node's child subtrees: each accepted subtree advances
     to the next sub-automaton, each rejected subtree retries the current
@@ -383,14 +372,10 @@ class _Exists(_Search):
                                                  for h, v in self.subs.items()))
 
 
-def compile_exists(d: rx.Dfa, subpolicies: Sequence[Construction]) -> Construction:
-    return _Exists(d, subpolicies)
-
-
 # -- start construction --------------------------------------------------------
 
 
-class _Start(Construction):
+class StartConstruction(Construction):
     """Anchor the inner automaton at first-encounter start endpoints.
 
     The anchor DFA (that of ``start_anchor_regex``) recognizes paths ending
@@ -460,10 +445,6 @@ class _Start(Construction):
             "in.", self.inner.symbols - {BEG, END})
 
 
-def compile_start(anchor: rx.Dfa, inner: Construction) -> Construction:
-    return _Start(anchor, inner)
-
-
 # -- reachability: reached cells, the build and doomed states ------------------
 
 
@@ -531,41 +512,31 @@ class _Cells(dict):
 
 def build(c: Construction) -> Vpa:
     """The automaton of ``c`` restricted to the cells a rooted word can read
-    (``reached_cells``), every other cell taking the reject sink's rule.
+    (``reached_cells``), every other cell taking the rule of ``rej``, its
+    declared reject state.
 
-    Only the reached cells are computed, each once.  The automaton keeps
-    the states calls are made from, the targets of the reached return
-    cells, and ``rej``; the symbols the reached calls push, the bottom
-    marker and ``rej``; ids number them in sorted name order.  It is
-    complete and well-formed, and a rooted word, or a prefix of one, reads
-    only reached cells, so it runs through the configurations it has over
-    every cell of ``c``.  So does a forest: the root's return goes to
-    ``end`` or to ``rej``, whose calls go to ``rej`` in both."""
+    Only the reached cells are computed, each once, and ``Vpa.from_rules``
+    builds the table from them.  The automaton keeps the states calls are
+    made from, the targets of the reached return cells, and ``rej``; the
+    symbols the reached calls push, the bottom marker and ``rej``.  A
+    rooted word, or a prefix of one, reads only reached cells, so it runs
+    through the configurations it has over every cell of ``c``.  So does a
+    forest: the root's return goes to ``end`` or to ``rej``, whose calls go
+    to ``rej`` in both.  Cells ``from_rules`` refuses, such as a call
+    pushing the bottom marker, are a ``CompilerInternalError``."""
     rows = [(_Cells(partial(c.call, e)), _Cells(lambda g, e=e: _Cells(partial(c.ret, e, g))))
             for e in c.alphabet]
     sources, returns = reached_cells(BEG, rows)
-    states, symbols = {*sources, REJ}, {BOTTOM, REJ}
-    for (request, response), cells in zip(rows, returns):
-        symbols.update(request[h][1] for h in sources)
-        states.update(response[g][h] for h, g in cells)
-    names, symbol_names = tuple(sorted(states)), tuple(sorted(symbols))
-    state_id = {q: i for i, q in enumerate(names)}
-    symbol_id = {g: i for i, g in enumerate(symbol_names)}
-    r = state_id[REJ]
-    call_sink = r, symbol_id[REJ]
-    table_request, table_response = {}, {}
+    calls, rets = {}, {}
     for e, (request, response), cells in zip(c.alphabet, rows, returns):
-        calls = [call_sink] * len(names)
-        for h in sources:
-            q, g = request[h]
-            calls[state_id[h]] = state_id[q], symbol_id[g]
-        rets = [[r] * len(names) for _ in symbol_names]
-        for h, g in cells:
-            rets[symbol_id[g]][state_id[h]] = state_id[response[g][h]]
-        table_request[e], table_response[e] = tuple(calls), tuple(map(tuple, rets))
-    table = Table(names, symbol_names, state_id, symbol_id, table_request, table_response)
-    return Vpa(frozenset(names), BEG, frozenset({END}) & states, c.alphabet,
-               frozenset(symbol_names), table)
+        calls.update(((h, e), request[h]) for h in sources)
+        rets.update(((h, g, e), response[g][h]) for h, g in cells)
+    states = {*sources, *rets.values(), REJ}
+    symbols = {BOTTOM, REJ, *(g for _, g in calls.values())}
+    try:
+        return Vpa.from_rules(states, BEG, {END} & states, c.alphabet, symbols, calls, rets, REJ)
+    except VpaParseError as exc:
+        raise CompilerInternalError(f"compiled automaton refused: {exc}") from None
 
 
 def _doomed_states(v: Vpa) -> frozenset[str]:
@@ -614,15 +585,15 @@ def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]
     alpha = tuple(alphabet)
     if isinstance(inner, CallSeq):
         d = _dfa(inner.reg, alpha)
-        return compile_callseq(d), {"seq": d}
+        return SeqConstruction(d), {"seq": d}
     if isinstance(inner, AllPath):
         d1, d2 = _dfa(inner.reg1, alpha), _dfa(inner.reg2, alpha)
-        return compile_allpath(d1, d2), {"match": d1, "leaves": d2}
+        return AllPathConstruction(d1, d2), {"match": d1, "leaves": d2}
     if isinstance(inner, AllChildren):
         child, child_dfas = compile_inner(inner.child, alpha)
         dfas = {"match": _dfa(inner.reg, alpha)}
         dfas.update({f"child.{k}": d for k, d in child_dfas.items()})
-        return compile_allchildren(dfas["match"], child), dfas
+        return AllChildrenConstruction(dfas["match"], child), dfas
     if isinstance(inner, ExistsChild):
         subs = []
         dfas = {"match": _dfa(inner.reg, alpha)}
@@ -630,7 +601,7 @@ def compile_inner(inner: InnerPolicy, alphabet: Sequence[Endpoint]
             v, sub_dfas = compile_inner(sub, alpha)
             subs.append(v)
             dfas.update({f"sub{i}.{k}": d for k, d in sub_dfas.items()})
-        return compile_exists(dfas["match"], subs), dfas
+        return ExistsConstruction(dfas["match"], subs), dfas
     raise TypeError(f"not an inner policy: {inner!r}")
 
 
@@ -663,12 +634,7 @@ def compile_policy(policy: Policy, alphabet: Sequence[Endpoint],
     dfas = {"start": _dfa(start_anchor_regex(policy.start_set), reps)}
     inner, inner_dfas = compile_inner(policy.inner, reps)
     dfas.update({f"inner.{k}": d for k, d in inner_dfas.items()})
-    vpa = _share_rows(build(compile_start(dfas["start"], inner)), classes, alpha)
-    report = check_well_formed(vpa)
-    if not report.ok:
-        raise CompilerInternalError(
-            f"compiled automaton is not well-formed: {report.problems[:3]}"
-        )
+    vpa = _share_rows(build(StartConstruction(dfas["start"], inner)), classes, alpha)
     metrics = Metrics(
         depth=depth(policy),
         fanout=fanout(policy),

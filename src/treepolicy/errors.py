@@ -42,8 +42,10 @@ class VpaParseError(TreePolicyError):
 
 
 class CompilerInternalError(TreePolicyError):
-    """Two transition families produced conflicting values for one key.
-    Indicates a compiler bug: the construction must stay deterministic."""
+    """``compiler.build`` made rules that ``vpa.build_table`` or the
+    well-formedness check refuses (a call pushing the bottom marker, say).
+    Indicates a compiler bug: a construction's cells must form a
+    well-formed automaton."""
 
 
 class ConfigError(TreePolicyError):

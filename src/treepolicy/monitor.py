@@ -4,23 +4,25 @@ A deterministic complete automaton splits by endpoint.  The ``FilterSpec``
 of an endpoint holds its call rules as ``on_request`` (state -> state and
 pushed symbol) and its return rules as ``on_response`` (state and popped
 symbol -> state), each a read-only ``vpa.Rules`` in sorted key order, and
-names the automaton's reject sink as ``reject``: a rule the spec lacks goes
-there.  A ``DistributedMonitor`` is the read-only endpoint -> spec mapping
-plus the integer table ``dist_run`` walks with ``vpa.walk``, as the
-centralized run does.  ``extract_monitor`` copies no rule and runs no
-analysis: its specs hold the automaton's own listing (``Vpa.rules``), which
-leaves out the rules equal to the sink's, and its monitor steps the
-automaton's table.  A compiled automaton holds no cell outside the sink's
-rule that a rooted word cannot read (``compiler.build``), so its filters
-list exactly the non-sink cells a rooted request can read.  Endpoints
-whose rows the table shares (an endpoint class of a compiled automaton)
-share one pair of ``Rules``.  A monitor read back from filter specs
-(``monitor_from_filters``) builds its own table with ``vpa.build_table``,
-over the states they name and the sink, each cell starting with the sink's
-rule; for a compiled automaton that is the automaton's table.  ``dist_run``
-sends a state the specs do not name to the sink, as a script's
-fall-through does.  With no ``reject``, a rule missing there raises
-``MissingTransition``, which names it.
+names the automaton's declared reject state (``Vpa.sink``) as ``reject``:
+a rule the spec lacks goes there.  A ``DistributedMonitor`` is the
+read-only endpoint -> spec mapping plus the integer table ``dist_run``
+walks with ``vpa.walk``, as the centralized run does; the table names the
+same reject state (``Table.reject``).  ``extract_monitor`` copies no rule
+and runs no analysis: its specs hold the automaton's own listing
+(``Vpa.rules``), which leaves out the rules equal to the sink's, and its
+monitor steps the automaton's table.  A compiled automaton holds no cell
+outside the sink's rule that a rooted word cannot read
+(``compiler.build``), so its filters list exactly the non-sink cells a
+rooted request can read.  Endpoints whose rows the table shares (an
+endpoint class of a compiled automaton) share one pair of ``Rules``.  A
+monitor read back from filter specs (``monitor_from_filters``) builds its
+own table with ``vpa.build_table``, over the states they name and the
+sink, each cell starting with the sink's rule; for a compiled automaton
+that is the automaton's table.  ``dist_run`` sends a state the specs do
+not name to the sink, as a script's fall-through does.  With no
+``reject``, a rule missing there raises ``MissingTransition``, which
+names it.
 
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
@@ -78,7 +80,7 @@ class DistributedMonitor(Mapping):
     endpoint, different ``reject`` states and rules ``build_table`` refuses
     are a ``VpaParseError``."""
 
-    __slots__ = ("_specs", "_table", "_reject")
+    __slots__ = ("_specs", "_table")
 
     def __init__(self, specs: Iterable[FilterSpec], table: Table | None = None):
         self._specs = {}
@@ -89,8 +91,9 @@ class DistributedMonitor(Mapping):
         if len(rejects) > 1:
             raise VpaParseError(f"filter specs name different reject states: "
                                 f"{', '.join(sorted(map(repr, rejects)))}")
-        self._reject = rejects.pop() if rejects else None
-        self._table = table if table is not None else _spec_table(self)
+        if table is None:
+            table = _spec_table(self, rejects.pop() if rejects else None)
+        self._table = table
 
     def __getitem__(self, e: Endpoint) -> FilterSpec:
         return self._specs[e]
@@ -103,33 +106,33 @@ class DistributedMonitor(Mapping):
 
     @property
     def reject(self) -> str | None:
-        """The reject state every spec names."""
-        return self._reject
+        """The reject state every spec names, which the table names."""
+        return self._table.reject
 
     @property
     def table(self) -> Table:
         return self._table
 
 
-def _spec_table(m: DistributedMonitor) -> Table:
+def _spec_table(m: DistributedMonitor, reject: str | None) -> Table:
     """The table of the specs' rules over the states and stack symbols they
-    name, the reject state and the bottom marker."""
+    name, their ``reject`` state and the bottom marker."""
     calls = {(q, e): rule for e, spec in m.items() for q, rule in spec.on_request.items()}
     returns = {(q, g, e): dst for e, spec in m.items() for (q, g), dst in spec.on_response.items()}
     states = {x for (q, _), (dst, _) in calls.items() for x in (q, dst)}
     states.update(x for (q, _, _), dst in returns.items() for x in (q, dst))
     symbols = {BOTTOM, *(g for _, g in calls.values()), *(g for _, g, _ in returns)}
-    if m.reject is not None:
-        states.add(m.reject)
-        symbols.add(m.reject)
-    return build_table(states, symbols, m, calls, returns, m.reject)
+    if reject is not None:
+        states.add(reject)
+        symbols.add(reject)
+    return build_table(states, symbols, m, calls, returns, reject)
 
 
 def extract_monitor(v: Vpa) -> DistributedMonitor:
     """The automaton's per-endpoint specs, holding its listing
-    (``Vpa.rules``), which leaves out the rules into the reject sink
-    (``Vpa.sink``).  For a compiled automaton the cells left are those a
-    rooted word can read."""
+    (``Vpa.rules``), which leaves out the rules into the declared reject
+    state (``Vpa.sink``).  For a compiled automaton the cells left are
+    those a rooted word can read."""
     return DistributedMonitor((FilterSpec(e, *v.rules[e], v.sink) for e in v.alphabet), v.table)
 
 

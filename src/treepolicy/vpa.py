@@ -22,17 +22,19 @@ mappings in sorted key order.  It reads each distinct pair of rows once,
 the endpoints of a class share the pair, and the automaton keeps it.
 Filter specs hold these mappings (``monitor.extract_monitor``), and
 ``export_vpa`` lists them, writing JSON or Graphviz DOT, byte-stable:
-rules appear in sorted key order.  The JSON equals what
-``json.dumps(doc, indent=2, ensure_ascii=False)`` makes of one object per
-rule.  ``json_member`` writes each table from a row template, escaping
-each name once, since ``indent`` sends ``json.dumps`` to its pure-Python
-encoder.
+rules appear in sorted key order (``Vpa.listing``, sorted once per
+automaton).  The JSON equals what ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` makes of one object per rule.  ``json_member``
+writes each table from a row template, escaping each name once, since
+``indent`` sends ``json.dumps`` to its pure-Python encoder.
 
-Written automata are default-reject: ``reject_sink`` finds the sink, once
-per automaton (``Vpa.sink`` keeps it), the writers leave out every rule
-equal to its rule and name it as ``reject``, and ``import_vpa`` and
-read-back monitors start every cell with that rule.  Completeness is a
-property of the automaton in memory, not of files.
+Written automata are default-reject.  A table names its reject state
+(``Table.reject``, read as ``Vpa.sink``): the state whose rule
+``build_table`` gives every cell no rule names.  The writers leave out
+every rule equal to its rule and name it as ``reject``, and ``import_vpa``
+and read-back monitors start every cell with that rule.  A table built
+without a reject state names none, and its writers list every rule.
+Completeness is a property of the automaton in memory, not of files.
 """
 
 from __future__ import annotations
@@ -66,19 +68,19 @@ class Vpa:
     stack_alphabet: frozenset[StackSymbol]  # includes BOTTOM
     table: Table
 
-    @cached_property
+    @property
     def sink(self) -> State | None:
-        """The reject sink (``reject_sink``), found on first use and kept on
-        the automaton (not a field: equality ignores it)."""
-        return reject_sink(self)
+        """The reject state the table names (``Table.reject``), or ``None``."""
+        return self.table.reject
 
     @cached_property
     def rules(self) -> dict[Endpoint, tuple[Rules, Rules]]:
         """Each endpoint's call rules (state -> (state, pushed symbol)) and
         return rules ((state, popped symbol) -> state), but the sink's: the
-        one listing of the table, made on first use and kept like ``sink``.
-        Each distinct pair of rows is read once; the endpoints sharing it
-        share its pair of ``Rules``."""
+        one listing of the table, made on first use and kept on the
+        automaton (not a field: equality ignores it).  Each distinct pair of
+        rows is read once; the endpoints sharing it share its pair of
+        ``Rules``."""
         t, sink = self.table, self.sink
         states, symbols = t.states, t.symbols
         skip_call = skip_return = (None,)
@@ -96,6 +98,15 @@ class Vpa:
                            for g, r in zip(symbols, column) if r not in skip_return}))
             rules[e] = classes[key]
         return rules
+
+    @cached_property
+    def listing(self) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+        """(from, sym, to, push) for each call rule and (from, pop, sym, to)
+        for each return rule of ``rules``, sorted once for both writers."""
+        rules = self.rules.items()
+        return (sorted((q, e, *rule) for e, (calls, _) in rules for q, rule in calls.items()),
+                sorted((q, g, e, dst) for e, (_, returns) in rules
+                       for (q, g), dst in returns.items()))
 
     @classmethod
     def from_rules(cls, states: Iterable[State], initial: State, finals: Iterable[State],
@@ -187,8 +198,9 @@ class Table(NamedTuple):
     after a call in state ``h`` and the id of the pushed symbol, and
     ``response[e][g][h]`` the state id after a return that pops ``g``.  A
     cell without a rule is ``None``; only a read-back monitor's may be.
-    Endpoints may share rows: a compiled automaton gives every endpoint of
-    a class the very row objects of the class's first member.
+    ``reject`` is the state whose rule fills every cell no rule names, or
+    ``None``.  Endpoints may share rows: a compiled automaton gives every
+    endpoint of a class the very row objects of the class's first member.
     """
 
     states: tuple[State, ...]
@@ -197,14 +209,16 @@ class Table(NamedTuple):
     symbol_id: dict[StackSymbol, int]
     request: dict[Endpoint, tuple[tuple[int, int] | None, ...]]
     response: dict[Endpoint, tuple[tuple[int | None, ...], ...]]
+    reject: State | None
 
 
 def build_table(states: Collection[State], symbols: Collection[StackSymbol],
                 alphabet: Iterable[Endpoint], calls: Mapping, returns: Mapping,
                 reject: State | None = None) -> Table:
-    """The table of the string-keyed rules, each cell starting with the
-    ``reject`` state's rule (or ``None``).  ``VpaParseError`` refuses rules
-    over undeclared names or a reject state, and pushes of the bottom marker."""
+    """The table of the string-keyed rules, naming the ``reject`` state,
+    each cell starting with its rule (or ``None``).  ``VpaParseError``
+    refuses rules over undeclared names or a reject state, and pushes of the
+    bottom marker."""
     states, symbols = tuple(sorted(states)), tuple(sorted(symbols))
     state_id = {q: i for i, q in enumerate(states)}
     symbol_id = {g: i for i, g in enumerate(symbols)}
@@ -243,7 +257,7 @@ def build_table(states: Collection[State], symbols: Collection[StackSymbol],
     return Table(
         states, symbols, state_id, symbol_id,
         {e: tuple(row) for e, row in request.items()},
-        {e: tuple(map(tuple, rows)) for e, rows in response.items()},
+        {e: tuple(map(tuple, rows)) for e, rows in response.items()}, reject,
     )
 
 
@@ -492,35 +506,8 @@ def export_vpa(v: Vpa, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def reject_sink(v: Vpa) -> State | None:
-    """The automaton's reject sink, read from ``v.table``: the least
-    non-final state ``s`` whose every call rule goes to ``s`` pushing ``s``
-    and whose every return rule goes to ``s``; ``None`` if no state is one.
-    Written artifacts leave out the rules that equal the sink's.  Rows
-    that endpoints share are read once."""
-    t = v.table
-    requests = {id(row): row for row in t.request.values()}.values()
-    responses = {id(rows): rows for rows in t.response.values()}.values()
-    for h, s in enumerate(t.states):
-        g = t.symbol_id.get(s)
-        if g is None or s in v.finals:
-            continue
-        if all(row[h] == (h, g) for row in requests) and all(
-                row[h] == h for rows in responses for row in rows):
-            return s
-    return None
-
-
-def _listing(v: Vpa) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """(from, sym, to, push) for each call rule and (from, pop, sym, to)
-    for each return rule of ``Vpa.rules``, sorted."""
-    rules = v.rules.items()
-    return (sorted((q, e, *rule) for e, (calls, _) in rules for q, rule in calls.items()),
-            sorted((q, g, e, dst) for e, (_, returns) in rules for (q, g), dst in returns.items()))
-
-
 def _export_json(v: Vpa) -> str:
-    calls, returns = _listing(v)
+    calls, returns = v.listing
     head = {
         "version": SCHEMA_VERSION,
         "alphabet": list(v.alphabet),
@@ -643,11 +630,11 @@ def import_vpa(text: str) -> Vpa:
 def _export_dot(v: Vpa) -> str:
     """Graphviz rendering in the usual convention: doubled circles for
     finals, 'call e / push' on call edges, 'ret e, pop' on return edges.
-    The rules into the reject sink are not drawn; the graph's ``comment``
-    names the sink.  Each name is escaped once, a backslash before each
-    backslash and each double quote; each edge is one template."""
+    The rules into the declared reject state are not drawn; the graph's
+    ``comment`` names it.  Each name is escaped once, a backslash before
+    each backslash and each double quote; each edge is one template."""
     sink, t = v.sink, v.table
-    calls, returns = _listing(v)
+    calls, returns = v.listing
     esc = {s: s.replace("\\", "\\\\").replace('"', '\\"')
            for s in (v.initial, *t.states, *t.symbols, *v.alphabet)}
     lines = ["digraph vpa {", "  rankdir=LR;", "  __start [shape=point];"]

@@ -4,8 +4,11 @@ reference definitions the tests compare against are in ``reference.py``."""
 from __future__ import annotations
 
 import gc
+import importlib
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,20 @@ from treepolicy.policy import Policy, start_anchor_regex
 from treepolicy.vpa import BOTTOM, Vpa
 
 from reference import dense_automaton, tree_to_events
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark in ``perfbench/``, imported without
+    writing bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
 
 
 def events_from_str(text: str) -> list[nw.TaggedSymbol]:
@@ -42,24 +59,13 @@ def payment_word() -> nw.NestedWord:
 def complete_with_sink(states, initial, finals, alphabet, stack_alphabet,
                        delta_call, delta_return, sink: str = "sink") -> Vpa:
     """The automaton of the given rules, with every missing transition
-    filled through an explicit non-final sink state.
+    going to an explicit non-final sink state, its declared reject state.
 
     Hand-drawn automata usually omit reject transitions; this restores the
     deterministic-and-complete form the rest of the toolkit assumes.
     """
-    states = set(states) | {sink}
-    stack_alphabet = set(stack_alphabet) | {BOTTOM, sink}
-    delta_call = dict(delta_call)
-    delta_return = dict(delta_return)
-    for q in states:
-        for e in alphabet:
-            delta_call.setdefault((q, e), (sink, sink))
-    for q in states:
-        for s in stack_alphabet:
-            for e in alphabet:
-                delta_return.setdefault((q, s, e), sink)
-    return Vpa.from_rules(states, initial, finals, alphabet, stack_alphabet,
-                          delta_call, delta_return)
+    return Vpa.from_rules(set(states) | {sink}, initial, finals, alphabet,
+                          set(stack_alphabet) | {BOTTOM, sink}, delta_call, delta_return, sink)
 
 
 def wide_policy_text(n: int = 3000) -> str:
@@ -70,10 +76,10 @@ def wide_policy_text(n: int = 3000) -> str:
 
 def raw_construction(pol: Policy, alphabet) -> compiler.Construction:
     """The construction ``compile_policy`` builds from, over every name:
-    the inner construction anchored at the start set by ``compile_start``."""
+    the inner construction anchored at the start set by ``compiler.StartConstruction``."""
     alpha = tuple(alphabet)
     inner, _ = compiler.compile_inner(pol.inner, alpha)
-    return compiler.compile_start(rx.to_dfa(start_anchor_regex(pol.start_set), alpha), inner)
+    return compiler.StartConstruction(rx.to_dfa(start_anchor_regex(pol.start_set), alpha), inner)
 
 
 def raw_automaton(pol: Policy, alphabet) -> Vpa:

@@ -432,13 +432,14 @@ def reference_filter_rules(v: Vpa, sink) -> tuple[dict, dict]:
 #
 # Each builds its document the plain way: one dict per rule through
 # ``json.dumps(indent=2, ensure_ascii=False)``, one quoted label per DOT
-# edge, one branch per script rule, leaving out the rules into the reject
-# sink found by scanning the automaton's rules by name.
+# edge, one branch per script rule, leaving out the rules into the
+# automaton's declared reject state.
 
 
 def reference_sink(v: Vpa):
     """The least non-final state whose every rule stays in it, a call
-    pushing its name, or ``None``."""
+    pushing its name, or ``None``: a scan of the rules by name, which a
+    compiled automaton's declared reject state must match."""
     delta, delta_ret = delta_call(v), delta_return(v)
     for s in sorted(v.states - v.finals):
         if s in v.stack_alphabet and all(
@@ -451,8 +452,8 @@ def reference_sink(v: Vpa):
 
 
 def explicit_rules(v: Vpa) -> tuple[dict, dict]:
-    """The call and return rules other than the reject sink's."""
-    sink = reference_sink(v)
+    """The call and return rules other than the declared reject state's."""
+    sink = v.sink
     return (
         {k: r for k, r in delta_call(v).items() if sink is None or r != (sink, sink)},
         {k: r for k, r in delta_return(v).items() if sink is None or r != sink},
@@ -468,7 +469,7 @@ def reference_vpa_json(v: Vpa) -> str:
         "initial": v.initial,
         "finals": sorted(v.finals),
         "stack_alphabet": sorted(v.stack_alphabet),
-        "reject": reference_sink(v),
+        "reject": v.sink,
         "delta_call": [
             {"from": q, "sym": e, "to": q2, "push": s}
             for (q, e), (q2, s) in sorted(calls.items())
@@ -509,7 +510,7 @@ def reference_dot(v: Vpa) -> str:
         shape = "doublecircle" if q in v.finals else "circle"
         lines.append(f"  {_dot_quote(q)} [shape={shape}];")
     lines.append(f"  __start -> {_dot_quote(v.initial)};")
-    if (sink := reference_sink(v)) is not None:
+    if (sink := v.sink) is not None:
         lines.append(f"  comment={_dot_quote('every rule not drawn goes to ' + sink)};")
     calls, returns = explicit_rules(v)
     for (q, e), (q2, s) in sorted(calls.items()):

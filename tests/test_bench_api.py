@@ -8,25 +8,15 @@ workload.  Nothing is written under ``perfbench/``.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import perfbench_module
 
 
 @pytest.fixture(scope="module")
 def bench():
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        tracing = importlib.import_module("tracing")
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(PERFBENCH))
-    return tracing, workloads
+    return perfbench_module("tracing"), perfbench_module("workloads")
 
 
 def test_traced_targets_resolve(bench):

@@ -9,12 +9,12 @@ import tracemalloc
 
 import pytest
 
-from treepolicy import cli, compiler, mesh_sim, monitor, vpa
+from treepolicy import cli, compiler, mesh_sim, monitor
 from treepolicy.errors import CompilerInternalError
 from treepolicy import nested_word as nw
 from treepolicy.corpus import CORPUS
 from treepolicy.policy import parse_policy
-from treepolicy.vpa import final_configuration
+from treepolicy.vpa import BOTTOM, final_configuration
 
 from conftest import events_from_str, wide_policy_text, word_from_str
 
@@ -474,24 +474,6 @@ class TestEmitFilters:
             assert p["rules"] == len(rules) > 0
 
 
-class TestRejectSink:
-    def test_found_once_per_automaton(self, tmp_path, monkeypatch, capsys):
-        # compile writes JSON and DOT, emit-filters and check extract the
-        # filters: each command scans each automaton for its sink once
-        scanned = []
-        real = vpa.reject_sink
-        monkeypatch.setattr(vpa, "reject_sink", lambda v: scanned.append(id(v)) or real(v))
-        src = tmp_path / "two.stp"
-        src.write_text(POLICY + "start {F}: call-seq F P;\n", encoding="utf-8")
-        for argv in (["compile", str(src), str(tmp_path / "out")],
-                     ["emit-filters", str(src), str(tmp_path / "filters")],
-                     ["check", str(src), trace_file(tmp_path, GOOD_TRACE)]):
-            scanned.clear()
-            assert cli.main(argv) in (0, 1), argv
-            assert len(scanned) == len(set(scanned)) == 2, argv
-        capsys.readouterr()
-
-
 class TestExitCodes:
     def test_compiler_internal_error_exits_3(self, tmp_path, policy_file, capsys, monkeypatch):
         def broken(policy, alphabet, policy_id="pol0"):
@@ -500,6 +482,24 @@ class TestExitCodes:
         monkeypatch.setattr(compiler, "compile_policy", broken)
         assert cli.main(["compile", policy_file, str(tmp_path / "out")]) == 3
         assert "internal error: call conflict" in capsys.readouterr().err
+
+    def test_bottom_push_exits_3(self, tmp_path, policy_file, capsys, monkeypatch):
+        # a deeper anchor call that pushes the bottom marker makes rules the
+        # table builder refuses, as it would refuse the written document:
+        # compile writes nothing and check runs nothing
+        call = compiler.StartConstruction.call
+
+        def pushes_bottom(self, e, q):
+            dst, push = call(self, e, q)
+            return (dst, BOTTOM) if q in self.a1.nonfinals else (dst, push)
+
+        monkeypatch.setattr(compiler.StartConstruction, "call", pushes_bottom)
+        out = tmp_path / "out"
+        assert cli.main(["compile", policy_file, str(out)]) == 3
+        assert list(out.iterdir()) == []
+        assert cli.main(["check", policy_file, trace_file(tmp_path, GOOD_TRACE)]) == 3
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith("internal error: ") and "pushes the bottom marker" in err
 
     def test_unexpected_exception_exits_3_with_traceback(self, tmp_path, policy_file, capsys,
                                                          monkeypatch):

@@ -72,7 +72,7 @@ class TestBuild:
         # call-seq of A over A, B: the DFA's initial state a0 is never entered,
         # since beg steps the DFA from it
         alpha = ("A", "B")
-        c = compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), alpha))
+        c = compiler.SeqConstruction(rx.to_dfa(rx.Symbol("A"), alpha))
         v = compiler.build(c)
         beg, end, rej = compiler.BEG, compiler.END, compiler.REJ
         assert c.states == {beg, end, rej, "a0", "a1", "a2"}
@@ -117,9 +117,9 @@ class TestBuild:
                 for text in ("match (O) all-children (match (L) all-path (eps))",
                              "match (L) all-path (star)")]
         # (construction, [(prefix, sub, reset, next prefix, returns from the final state)])
-        cases = [(compiler.compile_allchildren(d, subs[0]),
+        cases = [(compiler.AllChildrenConstruction(d, subs[0]),
                   [("c.", subs[0], compiler.REJ, "c.", False)]),
-                 (compiler.compile_exists(d, subs),
+                 (compiler.ExistsConstruction(d, subs),
                   [("c1.", subs[0], "c1.beg", "c2.", True),
                    ("c2.", subs[1], "c2.beg", None, True)])]
         for c, embedded in cases:
@@ -193,26 +193,26 @@ class TestNestedExists:
 
 class TestCallSeq:
     def test_singleton_sequence(self):
-        v = compiler.build(compiler.compile_callseq(rx.to_dfa(rx.Symbol("A"), ("A",))))
+        v = compiler.build(compiler.SeqConstruction(rx.to_dfa(rx.Symbol("A"), ("A",))))
         assert accepts(v, word_from_str("<A A>"))
         assert not accepts(v, word_from_str("<A <A A> A>"))
 
     def test_accepts_payment_sequence(self, payment_word):
         reg = rx.parse_regex("P star D star", ("P", "D", "E"))
-        v = compiler.build(compiler.compile_callseq(rx.to_dfa(reg, ("P", "D", "E"))))
+        v = compiler.build(compiler.SeqConstruction(rx.to_dfa(reg, ("P", "D", "E"))))
         assert accepts(v, payment_word)
 
     def test_state_count(self):
         reg = rx.parse_regex("A B*", ("A", "B"))
         d = rx.to_dfa(reg, ("A", "B"))
-        assert len(compiler.compile_callseq(d).states) == d.n_states + 3
+        assert len(compiler.SeqConstruction(d).states) == d.n_states + 3
 
     def test_exhaustive_oracle_agreement(self):
         rng = random.Random(101)
         alpha = ("A", "B")
         for i in range(20):
             reg = random_regex(rng, alpha, depth=3)
-            v = compiler.build(compiler.compile_callseq(rx.to_dfa(reg, alpha)))
+            v = compiler.build(compiler.SeqConstruction(rx.to_dfa(reg, alpha)))
             assert check_well_formed(v).ok
             sat = lambda word: matches(
                 reg, tuple(a.endpoint for a in word.symbols if a.is_call), alpha)
@@ -222,7 +222,7 @@ class TestCallSeq:
 class TestAllPath:
     def test_epsilon_match_rejected(self):
         with pytest.raises(EpsilonMatchRegex):
-            compiler.compile_allpath(
+            compiler.AllPathConstruction(
                 rx.to_dfa(rx.Star(rx.Symbol("A")), ("A",)), rx.to_dfa(rx.EPSILON, ("A",))
             )
 
@@ -231,11 +231,11 @@ class TestAllPath:
         reg1 = rx.parse_regex("P {D}", alpha)
         reg2 = rx.parse_regex("{E} star", alpha)
         d1, d2 = rx.to_dfa(reg1, alpha), rx.to_dfa(reg2, alpha)
-        v = compiler.build(compiler.compile_allpath(d1, d2))
+        v = compiler.build(compiler.AllPathConstruction(d1, d2))
         assert accepts(v, payment_word)
 
     def test_vacuous_single_pair(self):
-        v = compiler.build(compiler.compile_allpath(rx.to_dfa(rx.Symbol("A"), ("A",)),
+        v = compiler.build(compiler.AllPathConstruction(rx.to_dfa(rx.Symbol("A"), ("A",)),
                                                     rx.to_dfa(rx.EMPTY, ("A",))))
         assert accepts(v, word_from_str("<A A>"))
 
@@ -253,7 +253,7 @@ class TestAllPath:
     def test_exhaustive_oracle_agreement(self, reg1, reg2):
         alpha = ("A", "B", "C")
         r1, r2 = rx.parse_regex(reg1, alpha), rx.parse_regex(reg2, alpha)
-        v = compiler.build(compiler.compile_allpath(rx.to_dfa(r1, alpha), rx.to_dfa(r2, alpha)))
+        v = compiler.build(compiler.AllPathConstruction(rx.to_dfa(r1, alpha), rx.to_dfa(r2, alpha)))
         assert check_well_formed(v).ok
         p = AllPath(r1, r2)
         sat = lambda w: oracle.sat_hierarchical(w, p, alpha)
@@ -417,11 +417,11 @@ class TestStateBound:
         alpha = ("A", "B")
         reg = rx.parse_regex("A B*", alpha)
         d = rx.to_dfa(reg, alpha)
-        seq = compiler.compile_callseq(d)
+        seq = compiler.SeqConstruction(d)
         assert len(seq.states) == d.n_states + 3 <= 2 * (d.n_states + 5)
         r2 = rx.parse_regex("star", alpha)
         d2 = rx.to_dfa(r2, alpha)
-        ap = compiler.compile_allpath(d, d2)  # a2 and aug(a2) states besides the search's
+        ap = compiler.AllPathConstruction(d, d2)  # a2 and aug(a2) states besides the search's
         assert len(ap.states) == d.n_states + 2 * d2.n_states + 4
         assert len(ap.states) <= 3 * (max(d.n_states, d2.n_states) + 5)
 
@@ -540,7 +540,7 @@ def full_alphabet_artifacts(pol, alphabet):
     alpha = tuple(alphabet)
     anchor = rx.to_dfa(start_anchor_regex(pol.start_set), alpha)
     inner, dfas = compiler.compile_inner(pol.inner, alpha)
-    vpa = compiler.build(compiler.compile_start(anchor, inner))
+    vpa = compiler.build(compiler.StartConstruction(anchor, inner))
     n = len(vpa.states)
     metrics = compiler.Metrics(depth(pol), fanout(pol),
                                max(d.n_states for d in (anchor, *dfas.values())), n, header_bits(n))

@@ -25,7 +25,6 @@ from treepolicy.vpa import (
     final_configuration,
     import_vpa,
     initial_configuration,
-    reject_sink,
     run,
     steps,
     walk,
@@ -36,6 +35,7 @@ from conftest import (
     complete_with_sink,
     cpu_per_symbol,
     payment_chain_vpa,
+    perfbench_module,
     random_rooted_word,
     two_state_vpa,
     wide_policy_text,
@@ -444,17 +444,31 @@ def random_automata():
 
 
 class TestDefaultReject:
-    """The written artifacts leave out the rules into the reject sink, and
-    every reader fills them back: the in-memory automaton stays complete.
-    A compiled automaton holds the sink's rule at every cell no rooted word
-    reads, so its artifacts list exactly the cells a rooted word reads
-    outside the sink's rule."""
+    """The written artifacts leave out the rules into the declared reject
+    state, and every reader fills them back: the in-memory automaton stays
+    complete.  A compiled automaton declares ``rej``, the only sink it has,
+    and holds its rule at every cell no rooted word reads, so its artifacts
+    list exactly the cells a rooted word reads outside that rule."""
+
+    def test_declared_reject_is_the_only_sink(self):
+        # a compiled automaton declares rej, and a scan of its rules finds
+        # no other sink: no rooted word pops the bottom marker, so the
+        # (X, bottom) return cell of a state X is never reached and keeps
+        # rej's rule, and no state but rej keeps every one of its rules
+        inputs = perfbench_module("inputs")
+        texts = [text for seed in range(1, 14) for _, text in inputs.compile_set(seed)]
+        texts.append(inputs.union_document())
+        automata = [v for _, _, v in _both_corpora()] + [v for _, v in random_automata()]
+        automata += [art.vpa for text in texts for art in compiler.compile(parse_policy(text))]
+        assert len(automata) == 492
+        for v in automata:
+            assert v.table.reject == v.sink == ref.reference_sink(v) == "rej"
 
     def test_artifacts_fill_back(self):
         automata = [(label, v) for label, _, v in _both_corpora()] + list(random_automata())
         assert len(automata) == 158
         for label, v in automata:
-            sink = reject_sink(v)
+            sink = v.sink
             assert sink == "rej", label
             text = export_vpa(v, "json")
             assert import_vpa(text) == v, label
@@ -488,10 +502,10 @@ class TestDefaultReject:
             assert written == reference_filter_rules(v, "rej"), label
 
     def test_no_sink(self):
-        # an automaton without a reject sink is written in full, as before
+        # an automaton that declares no reject state is written in full
         v = Vpa.from_rules({"q"}, "q", {"q"}, ("E",), {BOTTOM, "q"},
                            {("q", "E"): ("q", "q")}, {("q", g, "E"): "q" for g in (BOTTOM, "q")})
-        assert reject_sink(v) is None
+        assert v.sink is None
         doc = json.loads(export_vpa(v, "json"))
         assert doc["reject"] is None and len(doc["delta_return"]) == 2
         spec = monitor.extract_monitor(v)["E"]
@@ -559,7 +573,7 @@ class TestOneStore:
         v = payment_chain_vpa()
         calls, returns = list(ref.delta_call(v).items()), list(ref.delta_return(v).items())
         w = Vpa.from_rules(v.states, v.initial, v.finals, v.alphabet, v.stack_alphabet,
-                           dict(reversed(calls)), dict(reversed(returns)))
+                           dict(reversed(calls)), dict(reversed(returns)), v.sink)
         assert list(ref.delta_call(w).items()) == calls
         assert w == v and w.table == v.table
         u = complete_with_sink(
@@ -725,7 +739,8 @@ class TestSerialization:
     @pytest.mark.parametrize("reject", [None, "sink"])
     def test_dense_document_reads_the_same(self, reject):
         # every rule listed, as documents without a reject state hold them:
-        # with or without the member, the automaton is the one written
+        # with or without the member, the cells are the ones written, and
+        # without it the automaton declares no reject and lists every rule
         v = payment_chain_vpa()
         doc = json.loads(export_vpa(v, "json"))
         del doc["reject"]
@@ -735,7 +750,12 @@ class TestSerialization:
                              for (q, e), (q2, g) in sorted(ref.delta_call(v).items())]
         doc["delta_return"] = [{"from": q, "pop": g, "sym": e, "to": q2}
                                for (q, g, e), q2 in sorted(ref.delta_return(v).items())]
-        assert import_vpa(json.dumps(doc)) == v
+        w = import_vpa(json.dumps(doc))
+        assert w.table._replace(reject=v.sink) == v.table and w.sink == reject
+        if reject is None:
+            assert json.loads(export_vpa(w, "json")) == dict(doc, reject=None)
+        else:
+            assert w == v
 
     def test_json_export_memory(self):
         # 2,000 endpoints keep the JSON over 1 MB with the reject sink's

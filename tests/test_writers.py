@@ -3,7 +3,7 @@
 Each reference writer in ``reference.py`` builds the document the plain way:
 one dict per rule through ``json.dumps(indent=2, ensure_ascii=False)``, one
 quoted label per DOT edge, one branch per script rule, leaving out the rules
-into the reject sink found by scanning the automaton's rules by name.  The
+into the automaton's declared reject state.  The
 writers must give the same bytes on hand-built automata and filter specs
 whose names hold quotes, backslashes, control characters and non-ASCII text,
 and on empty tables.
@@ -20,7 +20,6 @@ from reference import (
     reference_dot,
     reference_filter_json,
     reference_script,
-    reference_sink,
     reference_vpa_json,
 )
 
@@ -31,7 +30,8 @@ NAMES = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t/é⊥€𝄞'), st.ch
 def vpas(draw) -> Vpa:
     """A deterministic complete automaton over drawn names; the alphabet may
     be empty, and then both tables are.  Perhaps one drawn state is made a
-    reject sink: non-final, pushed, and kept by each of its rules."""
+    reject sink, which the automaton declares: non-final, pushed, and kept
+    by each of its rules."""
     states = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     alphabet = draw(st.lists(NAMES, max_size=3, unique=True))
     pushed = draw(st.lists(NAMES.filter(lambda s: s != BOTTOM), min_size=1, max_size=3, unique=True))
@@ -50,7 +50,7 @@ def vpas(draw) -> Vpa:
     }
     finals = [q for q in draw(st.lists(state, unique=True)) if q != sink]
     return Vpa.from_rules(states, draw(state), finals, alphabet, stack_alphabet,
-                          delta_call, delta_return)
+                          delta_call, delta_return, sink)
 
 
 @st.composite
@@ -82,13 +82,13 @@ def test_filter_writers_equal_reference(spec, header):
 @given(vpas(), NAMES)
 def test_extracted_specs_equal_reference(v, header):
     # an extracted spec reads the automaton's table in place and lists
-    # every rule but the sink's: only the compiler drops unread cells
+    # every rule but the declared sink's: only the compiler drops unread cells
     specs = monitor.emit_filters(monitor.extract_monitor(v))
     texts = [monitor.filter_spec_to_json(s) for s in specs]
     calls, returns = explicit_rules(v)
     for spec, text in zip(specs, texts):
         e = spec.endpoint
-        assert spec.reject == reference_sink(v)
+        assert spec.reject == v.sink
         assert dict(spec.on_request) == {q: r for (q, a), r in calls.items() if a == e}
         assert dict(spec.on_response) == {
             (q, g): r for (q, g, a), r in returns.items() if a == e
