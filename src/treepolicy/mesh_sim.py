@@ -15,17 +15,21 @@ replayed against the monitored outcome.
 
 What a topology fixes is computed once per topology and set of filters: a
 plan holding one coding over the topology's services (see ``nested_word``),
-and each service's call and return code, its children and every policy's
-hop row, made after checking that every policy has filters for every
-service.  A request's word is that coding, the codes the request appends
-and its partner array; it builds no symbol objects.  Each request owns its
-header values and hop-local storage; policies are monitored independently,
-one header per policy, and every hop steps every header again.  Call
-graphs and requests are walked with explicit stacks, so a call chain of
-any depth runs.  A topology unrolls
-exponentially in its depth, so ``execute_request`` refuses every request
-that unrolls to more than ``MAX_REQUEST_NODES`` nodes, and ``run_workload``
-checks each entrypoint before anything runs.
+and each service's call and return code, its children, every policy's
+hop row and whether one request can reach it more than once, made after
+checking that every policy has filters for every service.  A request's
+word is that coding, the codes the request appends and its partner array;
+it builds no symbol objects.  Each request owns its header values and
+hop-local storage; policies are monitored independently, one header per
+policy.  A request steps the vector of all headers at once, and keeps
+each step it takes at a service it can reach again in a memo that lives
+for that request: a (service, header vector) pair met again reads no row.
+A request's ``transitions`` still counts the modelled sidecar steps, two
+per node and policy, not the row reads.  Call graphs and requests are
+walked with explicit stacks, so a call chain of any depth runs.  A
+topology unrolls exponentially in its depth, so ``execute_request``
+refuses every request that unrolls to more than ``MAX_REQUEST_NODES``
+nodes, and ``run_workload`` checks each entrypoint before anything runs.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ class Topology:
         object.__setattr__(self, "behavior", MappingProxyType(
             {svc: tuple(children) for svc, children in self.behavior.items()}))
         known = set(self.services)
+        for what, names in (("service", self.services), ("entrypoint", self.entrypoints)):
+            if len(set(names)) != len(names):
+                twice = [n for n, k in Counter(names).items() if k > 1]
+                raise ConfigError(f"{what}s listed twice: {twice}")
         for svc, children in self.behavior.items():
             if svc not in known:
                 raise ConfigError(f"behavior references unknown service {svc!r}")
@@ -75,7 +83,8 @@ class Topology:
             if e not in known:
                 raise ConfigError(f"entrypoint {e!r} not a service")
         # Depth-first search with the open path on an explicit stack, so a
-        # call chain of any length is checked and counted.
+        # call chain of any length is checked and counted; a service's count
+        # is stored after its callees'.
         sizes: dict[Endpoint, int] = {}
         open_path: set[Endpoint] = set()
         for start in self.services:
@@ -263,21 +272,41 @@ def _check_coverage(t: Topology, filters: Sequence[PolicyFilterSet]):
             raise ConfigError(f"policy {pf.policy_id} lacks filters for {missing}")
 
 
+def _revisited(t: Topology) -> set[Endpoint]:
+    """The services that one request can reach more than once: a callee of
+    such a service, or a service with two call sites that one entrypoint
+    reaches.  ``reach`` holds, per service, the entrypoints reaching it as
+    bits; ``t._sizes`` lists callees before callers, so its reverse visits
+    every caller before its callees."""
+    reach = dict.fromkeys(t.services, 0)
+    for i, e in enumerate(t.entrypoints):
+        reach[e] |= 1 << i
+    revisited: set[Endpoint] = set()
+    for svc in reversed(t._sizes):
+        r = reach[svc]
+        for c in t.children(svc):
+            if r & reach[c] or svc in revisited:
+                revisited.add(c)
+            reach[c] |= r
+    return revisited
+
+
 def _plan(t: Topology, filters: Sequence[PolicyFilterSet]) -> tuple[dict[Endpoint, tuple],
                                                                      tuple[Endpoint, ...], Callable]:
-    """Per service: its call and return code, its children and every
-    policy's hop row, in filter order; and the coding's endpoints and rows
-    getter, one coding over ``t.services``.  The plan is kept on the
-    topology with the filter sets it was made for, which it holds, so that
-    no other object can take their identity; other filter sets get a new
-    plan."""
+    """Per service: its call and return code, its children, every policy's
+    hop row, in filter order, and whether one request can reach it more
+    than once (``_revisited``); and the coding's endpoints and rows getter,
+    one coding over ``t.services``.  The plan is kept on the topology with
+    the filter sets it was made for, which it holds, so that no other
+    object can take their identity; other filter sets get a new plan."""
     made = t._plan
     if made is not None and len(made[0]) == len(filters) and all(map(is_, made[0], filters)):
         return made[1]
     _check_coverage(t, filters)
     names, rows, call_code, return_code = coder(t.services)
+    revisited = _revisited(t)
     plan = {svc: (call_code[svc], return_code[svc], t.children(svc),
-                  tuple([pf.hops[svc] for pf in filters]))
+                  tuple([pf.hops[svc] for pf in filters]), svc in revisited)
             for svc in t.services}
     object.__setattr__(t, "_plan", (tuple(filters), (plan, names, rows)))
     return plan, names, rows
@@ -291,18 +320,26 @@ def execute_request(
 ) -> RequestResult:
     """Synchronous depth-first execution of the root's call script.
 
-    On each hop every policy's header picks its cell of the endpoint's hop
+    On a hop every policy's header picks its cell of the endpoint's hop
     row: the next header, and the response row of the pushed symbol, which
     stays hop-local; the unwind maps the header through that response row.
     The topology's plan (``_plan``) is made on the first request with these
-    filter sets; each request still steps every header at every hop.  In
-    early-block mode a policy whose call transition enters a doomed state,
-    one of its ``reject_headers``, stops the request: the offending subtree
-    never executes, open calls unwind normally, so the trace stays rooted.
-    Open calls wait on an explicit stack, so a call chain of any depth runs,
-    and the word's codes and matching are filled on the way.  A request
-    that unrolls to more than ``MAX_REQUEST_NODES`` nodes is a
-    ``ConfigError``.
+    filter sets.  A service the request can reach more than once keeps
+    each step in a memo that lives for this request only: a call maps
+    (call code, header vector) to the next headers, the pushed response
+    rows and the early-block stop, and its return maps the header vector
+    it meets to the headers after the return.  A repeated pair reads no
+    row; a service reached once steps every header as it goes and stores
+    nothing.  A cell without a rule is a ``ConfigError`` naming the policy,
+    endpoint and state, and is never stored.  In early-block mode a policy
+    whose call transition enters a doomed state, one of its
+    ``reject_headers``, stops the request: the offending subtree never
+    executes, open calls unwind normally, so the trace stays rooted.  Open
+    calls wait on an explicit stack, so a call chain of any depth runs, and
+    the word's codes and matching are filled on the way.  ``transitions``
+    counts the modelled sidecar steps, two per executed node and policy,
+    not the row reads.  A request that unrolls to more than
+    ``MAX_REQUEST_NODES`` nodes is a ``ConfigError``.
     """
     if root not in t.entrypoints:
         raise ConfigError(f"{root!r} is not an entrypoint")
@@ -315,34 +352,52 @@ def execute_request(
     codes: list[int] = []
     partner: list[int] = []  # 0 until the call's return is placed
     headers = tuple(pf.initial for pf in filters)
+    # (call code, headers) -> (headers after, response rows, hop cells,
+    # blocking policies, returns), for services the request can revisit;
+    # returns maps the headers met at the return to the headers after it
+    memo: dict[tuple, tuple] = {}
     blocked_at: dict[str, int] = {}
     calls = 0
-    # (return code, response rows, hop cells, call position, children left)
+    # (return code, response rows, hop cells, call position, children left,
+    # returns or None)
     open_calls: list[tuple] = []
     svc: Endpoint | None = root
     while True:
         if svc is not None:
             calls += 1
-            call_code, return_code, children, rows = plan[svc]
+            call_code, return_code, children, rows, revisited = plan[svc]
             at = len(codes) + 1
             codes.append(call_code)
             partner.append(0)
-            cells = tuple(map(getitem, rows, headers))
-            try:
-                after = tuple(map(_first, cells))
-            except TypeError:  # a None cell: no request rule
-                k = cells.index(None)
-                pf = filters[k]
-                raise ConfigError(
-                    f"policy {pf.policy_id}: no on_request rule at {svc!r} "
-                    f"for state {pf.table.states[headers[k]]!r}"
-                ) from None
+            step = memo.get((call_code, headers)) if revisited else None
+            if step is None:
+                cells = tuple(map(getitem, rows, headers))
+                try:
+                    after = tuple(map(_first, cells))
+                except TypeError:  # a None cell: no request rule
+                    k = cells.index(None)
+                    pf = filters[k]
+                    raise ConfigError(
+                        f"policy {pf.policy_id}: no on_request rule at {svc!r} "
+                        f"for state {pf.table.states[headers[k]]!r}"
+                    ) from None
+                stops = ()
+                if any(map(contains, rejects, after)):
+                    stops = tuple(pf.policy_id for pf, stop, h in zip(filters, rejects, after)
+                                  if h in stop)
+                responses = tuple(map(_second, cells))
+                if revisited:
+                    returns = {}
+                    memo[call_code, headers] = after, responses, cells, stops, returns
+                else:
+                    returns = None
+            else:
+                after, responses, cells, stops, returns = step
             headers = after
-            if any(map(contains, rejects, headers)):
-                blocked_at = {pf.policy_id: calls for pf, stop, h in zip(filters, rejects, headers)
-                              if h in stop}
-            open_calls.append((return_code, tuple(map(_second, cells)), cells, at, iter(children)))
-        return_code, responses, cells, at, children = open_calls[-1]
+            if stops:
+                blocked_at = dict.fromkeys(stops, calls)
+            open_calls.append((return_code, responses, cells, at, iter(children), returns))
+        return_code, responses, cells, at, children, returns = open_calls[-1]
         svc = None if blocked_at else next(children, None)
         if svc is None:
             open_calls.pop()
@@ -350,16 +405,20 @@ def execute_request(
             codes.append(return_code)
             partner[at - 1] = pos
             partner.append(at)
-            after = tuple(map(getitem, responses, headers))
-            if None in after:
-                k = after.index(None)
-                pf = filters[k]
-                raise ConfigError(
-                    f"policy {pf.policy_id}: no on_response rule at "
-                    f"{names[return_code - len(names)]!r} "
-                    f"for state {pf.table.states[headers[k]]!r} "
-                    f"/ local {pf.table.symbols[cells[k][2]]!r}"
-                )
+            after = None if returns is None else returns.get(headers)
+            if after is None:
+                after = tuple(map(getitem, responses, headers))
+                if None in after:
+                    k = after.index(None)
+                    pf = filters[k]
+                    raise ConfigError(
+                        f"policy {pf.policy_id}: no on_response rule at "
+                        f"{names[return_code - len(names)]!r} "
+                        f"for state {pf.table.states[headers[k]]!r} "
+                        f"/ local {pf.table.symbols[cells[k][2]]!r}"
+                    )
+                if returns is not None:
+                    returns[headers] = after
             headers = after
             if not open_calls:
                 break
@@ -378,7 +437,7 @@ def execute_request(
 @dataclass
 class SimReport:
     requests_total: int = 0
-    nodes_per_tree: int = 0
+    nodes_per_tree: dict[Endpoint, int] = field(default_factory=dict)  # per entrypoint
     violations: list[dict] = field(default_factory=list)
     blocked: list[dict] = field(default_factory=list)
     per_hop_ops: Counter = field(default_factory=Counter)  # transitions/request -> count
@@ -421,7 +480,7 @@ def run_workload(
     report.per_policy = {
         pf.policy_id: {"transitions": 0, "violations": 0, "blocks": 0} for pf in filters
     }
-    report.nodes_per_tree = t.node_count(t.entrypoints[0])
+    report.nodes_per_tree = {root: t.node_count(root) for root in t.entrypoints}
     for i in range(n_requests):
         root = t.entrypoints[i % len(t.entrypoints)]
         result = execute_request(t, root, filters, mode=mode)

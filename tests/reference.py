@@ -8,8 +8,9 @@ definitions: the tree-shaped sets the policy semantics are defined over
 (paths, children and subtrees of a service tree, as nested words and their
 sub-words; Alur & Madhusudan, "Adding Nesting Structure to Words", JACM
 2009), the policy semantics over those sets, automaton steps looked up by
-name, and artifacts written one dict or one line per rule.  The tests
-compare the library against them.
+name, a mesh request that steps every header at every hop, and artifacts
+written one dict or one line per rule.  The tests compare the library
+against them.
 
 This is test code: nothing in ``src/`` may import it.
 """
@@ -17,8 +18,9 @@ This is test code: nothing in ``src/`` may import it.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
-from treepolicy import compiler, monitor
+from treepolicy import compiler, mesh_sim, monitor
 from treepolicy import nested_word as nw
 from treepolicy import regex as rx
 from treepolicy.errors import NotRooted, StackUnderflow, TreePolicyError
@@ -362,6 +364,63 @@ def reference_dist_walk(m, c, symbols):
             q = spec.on_response[key] if key in spec.on_response or sink is None else sink
             top, below = below.top, below.below
     return link(q, top, below)
+
+
+class ReferenceRequest(NamedTuple):
+    codes: list[int]
+    partner: list[int]
+    outcomes: dict[str, mesh_sim.Outcome]
+    transitions: dict[str, int]
+    hops: list[tuple]  # per node: (service, headers at its call, headers at its return)
+
+
+def reference_request(t: mesh_sim.Topology, root, filters,
+                      mode=mesh_sim.MODE_LOG) -> ReferenceRequest:
+    """``mesh_sim.execute_request`` without its plan, hop rows or memo:
+    every node steps each policy's header once through ``table.request``
+    on the way in and once through ``table.response`` on the way out, and
+    the first call that enters a policy's reject header stops an
+    early-block request."""
+    _names, _rows, call_code, return_code = nw.coder(t.services)
+    headers = [pf.initial for pf in filters]
+    codes, partner, hops = [], [], []
+    blocked: dict[str, int] = {}
+    calls = 0
+    open_calls = []  # (service, headers at the call, pushed symbols, call position, children left)
+    svc = root
+    while True:
+        if svc is not None:
+            calls += 1
+            codes.append(call_code[svc])
+            partner.append(0)
+            at_call = tuple(headers)
+            pushed = []
+            for k, pf in enumerate(filters):
+                headers[k], g = pf.table.request[svc][headers[k]]
+                pushed.append(g)
+            if mode == mesh_sim.MODE_EARLY_BLOCK:
+                blocked = {pf.policy_id: calls for pf, h in zip(filters, headers)
+                           if h in pf.reject_headers}
+            open_calls.append((svc, at_call, pushed, len(codes), iter(t.children(svc))))
+        done, at_call, pushed, at, children = open_calls[-1]
+        svc = None if blocked else next(children, None)
+        if svc is None:
+            open_calls.pop()
+            codes.append(return_code[done])
+            partner[at - 1] = len(codes)
+            partner.append(at)
+            hops.append((done, at_call, tuple(headers)))
+            for k, pf in enumerate(filters):
+                headers[k] = pf.table.response[done][pushed[k]][headers[k]]
+            if not open_calls:
+                break
+    outcomes = {
+        pf.policy_id: mesh_sim.Outcome("blocked", position=blocked[pf.policy_id])
+        if pf.policy_id in blocked
+        else mesh_sim.Outcome("accept" if h in pf.finals else "violation", pf.table.states[h])
+        for pf, h in zip(filters, headers)
+    }
+    return ReferenceRequest(codes, partner, outcomes, dict.fromkeys(outcomes, 2 * calls), hops)
 
 
 def reference_reached_cells(v: Vpa) -> tuple[set, set]:

@@ -389,6 +389,15 @@ class TestSimulate:
         assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,name", [("services", "P"), ("entrypoints", "F")])
+    def test_name_listed_twice_is_usage_error(self, tmp_path, policy_file, capsys, field, name):
+        doc = json.loads(mesh_sim.topology_to_json(HOSPITAL))
+        doc[field].append(name)
+        tf = tmp_path / "topo.json"
+        tf.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
+        assert f"{field} listed twice: [{name!r}]" in capsys.readouterr().err
+
     def test_deeply_nested_topology_is_usage_error(self, tmp_path, policy_file, capsys):
         tf = tmp_path / "topo.json"
         tf.write_text("[" * 200_000)
@@ -413,7 +422,7 @@ class TestSimulate:
         assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["violations"] == [] and report["blocked"] == []
-        assert report["nodes_per_tree"] == 3000
+        assert report["nodes_per_tree"] == {"S0": 3000}
         assert report["per_policy"] == {"pol0": {"transitions": 6000, "violations": 0, "blocks": 0}}
 
 

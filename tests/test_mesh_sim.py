@@ -17,6 +17,8 @@ from treepolicy.nested_word import build_nested_word
 from treepolicy.policy import parse_policy
 from treepolicy.vpa import accepts, final_configuration, run
 
+from reference import reference_request
+
 HOSPITAL = mesh_sim.Topology(
     ("F", "P", "D", "E"),
     {"F": ("P",), "P": ("D", "D"), "D": ("E",), "E": ()},
@@ -64,6 +66,57 @@ def random_topology(rng, services, max_nodes=300):
             return topo
 
 
+def unrolled_counts(topo, root):
+    """How often each service occurs in the tree a request to ``root``
+    unrolls to, by walking that tree."""
+    counts = Counter()
+    todo = [root]
+    while todo:
+        svc = todo.pop()
+        counts[svc] += 1
+        todo.extend(topo.children(svc))
+    return counts
+
+
+def assert_matches_reference(topo, root, filters):
+    for mode in (mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK):
+        res = mesh_sim.execute_request(topo, root, filters, mode=mode)
+        ref = reference_request(topo, root, filters, mode)
+        assert res.word.coding[1] == ref.codes, mode
+        assert list(res.word.matching.partner) == ref.partner, mode
+        assert res.outcomes == ref.outcomes, mode
+        assert res.transitions == ref.transitions, mode
+
+
+class CountingRow(tuple):
+    """A row that counts its reads under its ``key``."""
+
+    def __getitem__(self, i):
+        self.reads[self.key] += 1
+        return tuple.__getitem__(self, i)
+
+
+def counting_hops(pf, services, reads):
+    """``pf`` with a counting hop row, and counting response rows in its
+    cells, of its own for each service, keyed by direction, policy and
+    service."""
+
+    def counting(key, row):
+        row = CountingRow(row)
+        row.key, row.reads = key, reads
+        return row
+
+    hops = {}
+    for svc in services:
+        response = ("response", pf.policy_id, svc)
+        cells = [None if c is None else (c[0], counting(response, c[1]), c[2])
+                 for c in pf.hops[svc]]
+        hops[svc] = counting(("request", pf.policy_id, svc), cells)
+    pf = dataclasses.replace(pf)
+    object.__setattr__(pf, "hops", hops)  # as PolicyFilterSet.__post_init__ sets it
+    return pf
+
+
 class TestTopology:
     def test_node_counts(self):
         alpha = tuple("ABCDEF")
@@ -90,6 +143,37 @@ class TestTopology:
     def test_unknown_child_rejected(self):
         with pytest.raises(ConfigError):
             mesh_sim.Topology(("A",), {"A": ("B",)}, ("A",))
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ConfigError, match=r"services listed twice: \['A'\]"):
+            mesh_sim.Topology(("A", "B", "A"), {"A": ("B",)}, ("A",))
+        with pytest.raises(ConfigError, match=r"entrypoints listed twice: \['B'\]"):
+            mesh_sim.Topology(("A", "B"), {"A": ("B",)}, ("B", "A", "B"))
+        doc = json.loads(mesh_sim.topology_to_json(HOSPITAL))
+        doc["services"].append("F")
+        with pytest.raises(ConfigError, match="listed twice"):
+            mesh_sim.topology_from_json(json.dumps(doc))
+
+    def test_revisited_services(self):
+        # a service is memoized when some request reaches it more than once
+        rng = random.Random(7)
+        services = tuple("ABCDEFGHIJ")
+        for _ in range(200):
+            topo = random_topology(rng, services)
+            roots = (topo.entrypoints[0], *rng.sample(topo.services[1:], rng.randint(0, 3)))
+            topo = mesh_sim.Topology(topo.services, topo.behavior, roots)
+            want = {svc for root in roots
+                    for svc, n in unrolled_counts(topo, root).items() if n > 1}
+            assert mesh_sim._revisited(topo) == want
+        # two callers, one reached from each entrypoint: no request repeats D
+        topo = mesh_sim.Topology(("B", "C", "D"), {"B": ("D",), "C": ("D",)}, ("B", "C"))
+        assert mesh_sim._revisited(topo) == set()
+        topo = mesh_sim.Topology(("A", "B", "C", "D"), {"A": ("B", "C"), "B": ("D",), "C": ("D",)},
+                                 ("B", "C"))
+        assert mesh_sim._revisited(topo) == set()
+        topo = dataclasses.replace(topo, entrypoints=("A",))
+        assert mesh_sim._revisited(topo) == {"D"}
+        assert mesh_sim._revisited(chain_topology(20_000)) == set()
 
     def test_json_round_trip(self):
         text = mesh_sim.topology_to_json(HOSPITAL)
@@ -225,6 +309,50 @@ class TestExecuteRequest:
                         assert (out.kind == "accept") == accepts(art.vpa, res.word)
         assert blocked
 
+    def test_agrees_with_memo_free_reference(self, union_corpus):
+        # codes, partner arrays, outcomes (blocked positions included) and
+        # transition counts against a request that steps each policy's
+        # table at every hop, in both modes
+        alphabet, arts = union_corpus
+        filters = [mesh_sim.build_filter_set(a) for a in arts]
+        rng = random.Random(2024)
+        for _ in range(40):
+            topo = random_topology(rng, alphabet)
+            assert_matches_reference(topo, topo.entrypoints[0], filters)
+        for depth in range(2, 6):
+            for fanout in range(1, 5):
+                topo = mesh_sim.generate_topology(depth, fanout, alphabet)
+                assert_matches_reference(topo, topo.entrypoints[0], filters)
+        topo = chain_topology(20_000)
+        doc = parse_policy(f"alphabet {', '.join(topo.services)};\nstart {{S0}}: call-seq star;\n")
+        assert_matches_reference(topo, "S0", [mesh_sim.build_filter_set(compiler.compile(doc)[0])])
+
+    def test_rows_read_once_per_distinct_header_vector(self, union_corpus):
+        # 1,365 nodes over 6 services: a hop row is read at most once per
+        # distinct (service, header vector) the request meets, and a response
+        # row once per distinct (service, vector at the call, vector at the
+        # return), not once per node
+        alphabet, arts = union_corpus
+        topo = mesh_sim.generate_topology(5, 4, alphabet)
+        root = topo.entrypoints[0]
+        reads = Counter()
+        plain = [mesh_sim.build_filter_set(a) for a in arts]
+        filters = [counting_hops(pf, topo.services, reads) for pf in plain]
+        for mode in (mesh_sim.MODE_LOG, mesh_sim.MODE_EARLY_BLOCK):
+            reads.clear()
+            res = mesh_sim.execute_request(topo, root, filters, mode=mode)
+            ref = reference_request(topo, root, plain, mode)
+            assert res.outcomes == ref.outcomes
+            at_call = Counter(svc for svc, _ in {hop[:2] for hop in ref.hops})
+            at_return = Counter(svc for svc, _, _ in set(ref.hops))
+            if mode == mesh_sim.MODE_LOG:
+                assert len(ref.hops) == 1365 and sum(at_return.values()) == 28
+            for pf in filters:
+                for svc in topo.services:
+                    assert reads["request", pf.policy_id, svc] <= at_call[svc], (mode, svc)
+                    assert reads["response", pf.policy_id, svc] <= at_return[svc], (mode, svc)
+            assert res.transitions_total == 2 * len(ref.hops) * len(filters)
+
     def test_oversized_request_refused(self, monkeypatch):
         filters = [mesh_sim.build_filter_set(artifacts_for(LOGGING_POLICY)[0])]
         monkeypatch.setattr(mesh_sim, "MAX_REQUEST_NODES", 6)  # HOSPITAL unrolls to 6
@@ -244,7 +372,7 @@ class TestWorkload:
         arts = artifacts_for(LOGGING_POLICY)
         report = mesh_sim.run_workload(HOSPITAL, 200, arts)
         assert report.requests_total == 200
-        assert report.nodes_per_tree == 6
+        assert report.nodes_per_tree == {"F": 6}
         assert dict(report.per_hop_ops) == {12: 200}  # 2 transitions per node
         assert report.transitions_total == 200 * 12
         assert not report.violations
@@ -296,6 +424,15 @@ class TestWorkload:
         assert report.requests_total == 50 and report.transitions_total == 50 * 12
         assert counts == {"coder": 1, "_check_coverage": 1}
 
+    def test_nodes_per_tree_per_entrypoint(self):
+        # requests cycle through the entrypoints, which unroll to 1 and 3 nodes
+        topo = mesh_sim.Topology(("A", "B"), {"A": ("B", "B")}, ("B", "A"))
+        arts = artifacts_for("alphabet A, B;\nstart star: call-seq star;\n")
+        report = mesh_sim.run_workload(topo, 4, arts)
+        assert report.nodes_per_tree == {"B": 1, "A": 3}
+        assert dict(report.per_hop_ops) == {2: 2, 6: 2}
+        assert json.loads(report.to_json())["nodes_per_tree"] == {"B": 1, "A": 3}
+
     def test_zero_requests(self):
         arts = artifacts_for(LOGGING_POLICY)
         report = mesh_sim.run_workload(HOSPITAL, 0, arts)
@@ -314,7 +451,7 @@ class TestWorkload:
         # call-graph checks and the word are all that run
         report = mesh_sim.run_workload(chain_topology(20_000), 2, [])
         assert report.requests_total == 2
-        assert report.nodes_per_tree == 20_000
+        assert report.nodes_per_tree == {"S0": 20_000}
         assert not report.violations and not report.blocked and report.per_policy == {}
 
     def test_wide_policy_on_deep_chain_in_bounded_memory(self):
@@ -338,7 +475,7 @@ class TestWorkload:
                 gc.enable()
         assert len({id(row) for row in filters.table.request.values()}) == 2
         assert len({id(row) for row in filters.hops.values()}) == 2
-        assert report.nodes_per_tree == 20_000 and not report.violations
+        assert report.nodes_per_tree == {"S0": 20_000} and not report.violations
         assert report.per_policy == {"pol0": {"transitions": 40_000, "violations": 0, "blocks": 0}}
         # measured: 1.7 MB to compile and build the filters, 13.7 MB with the run
         assert compiled_peak < 5e6 and peak < 25e6, (compiled_peak, peak)
