@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the strict JSON
+reader that raises the caller's class."""
+
+import json
 
 
 class TreePolicyError(Exception):
@@ -51,3 +54,22 @@ class CompilerInternalError(TreePolicyError):
 class ConfigError(TreePolicyError):
     """Simulator configuration problem (cyclic topology, missing filter
     coverage, unknown entrypoint)."""
+
+
+def load_json(text: str, error: type[TreePolicyError], what: str):
+    """The JSON value of ``text``, or ``error`` naming ``what`` was read:
+    text that is not JSON, nesting too deep to decode, or an object at any
+    depth that repeats a member (``json.loads`` alone keeps the last)."""
+
+    def members(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise error(f"{what} repeats member {repeated!r}")
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=members)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None

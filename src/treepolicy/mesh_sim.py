@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .compiler import CompilationArtifacts
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 from .nested_word import Endpoint, MatchingRelation, NestedWord, coder
 from .vpa import Table
 
@@ -155,10 +155,9 @@ def topology_to_json(t: Topology) -> str:
 
 
 def topology_from_json(text: str) -> Topology:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"topology is not valid JSON: {exc}") from None
+    """The topology of a document ``topology_to_json`` writes, or
+    ``ConfigError``; an object repeating a member is refused."""
+    doc = load_json(text, ConfigError, "topology")
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != 1:  # true and 1.0 also equal 1
         raise ConfigError("topology must be an object with version 1")

@@ -27,29 +27,35 @@ names it.
 Running the specs symbol-locally, with the state carried alongside the
 request and the pushed stack symbol stored at the hop that pushed it,
 reproduces the centralized run configuration-for-configuration.  The
-serialized forms list rules in the specs' order, so they are byte-stable:
-``filter_spec_to_json`` writes the bytes ``json.dumps(indent=2,
-ensure_ascii=False)`` gives for one object per rule, its head from one
-template, and ``render_filter_script`` formats each rule with one
-template.  Both keep the text of a spec's rules on its ``Rules``
-(``Rules.rendered``), so the specs of a class share it and only the head
-line naming the endpoint differs.
+serialized forms list rules in the specs' order, so they are byte-stable.
+``filter_spec_to_json`` writes filter schema version 2: the head as
+``json.dumps(indent=2, ensure_ascii=False)`` writes it, from one template,
+then each rule as an array on one line (``vpa.json_array_member``);
+``filter_spec_from_json`` reads version 2 only.  ``render_filter_script``
+writes the rules as two Lua lookup tables, requests keyed by state and
+responses by state and then popped symbol, which fixed callbacks index, so
+a hop costs one lookup instead of a string comparison per rule; each name
+is escaped as a Lua string literal.  Both keep the text of a spec's rules
+on its ``Rules`` (``Rules.rendered``), so the specs of a class share it and
+only the head lines naming the endpoint and the reject state differ.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import VpaParseError
 from .nested_word import Endpoint, NestedWord
 from .vpa import (
-    BOTTOM, Configuration, Rules, Table, Vpa, build_table, json_member, json_string, link,
-    load_document, reject_member, string_rows, walk,
+    BOTTOM, Configuration, Rules, Table, Vpa, build_table, json_array_member, json_string, link,
+    load_document, reject_member, string_arrays, walk,
 )
 
 STATE_HEADER = "x-safetree-state"
-FILTER_SCHEMA_VERSION = 1
+FILTER_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -161,13 +167,11 @@ def monitor_from_filters(specs: Iterable[FilterSpec]) -> DistributedMonitor:
 
 
 def _request_member(rules: Mapping) -> str:
-    return json_member("on_request", ("if_state", "then_state", "push_local"),
-                       [(q, dst, push) for q, (dst, push) in rules.items()])
+    return json_array_member("on_request", [(q, dst, push) for q, (dst, push) in rules.items()])
 
 
 def _response_member(rules: Mapping) -> str:
-    return json_member("on_response", ("if_state", "if_local", "then_state"),
-                       [(q, g, dst) for (q, g), dst in rules.items()])
+    return json_array_member("on_response", [(q, g, dst) for (q, g), dst in rules.items()])
 
 
 # What json.dumps(head, indent=2, ensure_ascii=False) writes for a filter's
@@ -183,13 +187,14 @@ def filter_spec_to_json(spec: FilterSpec) -> str:
 
 
 def filter_spec_from_json(text: str) -> FilterSpec:
-    """Read a filter spec back, or raise ``VpaParseError``."""
+    """Read a filter spec of the current schema version back, or raise
+    ``VpaParseError``."""
     doc = load_document(text, FILTER_SCHEMA_VERSION)
     if not isinstance(doc.get("endpoint"), str):
         raise VpaParseError("endpoint must be a string")
     reject = reject_member(doc)
-    request_rows = string_rows(doc, "on_request", ("if_state", "then_state", "push_local"))
-    response_rows = string_rows(doc, "on_response", ("if_state", "if_local", "then_state"))
+    request_rows = string_arrays(doc, "on_request", 3)
+    response_rows = string_arrays(doc, "on_response", 3)
     on_request = {q: (dst, push) for q, dst, push in request_rows}
     on_response = {(q, local): dst for q, local, dst in response_rows}
     if len(on_request) < len(request_rows) or len(on_response) < len(response_rows):
@@ -197,50 +202,104 @@ def filter_spec_from_json(text: str) -> FilterSpec:
     return FilterSpec(doc["endpoint"], on_request, on_response, reject)
 
 
+# -- sidecar scripts ----------------------------------------------------------
+
+# Backslash, double quote and the control characters (U+0000-U+001F and
+# U+007F-U+009F), as Lua writes them in a string: a control character as
+# its UTF-8 bytes, each three decimal digits, so no digit after one can
+# join the escape
+_LUA_ESCAPES = {c: "".join(f"\\{b:03d}" for b in chr(c).encode())
+                for c in (*range(32), *range(127, 160))}
+_LUA_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"'})
+_NEEDS_ESCAPE = re.compile("[%s]" % re.escape("".join(map(chr, _LUA_ESCAPES))))
+
+
+def _escaped(rows: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The rows with each name escaped for a Lua string literal.  One
+    search over all the names finds whether any needs an escape; nearly
+    no rows do, and they are returned as they are."""
+    if _NEEDS_ESCAPE.search("".join(chain.from_iterable(rows))) is None:
+        return rows
+    return [tuple(s.translate(_LUA_ESCAPES) for s in row) for row in rows]
+
+
+# The callbacks: a rule the state (and popped symbol) finds applies; a
+# request already in the reject state stays there without logging; any
+# other goes to the reject state and logs a violation
+_CALLBACKS = """\
+callback OnRequest() {
+  local rule = on_request[state]
+  if rule then state = rule[1]; local_stack = rule[2]
+  elseif state == reject then local_stack = reject
+  else state = reject; local_stack = reject; log_violation("no call transition")
+  end
+}
+callback OnResponse() {
+  local rules = on_response[state]
+  local rule = rules and rules[local_stack]
+  if rule then state = rule
+  elseif state ~= reject then state = reject; log_violation("no return transition")
+  end
+}
+"""
+
+# Without a reject state, a state no rule matches only logs
+_CALLBACKS_NO_REJECT = """\
+callback OnRequest() {
+  local rule = on_request[state]
+  if rule then state = rule[1]; local_stack = rule[2]
+  else log_violation("no call transition")
+  end
+}
+callback OnResponse() {
+  local rules = on_response[state]
+  local rule = rules and rules[local_stack]
+  if rule then state = rule
+  else log_violation("no return transition")
+  end
+}
+"""
+
+
 def render_filter_script(spec: FilterSpec, header: str = STATE_HEADER) -> str:
     """Deterministic sidecar-callback rendering of one filter.
 
     The ``state`` value travels in the request header; ``local_stack`` is
     request-scoped proxy memory written by OnRequest and read back by
-    OnResponse.  When the spec names a reject state, a last branch keeps a
-    request that is in it there without logging, and unmatched states fall
-    through to it; the fall-through logs a violation.  A spec extracted
-    from a compiled automaton lists exactly the non-sink cells a rooted
-    request can read, so a rooted request falls through only where the
-    automaton goes to the sink.
+    OnResponse.  The rules are two lookup tables, ``on_request`` keyed by
+    the state and ``on_response`` by the state and then the popped symbol,
+    and fixed callbacks index them, so a hop costs one lookup per
+    direction.  When the spec names a reject state (``local reject``), a
+    request already in it stays there without logging, and one that no
+    rule matches goes to it and logs a violation.  A spec extracted from a
+    compiled automaton lists exactly the non-sink cells a rooted request
+    can read, so a rooted request misses the tables only where the
+    automaton goes to the sink.  Every name, the endpoint and the header
+    in the head comment too, is written as a Lua string literal.
     """
-    return "".join([
-        f"-- traffic filter for endpoint {spec.endpoint} (header: {header})\n",
-        spec.on_request.rendered(_on_request_script, spec.reject),
-        spec.on_response.rendered(_on_response_script, spec.reject),
-    ])
+    [(endpoint, header, reject)] = _escaped([(spec.endpoint, header, spec.reject or "")])
+    head = f'-- traffic filter for endpoint "{endpoint}" (header: "{header}")\n'
+    if spec.reject is not None:
+        head += f'local reject = "{reject}"\n'
+    return "".join([head, spec.on_request.rendered(_request_table),
+                    spec.on_response.rendered(_response_table),
+                    _CALLBACKS_NO_REJECT if spec.reject is None else _CALLBACKS])
 
 
-def _on_request_script(rules: Mapping, r: str | None) -> str:
-    branches = [f'(state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-                for q, (dst, push) in rules.items()]
-    push_reject = ""
-    if r is not None:
-        # the sink's own rule, last: a request in it stays there silently
-        branches.append(f'(state == "{r}") then state = "{r}"; local_stack = "{r}"')
-        push_reject = f'state = "{r}"; local_stack = "{r}"; '
-    return f"callback OnRequest() {{\n{_branches(branches, push_reject, 'no call transition')}}}\n"
+def _request_table(rules: Mapping) -> str:
+    rows = _escaped([(q, dst, push) for q, (dst, push) in rules.items()])
+    return _lua_table("on_request", list(map('["%s"] = {"%s", "%s"}'.__mod__, rows)))
 
 
-def _on_response_script(rules: Mapping, r: str | None) -> str:
-    branches = [f'(state == "{q}" && local_stack == "{g}") then state = "{dst}"'
-                for (q, g), dst in rules.items()]
-    to_reject = ""
-    if r is not None:
-        branches.append(f'(state == "{r}") then state = "{r}"')
-        to_reject = f'state = "{r}"; '
-    return f"callback OnResponse() {{\n{_branches(branches, to_reject, 'no return transition')}}}\n"
+def _response_table(rules: Mapping) -> str:
+    cells: dict[str, list[str]] = {}  # in key order, so grouped by state in sorted order
+    for q, g, dst in _escaped([(q, g, dst) for (q, g), dst in rules.items()]):
+        cells.setdefault(q, []).append(f'["{g}"] = "{dst}"')
+    return _lua_table("on_response", [f'["{q}"] = {{{", ".join(row)}}}'
+                                      for q, row in cells.items()])
 
 
-def _branches(rules: list[str], reject: str, violation: str) -> str:
-    """An if/elseif chain over the rules, falling through to the reject
-    assignments and a violation log."""
-    fallback = f'{reject}log_violation("{violation}")\n'
-    if not rules:
-        return "  " + fallback
-    return "  if " + "\n  elseif ".join(rules) + "\n  else " + fallback
+def _lua_table(name: str, rows: list[str]) -> str:
+    if not rows:
+        return f"local {name} = {{}}\n"
+    return f"local {name} = {{\n  " + ",\n  ".join(rows) + "\n}\n"

@@ -25,8 +25,13 @@ Filter specs hold these mappings (``monitor.extract_monitor``), and
 rules appear in sorted key order (``Vpa.listing``, sorted once per
 automaton).  The JSON equals what ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` makes of one object per rule.  ``json_member``
-writes each table from a row template, escaping each name once, since
-``indent`` sends ``json.dumps`` to its pure-Python encoder.
+writes each table from a row template with its slots inside quotes, since
+``indent`` sends ``json.dumps`` to its pure-Python encoder: one search
+over a table's names finds whether any needs an escape, and only then is
+each distinct name escaped, once.  ``json_array_member`` writes a table
+the same way as one array per line (the filter files,
+``monitor.filter_spec_to_json``).  The readers refuse a
+document in which any object repeats a member (``errors.load_json``).
 
 Written automata are default-reject.  A table names its reject state
 (``Table.reject``, read as ``Vpa.sink``): the state whose rule
@@ -40,13 +45,15 @@ Completeness is a property of the automaton in memory, not of files.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from typing import NamedTuple
 
-from .errors import MissingTransition, StackUnderflow, VpaParseError
+from .errors import MissingTransition, StackUnderflow, VpaParseError, load_json
 from .nested_word import Endpoint, IndexedSymbol, NestedWord
 
 BOTTOM = "⊥"
@@ -537,24 +544,38 @@ def json_document(head: dict, members: Iterable[str]) -> str:
 
 def json_member(field: str, keys: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
     """A document member, with its leading comma, listing for each row in
-    the given order the object mapping the keys to the row's strings.  The
-    rows share one template with the quoted keys built in, and each
-    distinct string is quoted once, by the encoder ``json.dumps`` uses."""
+    the given order the object mapping the keys to the row's strings."""
+    return _member(field, "    {\n" + ",\n".join(f'      {json_string(k)}: "%s"' for k in keys)
+                   + "\n    }", rows)
+
+
+def json_array_member(field: str, rows: Sequence[tuple[str, ...]]) -> str:
+    """A document member, with its leading comma, listing each row in the
+    given order as an array of its strings on one line."""
+    return _member(field, "    [" + ", ".join(['"%s"'] * len(rows[0] if rows else ())) + "]", rows)
+
+
+# The characters json.dumps(s, ensure_ascii=False) escapes in a string
+_JSON_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _member(field: str, row: str, rows: Sequence[tuple[str, ...]]) -> str:
+    """The member listing each row through the one ``%`` template ``row``,
+    whose slots sit inside quotes.  One search over all the strings finds
+    whether any needs an escape; only then is each distinct string escaped
+    once, by the encoder ``json.dumps`` uses."""
     if not rows:
         return f",\n  {json_string(field)}: []"
-    quote = cache(json_string)
-    row = "    {\n" + ",\n".join(f"      {json_string(k)}: %s" for k in keys) + "\n    }"
-    return "".join([f",\n  {json_string(field)}: [\n",
-                    ",\n".join(map(row.__mod__, zip(*[map(quote, col) for col in zip(*rows)]))),
-                    "\n  ]"])
+    if _JSON_ESCAPE.search("".join(chain.from_iterable(rows))) is not None:
+        body = cache(lambda s: json_string(s)[1:-1])
+        rows = zip(*[map(body, col) for col in zip(*rows)])
+    return "".join([f",\n  {json_string(field)}: [\n", ",\n".join(map(row.__mod__, rows)), "\n  ]"])
 
 
 def load_document(text: str, version: int) -> dict:
-    """A JSON object of the given schema version, or ``VpaParseError``."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise VpaParseError(f"not valid JSON: {exc}") from None
+    """A JSON object of the given schema version, no object in it
+    repeating a member, or ``VpaParseError``."""
+    doc = load_json(text, VpaParseError, "document")
     if not isinstance(doc, dict):
         raise VpaParseError("top level must be an object")
     found = doc.get("version")
@@ -580,6 +601,16 @@ def string_rows(doc: dict, field: str, keys: tuple[str, ...]) -> list[tuple[str,
             row.append(value)
         out.append(tuple(row))
     return out
+
+
+def string_arrays(doc: dict, field: str, width: int) -> list[tuple[str, ...]]:
+    """The field's rows, each an array of ``width`` strings."""
+    rows = doc.get(field)
+    if isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == width and all(isinstance(x, str) for x in r)
+            for r in rows):
+        return list(map(tuple, rows))
+    raise VpaParseError(f"{field} must be a list of arrays of {width} strings")
 
 
 def _strings(doc: dict, field: str) -> list[str]:

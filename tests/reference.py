@@ -18,6 +18,8 @@ This is test code: nothing in ``src/`` may import it.
 from __future__ import annotations
 
 import json
+import re
+import unicodedata
 from typing import NamedTuple
 
 from treepolicy import compiler, mesh_sim, monitor
@@ -542,20 +544,26 @@ def reference_vpa_json(v: Vpa) -> str:
 
 
 def reference_filter_json(spec: monitor.FilterSpec) -> str:
-    doc = {
-        "version": 1,
-        "endpoint": spec.endpoint,
-        "reject": spec.reject,
-        "on_request": [
-            {"if_state": q, "then_state": dst, "push_local": push}
-            for q, (dst, push) in sorted(spec.on_request.items())
-        ],
-        "on_response": [
-            {"if_state": q, "if_local": local, "then_state": dst}
-            for (q, local), dst in sorted(spec.on_response.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The head as ``json.dumps(indent=2, ensure_ascii=False)`` writes it,
+    then each rule as ``json.dumps`` writes its array, one per line."""
+    head = {"version": 2, "endpoint": spec.endpoint, "reject": spec.reject}
+    lines = json.dumps(head, indent=2, ensure_ascii=False).split("\n")[:-1]
+    lines[-1] += ","
+    members = [
+        ("on_request", [[q, dst, push] for q, (dst, push) in sorted(spec.on_request.items())]),
+        ("on_response", [[q, local, dst] for (q, local), dst in sorted(spec.on_response.items())]),
+    ]
+    for i, (name, rows) in enumerate(members):
+        comma = "," if i < len(members) - 1 else ""
+        if not rows:
+            lines.append(f'  "{name}": []{comma}')
+            continue
+        lines.append(f'  "{name}": [')
+        lines += [f"    {json.dumps(row, ensure_ascii=False)}," for row in rows]
+        lines[-1] = lines[-1][:-1]
+        lines.append(f"  ]{comma}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _dot_quote(s: str) -> str:
@@ -584,39 +592,150 @@ def reference_dot(v: Vpa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def lua_quote(s: str) -> str:
+    """A Lua string literal: a backslash before each backslash and double
+    quote, and each control character as the three-digit escapes of its
+    UTF-8 bytes."""
+    out = []
+    for ch in s:
+        if ch in '\\"':
+            out.append("\\" + ch)
+        elif unicodedata.category(ch) == "Cc":
+            out += [f"\\{b:03d}" for b in ch.encode()]
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'
+
+
+SCRIPT_CALLBACKS = {
+    True: """\
+callback OnRequest() {
+  local rule = on_request[state]
+  if rule then state = rule[1]; local_stack = rule[2]
+  elseif state == reject then local_stack = reject
+  else state = reject; local_stack = reject; log_violation("no call transition")
+  end
+}
+callback OnResponse() {
+  local rules = on_response[state]
+  local rule = rules and rules[local_stack]
+  if rule then state = rule
+  elseif state ~= reject then state = reject; log_violation("no return transition")
+  end
+}
+""",
+    False: """\
+callback OnRequest() {
+  local rule = on_request[state]
+  if rule then state = rule[1]; local_stack = rule[2]
+  else log_violation("no call transition")
+  end
+}
+callback OnResponse() {
+  local rules = on_response[state]
+  local rule = rules and rules[local_stack]
+  if rule then state = rule
+  else log_violation("no return transition")
+  end
+}
+""",
+}  # keyed by whether the script names a reject state
+
+
+def _lua_table(name: str, rows: list[str]) -> list[str]:
+    if not rows:
+        return [f"local {name} = {{}}"]
+    return [f"local {name} = {{", *(f"  {r}," for r in rows[:-1]), f"  {rows[-1]}", "}"]
+
+
 def reference_script(spec: monitor.FilterSpec, header: str) -> str:
-    to_reject = push_reject = ""
-    requests = sorted(spec.on_request.items())
-    responses = [(f'state == "{q}" && local_stack == "{local}"', dst)
-                 for (q, local), dst in sorted(spec.on_response.items())]
+    """The head comment, the reject state, the two lookup tables (response
+    rules grouped by state, in sorted order) and the fixed callbacks."""
+    q = lua_quote
+    lines = [f"-- traffic filter for endpoint {q(spec.endpoint)} (header: {q(header)})"]
     if spec.reject is not None:
-        r = spec.reject
-        to_reject = f'state = "{r}"; '
-        push_reject = to_reject + f'local_stack = "{r}"; '
-        # the sink keeps a request in it: its branch comes after the rules
-        requests.append((r, (r, r)))
-        responses.append((f'state == "{r}"', r))
-    lines = [f"-- traffic filter for endpoint {spec.endpoint} (header: {header})"]
-    lines.append("callback OnRequest() {")
-    kw = "if"
-    for q, (dst, push) in requests:
-        lines.append(
-            f'  {kw} (state == "{q}") then state = "{dst}"; local_stack = "{push}"'
-        )
-        kw = "elseif"
-    if kw == "if":
-        lines.append(f'  {push_reject}log_violation("no call transition")')
-    else:
-        lines.append(f'  else {push_reject}log_violation("no call transition")')
-    lines.append("}")
-    lines.append("callback OnResponse() {")
-    kw = "if"
-    for condition, dst in responses:
-        lines.append(f'  {kw} ({condition}) then state = "{dst}"')
-        kw = "elseif"
-    if kw == "if":
-        lines.append(f'  {to_reject}log_violation("no return transition")')
-    else:
-        lines.append(f'  else {to_reject}log_violation("no return transition")')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"local reject = {q(spec.reject)}")
+    requests = [f"[{q(state)}] = {{{q(dst)}, {q(push)}}}"
+                for state, (dst, push) in sorted(spec.on_request.items())]
+    by_state: dict[str, list[str]] = {}
+    for (state, local), dst in sorted(spec.on_response.items()):
+        by_state.setdefault(state, []).append(f"[{q(local)}] = {q(dst)}")
+    responses = [f"[{q(state)}] = {{{', '.join(cells)}}}" for state, cells in by_state.items()]
+    lines += _lua_table("on_request", requests) + _lua_table("on_response", responses)
+    return "\n".join(lines) + "\n" + SCRIPT_CALLBACKS[spec.reject is not None]
+
+
+_LUA_STRING = r'"(?:[^"\\\n]|\\.)*"'
+
+
+def _lua_unquote(literal: str) -> str:
+    """The string a literal ``lua_quote`` writes stands for, its escapes
+    read as UTF-8 bytes (a lone surrogate passing through); any other
+    escape is refused."""
+    body, out, i = literal[1:-1], bytearray(), 0
+    while i < len(body):
+        if body[i] != "\\":
+            out += body[i].encode("utf-8", "surrogatepass")
+            i += 1
+        elif body[i + 1] in '\\"':
+            out += body[i + 1].encode()
+            i += 2
+        elif re.fullmatch("[0-9]{3}", body[i + 1:i + 4]) and int(body[i + 1:i + 4]) < 256:
+            out.append(int(body[i + 1:i + 4]))
+            i += 4
+        else:
+            raise ValueError(f"escape at {i} in {literal!r}")
+    return out.decode("utf-8", "surrogatepass")
+
+
+def read_script(text: str) -> tuple[monitor.FilterSpec, str]:
+    """The filter spec and the header name a table-form sidecar script
+    holds, read line by line; a line out of place, a repeated key or
+    callbacks other than the fixed ones raise ``ValueError``."""
+    lines = text.split("\n")
+    s = _LUA_STRING
+    head = re.fullmatch(rf"-- traffic filter for endpoint ({s}) \(header: ({s})\)", lines[0])
+    if head is None:
+        raise ValueError(f"head {lines[0]!r}")
+    endpoint, header = map(_lua_unquote, head.groups())
+    at, reject = 1, None
+    if m := re.fullmatch(rf"local reject = ({s})", lines[at]):
+        at, reject = at + 1, _lua_unquote(m[1])
+
+    def table(name: str) -> list[str]:
+        nonlocal at
+        if lines[at] == f"local {name} = {{}}":
+            at += 1
+            return []
+        if lines[at] != f"local {name} = {{":
+            raise ValueError(f"line {at + 1}: {lines[at]!r}")
+        end = lines.index("}", at)
+        body = lines[at + 1:end]
+        if not body or not all(line.startswith("  ") for line in body) \
+                or not all(line.endswith(",") for line in body[:-1]) or body[-1].endswith(","):
+            raise ValueError(f"table {name} at line {at + 1}")
+        at = end + 1
+        return [line[2:-1] for line in body[:-1]] + [body[-1][2:]]
+
+    on_request, on_response = {}, {}
+    for row in table("on_request"):
+        m = re.fullmatch(rf"\[({s})\] = \{{({s}), ({s})\}}", row)
+        if m is None or (state := _lua_unquote(m[1])) in on_request:
+            raise ValueError(f"request row {row!r}")
+        on_request[state] = _lua_unquote(m[2]), _lua_unquote(m[3])
+    states = set()
+    for row in table("on_response"):
+        m = re.fullmatch(rf"\[({s})\] = \{{(.*)\}}", row)
+        if m is None or (state := _lua_unquote(m[1])) in states:
+            raise ValueError(f"response row {row!r}")
+        states.add(state)
+        cells = re.findall(rf"\[({s})\] = ({s})", m[2])
+        if ", ".join(f"[{g}] = {dst}" for g, dst in cells) != m[2]:
+            raise ValueError(f"response row {row!r}")
+        for g, dst in cells:
+            if (state, _lua_unquote(g)) in on_response:
+                raise ValueError(f"response row {row!r}")
+            on_response[state, _lua_unquote(g)] = _lua_unquote(dst)
+    if "\n".join(lines[at:]) != SCRIPT_CALLBACKS[reject is not None]:
+        raise ValueError("callbacks differ from the fixed ones")
+    return monitor.FilterSpec(endpoint, on_request, on_response, reject), header

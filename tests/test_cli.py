@@ -398,6 +398,18 @@ class TestSimulate:
         assert cli.main(["simulate", str(tf), policy_file, "--requests", "1"]) == 2
         assert f"{field} listed twice: [{name!r}]" in capsys.readouterr().err
 
+    def test_behavior_listing_a_service_twice_is_usage_error(self, tmp_path, capsys):
+        # json.loads alone would keep the last entry: A calling nothing
+        src = tmp_path / "ab.stp"
+        src.write_text("alphabet A, B;\nstart {A}: call-seq A B*;\n", encoding="utf-8")
+        tf = tmp_path / "topo.json"
+        tf.write_text('{"version": 1, "services": ["A", "B"], '
+                      '"behavior": {"A": ["B", "B"], "A": []}, "entrypoints": ["A"]}')
+        assert cli.main(["simulate", str(tf), str(src), "--requests", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "topology repeats member 'A'" in captured.err
+
     def test_deeply_nested_topology_is_usage_error(self, tmp_path, policy_file, capsys):
         tf = tmp_path / "topo.json"
         tf.write_text("[" * 200_000)

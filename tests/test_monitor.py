@@ -263,10 +263,13 @@ class TestFilterSpecs:
         [
             ("endpoint", 7),
             ("on_request", {"start": "q_P"}),
-            ("on_request", [{"if_state": "start", "then_state": "q_P", "push_local": None}]),
-            ("on_response", [{"if_state": "q_P", "if_local": "q_P"}]),
+            ("on_request", [["start", "q_P", None]]),
+            ("on_response", [["q_P", "q_P"]]),
             ("reject", 7),
             ("reject", ["sink"]),
+            # a version-1 row, an object
+            ("on_request", [{"if_state": "start", "then_state": "q_P", "push_local": "q_P"}]),
+            ("on_response", [["q_P", "q_P", "start", "start"]]),
         ],
     )
     def test_mistyped_field_rejected(self, field, value):
@@ -276,7 +279,7 @@ class TestFilterSpecs:
         with pytest.raises(TreePolicyError):
             monitor.filter_spec_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [True, 1.0])
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0])
     def test_version_must_be_the_integer(self, version):
         spec = monitor.extract_monitor(payment_chain_vpa())["P"]
         doc = json.loads(monitor.filter_spec_to_json(spec))
@@ -284,12 +287,37 @@ class TestFilterSpecs:
         with pytest.raises(TreePolicyError, match="schema version"):
             monitor.filter_spec_from_json(json.dumps(doc))
 
+    def test_version_1_rejected(self):
+        # the object rows version 1 wrote are not read
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        doc = {
+            "version": 1, "endpoint": "P", "reject": "sink",
+            "on_request": [{"if_state": q, "then_state": dst, "push_local": push}
+                           for q, (dst, push) in spec.on_request.items()],
+            "on_response": [{"if_state": q, "if_local": g, "then_state": dst}
+                            for (q, g), dst in spec.on_response.items()],
+        }
+        with pytest.raises(VpaParseError, match="missing or unsupported schema version"):
+            monitor.filter_spec_from_json(json.dumps(doc, indent=2))
+
     def test_repeated_rule_key_rejected(self):
         spec = monitor.extract_monitor(payment_chain_vpa())["P"]
         doc = json.loads(monitor.filter_spec_to_json(spec))
-        doc["on_request"].append(dict(doc["on_request"][0], then_state="sink"))
+        doc["on_request"].append([doc["on_request"][0][0], "sink", "sink"])
         with pytest.raises(TreePolicyError, match="more than once"):
             monitor.filter_spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["on_request", "version", "endpoint"])
+    def test_repeated_member_rejected(self, field):
+        # json.loads alone would keep the last of the two members
+        spec = monitor.extract_monitor(payment_chain_vpa())["P"]
+        text = monitor.filter_spec_to_json(spec)
+        doc = json.loads(text)
+        other = {"on_request": [], "version": 2, "endpoint": "D"}[field]
+        repeated = text.replace("\n}\n", f",\n  {json.dumps(field)}: {json.dumps(other)}\n}}\n")
+        assert json.loads(repeated) == dict(doc, **{field: other})
+        with pytest.raises(VpaParseError, match=f"document repeats member {field!r}"):
+            monitor.filter_spec_from_json(repeated)
 
     def test_different_reject_states_rejected(self):
         v = payment_chain_vpa()
@@ -308,7 +336,7 @@ class TestMissingRule:
     named, never a crash or a verdict."""
 
     @staticmethod
-    def _without(endpoint, field, keep_reject=False, **rule):
+    def _without(endpoint, field, rule, keep_reject=False):
         v = payment_chain_vpa()
         texts = []
         for spec in monitor.emit_filters(monitor.extract_monitor(v)):
@@ -317,7 +345,7 @@ class TestMissingRule:
             if not keep_reject:
                 doc["reject"] = None
             if spec.endpoint == endpoint:
-                kept = [r for r in doc[field] if any(r[k] != x for k, x in rule.items())]
+                kept = [r for r in doc[field] if r[:len(rule)] != list(rule)]
                 assert len(kept) == len(doc[field]) - 1
                 doc[field] = kept
             texts.append(json.dumps(doc))
@@ -325,7 +353,7 @@ class TestMissingRule:
         return m, initial_configuration(v)
 
     def test_missing_request_rule(self):
-        m, init = self._without("D", "on_request", if_state="q_P")
+        m, init = self._without("D", "on_request", ("q_P",))
         message = "no call rule at 'D' for state 'q_P'"
         with pytest.raises(MissingTransition, match=re.escape(message)):
             monitor.dist_run(m, init, word_from_str("<P <D D> P>"))
@@ -335,7 +363,7 @@ class TestMissingRule:
     @pytest.mark.parametrize("trace", ["<P <D D> P>", "<P <D D>"])
     def test_missing_response_rule(self, trace):
         # in the middle of the word, and as its last symbol
-        m, init = self._without("D", "on_response", if_state="q_D", if_local="q_D")
+        m, init = self._without("D", "on_response", ("q_D", "q_D"))
         message = "no return rule at 'D' for state 'q_D' / popped 'q_D'"
         with pytest.raises(MissingTransition, match=re.escape(message)) as err:
             monitor.dist_run(m, init, word_from_str(trace))
@@ -345,11 +373,11 @@ class TestMissingRule:
             walk(m.table, c, nw.build_nested_word([nw.ret("D")]))
 
     @pytest.mark.parametrize("field,rule", [
-        ("on_request", {"if_state": "q_P"}),
-        ("on_response", {"if_state": "q_D", "if_local": "q_D"}),
+        ("on_request", ("q_P",)),
+        ("on_response", ("q_D", "q_D")),
     ])
     def test_deleted_rule_goes_to_reject(self, field, rule):
-        m, init = self._without("D", field, keep_reject=True, **rule)
+        m, init = self._without("D", field, rule, keep_reject=True)
         assert m.reject == "sink"
         reached = monitor.dist_run(m, init, word_from_str("<P <D D> P>"))
         assert reached == Configuration("sink", (BOTTOM,))
@@ -425,27 +453,48 @@ class TestRenderScript:
         script = monitor.render_filter_script(spec)
         assert "callback OnRequest()" in script
         assert "callback OnResponse()" in script
-        assert 'if (state == "start") then state = "q_P"; local_stack = "q_P"' in script
-        assert '(state == "q_P" && local_stack == "q_P") then state = "start"' in script
+        assert 'local on_request = {\n  ["start"] = {"q_P", "q_P"}\n}\n' in script
+        assert 'local on_response = {\n  ["q_P"] = {["q_P"] = "start"}\n}\n' in script
+        # the callbacks index the tables: no rule is a branch of its own
+        assert "state ==" not in script.replace("state == reject", "")
 
     def test_sink_branch_stays_silent(self):
         mon = monitor.extract_monitor(payment_chain_vpa())
         spec = next(s for s in monitor.emit_filters(mon) if s.endpoint == "P")
         script = monitor.render_filter_script(spec)
+        assert 'local reject = "sink"\n' in script
         request, response = script.split("callback OnResponse()")
-        # the sink keeps a request in it without logging; only the
-        # fall-through that moves a request into the sink logs
-        assert ('  elseif (state == "sink") then state = "sink"; local_stack = "sink"\n'
-                '  else state = "sink"; local_stack = "sink"; log_violation("no call transition")\n'
+        # the sink keeps a request in it without logging; only a request
+        # that no rule matches moves into the sink and logs
+        assert ("  if rule then state = rule[1]; local_stack = rule[2]\n"
+                "  elseif state == reject then local_stack = reject\n"
+                '  else state = reject; local_stack = reject; log_violation("no call transition")\n'
                 ) in request
-        assert ('  elseif (state == "sink") then state = "sink"\n'
-                '  else state = "sink"; log_violation("no return transition")\n') in response
+        assert ("  if rule then state = rule\n"
+                '  elseif state ~= reject then state = reject; log_violation("no return transition")\n'
+                ) in response
         assert script.count("log_violation") == 2
 
     def test_empty_rules_fall_through(self):
         spec = monitor.FilterSpec("X", {}, {})
         script = monitor.render_filter_script(spec)
         assert script.count("log_violation") == 2
+        assert "local on_request = {}\nlocal on_response = {}\n" in script
+        assert "reject" not in script
+
+    def test_names_are_escaped(self):
+        # names a spec read back from JSON may hold: each stays inside its
+        # string literal, and the head comment stays on its line
+        spec = monitor.FilterSpec("E\n-- \\x", {'q"': ('q"', "g\x00")},
+                                  {('q"', "g\x00"): "r\\\"", ("r\t", "g"): 'q"'}, "r\\\"")
+        spec = monitor.filter_spec_from_json(monitor.filter_spec_to_json(spec))
+        script = monitor.render_filter_script(spec, header="h\r\n1\x85")
+        assert script.startswith('-- traffic filter for endpoint "E\\010-- \\\\x" '
+                                 '(header: "h\\013\\0101\\194\\133")\n')
+        assert 'local reject = "r\\\\\\""\n' in script
+        assert '  ["q\\""] = {"q\\"", "g\\000"}\n' in script
+        assert all(c.isprintable() for line in script.split("\n") for c in line)
+        assert ref.read_script(script) == (spec, "h\r\n1\x85")
 
     def test_deterministic_bytes(self):
         doc = corpus_documents("small")["data-proxy"]

@@ -483,7 +483,7 @@ class TestDefaultReject:
             requests = [r for f in filters for r in f["on_request"]]
             responses = [r for f in filters for r in f["on_response"]]
             assert sink not in {r["to"] for r in calls + returns}, label
-            assert sink not in {r["then_state"] for r in requests + responses}, label
+            assert sink not in {r[1] for r in requests} | {r[2] for r in responses}, label
             explicit_calls = sum(r != (sink, sink) for r in ref.delta_call(v).values())
             explicit_returns = sum(r != sink for r in ref.delta_return(v).values())
             assert len(calls) == explicit_calls and len(returns) == explicit_returns, label
@@ -651,6 +651,21 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(VpaParseError):
             import_vpa("pfff {")
+
+    def test_repeated_initial_rejected(self):
+        # json.loads alone would keep the last, a state the automaton declares
+        text = export_vpa(two_state_vpa(), "json")
+        repeated = text.replace('"initial": "q0",', '"initial": "q0",\n  "initial": "q1",')
+        assert json.loads(repeated)["initial"] == "q1"
+        with pytest.raises(VpaParseError, match="document repeats member 'initial'"):
+            import_vpa(repeated)
+
+    def test_repeated_member_in_a_row_rejected(self):
+        text = export_vpa(two_state_vpa(), "json")
+        repeated = text.replace('"to": "q1",', '"to": "q1",\n      "to": "q0",', 1)
+        assert repeated != text
+        with pytest.raises(VpaParseError, match="document repeats member 'to'"):
+            import_vpa(repeated)
 
     @pytest.mark.parametrize("version", [True, 1.0, "1", None])
     def test_version_must_be_the_integer(self, version):

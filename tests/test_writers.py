@@ -1,22 +1,26 @@
 """The templated artifact writers against the straightforward ones.
 
 Each reference writer in ``reference.py`` builds the document the plain way:
-one dict per rule through ``json.dumps(indent=2, ensure_ascii=False)``, one
-quoted label per DOT edge, one branch per script rule, leaving out the rules
-into the automaton's declared reject state.  The
-writers must give the same bytes on hand-built automata and filter specs
-whose names hold quotes, backslashes, control characters and non-ASCII text,
-and on empty tables.
+one dict per automaton rule through ``json.dumps(indent=2,
+ensure_ascii=False)``, one ``json.dumps`` array per filter rule, one quoted
+label per DOT edge, one table row per script state, leaving out the rules
+into the automaton's declared reject state.  The writers must give the same
+bytes on hand-built automata and filter specs whose names hold quotes,
+backslashes, control characters and non-ASCII text, and on empty tables.
+Every script reads back (``reference.read_script``) to the rules, reject
+state, endpoint and header it was rendered from.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepolicy import monitor
+from treepolicy import compiler, monitor
+from treepolicy.corpus import corpus_documents
 from treepolicy.vpa import BOTTOM, Vpa, export_vpa, import_vpa
 
 from reference import (
     explicit_rules,
+    read_script,
     reference_dot,
     reference_filter_json,
     reference_script,
@@ -75,7 +79,9 @@ def test_filter_writers_equal_reference(spec, header):
     text = monitor.filter_spec_to_json(spec)
     assert text == reference_filter_json(spec)
     assert monitor.filter_spec_from_json(text) == spec
-    assert monitor.render_filter_script(spec, header=header) == reference_script(spec, header)
+    script = monitor.render_filter_script(spec, header=header)
+    assert script == reference_script(spec, header)
+    assert read_script(script) == (spec, header)
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,10 +109,26 @@ def test_extracted_specs_equal_reference(v, header):
     assert monitor.monitor_from_filters(specs).table is not v.table
 
 
+def test_corpus_scripts_read_back():
+    # every corpus filter, in both encodings, as emit-filters names its header
+    specs = 0
+    for variant in ("small", "full"):
+        for doc in corpus_documents(variant).values():
+            for art in compiler.compile(doc):
+                header = f"{monitor.STATE_HEADER}-{art.policy_id}"
+                for spec in monitor.emit_filters(monitor.extract_monitor(art.vpa)):
+                    specs += 1
+                    script = monitor.render_filter_script(spec, header=header)
+                    assert read_script(script) == (spec, header), spec.endpoint
+                    assert spec.reject == art.vpa.sink == "rej"
+    assert specs == 131
+
+
 def test_empty_tables():
     spec = monitor.FilterSpec("X", {}, {})
     assert monitor.filter_spec_to_json(spec) == reference_filter_json(spec)
     assert monitor.render_filter_script(spec) == reference_script(spec, monitor.STATE_HEADER)
+    assert read_script(monitor.render_filter_script(spec)) == (spec, monitor.STATE_HEADER)
     v = Vpa.from_rules({"q"}, "q", (), (), {BOTTOM}, {}, {})
     assert export_vpa(v, "json") == reference_vpa_json(v)
     assert '"delta_call": [],\n  "delta_return": []\n}\n' in export_vpa(v, "json")
